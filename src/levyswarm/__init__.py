@@ -32,7 +32,6 @@ from .metrics import (
 from .optimizers import (
     FitnessField,
     adaptive_levy_probability,
-    coverage_fitness,
     nectar_probabilities,
 )
 from .rng import LevyStep, ParameterError, RandomSource, levy_step, mantegna_sigma

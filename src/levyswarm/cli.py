@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 
 from . import harness, metrics, world
@@ -171,16 +172,24 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     algorithms = [a for a in args.algorithms.split(",") if a.strip()]
+    max_steps = args.max_steps if args.max_steps is not None else 5000
     result = harness.compare_algorithms(
         algorithms,
         preset=args.preset,
         seeds=_parse_seeds(args.seeds) if args.seeds else range(20),
-        max_steps=args.max_steps if args.max_steps is not None else 5000,
+        max_steps=max_steps,
         levy_weight=args.levy_weight,
         workers=args.workers,
     )
     for name, rate in result.success_rates.items():
-        print(f"{name}: success_rate={rate:.2f}")
+        mine = [row for row in result.rows if row.algorithm == name]
+        steps = harness._censored_steps([row.metrics for row in mine], max_steps)
+        far = [row.far_covered for row in mine if row.far_covered is not None]
+        far_text = f"{statistics.median(far):.1f}" if far else "NA"
+        print(
+            f"{name}: success_rate={rate:.2f} median_steps={statistics.median(steps):.1f} "
+            f"median_far_covered={far_text}"
+        )
     if args.out:
         out = _ensure_out(args.out)
         metrics.write_runs_csv([row.metrics for row in result.rows], out / "runs.csv")

@@ -13,6 +13,7 @@ guarantees intact simultaneously.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,38 @@ def clamp_boundary(position, grid: GridConfig) -> np.ndarray:
     return np.clip(p, 0.0, [float(grid.width), float(grid.height)])
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n, 1)
+
+
+def _close_pairs(positions: np.ndarray, radius: float):
+    """Agent pairs closer than radius: (i, j, delta, d), pairs in (i, j) order.
+
+    i < j index arrays, delta = positions[i] - positions[j] and d its
+    ``np.hypot`` length.  Every pair loop in the step pipeline walks this one
+    list, so the order in which per-agent offsets accumulate is fixed here.
+    """
+    i, j = _pair_index(len(positions))
+    delta = positions[i] - positions[j]
+    d = np.hypot(delta[:, 0], delta[:, 1])
+    close = d < radius
+    return i[close], j[close], delta[close], d[close]
+
+
+def _accumulate(n: int, i: np.ndarray, j: np.ndarray, push: np.ndarray) -> np.ndarray:
+    """Per-agent sums of +push on the i side and -push on the j side.
+
+    Walking pairs in (i, j) order, each agent meets all its j-side pairs
+    before any of its i-side pairs; subtracting first keeps that addition
+    order per agent, and with it every rounding.
+    """
+    offsets = np.zeros((n, 2))
+    np.subtract.at(offsets, j, push)
+    np.add.at(offsets, i, push)
+    return offsets
+
+
 def safe_zone_separation(positions: np.ndarray, safe_zone_radius: float) -> np.ndarray:
     """Per-agent offsets pushing pairs closer than safe_zone_radius apart.
 
@@ -113,19 +146,11 @@ def safe_zone_separation(positions: np.ndarray, safe_zone_radius: float) -> np.n
     x axis: +x for the lower index, -x for the higher.
     """
     positions = np.asarray(positions, dtype=float)
-    n = len(positions)
-    offsets = np.zeros_like(positions)
-    half = 0.5 * safe_zone_radius
-    for i in range(n):
-        for j in range(i + 1, n):
-            delta = positions[i] - positions[j]
-            d = float(np.hypot(delta[0], delta[1]))
-            if d >= safe_zone_radius:
-                continue
-            unit = delta / d if d >= COINCIDENT_DISTANCE else np.array([1.0, 0.0])
-            offsets[i] += half * unit
-            offsets[j] -= half * unit
-    return offsets
+    i, j, delta, d = _close_pairs(positions, safe_zone_radius)
+    coincident = d < COINCIDENT_DISTANCE
+    unit = delta / np.where(coincident, 1.0, d)[:, None]
+    unit[coincident] = (1.0, 0.0)
+    return _accumulate(len(positions), i, j, 0.5 * safe_zone_radius * unit)
 
 
 def potential_field_repulsion(
@@ -145,25 +170,19 @@ def potential_field_repulsion(
     """
     positions = np.asarray(positions, dtype=float)
     influence = 2.0 * collision_radius
-    n = len(positions)
-    offsets = np.zeros_like(positions)
-    for i in range(n):
-        for j in range(i + 1, n):
-            delta = positions[i] - positions[j]
-            d = float(np.hypot(delta[0], delta[1]))
-            if d >= influence:
-                continue
-            if d >= COINCIDENT_DISTANCE:
-                unit = delta / d
-                d_eff = d
-            else:
-                unit = np.array([1.0, 0.0])
-                d_eff = COINCIDENT_DISTANCE
-            magnitude = gain * (1.0 / d_eff - 1.0 / influence) / d_eff**2
-            offsets[i] += magnitude * unit
-            offsets[j] -= magnitude * unit
-    for i in range(n):
-        offsets[i] = clamp_step(offsets[i], max_step_size)
+    i, j, delta, d = _close_pairs(positions, influence)
+    coincident = d < COINCIDENT_DISTANCE
+    d_eff = np.where(coincident, COINCIDENT_DISTANCE, d)
+    unit = delta / d_eff[:, None]
+    unit[coincident] = (1.0, 0.0)
+    # Python's float ** goes through libm pow, which rounds differently from
+    # numpy's d * d on about 0.1% of inputs; the behaviour fingerprint pins
+    # the libm rounding, so each distance is squared in Python.
+    d_squared = np.array([x**2 for x in d_eff.tolist()])
+    magnitude = gain * (1.0 / d_eff - 1.0 / influence) / d_squared
+    offsets = _accumulate(len(positions), i, j, magnitude[:, None] * unit)
+    for k in range(len(offsets)):
+        offsets[k] = clamp_step(offsets[k], max_step_size)
     return offsets
 
 
@@ -191,16 +210,6 @@ def escape_no_hotspot_zone(
     if dists[nearest] <= threshold_radius:
         return None
     return deltas[nearest] / dists[nearest] * max_step_size
-
-
-def _within_budget(point, anchor, budget):
-    if budget is None:
-        return point
-    offset = point - anchor
-    norm = float(np.hypot(offset[0], offset[1]))
-    if norm <= budget:
-        return point
-    return anchor + clamp_step(offset, budget)
 
 
 def resolve_collisions(
@@ -233,63 +242,58 @@ def resolve_collisions(
     reverted = np.zeros(n, dtype=bool)
     pushes = 0
 
-    def violating_pairs():
-        out = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                delta = pos[i] - pos[j]
-                if float(np.hypot(delta[0], delta[1])) < collision_radius:
-                    out.append((i, j))
-        return out
+    def violating() -> list[tuple[int, int]]:
+        i, j, _, _ = _close_pairs(pos, collision_radius)
+        return list(zip(i.tolist(), j.tolist()))
+
+    def separation(i, j):
+        delta = pos[i] - pos[j]
+        return delta, float(np.hypot(delta[0], delta[1]))
+
+    def move(idx, point):
+        nonlocal pushes
+        point = clamp_boundary(point, grid)
+        if anchors is not None and budget is not None:
+            offset = point - anchors[idx]
+            if float(np.hypot(offset[0], offset[1])) > budget:
+                point = anchors[idx] + clamp_step(offset, budget)
+        if not np.array_equal(point, pos[idx]):
+            pos[idx] = point
+            touched[idx] = True
+            pushes += 1
+
+    def revert(agents):
+        agents = agents & ~reverted
+        pos[agents] = np.asarray(revert_to, dtype=float)[agents]
+        reverted[agents] = True
+        touched[agents] = True
 
     fallback_cycle = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     for iteration in range(max_iter):
-        pairs = violating_pairs()
+        pairs = violating()
         if not pairs:
             return pos, touched, pushes
         before = pos.copy()
         for i, j in pairs:
-            delta = pos[i] - pos[j]
-            d = float(np.hypot(delta[0], delta[1]))
+            delta, d = separation(i, j)
             if d >= target:
                 continue
             if d > _TINY:
                 unit = delta / d
             else:
                 unit = fallback_cycle[iteration % len(fallback_cycle)]
-            need = target - d
-            movers = []
-            if not reverted[i]:
-                movers.append((i, unit))
-            if not reverted[j]:
-                movers.append((j, -unit))
+            movers = [(k, u) for k, u in ((i, unit), (j, -unit)) if not reverted[k]]
             if not movers:
                 continue
-            share = need / len(movers)
+            share = (target - d) / len(movers)
             for idx, direction in movers:
-                proposal = pos[idx] + direction * share
-                proposal = clamp_boundary(proposal, grid)
-                if anchors is not None:
-                    proposal = _within_budget(proposal, anchors[idx], budget)
-                if not np.array_equal(proposal, pos[idx]):
-                    pos[idx] = proposal
-                    touched[idx] = True
-                    pushes += 1
+                move(idx, pos[idx] + direction * share)
             # If clamping pinned one side, let the freer partner absorb the rest.
-            delta = pos[i] - pos[j]
-            d = float(np.hypot(delta[0], delta[1]))
+            _, d = separation(i, j)
             if d < target and d > _TINY:
-                unit = delta / d
                 for idx, direction in movers:
-                    proposal = clamp_boundary(pos[idx] + direction * (target - d), grid)
-                    if anchors is not None:
-                        proposal = _within_budget(proposal, anchors[idx], budget)
-                    if not np.array_equal(proposal, pos[idx]):
-                        pos[idx] = proposal
-                        touched[idx] = True
-                        pushes += 1
-                    delta = pos[i] - pos[j]
-                    d = float(np.hypot(delta[0], delta[1]))
+                    move(idx, pos[idx] + direction * (target - d))
+                    _, d = separation(i, j)
                     if d >= target:
                         break
         if np.max(np.abs(pos - before)) < 1e-15:
@@ -299,20 +303,10 @@ def resolve_collisions(
                     "cannot separate agents to the collision radius within the "
                     "grid and step budget"
                 )
-            for i, j in violating_pairs():
-                for idx in (i, j):
-                    if not reverted[idx]:
-                        pos[idx] = np.array(revert_to[idx], dtype=float)
-                        reverted[idx] = True
-                        touched[idx] = True
-    if violating_pairs():
-        if revert_to is not None:
-            for idx in range(n):
-                if not reverted[idx]:
-                    pos[idx] = np.array(revert_to[idx], dtype=float)
-                    touched[idx] = True
-            if not violating_pairs():
-                return pos, touched, pushes
+            revert(np.isin(np.arange(n), violating()))
+    if violating() and revert_to is not None:
+        revert(np.ones(n, dtype=bool))
+    if violating():
         raise ConstraintError(
             f"collision resolution did not converge in {max_iter} iterations"
         )

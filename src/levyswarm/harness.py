@@ -20,6 +20,7 @@ import numpy as np
 
 from .constraints import (
     ConstraintReport,
+    _close_pairs,
     clamp_boundary,
     clamp_step,
     potential_field_repulsion,
@@ -32,14 +33,13 @@ from .optimizers import FitnessField, propose_step
 from .rng import RandomSource
 from .world import (
     Algorithm,
-    AlgorithmParams,
-    ConstraintParams,
     Hotspot,
     ScenarioConfig,
     SwarmState,
     ValidationError,
     make_swarm,
     mark_coverage,
+    params_from_dict,
     parse_algorithm,
     preset_scenario,
     two_cluster_far_indices,
@@ -60,18 +60,10 @@ class RunResult:
 
 
 def _min_pairwise(positions: np.ndarray) -> float:
-    n = len(positions)
-    if n < 2:
-        return math.inf
-    best = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = positions[i, 0] - positions[j, 0]
-            dy = positions[i, 1] - positions[j, 1]
-            d = math.hypot(dx, dy)
-            if d < best:
-                best = d
-    return best
+    # math.hypot, not np.hypot: the two round differently on about 0.5% of
+    # inputs, and the recorded min_pairwise_series is pinned to math.hypot.
+    _, _, delta, _ = _close_pairs(positions, math.inf)
+    return min(map(math.hypot, delta[:, 0].tolist(), delta[:, 1].tolist()), default=math.inf)
 
 
 def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
@@ -229,10 +221,9 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
 
 
 def _build_config(job: dict) -> ScenarioConfig:
-    params = AlgorithmParams(**job.get("params", {}))
+    params, constraints = params_from_dict(job)
     if job.get("levy_weight") is not None:
         params = replace(params, levy_weight=float(job["levy_weight"]))
-    constraints = ConstraintParams(**job.get("constraints", {}))
     return preset_scenario(
         job["preset"],
         int(job["seed"]),

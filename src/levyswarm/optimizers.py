@@ -66,11 +66,6 @@ class FitnessField:
         return total
 
 
-def coverage_fitness(position, hotspots, coverage_radius, shaping=False, epsilon=0.01) -> float:
-    """One-shot fitness evaluation; see FitnessField."""
-    return FitnessField(hotspots, coverage_radius, shaping=shaping, epsilon=epsilon).value(position)
-
-
 def nectar_probabilities(fitnesses) -> np.ndarray:
     """Selection weights proportional to fitness; uniform when all are zero."""
     f = np.asarray(fitnesses, dtype=float)

@@ -68,12 +68,6 @@ class LevyStep:
     raw_magnitude: float
 
 
-def gaussian_pair(src: RandomSource) -> tuple[float, float]:
-    """Two independent standard normal draws from the source."""
-    u, v = src.standard_normal(2)
-    return float(u), float(v)
-
-
 def mantegna_sigma(beta: float) -> float:
     """Scale of the numerator Gaussian in the Mantegna construction.
 
@@ -110,8 +104,10 @@ def levy_step(
     Each axis draws an independent Gaussian pair (u, v) and takes
     ``levy_weight * sigma_u * u / |v|^(1/beta)``.  With ``normalized``
     false, sigma_u is dropped (the bare u / |v|^(1/beta) kernel) and only
-    the weight scales the step.  Components are capped at 1e300 so the
-    re-draw substitution path cannot emit infinities.
+    the weight scales the step.  Components saturate instead of raising:
+    they are capped at 1e300, which also covers the re-draw substitution
+    path and a denominator that underflows to 0 (tiny beta, |v| < 1), and a
+    denominator that overflows (tiny beta, |v| > 1) gives a signed zero.
     """
     if not levy_weight > 0.0:
         raise ParameterError(f"levy_weight must be positive, got {levy_weight!r}")
@@ -121,7 +117,11 @@ def levy_step(
     for axis in range(2):
         u = float(src.standard_normal(1)[0])
         v = _draw_v(src)
-        step = scale * u / abs(v) ** (1.0 / beta)
+        try:
+            denominator = abs(v) ** (1.0 / beta)
+        except OverflowError:
+            denominator = math.inf
+        step = scale * u / denominator if denominator > 0.0 else math.inf
         if not math.isfinite(step):
             step = math.copysign(_MAX_COMPONENT, u)
         out[axis] = min(max(step, -_MAX_COMPONENT), _MAX_COMPONENT)

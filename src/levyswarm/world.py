@@ -11,15 +11,27 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .rng import SCENARIO_STREAM, RandomSource
+from .rng import SCENARIO_STREAM, RandomSource, mantegna_sigma
 
 
 class ValidationError(ValueError):
     """A configuration value violates its documented invariant."""
+
+
+def _require_finite(obj, where: str = ""):
+    """Reject a float field of the dataclass obj that is not a finite number."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "float" and not (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        ):
+            raise ValidationError(f"{where}{f.name} must be a finite number, got {value!r}")
 
 
 class Algorithm(str, enum.Enum):
@@ -102,7 +114,6 @@ class AlgorithmParams:
     sigma_sensitivity: float = 1.0
     pso: PsoParams = field(default_factory=PsoParams)
     stagnation_limit: int = 50
-    abc_limit_neighbors: int | None = None
     # Optional proximity shaping of the objective (off by default: the plain
     # coverage sum is the benchmark objective for every algorithm).
     shaping: bool = False
@@ -113,8 +124,16 @@ class AlgorithmParams:
     exploit_sign: int = 1
 
     def validate(self):
+        _require_finite(self)
+        _require_finite(self.pso, "pso.")
         if not 0.0 < self.levy_beta <= 2.0:
             raise ValidationError(f"levy_beta must lie in (0, 2], got {self.levy_beta}")
+        try:
+            mantegna_sigma(self.levy_beta)
+        except OverflowError:
+            raise ValidationError(
+                f"levy_beta={self.levy_beta} is too small: the Mantegna scale overflows"
+            ) from None
         if not self.levy_weight > 0.0:
             raise ValidationError(f"levy_weight must be positive, got {self.levy_weight}")
         if self.stagnation_limit < 1:
@@ -123,8 +142,6 @@ class AlgorithmParams:
             raise ValidationError("sigma_sensitivity must be positive")
         if self.shaping and not self.shaping_epsilon > 0.0:
             raise ValidationError("shaping_epsilon must be positive when shaping is on")
-        if self.abc_limit_neighbors is not None and self.abc_limit_neighbors < 1:
-            raise ValidationError("abc_limit_neighbors must be >= 1 when set")
         if self.exploit_sign not in (1, -1):
             raise ValidationError("exploit_sign must be +1 or -1")
 
@@ -139,6 +156,7 @@ class ConstraintParams:
     no_hotspot_threshold_radius: float = 15.0
 
     def validate(self):
+        _require_finite(self)
         if not self.max_step_size > 0.0:
             raise ValidationError("max_step_size must be positive")
         if not self.coverage_radius > 0.0:
@@ -213,9 +231,11 @@ class ScenarioConfig:
         self.grid.validate()
         self.params.validate()
         self.constraints.validate()
+        _require_finite(self)
         if not self.hotspots:
             raise ValidationError("scenario needs at least one hotspot")
         for i, h in enumerate(self.hotspots):
+            _require_finite(h, f"hotspot {i} ")
             if not self.grid.contains(h.position):
                 raise ValidationError(
                     f"hotspot {i} at ({h.position[0]}, {h.position[1]}) lies outside the "
@@ -370,19 +390,30 @@ def preset_scenario(name: str, seed: int, **config_overrides) -> ScenarioConfig:
 
 # --- scenario file I/O -----------------------------------------------------
 
-_PARAM_KEYS = {
-    "levy_weight", "levy_beta", "explore_coeff", "exploit_coeff", "adaptive_lambda",
-    "sigma_sensitivity", "pso", "stagnation_limit", "abc_limit_neighbors",
-    "shaping", "shaping_epsilon", "mantegna_normalized", "exploit_sign",
-}
-_CONSTRAINT_KEYS = {
-    "max_step_size", "safe_zone_radius", "coverage_radius", "collision_radius",
-    "potential_field_gain", "no_hotspot_threshold_radius",
-}
 _TOP_KEYS = {
     "grid", "hotspots", "kind", "n_hotspots", "n_uavs", "start", "algorithm",
     "params", "constraints", "seed", "max_steps", "dt", "scenario_id",
 }
+
+
+def _section(data: dict, name: str, cls) -> dict:
+    """A copy of the JSON object data[name] (default {}), keyed by fields of cls."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ValidationError(f"{name!r} must be an object, got {section!r}")
+    unknown = set(section) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValidationError(f"unknown {name} keys: {sorted(unknown)}")
+    return dict(section)
+
+
+def params_from_dict(data: dict) -> tuple[AlgorithmParams, ConstraintParams]:
+    """The optional 'params' and 'constraints' sections of a scenario or sweep job."""
+    params = _section(data, "params", AlgorithmParams)
+    if "pso" in params:
+        params["pso"] = PsoParams(**_section(params, "pso", PsoParams))
+    constraints = _section(data, "constraints", ConstraintParams)
+    return AlgorithmParams(**params), ConstraintParams(**constraints)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
@@ -393,42 +424,38 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if "hotspots" not in data and "kind" not in data:
         raise ValidationError("scenario must give either 'hotspots' or ('kind', 'n_hotspots')")
 
-    grid = GridConfig(**data.get("grid", {}))
-    params_data = dict(data.get("params", {}))
-    unknown = set(params_data) - _PARAM_KEYS
-    if unknown:
-        raise ValidationError(f"unknown params keys: {sorted(unknown)}")
-    if "pso" in params_data:
-        params_data["pso"] = PsoParams(**params_data["pso"])
-    params = AlgorithmParams(**params_data)
+    grid = GridConfig(**_section(data, "grid", GridConfig))
+    params, constraints = params_from_dict(data)
 
-    constraints_data = dict(data.get("constraints", {}))
-    unknown = set(constraints_data) - _CONSTRAINT_KEYS
-    if unknown:
-        raise ValidationError(f"unknown constraints keys: {sorted(unknown)}")
-    constraints = ConstraintParams(**constraints_data)
-
-    overrides = dict(
-        n_uavs=int(data.get("n_uavs", 5)),
-        algorithm=parse_algorithm(data.get("algorithm", Algorithm.HYBRID_ABC_LEVY)),
-        params=params,
-        constraints=constraints,
-        max_steps=int(data.get("max_steps", 5000)),
-        dt=float(data.get("dt", 0.5)),
-        scenario_id=str(data.get("scenario_id", "custom")),
-    )
-    if "start" in data:
-        overrides["start_position"] = np.array(data["start"], dtype=float)
-    seed = int(data.get("seed", 0))
+    try:
+        overrides = dict(
+            n_uavs=int(data.get("n_uavs", 5)),
+            algorithm=parse_algorithm(data.get("algorithm", Algorithm.HYBRID_ABC_LEVY)),
+            params=params,
+            constraints=constraints,
+            max_steps=int(data.get("max_steps", 5000)),
+            dt=float(data.get("dt", 0.5)),
+            scenario_id=str(data.get("scenario_id", "custom")),
+        )
+        if "start" in data:
+            overrides["start_position"] = np.array(data["start"], dtype=float)
+        seed = int(data.get("seed", 0))
+    except TypeError as exc:
+        raise ValidationError(f"scenario value of the wrong type: {exc}") from None
 
     if "hotspots" in data:
+        if not isinstance(data["hotspots"], list):
+            raise ValidationError(f"'hotspots' must be a list, got {data['hotspots']!r}")
         hotspots = []
         for i, entry in enumerate(data["hotspots"]):
             try:
                 pos = np.array([entry["x"], entry["y"]], dtype=float)
+                weight = float(entry.get("weight", 1.0))
             except (KeyError, TypeError):
-                raise ValidationError(f"hotspot {i} must be an object with x and y") from None
-            hotspots.append(Hotspot(position=pos, weight=float(entry.get("weight", 1.0))))
+                raise ValidationError(
+                    f"hotspot {i} must be an object with numeric x and y (and weight)"
+                ) from None
+            hotspots.append(Hotspot(position=pos, weight=weight))
         config = make_scenario(
             ScenarioKind.CUSTOM, len(hotspots), seed, grid,
             custom_hotspots=hotspots, **overrides,
@@ -441,7 +468,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
     return {
-        "grid": {"width": config.grid.width, "height": config.grid.height},
+        "grid": asdict(config.grid),
         "hotspots": [
             {"x": float(h.position[0]), "y": float(h.position[1]), "weight": h.weight}
             for h in config.hotspots
@@ -449,33 +476,8 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
         "n_uavs": config.n_uavs,
         "start": [float(config.start_position[0]), float(config.start_position[1])],
         "algorithm": config.algorithm.value,
-        "params": {
-            "levy_weight": config.params.levy_weight,
-            "levy_beta": config.params.levy_beta,
-            "explore_coeff": config.params.explore_coeff,
-            "exploit_coeff": config.params.exploit_coeff,
-            "adaptive_lambda": config.params.adaptive_lambda,
-            "sigma_sensitivity": config.params.sigma_sensitivity,
-            "pso": {
-                "inertia": config.params.pso.inertia,
-                "cognitive": config.params.pso.cognitive,
-                "social": config.params.pso.social,
-            },
-            "stagnation_limit": config.params.stagnation_limit,
-            "abc_limit_neighbors": config.params.abc_limit_neighbors,
-            "shaping": config.params.shaping,
-            "shaping_epsilon": config.params.shaping_epsilon,
-            "mantegna_normalized": config.params.mantegna_normalized,
-            "exploit_sign": config.params.exploit_sign,
-        },
-        "constraints": {
-            "max_step_size": config.constraints.max_step_size,
-            "safe_zone_radius": config.constraints.safe_zone_radius,
-            "coverage_radius": config.constraints.coverage_radius,
-            "collision_radius": config.constraints.collision_radius,
-            "potential_field_gain": config.constraints.potential_field_gain,
-            "no_hotspot_threshold_radius": config.constraints.no_hotspot_threshold_radius,
-        },
+        "params": asdict(config.params),
+        "constraints": asdict(config.constraints),
         "seed": config.seed,
         "max_steps": config.max_steps,
         "dt": config.dt,

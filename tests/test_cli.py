@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,61 @@ class TestRunCommand:
         assert main(["run", "--scenario", str(path)]) == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"grid": {"depth": 1}},
+            {"grid": [100, 100]},
+            {"params": [1]},
+            {"params": {"pso": {"foo": 1}}},
+            {"params": {"pso": [1]}},
+            {"constraints": "tight"},
+            {"hotspots": 5},
+            {"hotspots": [{"x": 1, "y": 1, "weight": [1]}]},
+            {"n_uavs": [5]},
+            {"seed": None},
+            {"start": {"x": 1}},
+        ],
+    )
+    def test_wrong_shape_scenario_exits_one(self, tmp_path, capsys, fields):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"hotspots": [{"x": 1, "y": 1}], **fields}))
+        assert main(["run", "--scenario", str(path)]) == EXIT_INVALID
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"constraints": {"max_step_size": math.inf}},
+            {"constraints": {"coverage_radius": math.inf}},
+            {"constraints": {"potential_field_gain": math.inf}},
+            {"constraints": {"safe_zone_radius": math.nan}},
+            {"params": {"levy_weight": math.inf}},
+            {"params": {"explore_coeff": math.nan}},
+            {"params": {"pso": {"inertia": -math.inf}}},
+            {"params": {"levy_weight": "3"}},
+            {"dt": math.inf},
+            {"hotspots": [{"x": 1, "y": 1, "weight": math.inf}]},
+        ],
+    )
+    def test_non_finite_value_exits_one(self, tmp_path, capsys, fields):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"hotspots": [{"x": 1, "y": 1}], "max_steps": 5, **fields}))
+        assert main(["run", "--scenario", str(path)]) == EXIT_INVALID
+        assert "must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta, code", [(1e-3, EXIT_OK), (1e-4, EXIT_INVALID)])
+    def test_tiny_levy_beta_runs_or_is_rejected(self, tmp_path, capsys, beta, code):
+        path = tmp_path / "tiny-beta.json"
+        path.write_text(
+            json.dumps(
+                {"hotspots": [{"x": 50, "y": 90}], "max_steps": 40, "params": {"levy_beta": beta}}
+            )
+        )
+        assert main(["run", "--scenario", str(path)]) == code
+        if code == EXIT_INVALID:
+            assert "error:" in capsys.readouterr().err
+
     def test_missing_scenario_file_exits_two(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.json")]) == EXIT_IO
         assert "io error:" in capsys.readouterr().err
@@ -156,6 +212,17 @@ class TestSweepCommand:
         assert code == EXIT_OK
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert len(lines) == 3  # header + one row per levy_weight
+
+    @pytest.mark.parametrize(
+        "section", [{"params": {"abc_limit_neighbors": 2}}, {"constraints": [1]}]
+    )
+    def test_spec_with_unknown_or_malformed_section_exits_one(self, tmp_path, capsys, section):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps({"levy_weights": [3.0], "seeds": [0], "max_steps": 5, **section})
+        )
+        assert main(["sweep", "--spec", str(spec_path)]) == EXIT_INVALID
+        assert "error:" in capsys.readouterr().err
 
     def test_duplicate_values_exit_one(self, capsys):
         code = main(["sweep", "--values", "3.0,3.0", "--seeds", "1", "--max-steps", "5"])

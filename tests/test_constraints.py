@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from levyswarm.constraints import (
     COINCIDENT_DISTANCE,
+    _close_pairs,
     ConstraintError,
     ConstraintReport,
     clamp_boundary,
@@ -126,6 +127,72 @@ class TestClampBoundary:
         a = np.array([ax, ay])
         clamped = clamp_boundary(p, grid)
         assert float(np.hypot(*(clamped - a))) <= float(np.hypot(*(p - a))) + 1e-12
+
+
+def pairwise_offsets(positions, radius, push):
+    """Reference: walk pairs (i < j) one at a time, adding push(delta, d) to i."""
+    offsets = np.zeros_like(positions)
+    for i in range(len(positions)):
+        for j in range(i + 1, len(positions)):
+            delta = positions[i] - positions[j]
+            d = float(np.hypot(delta[0], delta[1]))
+            if d < radius:
+                offsets[i] += push(delta, d)
+                offsets[j] -= push(delta, d)
+    return offsets
+
+
+def safe_zone_push(delta, d):
+    unit = delta / d if d >= COINCIDENT_DISTANCE else np.array([1.0, 0.0])
+    return 0.5 * 2.0 * unit
+
+
+def field_push(delta, d):
+    if d < COINCIDENT_DISTANCE:
+        delta, d = np.array([COINCIDENT_DISTANCE, 0.0]), COINCIDENT_DISTANCE
+    return 1.5 * (1.0 / d - 1.0 / 2.0) / d**2 * (delta / d)
+
+
+crowded = st.lists(
+    st.tuples(
+        st.floats(0.0, 4.0, allow_nan=False), st.floats(0.0, 4.0, allow_nan=False)
+    ),
+    min_size=0,
+    max_size=9,
+).map(lambda pts: np.array(pts + pts[:1], dtype=float).reshape(-1, 2))
+
+
+class TestClosePairs:
+    def test_pairs_in_index_order_with_hypot_lengths(self):
+        positions = np.array([[0.0, 0.0], [3.0, 4.0], [0.5, 0.0], [10.0, 0.0]])
+        i, j, delta, d = _close_pairs(positions, 6.0)
+        assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 2), (1, 2)]
+        assert np.array_equal(delta, positions[i] - positions[j])
+        assert np.array_equal(d, [5.0, 0.5, np.hypot(2.5, 4.0)])
+
+    def test_fewer_than_two_agents_have_no_pairs(self):
+        for positions in (np.zeros((0, 2)), np.zeros((1, 2))):
+            i, j, delta, d = _close_pairs(positions, math.inf)
+            assert i.size == j.size == d.size == 0 and delta.shape == (0, 2)
+
+    def test_field_squares_distances_with_python_floats(self):
+        d = 1.6175523854862577  # d ** 2 (libm pow) and d * d round apart
+        assert d**2 != d * d
+        positions = np.array([[0.0, 0.0], [d, 0.0]])
+        expected = pairwise_offsets(positions, 2.0, field_push)
+        assert np.array_equal(potential_field_repulsion(positions, 1.0, 1.5, 5.0), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(crowded)
+    def test_separation_offsets_equal_pairwise_walk_bit_for_bit(self, positions):
+        # Duplicated first point: every example has a coincident pair.
+        assert np.array_equal(
+            safe_zone_separation(positions, 2.0),
+            pairwise_offsets(positions, 2.0, safe_zone_push),
+        )
+        expected = pairwise_offsets(positions, 2.0, field_push)
+        expected = np.array([clamp_step(o, 5.0) for o in expected]).reshape(-1, 2)
+        assert np.array_equal(potential_field_repulsion(positions, 1.0, 1.5, 5.0), expected)
 
 
 class TestSafeZoneSeparation:

@@ -25,23 +25,20 @@ from levyswarm.world import make_scenario, preset_scenario
 
 GOLDEN = Path(__file__).parent / "golden" / "behaviour_fingerprint.txt"
 STEPS = 300
+CROWD_CASE = "uniform/hybrid-abc-levy/7/n_uavs=8"
+CASES = [
+    f"{preset}/{algorithm}/{seed}"
+    for preset in ("uniform20", "twocluster20")
+    for algorithm in ("hybrid-abc-levy", "abc", "pso")
+    for seed in (0, 1)
+] + [CROWD_CASE]
 
 
-def _cases():
-    for preset in ("uniform20", "twocluster20"):
-        for algorithm in ("hybrid-abc-levy", "abc", "pso"):
-            for seed in (0, 1):
-                yield f"{preset}/{algorithm}/{seed}", (
-                    lambda p=preset, a=algorithm, s=seed: preset_scenario(
-                        p, s, algorithm=a, max_steps=STEPS
-                    )
-                )
-    yield "uniform/hybrid-abc-levy/7/n_uavs=8", lambda: make_scenario(
-        "uniform", 20, 7, n_uavs=8, max_steps=STEPS
-    )
-
-
-CASES = dict(_cases())
+def scenario(case: str):
+    if case == CROWD_CASE:
+        return make_scenario("uniform", 20, 7, n_uavs=8, max_steps=STEPS)
+    preset, algorithm, seed = case.split("/")
+    return preset_scenario(preset, int(seed), algorithm=algorithm, max_steps=STEPS)
 
 
 def fingerprint(config) -> str:
@@ -71,7 +68,7 @@ def test_golden_covers_every_case():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_behaviour_fingerprint(case):
-    assert fingerprint(CASES[case]()) == _golden()[case]
+    assert fingerprint(scenario(case)) == _golden()[case]
 
 
 if __name__ == "__main__":
@@ -79,4 +76,4 @@ if __name__ == "__main__":
         f.write(f"# SHA-256 per case: runs.csv, trajectories, collision masks, "
                 f"min_pairwise_series; {STEPS} steps.\n")
         for name in sorted(CASES):
-            f.write(f"{name} {fingerprint(CASES[name]())}\n")
+            f.write(f"{name} {fingerprint(scenario(name))}\n")

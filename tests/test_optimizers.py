@@ -15,7 +15,6 @@ from levyswarm.optimizers import (
     _nearest_better_neighbor,
     abc_candidate,
     adaptive_levy_probability,
-    coverage_fitness,
     nectar_probabilities,
     propose_abc,
     propose_hybrid,
@@ -135,12 +134,6 @@ class TestFitnessField:
         field = FitnessField.from_config(config.hotspots, config)
         assert field.coverage_radius == 7.0
         assert field.shaping is False
-
-    def test_one_shot_helper_matches_field(self):
-        point = [9.0, 9.0]
-        assert coverage_fitness(point, self.HOTSPOTS, 3.0) == FitnessField(
-            self.HOTSPOTS, 3.0
-        ).value(point)
 
 
 class TestSelectionHelpers:

@@ -21,7 +21,6 @@ from levyswarm.rng import (
     LevyStep,
     ParameterError,
     RandomSource,
-    gaussian_pair,
     levy_step,
     mantegna_sigma,
 )
@@ -114,13 +113,7 @@ class TestRandomSource:
         assert SCENARIO_STREAM == 1 << 32
 
 
-class TestGaussianPair:
-    def test_deterministic_pair(self):
-        a = gaussian_pair(RandomSource(seed=7, stream_id=0))
-        b = gaussian_pair(RandomSource(seed=7, stream_id=0))
-        assert a == b
-        assert isinstance(a[0], float) and isinstance(a[1], float)
-
+class TestStandardNormal:
     def test_moments(self):
         src = RandomSource(seed=11, stream_id=0)
         sample = src.standard_normal(100_000)
@@ -185,6 +178,13 @@ class TestLevyStep:
         step = levy_step(src, 1.0, 1.0)
         assert step.vector[0] == 1e300 and step.vector[1] == -1e300
         assert math.isfinite(step.raw_magnitude)
+
+    def test_tiny_beta_saturates_instead_of_raising(self):
+        # At beta = 1e-3, |v| ** (1/beta) overflows for |v| = 3 (a signed zero
+        # component) and underflows to 0 for |v| = 0.1 (the 1e300 cap).
+        step = levy_step(_ScriptedSource([-0.5, 3.0, -0.5, 0.1]), 1.0, 1e-3)
+        assert step.vector[0] == 0.0 and math.copysign(1.0, step.vector[0]) == -1.0
+        assert step.vector[1] == -1e300
 
     def test_redraw_accepts_first_valid(self):
         src = _ScriptedSource([1.0, 1e-310, 2.0, 0.5, 0.5])

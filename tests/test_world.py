@@ -114,11 +114,10 @@ class TestAlgorithmParamsValidation:
         with pytest.raises(ValidationError):
             AlgorithmParams(shaping=True, shaping_epsilon=0.0).validate()
 
-    def test_neighbor_limit_floor_when_set(self):
-        AlgorithmParams(abc_limit_neighbors=None).validate()
-        AlgorithmParams(abc_limit_neighbors=1).validate()
-        with pytest.raises(ValidationError):
-            AlgorithmParams(abc_limit_neighbors=0).validate()
+    def test_tail_index_whose_mantegna_scale_overflows_rejected(self):
+        AlgorithmParams(levy_beta=1e-3).validate()
+        with pytest.raises(ValidationError, match="overflows"):
+            AlgorithmParams(levy_beta=1e-4).validate()
 
     def test_exploit_sign_must_be_unit(self):
         with pytest.raises(ValidationError):
@@ -433,6 +432,12 @@ class TestScenarioIO:
     def test_unknown_constraints_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown constraints keys"):
             scenario_from_dict({"hotspots": [{"x": 1, "y": 1}], "constraints": {"max_speed": 5}})
+
+    def test_unread_neighbor_limit_is_an_unknown_key(self):
+        with pytest.raises(ValidationError, match="unknown params keys"):
+            scenario_from_dict(
+                {"hotspots": [{"x": 1, "y": 1}], "params": {"abc_limit_neighbors": 3}}
+            )
 
     def test_hotspot_entries_need_x_and_y(self):
         with pytest.raises(ValidationError, match="x and y"):
