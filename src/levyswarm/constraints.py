@@ -14,6 +14,7 @@ guarantees intact simultaneously.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,27 @@ class ConstraintReport:
         self.zone_escapes += other.zone_escapes
 
 
+def _clamp_xy(x: float, y: float, limit: float) -> tuple[float, float]:
+    """clamp_step on Python floats.  Norms use np.hypot: math.hypot rounds
+    differently on about 0.2% of inputs."""
+    if not limit > 0.0:
+        raise ValidationError(f"max_step_size must be positive, got {limit}")
+    norm = float(np.hypot(x, y))
+    if norm <= limit:
+        return x, y
+    scale = limit / norm
+    x, y = x * scale, y * scale
+    while float(np.hypot(x, y)) > limit:
+        x, y = math.nextafter(x, 0.0), math.nextafter(y, 0.0)
+    return x, y
+
+
+def _box(x: float, y: float, grid: GridConfig) -> tuple[float, float]:
+    """Projection onto [0, width] x [0, height].  0.0 comes first in max() so
+    that -0.0 projects to +0.0; max(x, 0.0) would keep -0.0."""
+    return min(max(0.0, x), float(grid.width)), min(max(0.0, y), float(grid.height))
+
+
 def clamp_step(displacement, max_step_size: float) -> np.ndarray:
     """Scale a displacement down to at most max_step_size, preserving direction.
 
@@ -60,16 +82,7 @@ def clamp_step(displacement, max_step_size: float) -> np.ndarray:
     recomputed norm passes.  Idempotent, and the identity on vectors already
     inside the limit.
     """
-    if not max_step_size > 0.0:
-        raise ValidationError(f"max_step_size must be positive, got {max_step_size}")
-    d = np.array(displacement, dtype=float)
-    norm = float(np.hypot(d[0], d[1]))
-    if norm <= max_step_size:
-        return d
-    scaled = d * (max_step_size / norm)
-    while float(np.hypot(scaled[0], scaled[1])) > max_step_size:
-        scaled = np.nextafter(scaled, 0.0)
-    return scaled
+    return np.array(_clamp_xy(float(displacement[0]), float(displacement[1]), max_step_size))
 
 
 def settle_within(position, anchor, budget: float) -> np.ndarray:
@@ -82,15 +95,15 @@ def settle_within(position, anchor, budget: float) -> np.ndarray:
     grid, so containment is preserved) make the recomputed norm pass.  The
     identity for positions already within budget.
     """
-    p = np.array(position, dtype=float)
-    a = np.asarray(anchor, dtype=float)
+    x, y = float(position[0]), float(position[1])
+    ax, ay = float(anchor[0]), float(anchor[1])
     guard = 0
-    while float(np.hypot(p[0] - a[0], p[1] - a[1])) > budget:
-        p = np.nextafter(p, a)
+    while float(np.hypot(x - ax, y - ay)) > budget:
+        x, y = math.nextafter(x, ax), math.nextafter(y, ay)
         guard += 1
         if guard > 1000:
             raise ConstraintError("settle_within failed to converge")
-    return p
+    return np.array([x, y])
 
 
 def clamp_boundary(position, grid: GridConfig) -> np.ndarray:
@@ -100,8 +113,7 @@ def clamp_boundary(position, grid: GridConfig) -> np.ndarray:
     inside the box, the projected point is no farther from the anchor than the
     raw point was, so boundary clamping never breaks a step-size budget.
     """
-    p = np.array(position, dtype=float)
-    return np.clip(p, 0.0, [float(grid.width), float(grid.height)])
+    return np.array(_box(float(position[0]), float(position[1]), grid))
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,79 +247,103 @@ def resolve_collisions(
 
     Returns (new_positions, touched_mask, pushes_applied).
     """
-    pos = np.array(positions, dtype=float)
-    n = len(pos)
-    target = collision_radius * (1.0 + margin)
-    touched = np.zeros(n, dtype=bool)
-    reverted = np.zeros(n, dtype=bool)
-    pushes = 0
-
-    def violating() -> list[tuple[int, int]]:
-        i, j, _, _ = _close_pairs(pos, collision_radius)
+    def violating(array) -> list[tuple[int, int]]:
+        i, j, _, _ = _close_pairs(array, collision_radius)
         return list(zip(i.tolist(), j.tolist()))
 
-    def separation(i, j):
-        delta = pos[i] - pos[j]
-        return delta, float(np.hypot(delta[0], delta[1]))
+    start = np.array(positions, dtype=float)
+    n = len(start)
+    pairs = violating(start)
+    if not pairs:
+        return start, np.zeros(n, dtype=bool), 0
+    # Positions are (x, y) tuples of Python floats: a resolver pass makes
+    # thousands of 2-vector operations, each far cheaper on floats than as a
+    # numpy call.  The arithmetic and its rounding are those of numpy.
+    pos = [tuple(p) for p in start.tolist()]
+    bounded = anchors is not None and budget is not None
+    if bounded:
+        anchor_xy = np.asarray(anchors, dtype=float).tolist()
+    target = collision_radius * (1.0 + margin)
+    touched = [False] * n
+    reverted = [False] * n
+    pushes = 0
 
-    def move(idx, point):
+    def separation(i, j):
+        dx, dy = pos[i][0] - pos[j][0], pos[i][1] - pos[j][1]
+        return dx, dy, float(np.hypot(dx, dy))
+
+    def move(idx, dx, dy):
         nonlocal pushes
-        point = clamp_boundary(point, grid)
-        if anchors is not None and budget is not None:
-            offset = point - anchors[idx]
-            if float(np.hypot(offset[0], offset[1])) > budget:
-                point = anchors[idx] + clamp_step(offset, budget)
-        if not np.array_equal(point, pos[idx]):
-            pos[idx] = point
+        px, py = pos[idx]
+        x, y = _box(px + dx, py + dy, grid)
+        if bounded:
+            ax, ay = anchor_xy[idx]
+            ox, oy = x - ax, y - ay
+            if float(np.hypot(ox, oy)) > budget:
+                ox, oy = _clamp_xy(ox, oy, budget)
+                x, y = ax + ox, ay + oy
+        if x != px or y != py:
+            pos[idx] = (x, y)
             touched[idx] = True
             pushes += 1
 
     def revert(agents):
-        agents = agents & ~reverted
-        pos[agents] = np.asarray(revert_to, dtype=float)[agents]
-        reverted[agents] = True
-        touched[agents] = True
+        starts = np.asarray(revert_to, dtype=float).tolist()
+        for k in agents:
+            if not reverted[k]:
+                pos[k] = tuple(starts[k])
+                reverted[k] = True
+                touched[k] = True
 
-    fallback_cycle = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    def result():
+        return np.array(pos), np.array(touched), pushes
+
+    fallback_cycle = ((1.0, 0.0), (0.0, 1.0))
     for iteration in range(max_iter):
-        pairs = violating()
         if not pairs:
-            return pos, touched, pushes
-        before = pos.copy()
+            return result()
+        before = list(pos)
         for i, j in pairs:
-            delta, d = separation(i, j)
+            dx, dy, d = separation(i, j)
             if d >= target:
                 continue
             if d > _TINY:
-                unit = delta / d
+                ux, uy = dx / d, dy / d
             else:
-                unit = fallback_cycle[iteration % len(fallback_cycle)]
-            movers = [(k, u) for k, u in ((i, unit), (j, -unit)) if not reverted[k]]
+                ux, uy = fallback_cycle[iteration % len(fallback_cycle)]
+            movers = [
+                (k, vx, vy) for k, vx, vy in ((i, ux, uy), (j, -ux, -uy)) if not reverted[k]
+            ]
             if not movers:
                 continue
             share = (target - d) / len(movers)
-            for idx, direction in movers:
-                move(idx, pos[idx] + direction * share)
+            for idx, vx, vy in movers:
+                move(idx, vx * share, vy * share)
             # If clamping pinned one side, let the freer partner absorb the rest.
-            _, d = separation(i, j)
+            _, _, d = separation(i, j)
             if d < target and d > _TINY:
-                for idx, direction in movers:
-                    move(idx, pos[idx] + direction * (target - d))
-                    _, d = separation(i, j)
+                for idx, vx, vy in movers:
+                    move(idx, vx * (target - d), vy * (target - d))
+                    _, _, d = separation(i, j)
                     if d >= target:
                         break
-        if np.max(np.abs(pos - before)) < 1e-15:
+        if all(
+            abs(x - bx) < 1e-15 and abs(y - by) < 1e-15
+            for (x, y), (bx, by) in zip(pos, before)
+        ):
             # No progress is possible under the current pins; fall back.
             if revert_to is None:
                 raise ConstraintError(
                     "cannot separate agents to the collision radius within the "
                     "grid and step budget"
                 )
-            revert(np.isin(np.arange(n), violating()))
-    if violating() and revert_to is not None:
-        revert(np.ones(n, dtype=bool))
-    if violating():
+            revert({k for pair in violating(np.array(pos)) for k in pair})
+        pairs = violating(np.array(pos))
+    if pairs and revert_to is not None:
+        revert(range(n))
+        pairs = violating(np.array(pos))
+    if pairs:
         raise ConstraintError(
             f"collision resolution did not converge in {max_iter} iterations"
         )
-    return pos, touched, pushes
+    return result()

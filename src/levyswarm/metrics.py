@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,14 +61,16 @@ class Heatmap:
         x, y = float(position[0]), float(position[1])
         if not (0.0 <= x <= self.width and 0.0 <= y <= self.height):
             raise ValidationError(f"position ({x}, {y}) is outside the heatmap domain")
-        c = min(int(math.floor(x)), self.width - 1)
-        r = min(int(math.floor(y)), self.height - 1)
-        return r, c
+        # int() truncates, which is floor for the non-negative x and y left here.
+        return min(int(y), self.height - 1), min(int(x), self.width - 1)
 
     def record(self, positions):
-        for p in np.atleast_2d(np.asarray(positions, dtype=float)):
-            r, c = self.cell_of(p)
-            self.counts[r, c] += 1
+        """Count every position, or none of them when one is out of the domain."""
+        cells = [
+            self.cell_of(p) for p in np.atleast_2d(np.asarray(positions, dtype=float)).tolist()
+        ]
+        for cell in cells:
+            self.counts[cell] += 1
 
     def total(self) -> int:
         return int(self.counts.sum())

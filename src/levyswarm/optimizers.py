@@ -134,9 +134,10 @@ def _constrain_motion(raw_target, anchor, config: ScenarioConfig, report=None) -
     unbounded = anchor + step
     position = constraints.clamp_boundary(unbounded, config.grid)
     if report is not None:
-        if not np.array_equal(step, raw_step):
+        # List equality compares the floats with ==, so -0.0 equals 0.0.
+        if step.tolist() != raw_step.tolist():
             report.clamped_steps += 1
-        if not np.array_equal(position, unbounded):
+        if position.tolist() != unbounded.tolist():
             report.boundary_hits += 1
     return constraints.settle_within(position, anchor, max_step)
 
@@ -204,6 +205,15 @@ def propose_pso(
     return proposal
 
 
+def _median(values: list[float]) -> float:
+    """np.median of a short list: the middle value, or the mean of the two."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
 def _nearest_better_neighbor(positions: np.ndarray, values: np.ndarray, i: int) -> int | None:
     better = np.flatnonzero(values > values[i])
     if better.size == 0:
@@ -245,7 +255,7 @@ def propose_hybrid(
     # (the reward credited for its previous move), not a re-evaluation at the
     # anchor: once a hotspot is marked, standing next to it scores nothing.
     values = np.array([uav.fitness for uav in swarm.uavs])
-    median_value = float(np.median(values))
+    median_value = _median(values.tolist())
     proposal = StepProposal(positions=tentative)
 
     in_transit = np.array([uav.transit_target is not None for uav in swarm.uavs])
@@ -272,7 +282,7 @@ def propose_hybrid(
             raw = raw + params.explore_coeff * (swarm.global_best_position - anchors[i])
         raw = np.asarray(raw, dtype=float)
         waypoint = constraints.clamp_boundary(raw, config.grid)
-        if not np.array_equal(waypoint, raw):
+        if waypoint.tolist() != raw.tolist():
             proposal.report.boundary_hits += 1
         delta = waypoint - anchors[i]
         if float(np.hypot(delta[0], delta[1])) > cons.max_step_size:

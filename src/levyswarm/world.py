@@ -22,16 +22,37 @@ class ValidationError(ValueError):
     """A configuration value violates its documented invariant."""
 
 
-def _require_finite(obj, where: str = ""):
-    """Reject a float field of the dataclass obj that is not a finite number."""
+def _is_integer(value) -> bool:
+    """An int, or an integral float such as 50.0, but never a bool."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
+def _require_typed(obj, where: str = ""):
+    """Reject a float, int or bool field of the dataclass obj holding another kind.
+
+    Floats must be finite numbers.  Ints may be written as integral floats
+    (50.0) but not as bools, strings or fractions.  Bools must be JSON
+    booleans: the string "false" is truthy and would switch a feature on.
+    """
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if f.type == "float" and not (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-        ):
-            raise ValidationError(f"{where}{f.name} must be a finite number, got {value!r}")
+        if f.type == "float":
+            ok = (
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+            )
+            want = "a finite number"
+        elif f.type == "int":
+            ok, want = _is_integer(value), "an integer"
+        elif f.type == "bool":
+            ok, want = isinstance(value, bool), "true or false"
+        else:
+            continue
+        if not ok:
+            raise ValidationError(f"{where}{f.name} must be {want}, got {value!r}")
 
 
 class Algorithm(str, enum.Enum):
@@ -73,7 +94,9 @@ class GridConfig:
     height: int = 100
 
     def validate(self):
-        if not (isinstance(self.width, int) and isinstance(self.height, int)):
+        if not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in (self.width, self.height)
+        ):
             raise ValidationError("grid width/height must be integers")
         if self.width < 1 or self.height < 1:
             raise ValidationError(f"grid must be at least 1x1, got {self.width}x{self.height}")
@@ -124,8 +147,8 @@ class AlgorithmParams:
     exploit_sign: int = 1
 
     def validate(self):
-        _require_finite(self)
-        _require_finite(self.pso, "pso.")
+        _require_typed(self)
+        _require_typed(self.pso, "pso.")
         if not 0.0 < self.levy_beta <= 2.0:
             raise ValidationError(f"levy_beta must lie in (0, 2], got {self.levy_beta}")
         try:
@@ -156,7 +179,7 @@ class ConstraintParams:
     no_hotspot_threshold_radius: float = 15.0
 
     def validate(self):
-        _require_finite(self)
+        _require_typed(self)
         if not self.max_step_size > 0.0:
             raise ValidationError("max_step_size must be positive")
         if not self.coverage_radius > 0.0:
@@ -231,11 +254,11 @@ class ScenarioConfig:
         self.grid.validate()
         self.params.validate()
         self.constraints.validate()
-        _require_finite(self)
+        _require_typed(self)
         if not self.hotspots:
             raise ValidationError("scenario needs at least one hotspot")
         for i, h in enumerate(self.hotspots):
-            _require_finite(h, f"hotspot {i} ")
+            _require_typed(h, f"hotspot {i} ")
             if not self.grid.contains(h.position):
                 raise ValidationError(
                     f"hotspot {i} at ({h.position[0]}, {h.position[1]}) lies outside the "
@@ -357,14 +380,16 @@ def mark_coverage(
     positions = swarm.positions()
     if scanning is not None:
         positions = positions[np.asarray(scanning, dtype=bool)]
+    uncovered = [k for k, hot in enumerate(hotspots) if not hot.covered]
     newly = []
-    if len(positions):
-        for k, hot in enumerate(hotspots):
-            if hot.covered:
-                continue
-            d = np.min(np.hypot(*(positions - hot.position).T))
+    if len(positions) and uncovered:
+        # One agents x uncovered-hotspots distance matrix; np.hypot over an
+        # array rounds exactly as it does element by element.
+        delta = positions[:, None, :] - np.array([hotspots[k].position for k in uncovered])
+        nearest = np.hypot(delta[..., 0], delta[..., 1]).min(axis=0)
+        for k, d in zip(uncovered, nearest.tolist()):
             if d <= coverage_radius:
-                hot.covered = True
+                hotspots[k].covered = True
                 newly.append(k)
     swarm.covered_count = sum(1 for h in hotspots if h.covered)
     return newly
@@ -416,6 +441,13 @@ def params_from_dict(data: dict) -> tuple[AlgorithmParams, ConstraintParams]:
     return AlgorithmParams(**params), ConstraintParams(**constraints)
 
 
+def _integer(data: dict, key: str, default: int) -> int:
+    value = data.get(key, default)
+    if not _is_integer(value):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Parse the scenario JSON schema; unknown keys are validation errors."""
     unknown = set(data) - _TOP_KEYS
@@ -429,17 +461,17 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     try:
         overrides = dict(
-            n_uavs=int(data.get("n_uavs", 5)),
+            n_uavs=_integer(data, "n_uavs", 5),
             algorithm=parse_algorithm(data.get("algorithm", Algorithm.HYBRID_ABC_LEVY)),
             params=params,
             constraints=constraints,
-            max_steps=int(data.get("max_steps", 5000)),
+            max_steps=_integer(data, "max_steps", 5000),
             dt=float(data.get("dt", 0.5)),
             scenario_id=str(data.get("scenario_id", "custom")),
         )
         if "start" in data:
             overrides["start_position"] = np.array(data["start"], dtype=float)
-        seed = int(data.get("seed", 0))
+        seed = _integer(data, "seed", 0)
     except TypeError as exc:
         raise ValidationError(f"scenario value of the wrong type: {exc}") from None
 
@@ -462,7 +494,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         )
     else:
         kind = ScenarioKind(str(data["kind"]).lower())
-        config = make_scenario(kind, int(data.get("n_hotspots", 20)), seed, grid, **overrides)
+        config = make_scenario(kind, _integer(data, "n_hotspots", 20), seed, grid, **overrides)
     return config
 
 

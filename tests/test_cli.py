@@ -152,6 +152,48 @@ class TestRunCommand:
         assert main(["run", "--scenario", str(path)]) == EXIT_INVALID
         assert "must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"params": {"stagnation_limit": "5"}},
+            {"params": {"stagnation_limit": True}},
+            {"params": {"stagnation_limit": 2.5}},
+            {"params": {"shaping": "false"}},
+            {"params": {"adaptive_lambda": "no"}},
+            {"params": {"mantegna_normalized": "false"}},
+            {"params": {"mantegna_normalized": 0}},
+            {"n_uavs": 2.7},
+            {"n_uavs": "5"},
+            {"max_steps": True},
+            {"seed": 1.5},
+            {"grid": {"height": True}},
+            {"hotspots": None, "kind": "uniform", "n_hotspots": 2.5},
+        ],
+    )
+    def test_wrongly_typed_int_or_bool_exits_one(self, tmp_path, capsys, fields):
+        scenario = {"hotspots": [{"x": 1, "y": 1}], "max_steps": 5, **fields}
+        if scenario["hotspots"] is None:
+            del scenario["hotspots"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", "--scenario", str(path)]) == EXIT_INVALID
+        assert "error:" in capsys.readouterr().err
+
+    def test_integral_floats_load_as_ints(self, tmp_path):
+        path = tmp_path / "floats.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "hotspots": [{"x": 1, "y": 1}],
+                    "n_uavs": 3.0,
+                    "max_steps": 5.0,
+                    "seed": 2.0,
+                    "params": {"stagnation_limit": 50.0, "exploit_sign": -1.0},
+                }
+            )
+        )
+        assert main(["run", "--scenario", str(path)]) == EXIT_OK
+
     @pytest.mark.parametrize("beta, code", [(1e-3, EXIT_OK), (1e-4, EXIT_INVALID)])
     def test_tiny_levy_beta_runs_or_is_rejected(self, tmp_path, capsys, beta, code):
         path = tmp_path / "tiny-beta.json"

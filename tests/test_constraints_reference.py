@@ -1,0 +1,290 @@
+"""The float motion primitives against their numpy reference implementations.
+
+``resolve_collisions``, ``clamp_step``, ``settle_within`` and
+``clamp_boundary`` do their arithmetic on Python floats.  The functions below
+are the earlier numpy implementations, kept verbatim as references: every
+result must match them bit for bit (position bytes including the sign of
+zero, the touched mask and the push count), or both must raise the same
+exception type.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from levyswarm.constraints import (
+    ConstraintError,
+    clamp_boundary,
+    clamp_step,
+    resolve_collisions,
+    settle_within,
+)
+from levyswarm.world import GridConfig, ValidationError
+
+# --- references: the numpy implementations ----------------------------------
+
+_TINY = 1e-12
+
+
+def ref_clamp_step(displacement, max_step_size: float) -> np.ndarray:
+    if not max_step_size > 0.0:
+        raise ValidationError(f"max_step_size must be positive, got {max_step_size}")
+    d = np.array(displacement, dtype=float)
+    norm = float(np.hypot(d[0], d[1]))
+    if norm <= max_step_size:
+        return d
+    scaled = d * (max_step_size / norm)
+    while float(np.hypot(scaled[0], scaled[1])) > max_step_size:
+        scaled = np.nextafter(scaled, 0.0)
+    return scaled
+
+
+def ref_settle_within(position, anchor, budget: float) -> np.ndarray:
+    p = np.array(position, dtype=float)
+    a = np.asarray(anchor, dtype=float)
+    guard = 0
+    while float(np.hypot(p[0] - a[0], p[1] - a[1])) > budget:
+        p = np.nextafter(p, a)
+        guard += 1
+        if guard > 1000:
+            raise ConstraintError("settle_within failed to converge")
+    return p
+
+
+def ref_clamp_boundary(position, grid: GridConfig) -> np.ndarray:
+    p = np.array(position, dtype=float)
+    return np.clip(p, 0.0, [float(grid.width), float(grid.height)])
+
+
+def _ref_close_pairs(positions: np.ndarray, radius: float):
+    i, j = np.triu_indices(len(positions), 1)
+    delta = positions[i] - positions[j]
+    d = np.hypot(delta[:, 0], delta[:, 1])
+    close = d < radius
+    return i[close], j[close], delta[close], d[close]
+
+
+def ref_resolve_collisions(
+    positions,
+    grid,
+    collision_radius,
+    anchors=None,
+    budget=None,
+    revert_to=None,
+    margin=1e-6,
+    max_iter=200,
+):
+    pos = np.array(positions, dtype=float)
+    n = len(pos)
+    target = collision_radius * (1.0 + margin)
+    touched = np.zeros(n, dtype=bool)
+    reverted = np.zeros(n, dtype=bool)
+    pushes = 0
+
+    def violating():
+        i, j, _, _ = _ref_close_pairs(pos, collision_radius)
+        return list(zip(i.tolist(), j.tolist()))
+
+    def separation(i, j):
+        delta = pos[i] - pos[j]
+        return delta, float(np.hypot(delta[0], delta[1]))
+
+    def move(idx, point):
+        nonlocal pushes
+        point = ref_clamp_boundary(point, grid)
+        if anchors is not None and budget is not None:
+            offset = point - anchors[idx]
+            if float(np.hypot(offset[0], offset[1])) > budget:
+                point = anchors[idx] + ref_clamp_step(offset, budget)
+        if not np.array_equal(point, pos[idx]):
+            pos[idx] = point
+            touched[idx] = True
+            pushes += 1
+
+    def revert(agents):
+        agents = agents & ~reverted
+        pos[agents] = np.asarray(revert_to, dtype=float)[agents]
+        reverted[agents] = True
+        touched[agents] = True
+
+    fallback_cycle = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    for iteration in range(max_iter):
+        pairs = violating()
+        if not pairs:
+            return pos, touched, pushes
+        before = pos.copy()
+        for i, j in pairs:
+            delta, d = separation(i, j)
+            if d >= target:
+                continue
+            if d > _TINY:
+                unit = delta / d
+            else:
+                unit = fallback_cycle[iteration % len(fallback_cycle)]
+            movers = [(k, u) for k, u in ((i, unit), (j, -unit)) if not reverted[k]]
+            if not movers:
+                continue
+            share = (target - d) / len(movers)
+            for idx, direction in movers:
+                move(idx, pos[idx] + direction * share)
+            _, d = separation(i, j)
+            if d < target and d > _TINY:
+                for idx, direction in movers:
+                    move(idx, pos[idx] + direction * (target - d))
+                    _, d = separation(i, j)
+                    if d >= target:
+                        break
+        if np.max(np.abs(pos - before)) < 1e-15:
+            if revert_to is None:
+                raise ConstraintError("stall")
+            revert(np.isin(np.arange(n), violating()))
+    if violating() and revert_to is not None:
+        revert(np.ones(n, dtype=bool))
+    if violating():
+        raise ConstraintError("no convergence")
+    return pos, touched, pushes
+
+
+# --- comparison ---------------------------------------------------------------
+
+
+def outcome(fn, *args, **kwargs):
+    """A comparable record of fn's result: raw bytes, or the exception type."""
+    try:
+        result = fn(*args, **kwargs)
+    except (ValidationError, ConstraintError) as exc:
+        return type(exc)
+    if isinstance(result, tuple):
+        positions, touched, pushes = result
+        return (
+            positions.dtype, positions.shape, positions.tobytes(),
+            touched.dtype, touched.tobytes(), int(pushes),
+        )
+    return result.dtype, result.shape, result.tobytes()
+
+
+# Signed zeros, walls, tiny and huge magnitudes alongside ordinary values.
+special = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, 10.0])
+coord = st.one_of(
+    special, st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+)
+limit = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1e-3, 5e-324, 1.0]),
+    st.floats(1e-9, 100.0),
+)
+
+
+@given(x=coord, y=coord, max_step=limit)
+@settings(max_examples=400, deadline=None)
+def test_clamp_step_matches_reference(x, y, max_step):
+    d = np.array([x, y])
+    assert outcome(clamp_step, d, max_step) == outcome(ref_clamp_step, d, max_step)
+
+
+@given(
+    ax=st.floats(0.0, 100.0),
+    ay=st.floats(0.0, 100.0),
+    dx=coord,
+    dy=coord,
+    budget=st.one_of(limit, st.floats(1e-3, 10.0)),
+    composed=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_settle_within_matches_reference(ax, ay, dx, dy, budget, composed):
+    anchor = np.array([ax, ay])
+    d = np.array([dx, dy])
+    if composed and budget > 0.0:
+        # The production composition, which lands within an ulp of the budget.
+        d = ref_clamp_step(d, budget)
+    position = anchor + d
+    assume(np.all(np.isfinite(position)))
+    assert outcome(settle_within, position, anchor, budget) == outcome(
+        ref_settle_within, position, anchor, budget
+    )
+
+
+@given(
+    x=st.one_of(coord, st.sampled_from([20.0, 20.5, 3.0])),
+    y=st.one_of(coord, st.sampled_from([3.0, 2.999999999999, 7.0])),
+    width=st.sampled_from([1, 3, 20, 100]),
+    height=st.sampled_from([1, 3, 20, 100]),
+)
+@settings(max_examples=400, deadline=None)
+def test_clamp_boundary_matches_reference(x, y, width, height):
+    grid = GridConfig(width, height)
+    p = np.array([x, y])
+    assert outcome(clamp_boundary, p, grid) == outcome(ref_clamp_boundary, p, grid)
+
+
+def test_clamp_boundary_maps_negative_zero_to_positive_zero():
+    out = clamp_boundary(np.array([-0.0, -0.0]), GridConfig(10, 10))
+    assert np.signbit(out).tolist() == [False, False]
+
+
+GRID = 6
+
+
+@st.composite
+def swarms(draw):
+    """Crowded swarms on a small grid: coincident pairs, agents on walls, -0.0."""
+    wall = st.sampled_from([0.0, -0.0, float(GRID)])
+    value = st.one_of(wall, st.floats(0.0, float(GRID)), st.floats(2.0, 3.0))
+    n = draw(st.integers(1, 6))
+    points = [(draw(value), draw(value)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        points.append(points[draw(st.integers(0, len(points) - 1))])
+    return np.array(points, dtype=float)
+
+
+@given(
+    positions=swarms(),
+    radius=st.sampled_from([0.5, 1.0, 1.7, 2.5]),
+    budget=st.one_of(st.none(), st.sampled_from([1e-3, 0.05, 0.5, 1.0, 5.0])),
+    jitter=st.floats(0.0, 0.5),
+    revert=st.sampled_from(["none", "spread", "same"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_resolve_collisions_matches_reference(positions, radius, budget, jitter, revert):
+    n = len(positions)
+    grid = GridConfig(GRID, GRID)
+    anchors = None if budget is None else np.clip(positions + jitter, 0.0, GRID)
+    revert_to = {
+        "none": None,
+        # Feasible starts along the diagonal when the swarm is small enough.
+        "spread": np.array([[float(k) * 2.6 % GRID, float(k) * 1.3] for k in range(n)]),
+        "same": positions.copy(),
+    }[revert]
+    kwargs = dict(anchors=anchors, budget=budget, revert_to=revert_to)
+    assert outcome(resolve_collisions, positions, grid, radius, **kwargs) == outcome(
+        ref_resolve_collisions, positions, grid, radius, **kwargs
+    )
+
+
+def test_resolve_collisions_stall_revert_matches_reference():
+    # Budgets too small to separate anything: the no-progress branch reverts
+    # every violating agent at once.
+    positions = np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]])
+    revert_to = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    args = (positions, GridConfig(10, 10), 1.0)
+    kwargs = dict(anchors=positions, budget=1e-3, revert_to=revert_to)
+    out, touched, pushes = resolve_collisions(*args, **kwargs)
+    assert outcome(resolve_collisions, *args, **kwargs) == outcome(
+        ref_resolve_collisions, *args, **kwargs
+    )
+    assert np.array_equal(out, revert_to)
+    assert touched.all()
+    assert pushes == 2
+
+
+@pytest.mark.parametrize("budget", [None, 1e-3])
+def test_resolve_collisions_stall_without_fallback_matches_reference(budget):
+    positions = np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]])
+    anchors = None if budget is None else positions
+    args = (positions, GridConfig(1, 1), 1.0)
+    kwargs = dict(anchors=anchors, budget=budget)
+    assert outcome(resolve_collisions, *args, **kwargs) == outcome(
+        ref_resolve_collisions, *args, **kwargs
+    )

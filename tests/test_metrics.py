@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -90,6 +91,32 @@ class TestHeatmapBinning:
         h = Heatmap(width=10, height=10)
         h.record(np.array(xs))
         assert h.total() == len(xs)
+
+
+    @given(
+        xs=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, -0.0, 7.0, 6.999999999999999]), st.floats(0.0, 7.0)),
+                st.one_of(st.sampled_from([0.0, -0.0, 3.0, 2.0]), st.floats(0.0, 3.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_record_matches_per_point_floor_binning(self, xs):
+        h = Heatmap(width=7, height=3)
+        h.record(np.array(xs))
+        expected = np.zeros((3, 7), dtype=np.int64)
+        for x, y in xs:
+            expected[min(math.floor(y), 2), min(math.floor(x), 6)] += 1
+        assert np.array_equal(h.counts, expected)
+
+    def test_out_of_domain_record_rejected_and_counts_nothing(self):
+        h = Heatmap(width=10, height=10)
+        with pytest.raises(ValidationError, match=r"position \(10.5, 1.0\)"):
+            h.record(np.array([[1.0, 1.0], [10.5, 1.0]]))
+        assert h.total() == 0
 
 
 class TestHeatmapMerge:

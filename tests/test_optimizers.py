@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from levyswarm.optimizers import (
     FitnessField,
     StepProposal,
+    _median,
     _nearest_better_neighbor,
     abc_candidate,
     adaptive_levy_probability,
@@ -321,6 +322,16 @@ class TestNearestBetterNeighbor:
     def test_equal_values_are_not_better(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0]])
         assert _nearest_better_neighbor(positions, np.array([2.0, 2.0]), 0) is None
+
+
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 1e6)), min_size=1, max_size=9
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_median_matches_numpy(values):
+    assert _median(values) == float(np.median(values))
 
 
 class HybridBase:

@@ -374,6 +374,26 @@ class TestMarkCoverage:
         with pytest.raises(ValidationError):
             mark_coverage(swarm, hotspots, 0.0)
 
+    @given(
+        agents=st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)), min_size=1, max_size=8),
+        targets=st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)), min_size=1, max_size=12),
+        covered=st.lists(st.booleans(), min_size=12, max_size=12),
+        radius=st.floats(0.5, 6.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_hotspot_minimum(self, agents, targets, covered, radius):
+        swarm, hotspots = self.make(agents, targets)
+        for hot, flag in zip(hotspots, covered):
+            hot.covered = flag
+        expected = [
+            k
+            for k, hot in enumerate(hotspots)
+            if not hot.covered
+            and min(float(np.hypot(*(np.array(a) - hot.position))) for a in agents) <= radius
+        ]
+        assert mark_coverage(swarm, hotspots, radius) == expected
+        assert swarm.covered_count == sum(h.covered for h in hotspots)
+
 
 class TestScenarioIO:
     def test_dict_round_trip_is_bit_exact(self):
