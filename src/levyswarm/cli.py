@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import statistics
 import sys
 
 from . import harness, metrics, world
@@ -23,6 +22,9 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_NOT_COVERED = 3
+
+# Keys of a sweep spec file; see the README.
+_SPEC_KEYS = ("preset", "algorithm", "levy_weights", "seeds", "max_steps", "params", "constraints")
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -51,16 +53,11 @@ def _scenario_from_args(args) -> world.ScenarioConfig:
         if args.seed is not None:
             config.seed = args.seed
             if config.scenario_id in world.PRESET_KINDS:
-                # Preset layouts are a function of the seed; regenerate.
-                config = world.preset_scenario(
-                    config.scenario_id,
-                    args.seed,
-                    algorithm=config.algorithm,
-                    params=config.params,
-                    constraints=config.constraints,
-                    max_steps=config.max_steps,
-                    dt=config.dt,
-                )
+                # Preset hotspot layouts are a function of the seed; regenerate
+                # them on the file's grid and keep every other field.
+                kind, n_hotspots = world.PRESET_KINDS[config.scenario_id]
+                layout = world.make_scenario(kind, n_hotspots, args.seed, config.grid)
+                config.hotspots = layout.hotspots
     else:
         from dataclasses import replace
 
@@ -91,7 +88,8 @@ def _write_run_outputs(result: harness.RunResult, out_dir):
         with open(out / "trajectories.csv", "w", newline="") as f:
             f.write("step,uav,x,y\n")
             for step, frame in enumerate(result.trajectories):
-                for uav, (x, y) in enumerate(frame):
+                # Python floats: repr of a numpy 2 scalar is "np.float64(...)".
+                for uav, (x, y) in enumerate(frame.tolist()):
                     f.write(f"{step},{uav},{x!r},{y!r}\n")
 
 
@@ -118,22 +116,28 @@ def _cmd_run(args) -> int:
 def _sweep_spec_from_args(args) -> harness.SweepSpec:
     if args.spec:
         with open(args.spec) as f:
-            data = json.load(f)
-        values = data.get("levy_weights", data.get("values"))
-        spec = harness.SweepSpec(
+            data = world._object(json.load(f), "sweep spec", _SPEC_KEYS)
+        weights = data.get("levy_weights", harness.SweepSpec().levy_weights)
+        if not (isinstance(weights, list) and all(map(world._is_number, weights))):
+            raise ValidationError(f"levy_weights must be a list of numbers, got {weights!r}")
+        seeds = data.get("seeds", 20)
+        if world._is_integer(seeds):
+            seeds = list(range(int(seeds)))
+        elif isinstance(seeds, str):
+            seeds = _parse_seeds(seeds)
+        elif isinstance(seeds, list) and all(map(world._is_integer, seeds)):
+            seeds = [int(s) for s in seeds]
+        else:
+            raise ValidationError(f"seeds must be a count or a list of integers, got {seeds!r}")
+        return harness.SweepSpec(
             preset=data.get("preset", "uniform20"),
             algorithm=world.parse_algorithm(data.get("algorithm", "hybrid-abc-levy")),
-            levy_weights=[float(v) for v in values] if values else harness.SweepSpec().levy_weights,
-            seeds=(
-                [int(s) for s in data["seeds"]]
-                if isinstance(data.get("seeds"), list)
-                else _parse_seeds(str(data.get("seeds", "20")))
-            ),
-            max_steps=int(data.get("max_steps", 5000)),
+            levy_weights=[float(v) for v in weights],
+            seeds=seeds,
+            max_steps=world._integer(data, "max_steps", 5000),
             params=data.get("params", {}),
             constraints=data.get("constraints", {}),
         )
-        return spec
     return harness.SweepSpec(
         preset=args.preset,
         algorithm=world.parse_algorithm(args.algorithm or "hybrid-abc-levy"),
@@ -172,23 +176,20 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     algorithms = [a for a in args.algorithms.split(",") if a.strip()]
-    max_steps = args.max_steps if args.max_steps is not None else 5000
     result = harness.compare_algorithms(
         algorithms,
         preset=args.preset,
         seeds=_parse_seeds(args.seeds) if args.seeds else range(20),
-        max_steps=max_steps,
+        max_steps=args.max_steps if args.max_steps is not None else 5000,
         levy_weight=args.levy_weight,
         workers=args.workers,
     )
-    for name, rate in result.success_rates.items():
-        mine = [row for row in result.rows if row.algorithm == name]
-        steps = harness._censored_steps([row.metrics for row in mine], max_steps)
-        far = [row.far_covered for row in mine if row.far_covered is not None]
-        far_text = f"{statistics.median(far):.1f}" if far else "NA"
+    for name, group in result.groups.items():
+        far = result.median_far_covered(name)
+        far_text = "NA" if far is None else f"{far:.1f}"
         print(
-            f"{name}: success_rate={rate:.2f} median_steps={statistics.median(steps):.1f} "
-            f"median_far_covered={far_text}"
+            f"{name}: success_rate={group.success_rate:.2f} "
+            f"median_steps={group.median_steps:.1f} median_far_covered={far_text}"
         )
     if args.out:
         out = _ensure_out(args.out)
@@ -278,7 +279,7 @@ def main(argv=None) -> int:
         # JSONDecodeError subclasses ValueError, so file problems go first.
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValidationError, ConstraintError, ValueError) as exc:
+    except (ValidationError, ConstraintError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -25,6 +25,8 @@ _TINY = 1e-12
 # Below this separation a pair counts as coincident and separation directions
 # fall back to the x axis (+x for the lower index, -x for the higher).
 COINCIDENT_DISTANCE = 1e-9
+SEPARATION_MARGIN = 1e-6
+MAX_RESOLVE_PASSES = 200
 
 
 class ConstraintError(RuntimeError):
@@ -231,8 +233,6 @@ def resolve_collisions(
     anchors: np.ndarray | None = None,
     budget: float | None = None,
     revert_to: np.ndarray | None = None,
-    margin: float = 1e-6,
-    max_iter: int = 200,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Push agents apart until every pair is at least collision_radius apart.
 
@@ -263,7 +263,7 @@ def resolve_collisions(
     bounded = anchors is not None and budget is not None
     if bounded:
         anchor_xy = np.asarray(anchors, dtype=float).tolist()
-    target = collision_radius * (1.0 + margin)
+    target = collision_radius * (1.0 + SEPARATION_MARGIN)
     touched = [False] * n
     reverted = [False] * n
     pushes = 0
@@ -299,7 +299,7 @@ def resolve_collisions(
         return np.array(pos), np.array(touched), pushes
 
     fallback_cycle = ((1.0, 0.0), (0.0, 1.0))
-    for iteration in range(max_iter):
+    for iteration in range(MAX_RESOLVE_PASSES):
         if not pairs:
             return result()
         before = list(pos)
@@ -344,6 +344,6 @@ def resolve_collisions(
         pairs = violating(np.array(pos))
     if pairs:
         raise ConstraintError(
-            f"collision resolution did not converge in {max_iter} iterations"
+            f"collision resolution did not converge in {MAX_RESOLVE_PASSES} iterations"
         )
     return result()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -220,29 +221,77 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
 # --- batch execution ---------------------------------------------------------
 
 
-def _build_config(job: dict) -> ScenarioConfig:
-    params, constraints = params_from_dict(job)
-    if job.get("levy_weight") is not None:
-        params = replace(params, levy_weight=float(job["levy_weight"]))
-    return preset_scenario(
-        job["preset"],
-        int(job["seed"]),
-        algorithm=parse_algorithm(job["algorithm"]),
-        params=params,
-        constraints=constraints,
-        max_steps=int(job["max_steps"]),
-    )
+def _distinct(name: str, values, minimum: int = 1) -> list:
+    """values as a list, rejected unless it has at least minimum entries, all distinct."""
+    values = list(values)
+    if len(values) < minimum:
+        raise ValidationError(f"{name} needs at least {minimum}, got {len(values)}")
+    if len(set(values)) != len(values):
+        raise ValidationError(f"{name} must be distinct, got {values}")
+    return values
 
 
-def _execute_job(job: dict) -> RunResult:
-    return run_scenario(_build_config(job), record_trajectories=job.get("trajectories", False))
-
-
-def _run_jobs(jobs: list[dict], workers: int) -> list[RunResult]:
-    if workers <= 1 or len(jobs) <= 1:
-        return [_execute_job(job) for job in jobs]
+def _run_grid(
+    preset, algorithms, levy_weights, seeds, max_steps, params, constraints, trajectories, workers
+) -> list[RunResult]:
+    """Run preset over algorithm x levy_weight x seed, in that order; None keeps params' weight."""
+    base, cons = params_from_dict({"params": params, "constraints": constraints})
+    configs = [
+        preset_scenario(
+            preset, seed, algorithm=algorithm, constraints=cons, max_steps=max_steps,
+            params=base if weight is None else replace(base, levy_weight=float(weight)),
+        )
+        for algorithm in algorithms
+        for weight in levy_weights
+        for seed in seeds
+    ]
+    if workers <= 1 or len(configs) <= 1:
+        return list(map(run_scenario, configs, repeat(trajectories)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_execute_job, jobs))
+        return list(pool.map(run_scenario, configs, repeat(trajectories)))
+
+
+def _censored_steps(runs: list[RunMetrics], max_steps: int) -> list[float]:
+    return [float(max_steps if m.steps_to_cover is None else m.steps_to_cover) for m in runs]
+
+
+def _quantile(ordered: list[float], q: float) -> float:
+    """np.percentile's linear q-quantile of sorted values, bit for bit on integers < 2**50.
+
+    np.percentile is not used: its first call imports numpy.ma, about 1 MB."""
+    pos = q * (len(ordered) - 1)
+    lo = math.floor(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+
+
+@dataclass
+class Aggregate:
+    """Aggregate over the runs of one group: one levy_weight or one algorithm.
+
+    Median and IQR are computed over steps-to-cover with uncovered runs
+    censored at max_steps, so a group that often fails cannot report a
+    flattering median.
+    """
+
+    runs: list[RunMetrics]
+    median_steps: float
+    iqr_steps: float
+    success_rate: float
+    heatmap: Heatmap
+
+    @classmethod
+    def of(cls, results: list[RunResult], max_steps: int, **key):
+        runs = [r.metrics for r in results]
+        steps = sorted(_censored_steps(runs, max_steps))
+        return cls(
+            runs=runs,
+            median_steps=_quantile(steps, 0.5),
+            iqr_steps=_quantile(steps, 0.75) - _quantile(steps, 0.25),
+            success_rate=sum(m.covered_all for m in runs) / len(runs),
+            heatmap=merge_heatmaps([m.heatmap for m in runs]),
+            **key,
+        )
 
 
 @dataclass
@@ -257,38 +306,22 @@ class SweepSpec:
     record_trajectories: bool = False
 
     def validate(self):
-        if not self.levy_weights:
-            raise ValidationError("sweep needs at least one levy_weight value")
-        if not self.seeds:
-            raise ValidationError("sweep needs at least one seed")
-        if len(set(self.levy_weights)) != len(self.levy_weights):
-            raise ValidationError("sweep levy_weights must be distinct")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValidationError("sweep seeds must be distinct")
+        _distinct("sweep levy_weights", self.levy_weights)
+        _distinct("sweep seeds", self.seeds)
 
 
 @dataclass
-class SweepCell:
-    """Aggregate over the seeds of one levy_weight value.
-
-    Median and IQR are computed over steps-to-cover with uncovered runs
-    censored at max_steps, so a value that often fails cannot report a
-    flattering median.
-    """
+class SweepCell(Aggregate):
+    """The aggregate over the seeds of one levy_weight value."""
 
     levy_weight: float
-    runs: list[RunMetrics]
-    median_steps: float
-    iqr_steps: float
-    success_rate: float
-    heatmap: Heatmap
 
 
 @dataclass
 class SweepResult:
     spec: SweepSpec
     cells: list[SweepCell]
-    results: list[RunResult] | None = None
+    results: list[RunResult]
 
     def cell_for(self, levy_weight: float) -> SweepCell:
         for cell in self.cells:
@@ -297,49 +330,19 @@ class SweepResult:
         raise KeyError(levy_weight)
 
 
-def _censored_steps(runs: list[RunMetrics], max_steps: int) -> np.ndarray:
-    return np.array(
-        [max_steps if m.steps_to_cover is None else m.steps_to_cover for m in runs], dtype=float
-    )
-
-
-def run_sweep(spec: SweepSpec, workers: int = 1, keep_results: bool = False) -> SweepResult:
+def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     spec.validate()
-    jobs = [
-        {
-            "preset": spec.preset,
-            "seed": seed,
-            "algorithm": spec.algorithm,
-            "max_steps": spec.max_steps,
-            "levy_weight": value,
-            "params": spec.params,
-            "constraints": spec.constraints,
-            "trajectories": spec.record_trajectories,
-        }
-        for value in spec.levy_weights
-        for seed in spec.seeds
+    results = _run_grid(
+        spec.preset, [spec.algorithm], spec.levy_weights, spec.seeds, spec.max_steps,
+        spec.params, spec.constraints, spec.record_trajectories, workers,
+    )
+    n = len(spec.seeds)
+    cells = [
+        SweepCell.of(results[k * n : (k + 1) * n], spec.max_steps, levy_weight=value)
+        for k, value in enumerate(spec.levy_weights)
     ]
-    results = _run_jobs(jobs, workers)
-
-    cells = []
-    n_seeds = len(spec.seeds)
-    for idx, value in enumerate(spec.levy_weights):
-        block = results[idx * n_seeds : (idx + 1) * n_seeds]
-        runs = [r.metrics for r in block]
-        steps = _censored_steps(runs, spec.max_steps)
-        q25, q75 = np.percentile(steps, [25, 75])
-        cells.append(
-            SweepCell(
-                levy_weight=value,
-                runs=runs,
-                median_steps=float(np.median(steps)),
-                iqr_steps=float(q75 - q25),
-                success_rate=sum(m.covered_all for m in runs) / n_seeds,
-                heatmap=merge_heatmaps([m.heatmap for m in runs]),
-            )
-        )
     cells.sort(key=lambda c: (c.median_steps, c.levy_weight))
-    return SweepResult(spec=spec, cells=cells, results=results if keep_results else None)
+    return SweepResult(spec=spec, cells=cells, results=results)
 
 
 @dataclass
@@ -354,8 +357,17 @@ class CompareRow:
 class CompareResult:
     preset: str
     rows: list[CompareRow]
-    success_rates: dict[str, float]
-    results: list[RunResult] | None = None
+    groups: dict[str, Aggregate]
+    results: list[RunResult]
+
+    @property
+    def success_rates(self) -> dict[str, float]:
+        return {name: group.success_rate for name, group in self.groups.items()}
+
+    def median_far_covered(self, algorithm: str) -> float | None:
+        """Median far-cluster hotspots covered per run; None off two-cluster presets."""
+        far = [r.far_covered for r in self.rows if r.algorithm == algorithm]
+        return None if None in far else _quantile(sorted(far), 0.5)
 
 
 def compare_algorithms(
@@ -367,7 +379,6 @@ def compare_algorithms(
     params: dict | None = None,
     constraints: dict | None = None,
     workers: int = 1,
-    keep_results: bool = False,
     record_trajectories: bool = False,
 ) -> CompareResult:
     """Run each algorithm over the same seeded scenarios and tally successes.
@@ -375,56 +386,22 @@ def compare_algorithms(
     For two-cluster presets each row also reports how many far-cluster
     hotspots that run covered.
     """
-    algorithms = [parse_algorithm(a) for a in algorithms]
-    if len(algorithms) < 2:
-        raise ValidationError("compare_algorithms needs at least two algorithms")
-    if len(set(algorithms)) != len(algorithms):
-        raise ValidationError("compare_algorithms got a duplicate algorithm")
-    seeds = list(seeds)
-    if not seeds:
-        raise ValidationError("compare_algorithms needs at least one seed")
-
-    jobs = [
-        {
-            "preset": preset,
-            "seed": seed,
-            "algorithm": algorithm,
-            "max_steps": max_steps,
-            "levy_weight": levy_weight,
-            "params": params or {},
-            "constraints": constraints or {},
-            "trajectories": record_trajectories,
-        }
-        for algorithm in algorithms
-        for seed in seeds
+    algorithms = _distinct("compare algorithms", map(parse_algorithm, algorithms), minimum=2)
+    seeds = _distinct("compare seeds", seeds)
+    results = _run_grid(
+        preset, algorithms, [levy_weight], seeds, max_steps,
+        params or {}, constraints or {}, record_trajectories, workers,
+    )
+    twocluster = preset.startswith("twocluster")
+    far = two_cluster_far_indices(len(results[0].hotspots))
+    rows = [
+        CompareRow(r.config.algorithm.value, r.config.seed, r.metrics,
+                   sum(r.hotspots[k].covered for k in far) if twocluster else None)
+        for r in results
     ]
-    results = _run_jobs(jobs, workers)
-
-    far_indices = (
-        two_cluster_far_indices(len(results[0].hotspots))
-        if preset.startswith("twocluster")
-        else None
-    )
-    rows = []
-    for result in results:
-        far_covered = None
-        if far_indices is not None:
-            far_covered = sum(1 for k in far_indices if result.hotspots[k].covered)
-        rows.append(
-            CompareRow(
-                algorithm=result.config.algorithm.value,
-                seed=result.config.seed,
-                metrics=result.metrics,
-                far_covered=far_covered,
-            )
-        )
-    success_rates = {}
-    for algorithm in algorithms:
-        mine = [row for row in rows if row.algorithm == algorithm.value]
-        success_rates[algorithm.value] = sum(r.metrics.covered_all for r in mine) / len(mine)
-    return CompareResult(
-        preset=preset,
-        rows=rows,
-        success_rates=success_rates,
-        results=results if keep_results else None,
-    )
+    n = len(seeds)
+    groups = {
+        algorithm.value: Aggregate.of(results[k * n : (k + 1) * n], max_steps)
+        for k, algorithm in enumerate(algorithms)
+    }
+    return CompareResult(preset=preset, rows=rows, groups=groups, results=results)

@@ -29,6 +29,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
 
 
+def _is_number(value) -> bool:
+    """A finite int or float, but never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _require_typed(obj, where: str = ""):
     """Reject a float, int or bool field of the dataclass obj holding another kind.
 
@@ -39,12 +44,7 @@ def _require_typed(obj, where: str = ""):
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type == "float":
-            ok = (
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and math.isfinite(value)
-            )
-            want = "a finite number"
+            ok, want = _is_number(value), "a finite number"
         elif f.type == "int":
             ok, want = _is_integer(value), "an integer"
         elif f.type == "bool":
@@ -315,17 +315,14 @@ def make_scenario(
     seed: int,
     grid: GridConfig = GridConfig(),
     custom_hotspots: list[Hotspot] | None = None,
-    near_band_fraction: float = NEAR_BAND_FRACTION,
-    far_center_fraction: tuple[float, float] = FAR_CENTER_FRACTION,
-    far_radius_fraction: float = FAR_RADIUS_FRACTION,
     **config_overrides,
 ) -> ScenarioConfig:
     """Build a scenario of the given kind.
 
     uniform:    n i.i.d. uniform hotspots over the grid interior.
-    twocluster: ceil(n/2) uniform in the near band y <= near_band_fraction*height,
-                floor(n/2) in a disc of radius far_radius_fraction*min(w,h)
-                centered at the far fractions of the grid.  Near hotspots come
+    twocluster: ceil(n/2) uniform in the near band y <= NEAR_BAND_FRACTION*height,
+                floor(n/2) in a disc of radius FAR_RADIUS_FRACTION*min(w,h)
+                centered at FAR_CENTER_FRACTION of the grid.  Near hotspots come
                 first in the list, far-cluster hotspots last.
     custom:     pass-through of custom_hotspots.
     """
@@ -345,9 +342,9 @@ def make_scenario(
         else:
             n_near = (n_hotspots + 1) // 2
             n_far = n_hotspots // 2
-            near = src.uniform(0.0, 1.0, (n_near, 2)) * np.array([w, near_band_fraction * h])
-            center = np.array([far_center_fraction[0] * w, far_center_fraction[1] * h])
-            radius = far_radius_fraction * min(w, h)
+            near = src.uniform(0.0, 1.0, (n_near, 2)) * np.array([w, NEAR_BAND_FRACTION * h])
+            center = np.array([FAR_CENTER_FRACTION[0] * w, FAR_CENTER_FRACTION[1] * h])
+            radius = FAR_RADIUS_FRACTION * min(w, h)
             angles = src.uniform(0.0, 2.0 * math.pi, n_far)
             radii = radius * np.sqrt(src.uniform(0.0, 1.0, n_far))
             far = center + np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
@@ -405,7 +402,7 @@ def preset_scenario(name: str, seed: int, **config_overrides) -> ScenarioConfig:
     """Named benchmark layout; the seed drives both hotspot placement and dynamics."""
     try:
         kind, n_hotspots = PRESET_KINDS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValidationError(
             f"unknown preset {name!r}; expected one of {sorted(PRESET_KINDS)}"
         ) from None
@@ -421,15 +418,19 @@ _TOP_KEYS = {
 }
 
 
-def _section(data: dict, name: str, cls) -> dict:
-    """A copy of the JSON object data[name] (default {}), keyed by fields of cls."""
-    section = data.get(name, {})
-    if not isinstance(section, dict):
-        raise ValidationError(f"{name!r} must be an object, got {section!r}")
-    unknown = set(section) - {f.name for f in fields(cls)}
+def _object(value, name: str, keys) -> dict:
+    """A copy of value, which must be a JSON object using only the given keys."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{name!r} must be an object, got {value!r}")
+    unknown = set(value) - set(keys)
     if unknown:
         raise ValidationError(f"unknown {name} keys: {sorted(unknown)}")
-    return dict(section)
+    return dict(value)
+
+
+def _section(data: dict, name: str, cls) -> dict:
+    """A copy of the JSON object data[name] (default {}), keyed by fields of cls."""
+    return _object(data.get(name, {}), name, [f.name for f in fields(cls)])
 
 
 def params_from_dict(data: dict) -> tuple[AlgorithmParams, ConstraintParams]:
@@ -448,46 +449,49 @@ def _integer(data: dict, key: str, default: int) -> int:
     return int(value)
 
 
+def _number(data: dict, key: str, default: float, where: str = "") -> float:
+    value = data.get(key, default)
+    if not _is_number(value):
+        raise ValidationError(f"{where}{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Parse the scenario JSON schema; unknown keys are validation errors."""
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ValidationError(f"unknown scenario keys: {sorted(unknown)}")
+    data = _object(data, "scenario", _TOP_KEYS)
     if "hotspots" not in data and "kind" not in data:
         raise ValidationError("scenario must give either 'hotspots' or ('kind', 'n_hotspots')")
 
     grid = GridConfig(**_section(data, "grid", GridConfig))
     params, constraints = params_from_dict(data)
 
-    try:
-        overrides = dict(
-            n_uavs=_integer(data, "n_uavs", 5),
-            algorithm=parse_algorithm(data.get("algorithm", Algorithm.HYBRID_ABC_LEVY)),
-            params=params,
-            constraints=constraints,
-            max_steps=_integer(data, "max_steps", 5000),
-            dt=float(data.get("dt", 0.5)),
-            scenario_id=str(data.get("scenario_id", "custom")),
-        )
-        if "start" in data:
-            overrides["start_position"] = np.array(data["start"], dtype=float)
-        seed = _integer(data, "seed", 0)
-    except TypeError as exc:
-        raise ValidationError(f"scenario value of the wrong type: {exc}") from None
+    overrides = dict(
+        n_uavs=_integer(data, "n_uavs", 5),
+        algorithm=parse_algorithm(data.get("algorithm", Algorithm.HYBRID_ABC_LEVY)),
+        params=params,
+        constraints=constraints,
+        max_steps=_integer(data, "max_steps", 5000),
+        dt=_number(data, "dt", 0.5),
+        scenario_id=str(data.get("scenario_id", "custom")),
+    )
+    if "start" in data:
+        start = data["start"]
+        if not (isinstance(start, list) and len(start) == 2 and all(map(_is_number, start))):
+            raise ValidationError(f"start must be a list of two finite numbers, got {start!r}")
+        overrides["start_position"] = np.array(start, dtype=float)
+    seed = _integer(data, "seed", 0)
 
     if "hotspots" in data:
         if not isinstance(data["hotspots"], list):
             raise ValidationError(f"'hotspots' must be a list, got {data['hotspots']!r}")
         hotspots = []
         for i, entry in enumerate(data["hotspots"]):
-            try:
-                pos = np.array([entry["x"], entry["y"]], dtype=float)
-                weight = float(entry.get("weight", 1.0))
-            except (KeyError, TypeError):
-                raise ValidationError(
-                    f"hotspot {i} must be an object with numeric x and y (and weight)"
-                ) from None
-            hotspots.append(Hotspot(position=pos, weight=weight))
+            entry = _object(entry, f"hotspot {i}", ("x", "y", "weight"))
+            xy = [entry.get("x"), entry.get("y")]
+            if not all(map(_is_number, xy)):
+                raise ValidationError(f"hotspot {i} needs finite numbers x and y, got {entry!r}")
+            weight = _number(entry, "weight", 1.0, where=f"hotspot {i} ")
+            hotspots.append(Hotspot(position=np.array(xy, dtype=float), weight=weight))
         config = make_scenario(
             ScenarioKind.CUSTOM, len(hotspots), seed, grid,
             custom_hotspots=hotspots, **overrides,

@@ -54,7 +54,7 @@ def levy_weight_sweep():
         record_trajectories=True,
     )
     started = time.perf_counter()
-    sweep = run_sweep(spec, workers=1, keep_results=True)
+    sweep = run_sweep(spec, workers=1)
     elapsed = time.perf_counter() - started
     return sweep, elapsed
 
@@ -67,7 +67,6 @@ def algorithm_comparison():
         seeds=SEEDS,
         max_steps=MAX_STEPS,
         workers=1,
-        keep_results=True,
         record_trajectories=True,
     )
 

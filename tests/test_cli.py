@@ -17,6 +17,7 @@ from levyswarm.cli import (
     _parse_values,
     main,
 )
+from levyswarm.harness import run_scenario
 from levyswarm.metrics import heatmap_from_csv, read_runs_csv
 from levyswarm.world import preset_scenario, save_scenario
 
@@ -63,6 +64,12 @@ class TestRunCommand:
         traj = (out_dir / "trajectories.csv").read_text().splitlines()
         assert traj[0] == "step,uav,x,y"
         assert len(traj) == 1 + 5 * len(curve[1:])  # n_uavs rows per recorded step
+        expected = run_scenario(
+            preset_scenario("uniform20", 1, max_steps=25), record_trajectories=True
+        ).trajectories
+        for line in traj[1:]:
+            step, uav, x, y = line.split(",")
+            assert [float(x), float(y)] == expected[int(step), int(uav)].tolist()
 
     def test_rerun_writes_identical_bytes(self, tmp_path):
         args = ["run", "--preset", "twocluster20", "--seed", "4", "--max-steps", "25"]
@@ -98,6 +105,24 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert "seed=9" in capsys.readouterr().out
 
+    def test_seed_override_keeps_the_file_fields(self, tmp_path):
+        config = preset_scenario(
+            "uniform20", seed=2, max_steps=10, n_uavs=3, start_position=[10.0, 10.0]
+        )
+        path = tmp_path / "layout.json"
+        save_scenario(config, path)
+        out_dir = tmp_path / "out"
+        args = ["run", "--scenario", str(path), "--seed", "4", "--out", str(out_dir)]
+        assert main([*args, "--trajectories"]) == EXIT_OK
+        expected = preset_scenario(
+            "uniform20", seed=4, max_steps=10, n_uavs=3, start_position=[10.0, 10.0]
+        )
+        trajectories = run_scenario(expected, record_trajectories=True).trajectories
+        rows = (out_dir / "trajectories.csv").read_text().splitlines()[1:]
+        assert [[float(v) for v in row.split(",")[2:]] for row in rows] == (
+            trajectories.reshape(-1, 2).tolist()
+        )
+
     def test_unknown_preset_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--preset", "uniform21"])
@@ -123,11 +148,26 @@ class TestRunCommand:
             {"n_uavs": [5]},
             {"seed": None},
             {"start": {"x": 1}},
+            {"start": "50"},
+            {"start": ["50", "0"]},
+            {"start": [50, 0, 7]},
+            {"dt": "0.5"},
+            {"dt": 10**400},
+            {"hotspots": [{"x": "10", "y": 1}]},
+            {"hotspots": [{"x": True, "y": 1}]},
+            {"hotspots": [{"x": 1, "y": 1, "weight": "2"}]},
+            {"hotspots": [{"x": 1, "y": 1, "covered": False}]},
+            {"hotspots": [5]},
+            5,
+            [{"x": 1, "y": 1}],
         ],
     )
     def test_wrong_shape_scenario_exits_one(self, tmp_path, capsys, fields):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"hotspots": [{"x": 1, "y": 1}], **fields}))
+        if isinstance(fields, dict):
+            fields = {"hotspots": [{"x": 1, "y": 1}], **fields}
+        path.write_text(json.dumps(fields))
+        assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
         assert main(["run", "--scenario", str(path)]) == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
 
@@ -256,13 +296,26 @@ class TestSweepCommand:
         assert len(lines) == 3  # header + one row per levy_weight
 
     @pytest.mark.parametrize(
-        "section", [{"params": {"abc_limit_neighbors": 2}}, {"constraints": [1]}]
+        "section",
+        [
+            {"params": {"abc_limit_neighbors": 2}},
+            {"constraints": [1]},
+            {"max_step": 3},
+            {"values": [3.0]},
+            {"levy_weights": ["3"]},
+            {"levy_weights": 3.0},
+            {"seeds": [True]},
+            {"seeds": None},
+            {"max_steps": 5.7},
+            {"preset": ["uniform20"]},
+            [{"levy_weights": [3.0]}],
+        ],
     )
     def test_spec_with_unknown_or_malformed_section_exits_one(self, tmp_path, capsys, section):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(
-            json.dumps({"levy_weights": [3.0], "seeds": [0], "max_steps": 5, **section})
-        )
+        if isinstance(section, dict):
+            section = {"levy_weights": [3.0], "seeds": [0], "max_steps": 5, **section}
+        spec_path.write_text(json.dumps(section))
         assert main(["sweep", "--spec", str(spec_path)]) == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
 
@@ -300,6 +353,13 @@ class TestCompareCommand:
         )
         assert code == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
+
+    def test_duplicate_seeds_exit_one(self, capsys):
+        code = main(
+            ["compare", "--algorithms", "hybrid,abc", "--seeds", "1,1,", "--max-steps", "5"]
+        )
+        assert code == EXIT_INVALID
+        assert "must be distinct" in capsys.readouterr().err
 
 
 class TestValidateCommand:

@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from levyswarm.harness import (
     SweepSpec,
-    _build_config,
     _censored_steps,
+    _quantile,
     compare_algorithms,
     run_scenario,
     run_sweep,
@@ -134,16 +136,16 @@ class TestRunScenario:
 
 class TestBuildConfig:
     def test_job_dict_materializes_config(self):
-        job = {
-            "preset": "twocluster20",
-            "seed": 4,
-            "algorithm": "abc",
-            "max_steps": 77,
-            "levy_weight": 2.5,
-            "params": {"stagnation_limit": 9},
-            "constraints": {"coverage_radius": 4.0},
-        }
-        config = _build_config(job)
+        cmp = compare_algorithms(
+            ["hybrid", "abc"],
+            preset="twocluster20",
+            seeds=[4],
+            max_steps=77,
+            levy_weight=2.5,
+            params={"stagnation_limit": 9},
+            constraints={"coverage_radius": 4.0},
+        )
+        config = cmp.results[1].config
         assert config.scenario_id == "twocluster20"
         assert config.seed == 4
         assert config.algorithm.value == "abc"
@@ -153,15 +155,11 @@ class TestBuildConfig:
         assert config.constraints.coverage_radius == 4.0
 
     def test_levy_weight_none_keeps_params_value(self):
-        job = {
-            "preset": "uniform20",
-            "seed": 0,
-            "algorithm": "hybrid",
-            "max_steps": 10,
-            "levy_weight": None,
-            "params": {"levy_weight": 1.25},
-        }
-        assert _build_config(job).params.levy_weight == 1.25
+        cmp = compare_algorithms(
+            ["hybrid", "abc"], preset="uniform20", seeds=[0], max_steps=10,
+            params={"levy_weight": 1.25},
+        )
+        assert [r.config.params.levy_weight for r in cmp.results] == [1.25, 1.25]
 
 
 class TestSweep:
@@ -178,6 +176,13 @@ class TestSweep:
         )
         assert np.array_equal(_censored_steps([done, censored], 500), [12.0, 500.0])
 
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=60))
+    def test_quantiles_match_numpy(self, values):
+        ordered = sorted(map(float, values))
+        assert _quantile(ordered, 0.5) == np.median(ordered)
+        for q in (0.25, 0.75):
+            assert _quantile(ordered, q) == np.percentile(ordered, 100 * q)
+
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             SweepSpec(levy_weights=[]).validate()
@@ -192,7 +197,7 @@ class TestSweep:
         spec = SweepSpec(levy_weights=[1.5, 3.0], seeds=[0, 1], max_steps=40)
         sweep = run_sweep(spec)
         assert len(sweep.cells) == 2
-        assert sweep.results is None
+        assert len(sweep.results) == 4
         for value in (1.5, 3.0):
             cell = sweep.cell_for(value)
             assert len(cell.runs) == 2
@@ -206,9 +211,9 @@ class TestSweep:
         with pytest.raises(KeyError):
             sweep.cell_for(9.0)
 
-    def test_keep_results_retains_run_objects(self):
+    def test_results_retain_run_objects(self):
         spec = SweepSpec(levy_weights=[3.0], seeds=[0], max_steps=20)
-        sweep = run_sweep(spec, keep_results=True)
+        sweep = run_sweep(spec)
         assert len(sweep.results) == 1
         assert sweep.results[0].config.params.levy_weight == 3.0
 
@@ -235,12 +240,19 @@ class TestCompare:
             assert row.far_covered is not None
             assert 0 <= row.far_covered <= 10
         assert all(0.0 <= rate <= 1.0 for rate in cmp.success_rates.values())
+        for name, group in cmp.groups.items():
+            mine = [row for row in cmp.rows if row.algorithm == name]
+            assert group.runs == [row.metrics for row in mine]
+            assert group.median_steps == np.median(_censored_steps(group.runs, 50))
+            assert cmp.success_rates[name] == group.success_rate
+            assert cmp.median_far_covered(name) == float(np.median([r.far_covered for r in mine]))
 
     def test_uniform_preset_has_no_far_tally(self):
         cmp = compare_algorithms(
             ["hybrid", "pso"], preset="uniform20", seeds=[0], max_steps=30
         )
         assert all(row.far_covered is None for row in cmp.rows)
+        assert cmp.median_far_covered("pso") is None
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -249,3 +261,5 @@ class TestCompare:
             compare_algorithms(["hybrid", "hybrid"], seeds=[0])
         with pytest.raises(ValidationError):
             compare_algorithms(["hybrid", "abc"], seeds=[])
+        with pytest.raises(ValidationError, match="distinct"):
+            compare_algorithms(["hybrid", "abc"], seeds=[1, 1], max_steps=5)
