@@ -27,12 +27,16 @@ EXIT_NOT_COVERED = 3
 _SPEC_KEYS = ("preset", "algorithm", "levy_weights", "seeds", "max_steps", "params", "constraints")
 
 
-def _parse_seeds(text: str) -> list[int]:
-    """'12' means seeds 0..11; '3,7,9' is an explicit list."""
-    text = text.strip()
-    if "," in text:
-        return [int(part) for part in text.split(",") if part.strip()]
-    return list(range(int(text)))
+def _parse_seeds(seeds) -> list[int]:
+    """A count n (12 or '12') means seeds 0..n-1; '3,7,9' or [3, 7, 9] is an explicit list."""
+    if isinstance(seeds, str):
+        text = seeds.strip()
+        seeds = [int(part) for part in text.split(",") if part.strip()] if "," in text else int(text)
+    if world._is_integer(seeds):
+        return list(range(int(seeds)))
+    if isinstance(seeds, list) and all(map(world._is_integer, seeds)):
+        return [int(s) for s in seeds]
+    raise ValidationError(f"seeds must be a count or a list of integers, got {seeds!r}")
 
 
 def _parse_values(text: str) -> list[float]:
@@ -45,52 +49,31 @@ def _ensure_out(path) -> pathlib.Path:
     return out
 
 
+def _given(**flags) -> dict:
+    """The flags that were set on the command line."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _scenario_from_args(args) -> world.ScenarioConfig:
     if args.scenario:
         config = world.load_scenario(args.scenario)
-        if args.algorithm:
-            config.algorithm = world.parse_algorithm(args.algorithm)
-        if args.seed is not None:
-            config.seed = args.seed
-            if config.scenario_id in world.PRESET_KINDS:
-                # Preset hotspot layouts are a function of the seed; regenerate
-                # them on the file's grid and keep every other field.
-                kind, n_hotspots = world.PRESET_KINDS[config.scenario_id]
-                layout = world.make_scenario(kind, n_hotspots, args.seed, config.grid)
-                config.hotspots = layout.hotspots
     else:
-        from dataclasses import replace
-
-        params = world.AlgorithmParams()
-        if args.levy_weight is not None:
-            params = replace(params, levy_weight=args.levy_weight)
-        config = world.preset_scenario(
-            args.preset,
-            args.seed if args.seed is not None else 0,
-            algorithm=world.parse_algorithm(args.algorithm or "hybrid-abc-levy"),
-            params=params,
-        )
-    if args.levy_weight is not None and args.scenario:
+        config = world.preset_scenario(args.preset, 0)
+    if args.algorithm:
+        config.algorithm = world.parse_algorithm(args.algorithm)
+    if args.seed is not None:
+        config.seed = args.seed
+        if config.scenario_id in world.PRESET_KINDS:
+            # Preset hotspot layouts are a function of the seed; regenerate
+            # them on the config's grid and keep every other field.
+            kind, n_hotspots = world.PRESET_KINDS[config.scenario_id]
+            config.hotspots = world.make_scenario(kind, n_hotspots, args.seed, config.grid).hotspots
+    if args.levy_weight is not None:
         config.params.levy_weight = args.levy_weight
     if args.max_steps is not None:
         config.max_steps = args.max_steps
     config.validate()
     return config
-
-
-def _write_run_outputs(result: harness.RunResult, out_dir):
-    out = _ensure_out(out_dir)
-    metrics.write_runs_csv([result.metrics], out / "runs.csv")
-    metrics.heatmap_to_pgm(result.metrics.heatmap, out / "heatmap.pgm")
-    metrics.heatmap_to_csv(result.metrics.heatmap, out / "heatmap.csv")
-    metrics.write_coverage_curve(result.metrics, out / "coverage_curve.csv")
-    if result.trajectories is not None:
-        with open(out / "trajectories.csv", "w", newline="") as f:
-            f.write("step,uav,x,y\n")
-            for step, frame in enumerate(result.trajectories):
-                # Python floats: repr of a numpy 2 scalar is "np.float64(...)".
-                for uav, (x, y) in enumerate(frame.tolist()):
-                    f.write(f"{step},{uav},{x!r},{y!r}\n")
 
 
 def _cmd_run(args) -> int:
@@ -106,7 +89,19 @@ def _cmd_run(args) -> int:
         f"collision_interventions={m.collision_interventions}"
     )
     if args.out:
-        _write_run_outputs(result, args.out)
+        out = _ensure_out(args.out)
+        metrics.write_runs_csv([m], out / "runs.csv")
+        metrics.heatmap_to_pgm(m.heatmap, out / "heatmap.pgm")
+        metrics.heatmap_to_csv(m.heatmap, out / "heatmap.csv")
+        metrics.write_coverage_curve(m, out / "coverage_curve.csv")
+        if args.trajectories:
+            # Python floats: the csv module writes a numpy 2 scalar as "np.float64(...)".
+            rows = (
+                (step, uav, x, y)
+                for step, frame in enumerate(result.trajectories)
+                for uav, (x, y) in enumerate(frame.tolist())
+            )
+            metrics.write_csv(out / "trajectories.csv", ["step", "uav", "x", "y"], rows)
     if args.require_coverage and not m.covered_all:
         print("coverage incomplete", file=sys.stderr)
         return EXIT_NOT_COVERED
@@ -114,37 +109,30 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_spec_from_args(args) -> harness.SweepSpec:
+    """The spec file, or the flags as the same dict; SweepSpec fills in what neither gives."""
     if args.spec:
         with open(args.spec) as f:
             data = world._object(json.load(f), "sweep spec", _SPEC_KEYS)
-        weights = data.get("levy_weights", harness.SweepSpec().levy_weights)
+    else:
+        data = _given(
+            preset=args.preset,
+            algorithm=args.algorithm,
+            levy_weights=_parse_values(args.values) if args.values else None,
+            seeds=args.seeds or None,
+            max_steps=args.max_steps,
+        )
+    if "levy_weights" in data:
+        weights = data["levy_weights"]
         if not (isinstance(weights, list) and all(map(world._is_number, weights))):
             raise ValidationError(f"levy_weights must be a list of numbers, got {weights!r}")
-        seeds = data.get("seeds", 20)
-        if world._is_integer(seeds):
-            seeds = list(range(int(seeds)))
-        elif isinstance(seeds, str):
-            seeds = _parse_seeds(seeds)
-        elif isinstance(seeds, list) and all(map(world._is_integer, seeds)):
-            seeds = [int(s) for s in seeds]
-        else:
-            raise ValidationError(f"seeds must be a count or a list of integers, got {seeds!r}")
-        return harness.SweepSpec(
-            preset=data.get("preset", "uniform20"),
-            algorithm=world.parse_algorithm(data.get("algorithm", "hybrid-abc-levy")),
-            levy_weights=[float(v) for v in weights],
-            seeds=seeds,
-            max_steps=world._integer(data, "max_steps", 5000),
-            params=data.get("params", {}),
-            constraints=data.get("constraints", {}),
-        )
-    return harness.SweepSpec(
-        preset=args.preset,
-        algorithm=world.parse_algorithm(args.algorithm or "hybrid-abc-levy"),
-        levy_weights=_parse_values(args.values) if args.values else harness.SweepSpec().levy_weights,
-        seeds=_parse_seeds(args.seeds) if args.seeds else list(range(20)),
-        max_steps=args.max_steps if args.max_steps is not None else 5000,
-    )
+        data["levy_weights"] = [float(v) for v in weights]
+    if "seeds" in data:
+        data["seeds"] = _parse_seeds(data["seeds"])
+    if "algorithm" in data:
+        data["algorithm"] = world.parse_algorithm(data["algorithm"])
+    if "max_steps" in data:
+        data["max_steps"] = world._integer(data, "max_steps", None)
+    return harness.SweepSpec(**data)
 
 
 def _cmd_sweep(args) -> int:
@@ -160,13 +148,11 @@ def _cmd_sweep(args) -> int:
         out = _ensure_out(args.out)
         all_runs = [m for cell in sorted(result.cells, key=lambda c: c.levy_weight) for m in cell.runs]
         metrics.write_runs_csv(all_runs, out / "runs.csv")
-        with open(out / "summary.csv", "w", newline="") as f:
-            f.write("levy_weight,median_steps,iqr_steps,success_rate\n")
-            for cell in result.cells:
-                f.write(
-                    f"{cell.levy_weight!r},{cell.median_steps!r},"
-                    f"{cell.iqr_steps!r},{cell.success_rate!r}\n"
-                )
+        metrics.write_csv(
+            out / "summary.csv",
+            ["levy_weight", "median_steps", "iqr_steps", "success_rate"],
+            ((c.levy_weight, c.median_steps, c.iqr_steps, c.success_rate) for c in result.cells),
+        )
         for cell in result.cells:
             tag = repr(cell.levy_weight)
             metrics.heatmap_to_pgm(cell.heatmap, out / f"heatmap_{tag}.pgm")
@@ -176,14 +162,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     algorithms = [a for a in args.algorithms.split(",") if a.strip()]
-    result = harness.compare_algorithms(
-        algorithms,
+    flags = _given(
         preset=args.preset,
-        seeds=_parse_seeds(args.seeds) if args.seeds else range(20),
-        max_steps=args.max_steps if args.max_steps is not None else 5000,
+        seeds=_parse_seeds(args.seeds) if args.seeds else None,
+        max_steps=args.max_steps,
         levy_weight=args.levy_weight,
-        workers=args.workers,
     )
+    result = harness.compare_algorithms(algorithms, workers=args.workers, **flags)
     for name, group in result.groups.items():
         far = result.median_far_covered(name)
         far_text = "NA" if far is None else f"{far:.1f}"
@@ -194,16 +179,18 @@ def _cmd_compare(args) -> int:
     if args.out:
         out = _ensure_out(args.out)
         metrics.write_runs_csv([row.metrics for row in result.rows], out / "runs.csv")
-        with open(out / "comparison.csv", "w", newline="") as f:
-            f.write("algorithm,seed,steps_to_cover,covered_count,far_covered\n")
-            for row in result.rows:
-                steps = "NA" if row.metrics.steps_to_cover is None else row.metrics.steps_to_cover
-                far = "" if row.far_covered is None else row.far_covered
-                f.write(f"{row.algorithm},{row.seed},{steps},{row.metrics.covered_count},{far}\n")
-        with open(out / "success.csv", "w", newline="") as f:
-            f.write("algorithm,success_rate\n")
-            for name, rate in result.success_rates.items():
-                f.write(f"{name},{rate!r}\n")
+        metrics.write_csv(
+            out / "comparison.csv",
+            ["algorithm", "seed", "steps_to_cover", "covered_count", "far_covered"],
+            (
+                (r.algorithm, r.seed, r.metrics.csv_row()["steps_to_cover"],
+                 r.metrics.covered_count, r.far_covered)
+                for r in result.rows
+            ),
+        )
+        metrics.write_csv(
+            out / "success.csv", ["algorithm", "success_rate"], result.success_rates.items()
+        )
     return EXIT_OK
 
 
@@ -244,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="levy_weight x seed grid")
     sweep.add_argument("--spec", help="JSON sweep spec")
-    sweep.add_argument("--preset", default="uniform20", choices=sorted(world.PRESET_KINDS))
+    sweep.add_argument("--preset", choices=sorted(world.PRESET_KINDS))
     sweep.add_argument("--algorithm", help="abc | pso | hybrid-abc-levy")
     sweep.add_argument("--values", help="comma-separated levy_weight values")
     sweep.add_argument("--seeds", help="count (e.g. 20) or comma-separated seed list")
@@ -255,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="run several algorithms on shared scenarios")
     compare.add_argument("--algorithms", required=True, help="comma list, e.g. abc,pso,hybrid")
-    compare.add_argument("--preset", default="twocluster20", choices=sorted(world.PRESET_KINDS))
+    compare.add_argument("--preset", choices=sorted(world.PRESET_KINDS))
     compare.add_argument("--seeds", help="count or comma-separated list")
     compare.add_argument("--max-steps", type=int, default=None)
     compare.add_argument("--levy-weight", type=float, default=None)

@@ -247,7 +247,8 @@ def _run_grid(
     ]
     if workers <= 1 or len(configs) <= 1:
         return list(map(run_scenario, configs, repeat(trajectories)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # A fork pool starts all its workers at the first submit, needed or not.
+    with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
         return list(pool.map(run_scenario, configs, repeat(trajectories)))
 
 

@@ -8,24 +8,39 @@ scenario reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .world import GridConfig, Hotspot, ValidationError
 
-CSV_COLUMNS = [
-    "scenario_id",
-    "algorithm",
-    "levy_weight",
-    "seed",
-    "steps_to_cover",
-    "time_to_cover_s",
-    "biodiversity_b",
-    "min_pairwise_distance",
-    "collision_interventions",
-]
+
+def _float(value) -> str:
+    return repr(float(value))
+
+
+def _na(format_, parse):
+    """A column that holds None as 'NA'."""
+    return (
+        lambda value: "NA" if value is None else format_(value),
+        lambda text: None if text == "NA" else parse(text),
+    )
+
+
+# runs.csv, one column per scalar RunMetrics field: name -> (format, parse).
+_RUNS_SCHEMA = {
+    "scenario_id": (str, str),
+    "algorithm": (str, str),
+    "levy_weight": (_float, float),
+    "seed": (str, int),
+    "steps_to_cover": _na(str, int),
+    "time_to_cover_s": _na(_float, float),
+    "biodiversity_b": (_float, float),
+    "min_pairwise_distance": (_float, float),
+    "collision_interventions": (str, int),
+}
+CSV_COLUMNS = list(_RUNS_SCHEMA)
 
 
 @dataclass
@@ -122,39 +137,23 @@ class RunMetrics:
         return self.steps_to_cover is not None
 
     def csv_row(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "algorithm": self.algorithm,
-            "levy_weight": _format_float(self.levy_weight),
-            "seed": str(self.seed),
-            "steps_to_cover": "NA" if self.steps_to_cover is None else str(self.steps_to_cover),
-            "time_to_cover_s": (
-                "NA" if self.time_to_cover_s is None else _format_float(self.time_to_cover_s)
-            ),
-            "biodiversity_b": _format_float(self.biodiversity_b),
-            "min_pairwise_distance": _format_float(self.min_pairwise_distance),
-            "collision_interventions": str(self.collision_interventions),
-        }
+        return {name: format_(getattr(self, name)) for name, (format_, _) in _RUNS_SCHEMA.items()}
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
+def write_csv(path_or_file, header, rows, delimiter=","):
+    """Stream the header row (None for none) and rows to a path or an open text file."""
+    if not hasattr(path_or_file, "write"):
+        with open(path_or_file, "w", newline="") as f:
+            return write_csv(f, header, rows, delimiter)
+    writer = csv.writer(path_or_file, delimiter=delimiter, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
 
 
 def write_runs_csv(metrics_list, path_or_file):
-    """One row per run, schema CSV_COLUMNS; uncovered runs get steps 'NA'."""
-    if hasattr(path_or_file, "write"):
-        _write_runs(metrics_list, path_or_file)
-    else:
-        with open(path_or_file, "w", newline="") as f:
-            _write_runs(metrics_list, f)
-
-
-def _write_runs(metrics_list, f):
-    writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for m in metrics_list:
-        writer.writerow(m.csv_row() if isinstance(m, RunMetrics) else m)
+    """One row per RunMetrics, columns CSV_COLUMNS; uncovered runs get steps 'NA'."""
+    write_csv(path_or_file, CSV_COLUMNS, (m.csv_row().values() for m in metrics_list))
 
 
 def read_runs_csv(path) -> list[dict]:
@@ -165,26 +164,9 @@ def read_runs_csv(path) -> list[dict]:
             raise ValidationError(
                 f"unexpected runs CSV header {reader.fieldnames}, wanted {CSV_COLUMNS}"
             )
-        rows = []
-        for raw in reader:
-            rows.append(
-                {
-                    "scenario_id": raw["scenario_id"],
-                    "algorithm": raw["algorithm"],
-                    "levy_weight": float(raw["levy_weight"]),
-                    "seed": int(raw["seed"]),
-                    "steps_to_cover": (
-                        None if raw["steps_to_cover"] == "NA" else int(raw["steps_to_cover"])
-                    ),
-                    "time_to_cover_s": (
-                        None if raw["time_to_cover_s"] == "NA" else float(raw["time_to_cover_s"])
-                    ),
-                    "biodiversity_b": float(raw["biodiversity_b"]),
-                    "min_pairwise_distance": float(raw["min_pairwise_distance"]),
-                    "collision_interventions": int(raw["collision_interventions"]),
-                }
-            )
-        return rows
+        return [
+            {name: parse(raw[name]) for name, (_, parse) in _RUNS_SCHEMA.items()} for raw in reader
+        ]
 
 
 def heatmap_to_pgm(heatmap: Heatmap, path_or_file):
@@ -196,28 +178,14 @@ def heatmap_to_pgm(heatmap: Heatmap, path_or_file):
     """
     peak = max(int(heatmap.counts.max()), 1)
     scaled = np.rint(heatmap.counts * (255.0 / peak)).astype(int)
-    buf = io.StringIO()
-    buf.write(f"P2\n{heatmap.width} {heatmap.height}\n255\n")
-    for row in scaled:
-        buf.write(" ".join(str(v) for v in row))
-        buf.write("\n")
-    data = buf.getvalue()
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(data)
-    else:
-        with open(path_or_file, "w", newline="") as f:
-            f.write(data)
+    # A plain PGM is rows of space-separated integers: a CSV with a space delimiter.
+    rows = chain([[heatmap.width, heatmap.height], [255]], scaled.tolist())
+    write_csv(path_or_file, ["P2"], rows, delimiter=" ")
 
 
 def heatmap_to_csv(heatmap: Heatmap, path_or_file):
     """Lossless integer matrix, one CSV row per y-cell row."""
-    lines = [",".join(str(v) for v in row) for row in heatmap.counts]
-    data = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(data)
-    else:
-        with open(path_or_file, "w", newline="") as f:
-            f.write(data)
+    write_csv(path_or_file, None, (row.tolist() for row in heatmap.counts))
 
 
 def heatmap_from_csv(path) -> Heatmap:
@@ -226,15 +194,5 @@ def heatmap_from_csv(path) -> Heatmap:
 
 
 def write_coverage_curve(metrics: RunMetrics, path_or_file):
-    """CSV of (step, covered_count) pairs for one run."""
-
-    def _write(f):
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["step", "covered_count"])
-        writer.writerows(metrics.coverage_curve)
-
-    if hasattr(path_or_file, "write"):
-        _write(path_or_file)
-    else:
-        with open(path_or_file, "w", newline="") as f:
-            _write(f)
+    """CSV of (step, covered_count) pairs for one run, one per recorded step."""
+    write_csv(path_or_file, ["step", "covered_count"], metrics.coverage_curve)

@@ -35,7 +35,7 @@ def _is_number(value) -> bool:
 
 
 def _require_typed(obj, where: str = ""):
-    """Reject a float, int or bool field of the dataclass obj holding another kind.
+    """Reject a float, int, bool or str field of the dataclass obj holding another kind.
 
     Floats must be finite numbers.  Ints may be written as integral floats
     (50.0) but not as bools, strings or fractions.  Bools must be JSON
@@ -49,6 +49,8 @@ def _require_typed(obj, where: str = ""):
             ok, want = _is_integer(value), "an integer"
         elif f.type == "bool":
             ok, want = isinstance(value, bool), "true or false"
+        elif f.type == "str":
+            ok, want = isinstance(value, str), "a string"
         else:
             continue
         if not ok:
@@ -472,7 +474,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         constraints=constraints,
         max_steps=_integer(data, "max_steps", 5000),
         dt=_number(data, "dt", 0.5),
-        scenario_id=str(data.get("scenario_id", "custom")),
+        scenario_id=data.get("scenario_id", "custom"),
     )
     if "start" in data:
         start = data["start"]

@@ -160,6 +160,7 @@ class TestRunCommand:
             {"hotspots": [5]},
             5,
             [{"x": 1, "y": 1}],
+            {"scenario_id": [1, 2]},
         ],
     )
     def test_wrong_shape_scenario_exits_one(self, tmp_path, capsys, fields):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from levyswarm import harness
 from levyswarm.harness import (
     SweepSpec,
     _censored_steps,
@@ -226,6 +227,29 @@ class TestSweep:
             assert a.median_steps == b.median_steps
             assert [m.steps_to_cover for m in a.runs] == [m.steps_to_cover for m in b.runs]
             assert np.array_equal(a.heatmap.counts, b.heatmap.counts)
+
+    def test_pool_is_no_larger_than_the_grid(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size and runs the jobs in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        sweep = run_sweep(SweepSpec(levy_weights=[3.0], seeds=[0, 1], max_steps=5), workers=4)
+        assert sizes == [2]
+        assert len(sweep.results) == 2
 
 
 class TestCompare:
