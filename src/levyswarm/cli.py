@@ -23,20 +23,15 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_NOT_COVERED = 3
 
-# Keys of a sweep spec file; see the README.
-_SPEC_KEYS = ("preset", "algorithm", "levy_weights", "seeds", "max_steps", "params", "constraints")
-
 
 def _parse_seeds(seeds) -> list[int]:
     """A count n (12 or '12') means seeds 0..n-1; '3,7,9' or [3, 7, 9] is an explicit list."""
     if isinstance(seeds, str):
         text = seeds.strip()
         seeds = [int(part) for part in text.split(",") if part.strip()] if "," in text else int(text)
-    if world._is_integer(seeds):
-        return list(range(int(seeds)))
-    if isinstance(seeds, list) and all(map(world._is_integer, seeds)):
-        return [int(s) for s in seeds]
-    raise ValidationError(f"seeds must be a count or a list of integers, got {seeds!r}")
+    if isinstance(seeds, list):
+        return [world.field_value(s, "int", "seed", load=True) for s in seeds]
+    return list(range(world.field_value(seeds, "int", "seeds", load=True)))
 
 
 def _parse_values(text: str) -> list[float]:
@@ -112,7 +107,7 @@ def _sweep_spec_from_args(args) -> harness.SweepSpec:
     """The spec file, or the flags as the same dict; SweepSpec fills in what neither gives."""
     if args.spec:
         with open(args.spec) as f:
-            data = world._object(json.load(f), "sweep spec", _SPEC_KEYS)
+            data = json.load(f)
     else:
         data = _given(
             preset=args.preset,
@@ -121,17 +116,14 @@ def _sweep_spec_from_args(args) -> harness.SweepSpec:
             seeds=args.seeds or None,
             max_steps=args.max_steps,
         )
-    if "levy_weights" in data:
-        weights = data["levy_weights"]
-        if not (isinstance(weights, list) and all(map(world._is_number, weights))):
-            raise ValidationError(f"levy_weights must be a list of numbers, got {weights!r}")
-        data["levy_weights"] = [float(v) for v in weights]
-    if "seeds" in data:
-        data["seeds"] = _parse_seeds(data["seeds"])
-    if "algorithm" in data:
-        data["algorithm"] = world.parse_algorithm(data["algorithm"])
-    if "max_steps" in data:
-        data["max_steps"] = world._integer(data, "max_steps", None)
+    data = world.load_fields(
+        harness.SweepSpec, data, "sweep spec", record_trajectories=None,
+        algorithm=world.parse_algorithm, seeds=_parse_seeds,
+        levy_weights=lambda weights: [
+            world.field_value(w, "float", "levy_weight", load=True)
+            for w in world.field_value(weights, "list", "levy_weights")
+        ],
+    )
     return harness.SweepSpec(**data)
 
 

@@ -164,9 +164,15 @@ def read_runs_csv(path) -> list[dict]:
             raise ValidationError(
                 f"unexpected runs CSV header {reader.fieldnames}, wanted {CSV_COLUMNS}"
             )
-        return [
-            {name: parse(raw[name]) for name, (_, parse) in _RUNS_SCHEMA.items()} for raw in reader
-        ]
+        rows = []
+        for raw in reader:
+            # DictReader pads a short row with None and files a long row's surplus under None.
+            if None in raw or None in raw.values():
+                raise ValidationError(
+                    f"runs CSV line {reader.line_num} does not have {len(CSV_COLUMNS)} cells"
+                )
+            rows.append({name: parse(raw[name]) for name, (_, parse) in _RUNS_SCHEMA.items()})
+        return rows
 
 
 def heatmap_to_pgm(heatmap: Heatmap, path_or_file):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -22,39 +23,75 @@ class ValidationError(ValueError):
     """A configuration value violates its documented invariant."""
 
 
-def _is_integer(value) -> bool:
-    """An int, or an integral float such as 50.0, but never a bool."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+# --- the field table -------------------------------------------------------
+# A float, int, bool or str field of the config dataclasses is typed by its
+# annotation; the JSON loaders and every validate() check it with
+# field_value, and only cross-field rules live in the validate() methods.
+
+_KINDS = {
+    "float": (float, "a finite number"),
+    "int": (int, "an integer"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "list": (list, "a list"),
+    "dict": (dict, "an object"),
+}
+
+# Bounds by field name, checked after the type: a float named in _POSITIVE
+# must be > 0, an int named in _RANGES lies in its inclusive range.  The caps
+# bound what a valid input allocates: the height x width heatmap, one
+# UavState per UAV, one Hotspot per hotspot, one trajectory frame per step
+# and one run per seed of a seed count.
+_POSITIVE = {
+    "dt", "weight", "levy_weight", "levy_beta", "sigma_sensitivity", "max_step_size",
+    "coverage_radius", "collision_radius", "potential_field_gain", "no_hotspot_threshold_radius",
+}
+_RANGES = {
+    "width": (1, 1024),
+    "height": (1, 1024),
+    "n_uavs": (1, 256),
+    "n_hotspots": (1, 10_000),
+    "max_steps": (1, 100_000),
+    "seeds": (1, 10_000),
+    "seed": (0, 2**64 - 1),
+    "stagnation_limit": (1, math.inf),
+}
 
 
-def _is_number(value) -> bool:
-    """A finite int or float, but never a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+def field_value(value, kind: str, name: str, where: str = "", load: bool = False):
+    """value as a field of the given kind within its bound, else a ValidationError.
 
-
-def _require_typed(obj, where: str = ""):
-    """Reject a float, int, bool or str field of the dataclass obj holding another kind.
-
-    Floats must be finite numbers.  Ints may be written as integral floats
-    (50.0) but not as bools, strings or fractions.  Bools must be JSON
-    booleans: the string "false" is truthy and would switch a feature on.
+    kind is a key of _KINDS.  A float is a finite int or float.  An int is an
+    int, or, when loading JSON, an integral float such as 50.0.  A bool must
+    be true or false: the string "false" is truthy.  Loaded numbers come
+    back as exactly float or int.  where prefixes name in the message.
     """
+    type_, want = _KINDS[kind]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "float":
+        # A comparison, not math.isfinite, which raises on an int like 10**400.
+        ok = number and abs(value) <= sys.float_info.max
+    elif kind == "int":
+        ok = number and (isinstance(value, int) or load and value.is_integer())
+    else:
+        ok = isinstance(value, type_)
+    if not ok:
+        raise ValidationError(f"{where}{name} must be {want}, got {value!r}")
+    if load and number:
+        value = type_(value)
+    if kind == "float" and name in _POSITIVE and not value > 0.0:
+        raise ValidationError(f"{where}{name} must be positive, got {value!r}")
+    low, high = _RANGES.get(name, (-math.inf, math.inf))
+    if kind == "int" and not low <= value <= high:
+        raise ValidationError(f"{where}{name} must lie in [{low}, {high}], got {value!r}")
+    return value
+
+
+def _check_fields(obj, where: str):
+    """field_value on every float, int, bool and str field of the dataclass obj."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type == "float":
-            ok, want = _is_number(value), "a finite number"
-        elif f.type == "int":
-            ok, want = _is_integer(value), "an integer"
-        elif f.type == "bool":
-            ok, want = isinstance(value, bool), "true or false"
-        elif f.type == "str":
-            ok, want = isinstance(value, str), "a string"
-        else:
-            continue
-        if not ok:
-            raise ValidationError(f"{where}{f.name} must be {want}, got {value!r}")
+        if f.type in _KINDS:
+            field_value(getattr(obj, f.name), f.type, f.name, where)
 
 
 class Algorithm(str, enum.Enum):
@@ -90,18 +127,20 @@ class ScenarioKind(str, enum.Enum):
     CUSTOM = "custom"
 
 
+def _parse_kind(kind) -> ScenarioKind:
+    kinds = [k.value for k in ScenarioKind]
+    if field_value(kind, "str", "kind").lower() not in kinds:
+        raise ValidationError(f"unknown scenario kind {kind!r}; expected one of {kinds}")
+    return ScenarioKind(kind.lower())
+
+
 @dataclass(frozen=True)
 class GridConfig:
     width: int = 100
     height: int = 100
 
     def validate(self):
-        if not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in (self.width, self.height)
-        ):
-            raise ValidationError("grid width/height must be integers")
-        if self.width < 1 or self.height < 1:
-            raise ValidationError(f"grid must be at least 1x1, got {self.width}x{self.height}")
+        _check_fields(self, "grid ")
 
     def contains(self, position) -> bool:
         x, y = float(position[0]), float(position[1])
@@ -149,9 +188,9 @@ class AlgorithmParams:
     exploit_sign: int = 1
 
     def validate(self):
-        _require_typed(self)
-        _require_typed(self.pso, "pso.")
-        if not 0.0 < self.levy_beta <= 2.0:
+        _check_fields(self, "params ")
+        _check_fields(self.pso, "pso ")
+        if not self.levy_beta <= 2.0:
             raise ValidationError(f"levy_beta must lie in (0, 2], got {self.levy_beta}")
         try:
             mantegna_sigma(self.levy_beta)
@@ -159,12 +198,6 @@ class AlgorithmParams:
             raise ValidationError(
                 f"levy_beta={self.levy_beta} is too small: the Mantegna scale overflows"
             ) from None
-        if not self.levy_weight > 0.0:
-            raise ValidationError(f"levy_weight must be positive, got {self.levy_weight}")
-        if self.stagnation_limit < 1:
-            raise ValidationError(f"stagnation_limit must be >= 1, got {self.stagnation_limit}")
-        if not self.sigma_sensitivity > 0.0:
-            raise ValidationError("sigma_sensitivity must be positive")
         if self.shaping and not self.shaping_epsilon > 0.0:
             raise ValidationError("shaping_epsilon must be positive when shaping is on")
         if self.exploit_sign not in (1, -1):
@@ -181,20 +214,12 @@ class ConstraintParams:
     no_hotspot_threshold_radius: float = 15.0
 
     def validate(self):
-        _require_typed(self)
-        if not self.max_step_size > 0.0:
-            raise ValidationError("max_step_size must be positive")
-        if not self.coverage_radius > 0.0:
-            raise ValidationError("coverage_radius must be positive")
-        if not 0.0 < self.collision_radius <= self.safe_zone_radius:
+        _check_fields(self, "constraints ")
+        if not self.collision_radius <= self.safe_zone_radius:
             raise ValidationError(
-                "collision_radius must satisfy 0 < collision_radius <= safe_zone_radius, "
+                "collision_radius must not exceed safe_zone_radius, "
                 f"got {self.collision_radius} vs {self.safe_zone_radius}"
             )
-        if not self.potential_field_gain > 0.0:
-            raise ValidationError("potential_field_gain must be positive")
-        if not self.no_hotspot_threshold_radius > 0.0:
-            raise ValidationError("no_hotspot_threshold_radius must be positive")
 
 
 @dataclass
@@ -256,28 +281,18 @@ class ScenarioConfig:
         self.grid.validate()
         self.params.validate()
         self.constraints.validate()
-        _require_typed(self)
+        _check_fields(self, "scenario ")
         if not self.hotspots:
             raise ValidationError("scenario needs at least one hotspot")
         for i, h in enumerate(self.hotspots):
-            _require_typed(h, f"hotspot {i} ")
+            _check_fields(h, f"hotspot {i} ")
             if not self.grid.contains(h.position):
                 raise ValidationError(
                     f"hotspot {i} at ({h.position[0]}, {h.position[1]}) lies outside the "
                     f"{self.grid.width}x{self.grid.height} grid"
                 )
-            if not h.weight > 0.0:
-                raise ValidationError(f"hotspot {i} weight must be positive, got {h.weight}")
         if not self.grid.contains(self.start_position):
             raise ValidationError("start_position lies outside the grid")
-        if self.n_uavs < 1:
-            raise ValidationError(f"n_uavs must be >= 1, got {self.n_uavs}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.max_steps < 1:
-            raise ValidationError(f"max_steps must be >= 1, got {self.max_steps}")
-        if not self.dt > 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.params.shaping:
             total_w = sum(h.weight for h in self.hotspots)
             min_w = min(h.weight for h in self.hotspots)
@@ -328,15 +343,14 @@ def make_scenario(
                 first in the list, far-cluster hotspots last.
     custom:     pass-through of custom_hotspots.
     """
-    kind = ScenarioKind(kind)
+    kind = _parse_kind(kind)
     grid.validate()
     if kind is ScenarioKind.CUSTOM:
         if not custom_hotspots:
             raise ValidationError("custom scenario requires a non-empty hotspot list")
         hotspots = [replace(h, position=np.array(h.position, dtype=float)) for h in custom_hotspots]
     else:
-        if n_hotspots < 1:
-            raise ValidationError(f"n_hotspots must be >= 1, got {n_hotspots}")
+        field_value(n_hotspots, "int", "n_hotspots")
         src = RandomSource(seed=seed, stream_id=SCENARIO_STREAM)
         w, h = float(grid.width), float(grid.height)
         if kind is ScenarioKind.UNIFORM_RANDOM:
@@ -374,8 +388,7 @@ def mark_coverage(
     an active sensor this step (default: all); agents mid-traversal of a
     committed relocation fly dark and only scan on arrival.
     """
-    if not coverage_radius > 0.0:
-        raise ValidationError("coverage_radius must be positive")
+    field_value(coverage_radius, "float", "coverage_radius")
     positions = swarm.positions()
     if scanning is not None:
         positions = positions[np.asarray(scanning, dtype=bool)]
@@ -414,94 +427,74 @@ def preset_scenario(name: str, seed: int, **config_overrides) -> ScenarioConfig:
 
 # --- scenario file I/O -----------------------------------------------------
 
-_TOP_KEYS = {
-    "grid", "hotspots", "kind", "n_hotspots", "n_uavs", "start", "algorithm",
-    "params", "constraints", "seed", "max_steps", "dt", "scenario_id",
-}
+def load_fields(cls, value, name: str, **rules) -> dict:
+    """The JSON object value as keyword arguments for the dataclass cls.
 
-
-def _object(value, name: str, keys) -> dict:
-    """A copy of value, which must be a JSON object using only the given keys."""
-    if not isinstance(value, dict):
-        raise ValidationError(f"{name!r} must be an object, got {value!r}")
-    unknown = set(value) - set(keys)
+    Each key has a rule: a parser, or a kind that field_value casts to.  A
+    field's rule defaults to its own type, and a field of another type
+    passes as it is.  A key whose rule is None, or that is neither a field
+    nor given a rule, is an error.  A field left out takes its default.
+    """
+    rules = {f.name: f.type for f in fields(cls)} | rules
+    data = dict(field_value(value, "dict", name))
+    unknown = [key for key in data if rules.get(key) is None]
     if unknown:
         raise ValidationError(f"unknown {name} keys: {sorted(unknown)}")
-    return dict(value)
-
-
-def _section(data: dict, name: str, cls) -> dict:
-    """A copy of the JSON object data[name] (default {}), keyed by fields of cls."""
-    return _object(data.get(name, {}), name, [f.name for f in fields(cls)])
+    for key, item in data.items():
+        rule = rules[key]
+        if callable(rule):
+            data[key] = rule(item)
+        elif rule in _KINDS:
+            data[key] = field_value(item, rule, key, f"{name} ", load=True)
+    return data
 
 
 def params_from_dict(data: dict) -> tuple[AlgorithmParams, ConstraintParams]:
     """The optional 'params' and 'constraints' sections of a scenario or sweep job."""
-    params = _section(data, "params", AlgorithmParams)
-    if "pso" in params:
-        params["pso"] = PsoParams(**_section(params, "pso", PsoParams))
-    constraints = _section(data, "constraints", ConstraintParams)
+    params = load_fields(
+        AlgorithmParams, data.get("params", {}), "params",
+        pso=lambda value: PsoParams(**load_fields(PsoParams, value, "pso")),
+    )
+    constraints = load_fields(ConstraintParams, data.get("constraints", {}), "constraints")
     return AlgorithmParams(**params), ConstraintParams(**constraints)
 
 
-def _integer(data: dict, key: str, default: int) -> int:
-    value = data.get(key, default)
-    if not _is_integer(value):
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _start(value) -> np.ndarray:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValidationError(f"start must be a list of two finite numbers, got {value!r}")
+    return np.array([field_value(v, "float", "start", load=True) for v in value])
 
 
-def _number(data: dict, key: str, default: float, where: str = "") -> float:
-    value = data.get(key, default)
-    if not _is_number(value):
-        raise ValidationError(f"{where}{key} must be a finite number, got {value!r}")
-    return float(value)
+def _hotspots(entries) -> list[Hotspot]:
+    hotspots = []
+    for i, entry in enumerate(field_value(entries, "list", "hotspots")):
+        data = load_fields(
+            Hotspot, entry, f"hotspot {i}", x="float", y="float", position=None, covered=None
+        )
+        if "x" not in data or "y" not in data:
+            raise ValidationError(f"hotspot {i} needs x and y, got {entry!r}")
+        hotspots.append(Hotspot(position=[data.pop("x"), data.pop("y")], **data))
+    return hotspots
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Parse the scenario JSON schema; unknown keys are validation errors."""
-    data = _object(data, "scenario", _TOP_KEYS)
+    data = load_fields(
+        ScenarioConfig, data, "scenario",
+        grid=lambda value: GridConfig(**load_fields(GridConfig, value, "grid")),
+        hotspots=_hotspots, kind=_parse_kind, n_hotspots="int", start=_start, start_position=None,
+        algorithm=parse_algorithm,
+    )
     if "hotspots" not in data and "kind" not in data:
         raise ValidationError("scenario must give either 'hotspots' or ('kind', 'n_hotspots')")
-
-    grid = GridConfig(**_section(data, "grid", GridConfig))
-    params, constraints = params_from_dict(data)
-
-    overrides = dict(
-        n_uavs=_integer(data, "n_uavs", 5),
-        algorithm=parse_algorithm(data.get("algorithm", Algorithm.HYBRID_ABC_LEVY)),
-        params=params,
-        constraints=constraints,
-        max_steps=_integer(data, "max_steps", 5000),
-        dt=_number(data, "dt", 0.5),
-        scenario_id=data.get("scenario_id", "custom"),
-    )
+    data["params"], data["constraints"] = params_from_dict(data)
     if "start" in data:
-        start = data["start"]
-        if not (isinstance(start, list) and len(start) == 2 and all(map(_is_number, start))):
-            raise ValidationError(f"start must be a list of two finite numbers, got {start!r}")
-        overrides["start_position"] = np.array(start, dtype=float)
-    seed = _integer(data, "seed", 0)
-
-    if "hotspots" in data:
-        if not isinstance(data["hotspots"], list):
-            raise ValidationError(f"'hotspots' must be a list, got {data['hotspots']!r}")
-        hotspots = []
-        for i, entry in enumerate(data["hotspots"]):
-            entry = _object(entry, f"hotspot {i}", ("x", "y", "weight"))
-            xy = [entry.get("x"), entry.get("y")]
-            if not all(map(_is_number, xy)):
-                raise ValidationError(f"hotspot {i} needs finite numbers x and y, got {entry!r}")
-            weight = _number(entry, "weight", 1.0, where=f"hotspot {i} ")
-            hotspots.append(Hotspot(position=np.array(xy, dtype=float), weight=weight))
-        config = make_scenario(
-            ScenarioKind.CUSTOM, len(hotspots), seed, grid,
-            custom_hotspots=hotspots, **overrides,
-        )
-    else:
-        kind = ScenarioKind(str(data["kind"]).lower())
-        config = make_scenario(kind, _integer(data, "n_hotspots", 20), seed, grid, **overrides)
-    return config
+        data["start_position"] = data.pop("start")
+    kind, n_hotspots = data.pop("kind", None), data.pop("n_hotspots", 20)
+    config = ScenarioConfig(**data)
+    if "hotspots" not in data:
+        config.hotspots = make_scenario(kind, n_hotspots, config.seed, config.grid).hotspots
+    return config.validate()
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:

@@ -161,6 +161,7 @@ class TestRunCommand:
             5,
             [{"x": 1, "y": 1}],
             {"scenario_id": [1, 2]},
+            {"kind": "foo"},
         ],
     )
     def test_wrong_shape_scenario_exits_one(self, tmp_path, capsys, fields):

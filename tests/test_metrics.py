@@ -207,6 +207,15 @@ class TestRunsCsv:
         with pytest.raises(ValidationError, match="header"):
             read_runs_csv(path)
 
+    @pytest.mark.parametrize("row", ["u,abc,3.0,1", "u,abc,3.0,1,NA,NA,0.0,1.0,0,surplus"])
+    def test_reader_names_the_line_of_a_short_or_long_row(self, tmp_path, row):
+        path = tmp_path / "runs.csv"
+        write_runs_csv([metrics_fixture()], path)
+        with open(path, "a") as f:
+            f.write(row + "\n")
+        with pytest.raises(ValidationError, match="line 3"):
+            read_runs_csv(path)
+
 
 class TestHeatmapPgm:
     def test_header_and_scaling(self):
