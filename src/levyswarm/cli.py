@@ -62,7 +62,7 @@ def _scenario_from_args(args) -> world.ScenarioConfig:
             # Preset hotspot layouts are a function of the seed; regenerate
             # them on the config's grid and keep every other field.
             kind, n_hotspots = world.PRESET_KINDS[config.scenario_id]
-            config.hotspots = world.make_scenario(kind, n_hotspots, args.seed, config.grid).hotspots
+            config.hotspots = world.generate_hotspots(kind, n_hotspots, args.seed, config.grid)
     if args.levy_weight is not None:
         config.params.levy_weight = args.levy_weight
     if args.max_steps is not None:
@@ -116,7 +116,7 @@ def _sweep_spec_from_args(args) -> harness.SweepSpec:
             seeds=args.seeds or None,
             max_steps=args.max_steps,
         )
-    data = world.load_fields(
+    return world.load_section(
         harness.SweepSpec, data, "sweep spec", record_trajectories=None,
         algorithm=world.parse_algorithm, seeds=_parse_seeds,
         levy_weights=lambda weights: [
@@ -124,7 +124,6 @@ def _sweep_spec_from_args(args) -> harness.SweepSpec:
             for w in world.field_value(weights, "list", "levy_weights")
         ],
     )
-    return harness.SweepSpec(**data)
 
 
 def _cmd_sweep(args) -> int:
@@ -188,7 +187,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = world.load_scenario(args.scenario)
-    config.validate()
     print(
         f"OK: {config.scenario_id} ({len(config.hotspots)} hotspots, "
         f"{config.n_uavs} agents, {config.grid.width}x{config.grid.height} grid)"

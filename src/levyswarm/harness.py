@@ -34,13 +34,15 @@ from .optimizers import FitnessField, propose_step
 from .rng import RandomSource
 from .world import (
     Algorithm,
+    AlgorithmParams,
+    ConstraintParams,
     Hotspot,
     ScenarioConfig,
     SwarmState,
     ValidationError,
+    load_section,
     make_swarm,
     mark_coverage,
-    params_from_dict,
     parse_algorithm,
     preset_scenario,
     two_cluster_far_indices,
@@ -235,7 +237,8 @@ def _run_grid(
     preset, algorithms, levy_weights, seeds, max_steps, params, constraints, trajectories, workers
 ) -> list[RunResult]:
     """Run preset over algorithm x levy_weight x seed, in that order; None keeps params' weight."""
-    base, cons = params_from_dict({"params": params, "constraints": constraints})
+    base = load_section(AlgorithmParams, params, "params")
+    cons = load_section(ConstraintParams, constraints, "constraints")
     configs = [
         preset_scenario(
             preset, seed, algorithm=algorithm, constraints=cons, max_steps=max_steps,

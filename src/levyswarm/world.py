@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -24,9 +25,8 @@ class ValidationError(ValueError):
 
 
 # --- the field table -------------------------------------------------------
-# A float, int, bool or str field of the config dataclasses is typed by its
-# annotation; the JSON loaders and every validate() check it with
-# field_value, and only cross-field rules live in the validate() methods.
+# A field is typed by its annotation; the JSON loaders and every validate()
+# check it with field_value, and validate() adds only cross-field rules.
 
 _KINDS = {
     "float": (float, "a finite number"),
@@ -37,11 +37,10 @@ _KINDS = {
     "dict": (dict, "an object"),
 }
 
-# Bounds by field name, checked after the type: a float named in _POSITIVE
-# must be > 0, an int named in _RANGES lies in its inclusive range.  The caps
-# bound what a valid input allocates: the height x width heatmap, one
-# UavState per UAV, one Hotspot per hotspot, one trajectory frame per step
-# and one run per seed of a seed count.
+# Bounds by field name, checked after the type: floats in _POSITIVE are > 0,
+# ints in _RANGES lie in their inclusive range.  A name means one quantity in
+# every class with such a field (tests/test_schema.py pins them).  The caps
+# bound the heatmap, UAVs, hotspots, trajectory frames and runs of a seed count.
 _POSITIVE = {
     "dt", "weight", "levy_weight", "levy_beta", "sigma_sensitivity", "max_step_size",
     "coverage_radius", "collision_radius", "potential_field_gain", "no_hotspot_threshold_radius",
@@ -344,31 +343,36 @@ def make_scenario(
     custom:     pass-through of custom_hotspots.
     """
     kind = _parse_kind(kind)
-    grid.validate()
     if kind is ScenarioKind.CUSTOM:
         if not custom_hotspots:
             raise ValidationError("custom scenario requires a non-empty hotspot list")
         hotspots = [replace(h, position=np.array(h.position, dtype=float)) for h in custom_hotspots]
     else:
-        field_value(n_hotspots, "int", "n_hotspots")
-        src = RandomSource(seed=seed, stream_id=SCENARIO_STREAM)
-        w, h = float(grid.width), float(grid.height)
-        if kind is ScenarioKind.UNIFORM_RANDOM:
-            pts = src.uniform(0.0, 1.0, (n_hotspots, 2)) * np.array([w, h])
-        else:
-            n_near = (n_hotspots + 1) // 2
-            n_far = n_hotspots // 2
-            near = src.uniform(0.0, 1.0, (n_near, 2)) * np.array([w, NEAR_BAND_FRACTION * h])
-            center = np.array([FAR_CENTER_FRACTION[0] * w, FAR_CENTER_FRACTION[1] * h])
-            radius = FAR_RADIUS_FRACTION * min(w, h)
-            angles = src.uniform(0.0, 2.0 * math.pi, n_far)
-            radii = radius * np.sqrt(src.uniform(0.0, 1.0, n_far))
-            far = center + np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-            pts = np.vstack([near, far]) if n_far else near
-        hotspots = [Hotspot(position=p) for p in pts]
+        hotspots = generate_hotspots(kind, n_hotspots, seed, grid)
     config = ScenarioConfig(grid=grid, hotspots=hotspots, seed=seed, **config_overrides)
     config.validate()
     return config
+
+
+def generate_hotspots(kind: ScenarioKind, n_hotspots: int, seed: int, grid: GridConfig):
+    """The hotspots of a uniform or twocluster layout (see make_scenario); checks its arguments."""
+    grid.validate()
+    field_value(n_hotspots, "int", "n_hotspots")
+    src = RandomSource(seed=field_value(seed, "int", "seed"), stream_id=SCENARIO_STREAM)
+    w, h = float(grid.width), float(grid.height)
+    if kind is ScenarioKind.UNIFORM_RANDOM:
+        pts = src.uniform(0.0, 1.0, (n_hotspots, 2)) * np.array([w, h])
+    else:
+        n_near = (n_hotspots + 1) // 2
+        n_far = n_hotspots // 2
+        near = src.uniform(0.0, 1.0, (n_near, 2)) * np.array([w, NEAR_BAND_FRACTION * h])
+        center = np.array([FAR_CENTER_FRACTION[0] * w, FAR_CENTER_FRACTION[1] * h])
+        radius = FAR_RADIUS_FRACTION * min(w, h)
+        angles = src.uniform(0.0, 2.0 * math.pi, n_far)
+        radii = radius * np.sqrt(src.uniform(0.0, 1.0, n_far))
+        far = center + np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+        pts = np.vstack([near, far]) if n_far else near
+    return [Hotspot(position=p) for p in pts]
 
 
 def two_cluster_far_indices(n_hotspots: int) -> list[int]:
@@ -427,15 +431,23 @@ def preset_scenario(name: str, seed: int, **config_overrides) -> ScenarioConfig:
 
 # --- scenario file I/O -----------------------------------------------------
 
+# The config dataclasses that a loader builds from a nested JSON object.
+_SECTIONS = {cls.__name__: cls for cls in (GridConfig, PsoParams, AlgorithmParams, ConstraintParams)}
+_RULE_NAMES = _KINDS.keys() | _SECTIONS.keys()
+
+
 def load_fields(cls, value, name: str, **rules) -> dict:
     """The JSON object value as keyword arguments for the dataclass cls.
 
-    Each key has a rule: a parser, or a kind that field_value casts to.  A
-    field's rule defaults to its own type, and a field of another type
-    passes as it is.  A key whose rule is None, or that is neither a field
-    nor given a rule, is an error.  A field left out takes its default.
+    A key's rule is a parser, a kind that field_value casts to, or the name
+    of a section, loaded in turn.  A field's rule defaults to its own type.
+    A key whose rule is None, or that is not a field, is an error; a field
+    left out takes its default.
     """
     rules = {f.name: f.type for f in fields(cls)} | rules
+    untyped = [k for k, r in rules.items() if not (r is None or callable(r) or r in _RULE_NAMES)]
+    if untyped:
+        raise TypeError(f"{cls.__name__} fields without a load rule: {untyped}")
     data = dict(field_value(value, "dict", name))
     unknown = [key for key in data if rules.get(key) is None]
     if unknown:
@@ -444,19 +456,16 @@ def load_fields(cls, value, name: str, **rules) -> dict:
         rule = rules[key]
         if callable(rule):
             data[key] = rule(item)
-        elif rule in _KINDS:
+        elif rule in _SECTIONS:
+            data[key] = load_section(_SECTIONS[rule], item, key)
+        else:
             data[key] = field_value(item, rule, key, f"{name} ", load=True)
     return data
 
 
-def params_from_dict(data: dict) -> tuple[AlgorithmParams, ConstraintParams]:
-    """The optional 'params' and 'constraints' sections of a scenario or sweep job."""
-    params = load_fields(
-        AlgorithmParams, data.get("params", {}), "params",
-        pso=lambda value: PsoParams(**load_fields(PsoParams, value, "pso")),
-    )
-    constraints = load_fields(ConstraintParams, data.get("constraints", {}), "constraints")
-    return AlgorithmParams(**params), ConstraintParams(**constraints)
+def load_section(cls, value, name: str, **rules):
+    """The dataclass cls built from the JSON object value by load_fields."""
+    return cls(**load_fields(cls, value, name, **rules))
 
 
 def _start(value) -> np.ndarray:
@@ -480,20 +489,17 @@ def _hotspots(entries) -> list[Hotspot]:
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Parse the scenario JSON schema; unknown keys are validation errors."""
     data = load_fields(
-        ScenarioConfig, data, "scenario",
-        grid=lambda value: GridConfig(**load_fields(GridConfig, value, "grid")),
-        hotspots=_hotspots, kind=_parse_kind, n_hotspots="int", start=_start, start_position=None,
-        algorithm=parse_algorithm,
+        ScenarioConfig, data, "scenario", hotspots=_hotspots, kind=_parse_kind, n_hotspots="int",
+        start=_start, start_position=None, algorithm=parse_algorithm,
     )
     if "hotspots" not in data and "kind" not in data:
         raise ValidationError("scenario must give either 'hotspots' or ('kind', 'n_hotspots')")
-    data["params"], data["constraints"] = params_from_dict(data)
     if "start" in data:
         data["start_position"] = data.pop("start")
     kind, n_hotspots = data.pop("kind", None), data.pop("n_hotspots", 20)
     config = ScenarioConfig(**data)
     if "hotspots" not in data:
-        config.hotspots = make_scenario(kind, n_hotspots, config.seed, config.grid).hotspots
+        config.hotspots = generate_hotspots(kind, n_hotspots, config.seed, config.grid)
     return config.validate()
 
 
@@ -521,8 +527,6 @@ def load_scenario(path) -> ScenarioConfig:
         data = json.load(f)
     config = scenario_from_dict(data)
     if config.scenario_id == "custom":
-        import os
-
         config.scenario_id = os.path.splitext(os.path.basename(str(path)))[0]
     return config
 

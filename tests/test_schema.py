@@ -8,6 +8,8 @@ validates: no draw is ever run or allocated beyond a size cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import importlib
 import json
 import math
 from dataclasses import fields
@@ -16,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyswarm.cli import _parse_seeds, _sweep_spec_from_args
+from levyswarm.cli import _parse_seeds, _scenario_from_args, _sweep_spec_from_args
 from levyswarm.world import (
+    _POSITIVE,
     _RANGES,
     AlgorithmParams,
     ConstraintParams,
@@ -26,6 +29,7 @@ from levyswarm.world import (
     PsoParams,
     ScenarioConfig,
     ValidationError,
+    load_fields,
     make_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -112,6 +116,98 @@ class TestLoaderFuzz:
                     assert type(getattr(part, f.name)) is TYPES[f.type], (f.name, scenario)
         data = scenario_to_dict(config)
         assert scenario_to_dict(scenario_from_dict(json.loads(json.dumps(data)))) == data
+
+
+@st.composite
+def generated_layouts(draw) -> dict:
+    """A valid kind-generated scenario on any grid up to the cap, with the
+    start drawn inside the grid: every draw must load."""
+    side = st.integers(1, _RANGES["width"][1])
+    width, height = draw(side), draw(side)
+    return {
+        "kind": draw(st.sampled_from(["uniform", "twocluster"])),
+        "n_hotspots": draw(st.integers(1, 40)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "grid": {"width": width, "height": height},
+        "start": [draw(st.floats(0, width)), draw(st.floats(0, height))],
+    }
+
+
+class TestValidLayoutFuzz:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(generated_layouts())
+    def test_every_valid_layout_loads(self, scenario):
+        config = scenario_from_dict(scenario)
+        assert len(config.hotspots) == scenario["n_hotspots"]
+        assert config.start_position.tolist() == scenario["start"]
+        data = scenario_to_dict(config)
+        assert scenario_to_dict(scenario_from_dict(json.loads(json.dumps(data)))) == data
+
+
+class TestSmallGrid:
+    """A generated layout on a grid narrower than the default start (50, 0)."""
+
+    SCENARIO = {
+        "kind": "uniform", "n_hotspots": 3, "grid": {"width": 20, "height": 20}, "start": [10, 0]
+    }
+
+    def test_kind_file_with_its_own_start_loads(self):
+        config = scenario_from_dict(self.SCENARIO)
+        assert config.grid == GridConfig(20, 20) and config.start_position.tolist() == [10, 0]
+        assert all(config.grid.contains(h.position) for h in config.hotspots)
+
+    def test_preset_id_file_takes_a_seed(self, tmp_path):
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({**self.SCENARIO, "n_hotspots": 20, "scenario_id": "uniform20"}))
+        args = argparse.Namespace(
+            scenario=str(path), preset=None, algorithm=None, seed=4, levy_weight=None, max_steps=None
+        )
+        config = _scenario_from_args(args)
+        assert config.seed == 4 and config.start_position.tolist() == [10, 0]
+        assert len(config.hotspots) == 20
+        assert all(config.grid.contains(h.position) for h in config.hotspots)
+
+
+# Every dataclass field that shares a name with a row of the bounds table.
+# The table is keyed by bare name, so a new field of that name anywhere in
+# the package has to be added here on purpose.
+BOUND_FIELDS = {
+    "dt": {"ScenarioConfig"},
+    "weight": {"Hotspot"},
+    "levy_weight": {"AlgorithmParams", "SweepCell", "RunMetrics"},
+    "levy_beta": {"AlgorithmParams"},
+    "sigma_sensitivity": {"AlgorithmParams"},
+    "stagnation_limit": {"AlgorithmParams"},
+    "max_step_size": {"ConstraintParams"},
+    "coverage_radius": {"ConstraintParams"},
+    "collision_radius": {"ConstraintParams"},
+    "potential_field_gain": {"ConstraintParams"},
+    "no_hotspot_threshold_radius": {"ConstraintParams"},
+    "width": {"GridConfig", "Heatmap"},
+    "height": {"GridConfig", "Heatmap"},
+    "n_uavs": {"ScenarioConfig"},
+    "n_hotspots": {"RunMetrics"},
+    "max_steps": {"ScenarioConfig", "SweepSpec"},
+    "seeds": {"SweepSpec"},
+    "seed": {"ScenarioConfig", "CompareRow", "RunMetrics", "RandomSource"},
+}
+MODULES = ["constraints", "harness", "metrics", "optimizers", "rng", "world"]
+
+
+class TestBoundsTable:
+    def test_each_bound_names_the_fields_it_was_written_for(self):
+        owners = {name: set() for name in _POSITIVE | set(_RANGES)}
+        for module in MODULES:
+            for cls in vars(importlib.import_module(f"levyswarm.{module}")).values():
+                if isinstance(cls, type) and dataclasses.is_dataclass(cls):
+                    for f in fields(cls):
+                        if f.name in owners:
+                            owners[f.name].add(cls.__name__)
+        assert owners == BOUND_FIELDS
+
+    def test_a_field_without_a_load_rule_is_refused(self):
+        with pytest.raises(TypeError, match="start_position"):
+            load_fields(ScenarioConfig, {}, "scenario", hotspots=None, algorithm=None)
 
 
 class TestUnifiedRule:
