@@ -21,7 +21,13 @@ import pytest
 
 from levyswarm.harness import run_scenario
 from levyswarm.metrics import write_runs_csv
-from levyswarm.world import ConstraintParams, GridConfig, make_scenario, preset_scenario
+from levyswarm.world import (
+    AlgorithmParams,
+    ConstraintParams,
+    GridConfig,
+    make_scenario,
+    preset_scenario,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "behaviour_fingerprint.txt"
 STEPS = 300
@@ -31,12 +37,36 @@ CROWD_CASE = "uniform/hybrid-abc-levy/7/n_uavs=8"
 # starts dozens of times per run, a branch the preset cases never reach.
 TIGHT_STEPS = 40
 TIGHT_CASES = [f"twocluster/pso/{seed}/tight" for seed in (3, 4)]
+# Knob branches the preset defaults never take, each on one preset run.
+# levy_beta is 1.5 in the unnormalized case because the Mantegna scale is 1
+# at the default beta of 1.  exploit_sign acts only between agents of unequal
+# fitness above the median, which unit-weight coverage alone almost never
+# gives, so it rides on shaping.  The wide cases set safe_zone_radius above
+# twice the collision radius (the presets have the two equal), so the
+# safe-zone radius sets the reach of the collision stage.
+KNOB_CASES = {
+    "uniform20/hybrid-abc-levy/0/shaping": dict(params=AlgorithmParams(shaping=True)),
+    "uniform20/abc/0/shaping": dict(params=AlgorithmParams(shaping=True)),
+    "uniform20/hybrid-abc-levy/0/adaptive_lambda": dict(params=AlgorithmParams(adaptive_lambda=True)),
+    "uniform20/hybrid-abc-levy/0/mantegna_unnormalized": dict(
+        params=AlgorithmParams(levy_beta=1.5, mantegna_normalized=False)
+    ),
+    "uniform20/hybrid-abc-levy/0/shaping,exploit_sign=-1": dict(
+        params=AlgorithmParams(shaping=True, exploit_sign=-1)
+    ),
+    "uniform20/hybrid-abc-levy/0/wide_safe_zone": dict(
+        n_uavs=8, constraints=ConstraintParams(safe_zone_radius=5.0, collision_radius=1.0)
+    ),
+    "twocluster20/pso/0/wide_safe_zone": dict(
+        constraints=ConstraintParams(safe_zone_radius=5.0, collision_radius=1.0)
+    ),
+}
 CASES = [
     f"{preset}/{algorithm}/{seed}"
     for preset in ("uniform20", "twocluster20")
     for algorithm in ("hybrid-abc-levy", "abc", "pso")
     for seed in (0, 1)
-] + [CROWD_CASE] + TIGHT_CASES
+] + [CROWD_CASE] + TIGHT_CASES + list(KNOB_CASES)
 
 
 def scenario(case: str):
@@ -54,8 +84,10 @@ def scenario(case: str):
             ),
             max_steps=TIGHT_STEPS,
         )
-    preset, algorithm, seed = case.split("/")
-    return preset_scenario(preset, int(seed), algorithm=algorithm, max_steps=STEPS)
+    preset, algorithm, seed = case.split("/")[:3]
+    return preset_scenario(
+        preset, int(seed), algorithm=algorithm, max_steps=STEPS, **KNOB_CASES.get(case, {})
+    )
 
 
 def fingerprint(config) -> str:
@@ -81,6 +113,11 @@ def _golden() -> dict[str, str]:
 
 def test_golden_covers_every_case():
     assert sorted(_golden()) == sorted(CASES)
+
+
+def test_golden_digests_are_distinct():
+    # A knob case whose knob never acts would repeat its default twin's digest.
+    assert len(set(_golden().values())) == len(CASES)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
