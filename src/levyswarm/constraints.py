@@ -137,6 +137,32 @@ def _close_pairs(positions: np.ndarray, radius: float):
     return i[close], j[close], delta[close], d[close]
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_list(n: int) -> list[tuple[int, int]]:
+    return list(zip(*(index.tolist() for index in _pair_index(n))))
+
+
+# math.hypot and np.hypot each round to within an ulp or so of the true norm,
+# so they agree on d < radius unless d lies within this relative band of it.
+_HYPOT_BAND = 1e-9
+
+
+def _violating_pairs(pos: list[tuple[float, float]], radius: float) -> list[tuple[int, int]]:
+    """The (i, j) pairs of _close_pairs(np.array(pos), radius), on (x, y) floats.
+
+    math.hypot, several times cheaper than a scalar np.hypot, decides every
+    pair outside the band around the radius; np.hypot decides inside it.
+    """
+    low, high = radius * (1.0 - _HYPOT_BAND), radius * (1.0 + _HYPOT_BAND)
+    close = []
+    for i, j in _pair_list(len(pos)):
+        dx, dy = pos[i][0] - pos[j][0], pos[i][1] - pos[j][1]
+        d = math.hypot(dx, dy)
+        if d < low or d < high and np.hypot(dx, dy) < radius:
+            close.append((i, j))
+    return close
+
+
 def _accumulate(n: int, i: np.ndarray, j: np.ndarray, push: np.ndarray) -> np.ndarray:
     """Per-agent sums of +push on the i side and -push on the j side.
 
@@ -247,19 +273,19 @@ def resolve_collisions(
 
     Returns (new_positions, touched_mask, pushes_applied).
     """
-    def violating(array) -> list[tuple[int, int]]:
-        i, j, _, _ = _close_pairs(array, collision_radius)
-        return list(zip(i.tolist(), j.tolist()))
-
     start = np.array(positions, dtype=float)
     n = len(start)
-    pairs = violating(start)
-    if not pairs:
-        return start, np.zeros(n, dtype=bool), 0
     # Positions are (x, y) tuples of Python floats: a resolver pass makes
     # thousands of 2-vector operations, each far cheaper on floats than as a
     # numpy call.  The arithmetic and its rounding are those of numpy.
     pos = [tuple(p) for p in start.tolist()]
+
+    def violating() -> list[tuple[int, int]]:
+        return _violating_pairs(pos, collision_radius)
+
+    pairs = violating()
+    if not pairs:
+        return start, np.zeros(n, dtype=bool), 0
     bounded = anchors is not None and budget is not None
     if bounded:
         anchor_xy = np.asarray(anchors, dtype=float).tolist()
@@ -337,11 +363,11 @@ def resolve_collisions(
                     "cannot separate agents to the collision radius within the "
                     "grid and step budget"
                 )
-            revert({k for pair in violating(np.array(pos)) for k in pair})
-        pairs = violating(np.array(pos))
+            revert({k for pair in violating() for k in pair})
+        pairs = violating()
     if pairs and revert_to is not None:
         revert(range(n))
-        pairs = violating(np.array(pos))
+        pairs = violating()
     if pairs:
         raise ConstraintError(
             f"collision resolution did not converge in {MAX_RESOLVE_PASSES} iterations"

@@ -13,6 +13,7 @@ records the step.  Runs stop early once every hotspot is covered.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -36,10 +37,12 @@ from .world import (
     Algorithm,
     AlgorithmParams,
     ConstraintParams,
+    GridConfig,
     Hotspot,
     ScenarioConfig,
     SwarmState,
     ValidationError,
+    field_value,
     load_section,
     make_swarm,
     mark_coverage,
@@ -62,11 +65,61 @@ class RunResult:
     report: ConstraintReport | None = None
 
 
-def _min_pairwise(positions: np.ndarray) -> float:
+def _pair_deltas(positions: np.ndarray) -> np.ndarray:
+    """positions[i] - positions[j] for every pair i < j, in (i, j) order."""
+    return _close_pairs(positions, math.inf)[2]
+
+
+def _min_pairwise(delta: np.ndarray) -> float:
+    """The smallest pair distance, from _pair_deltas; inf for one agent."""
     # math.hypot, not np.hypot: the two round differently on about 0.5% of
     # inputs, and the recorded min_pairwise_series is pinned to math.hypot.
-    _, _, delta, _ = _close_pairs(positions, math.inf)
     return min(map(math.hypot, delta[:, 0].tolist(), delta[:, 1].tolist()), default=math.inf)
+
+
+def _collision_stage(
+    tentative: np.ndarray, anchors: np.ndarray, cons: ConstraintParams, grid: GridConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Soft repulsion, then hard separation, of one step's tentative positions.
+
+    Returns (final positions, intervened mask, _pair_deltas(final)).  Most
+    steps have no pair within reach of either soft force (the safe-zone
+    radius, and twice the collision radius for the potential field), and
+    skip the stage: the hard-separation radius is no larger (validate()
+    keeps collision_radius <= safe_zone_radius), and every proposer leaves
+    its agents within max_step_size of their anchors, so each part of the
+    stage would be the identity.
+    """
+    _, _, delta, d = _close_pairs(tentative, math.inf)
+    if not (d < max(cons.safe_zone_radius, 2.0 * cons.collision_radius)).any():
+        # + 0.0 turns -0.0 into 0.0, as adding the zero shove does.
+        return tentative + 0.0, np.zeros(len(tentative), dtype=bool), delta
+
+    offsets = safe_zone_separation(tentative, cons.safe_zone_radius)
+    offsets += potential_field_repulsion(
+        tentative, cons.collision_radius, cons.potential_field_gain, cons.max_step_size
+    )
+    candidate = np.empty_like(tentative)
+    for i in range(len(tentative)):
+        shove = clamp_step(offsets[i], cons.max_step_size)
+        candidate[i] = clamp_boundary(tentative[i] + shove, grid)
+    final, touched, _ = resolve_collisions(
+        candidate,
+        grid,
+        cons.collision_radius,
+        anchors=tentative,
+        budget=cons.max_step_size,
+        revert_to=anchors,
+    )
+    intervened = touched | np.any(candidate != tentative, axis=1)
+    # The logged displacement must respect the budget exactly, not just up
+    # to the rounding of anchor + step; nudge stragglers back by an ulp.
+    # (The margin in the hard-separation target dwarfs these nudges, so
+    # pairwise distances stay above the collision radius.)
+    for i in range(len(final)):
+        budget = 2.0 * cons.max_step_size if intervened[i] else cons.max_step_size
+        final[i] = settle_within(final[i], anchors[i], budget)
+    return final, intervened, _pair_deltas(final)
 
 
 def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
@@ -101,13 +154,13 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         uav.fitness = value
         uav.best_fitness = value
         swarm.observe(uav.position, value)
-    mark_coverage(swarm, hotspots, cons.coverage_radius)
-    fitness = FitnessField.from_config(hotspots, config)
+    if mark_coverage(swarm, hotspots, cons.coverage_radius):
+        fitness = FitnessField.from_config(hotspots, config)
 
     heatmap = Heatmap.for_grid(config.grid)
     heatmap.record(swarm.positions())
     coverage_curve = [(0, swarm.covered_count)]
-    min_pairwise_series = [_min_pairwise(swarm.positions())]
+    min_pairwise_series = [_min_pairwise(_pair_deltas(swarm.positions()))]
     trajectories = [swarm.positions()] if record_trajectories else None
     collision_masks = []
     report = ConstraintReport(collision_interventions=collision_interventions)
@@ -120,34 +173,9 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         anchors = swarm.positions()
         proposal = propose_step(swarm, fitness, config, rngs, hotspots)
         report.merge(proposal.report)
-        tentative = proposal.positions
-
-        offsets = safe_zone_separation(tentative, cons.safe_zone_radius)
-        offsets += potential_field_repulsion(
-            tentative, cons.collision_radius, cons.potential_field_gain, cons.max_step_size
-        )
-        candidate = np.empty_like(tentative)
-        for i in range(len(tentative)):
-            shove = clamp_step(offsets[i], cons.max_step_size)
-            candidate[i] = clamp_boundary(tentative[i] + shove, config.grid)
-        final, touched, _ = resolve_collisions(
-            candidate,
-            config.grid,
-            cons.collision_radius,
-            anchors=tentative,
-            budget=cons.max_step_size,
-            revert_to=anchors,
-        )
-        intervened = touched | np.any(candidate != tentative, axis=1)
+        final, intervened, delta = _collision_stage(proposal.positions, anchors, cons, config.grid)
         report.collision_interventions += int(intervened.sum())
         collision_masks.append(intervened)
-        # The logged displacement must respect the budget exactly, not just up
-        # to the rounding of anchor + step; nudge stragglers back by an ulp.
-        # (The margin in the hard-separation target dwarfs these nudges, so
-        # pairwise distances stay above the collision radius.)
-        for i in range(len(final)):
-            budget = 2.0 * cons.max_step_size if intervened[i] else cons.max_step_size
-            final[i] = settle_within(final[i], anchors[i], budget)
 
         for i, uav in enumerate(swarm.uavs):
             uav.position = final[i]
@@ -176,12 +204,14 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
                 uav.transit_target = rngs[i].uniform(0.0, 1.0, 2) * grid_extent
                 uav.stagnation = 0
 
-        mark_coverage(swarm, hotspots, cons.coverage_radius, scanning=proposal.scanning)
-        fitness = FitnessField.from_config(hotspots, config)
+        # The field depends only on the uncovered set, so it changes only
+        # when this step covers something.
+        if mark_coverage(swarm, hotspots, cons.coverage_radius, scanning=proposal.scanning):
+            fitness = FitnessField.from_config(hotspots, config)
 
         heatmap.record(swarm.positions())
         coverage_curve.append((step, swarm.covered_count))
-        min_pairwise_series.append(_min_pairwise(swarm.positions()))
+        min_pairwise_series.append(_min_pairwise(delta))
         if record_trajectories:
             trajectories.append(swarm.positions())
         if swarm.covered_count == len(hotspots):
@@ -236,7 +266,10 @@ def _distinct(name: str, values, minimum: int = 1) -> list:
 def _run_grid(
     preset, algorithms, levy_weights, seeds, max_steps, params, constraints, trajectories, workers
 ) -> list[RunResult]:
-    """Run preset over algorithm x levy_weight x seed, in that order; None keeps params' weight."""
+    """Run preset over algorithm x levy_weight x seed, in that order; None keeps params' weight.
+
+    A seed list is held to the cap of a seed count; the pool to the CPUs."""
+    field_value(len(seeds), "int", "seeds")
     base = load_section(AlgorithmParams, params, "params")
     cons = load_section(ConstraintParams, constraints, "constraints")
     configs = [
@@ -248,10 +281,11 @@ def _run_grid(
         for weight in levy_weights
         for seed in seeds
     ]
-    if workers <= 1 or len(configs) <= 1:
-        return list(map(run_scenario, configs, repeat(trajectories)))
     # A fork pool starts all its workers at the first submit, needed or not.
-    with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
+    size = min(workers, len(configs), os.cpu_count() or 1)
+    if size <= 1:
+        return list(map(run_scenario, configs, repeat(trajectories)))
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(run_scenario, configs, repeat(trajectories)))
 
 

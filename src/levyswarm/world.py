@@ -444,10 +444,19 @@ def load_fields(cls, value, name: str, **rules) -> dict:
     A key whose rule is None, or that is not a field, is an error; a field
     left out takes its default.
     """
+    return _load_with(_load_rules(cls, **rules), value, name)
+
+
+def _load_rules(cls, **rules) -> dict:
+    """Every key's load rule for load_fields, built once for many entries."""
     rules = {f.name: f.type for f in fields(cls)} | rules
     untyped = [k for k, r in rules.items() if not (r is None or callable(r) or r in _RULE_NAMES)]
     if untyped:
         raise TypeError(f"{cls.__name__} fields without a load rule: {untyped}")
+    return rules
+
+
+def _load_with(rules: dict, value, name: str) -> dict:
     data = dict(field_value(value, "dict", name))
     unknown = [key for key in data if rules.get(key) is None]
     if unknown:
@@ -475,11 +484,10 @@ def _start(value) -> np.ndarray:
 
 
 def _hotspots(entries) -> list[Hotspot]:
+    rules = _load_rules(Hotspot, x="float", y="float", position=None, covered=None)
     hotspots = []
     for i, entry in enumerate(field_value(entries, "list", "hotspots")):
-        data = load_fields(
-            Hotspot, entry, f"hotspot {i}", x="float", y="float", position=None, covered=None
-        )
+        data = _load_with(rules, entry, f"hotspot {i}")
         if "x" not in data or "y" not in data:
             raise ValidationError(f"hotspot {i} needs x and y, got {entry!r}")
         hotspots.append(Hotspot(position=[data.pop("x"), data.pop("y")], **data))

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from levyswarm import harness
 from levyswarm.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -362,6 +363,37 @@ class TestCompareCommand:
         )
         assert code == EXIT_INVALID
         assert "must be distinct" in capsys.readouterr().err
+
+
+class TestSeedListCap:
+    """An explicit seed list is held to the 10 000 cap of a seed count."""
+
+    SEEDS = list(range(10_001))
+
+    @pytest.fixture(autouse=True)
+    def no_config(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a config was built")
+
+        monkeypatch.setattr(harness, "preset_scenario", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--values", "3.0"],
+            ["compare", "--algorithms", "hybrid,abc"],
+        ],
+    )
+    def test_seeds_flag(self, capsys, argv):
+        seeds = ",".join(map(str, self.SEEDS))
+        assert main(argv + ["--seeds", seeds, "--max-steps", "5"]) == EXIT_INVALID
+        assert "seeds must lie in [1, 10000], got 10001" in capsys.readouterr().err
+
+    def test_spec_file(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"levy_weights": [3.0], "seeds": self.SEEDS}))
+        assert main(["sweep", "--spec", str(spec_path)]) == EXIT_INVALID
+        assert "seeds must lie in [1, 10000], got 10001" in capsys.readouterr().err
 
 
 class TestValidateCommand:

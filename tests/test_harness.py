@@ -228,12 +228,12 @@ class TestSweep:
             assert [m.steps_to_cover for m in a.runs] == [m.steps_to_cover for m in b.runs]
             assert np.array_equal(a.heatmap.counts, b.heatmap.counts)
 
-    def test_pool_is_no_larger_than_the_grid(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The size of each pool _run_grid opens; the jobs run in this process."""
         sizes = []
 
         class SerialPool:
-            """Records the pool size and runs the jobs in this process."""
-
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -247,9 +247,35 @@ class TestSweep:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        return sizes
+
+    def test_pool_is_no_larger_than_the_grid(self, pool_sizes):
         sweep = run_sweep(SweepSpec(levy_weights=[3.0], seeds=[0, 1], max_steps=5), workers=4)
-        assert sizes == [2]
+        assert pool_sizes == [2]
         assert len(sweep.results) == 2
+
+    @pytest.mark.parametrize("cpus,sizes", [(3, [3]), (1, []), (None, [])])
+    def test_pool_is_no_larger_than_the_cpu_count(self, monkeypatch, pool_sizes, cpus, sizes):
+        # One CPU, or an unknown count, runs the grid in this process.
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        sweep = run_sweep(
+            SweepSpec(levy_weights=[3.0], seeds=[0, 1, 2, 3, 4], max_steps=5), workers=8
+        )
+        assert pool_sizes == sizes
+        assert len(sweep.results) == 5
+
+    def test_explicit_seed_list_is_capped_before_any_config(self, monkeypatch):
+        def no_config(*args, **kwargs):
+            raise AssertionError("a config was built")
+
+        monkeypatch.setattr(harness, "preset_scenario", no_config)
+        seeds = list(range(10_001))
+        with pytest.raises(ValidationError, match=r"seeds must lie in \[1, 10000\], got 10001"):
+            run_sweep(SweepSpec(levy_weights=[3.0], seeds=seeds))
+        with pytest.raises(ValidationError, match="got 10001"):
+            compare_algorithms(["hybrid", "abc"], seeds=seeds)
+        with pytest.raises(ValidationError, match="got 10001"):
+            compare_algorithms(["hybrid", "abc"], seeds=range(10_001))
 
 
 class TestCompare:
