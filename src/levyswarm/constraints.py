@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import GridConfig, Hotspot, ValidationError
+from .world import GridConfig, ValidationError
 
 _TINY = 1e-12
 # Below this separation a pair counts as coincident and separation directions
@@ -55,17 +55,36 @@ class ConstraintReport:
         self.zone_escapes += other.zone_escapes
 
 
+# math.hypot and np.hypot each round to within an ulp or so of the true norm,
+# so they agree on how a norm compares with a limit unless it lies within
+# this relative band of the limit.
+_HYPOT_BAND = 1e-9
+
+
+def _norm_against(dx: float, dy: float, limit: float) -> float:
+    """The length of (dx, dy), compared with limit as float(np.hypot(dx, dy)) is.
+
+    math.hypot, about ten times cheaper than a scalar np.hypot, gives the
+    length unless it lies in the band around limit, and np.hypot gives it
+    there; math.hypot rounds differently on about 0.2% of inputs.  Only a
+    comparison with limit is exact: outside the band the value is
+    math.hypot's.
+    """
+    d = math.hypot(dx, dy)
+    if limit * (1.0 - _HYPOT_BAND) <= d <= limit * (1.0 + _HYPOT_BAND):
+        return float(np.hypot(dx, dy))
+    return d
+
+
 def _clamp_xy(x: float, y: float, limit: float) -> tuple[float, float]:
-    """clamp_step on Python floats.  Norms use np.hypot: math.hypot rounds
-    differently on about 0.2% of inputs."""
+    """clamp_step on Python floats, with np.hypot's norm."""
     if not limit > 0.0:
         raise ValidationError(f"max_step_size must be positive, got {limit}")
-    norm = float(np.hypot(x, y))
-    if norm <= limit:
+    if _norm_against(x, y, limit) <= limit:
         return x, y
-    scale = limit / norm
+    scale = limit / float(np.hypot(x, y))
     x, y = x * scale, y * scale
-    while float(np.hypot(x, y)) > limit:
+    while _norm_against(x, y, limit) > limit:
         x, y = math.nextafter(x, 0.0), math.nextafter(y, 0.0)
     return x, y
 
@@ -98,14 +117,18 @@ def settle_within(position, anchor, budget: float) -> np.ndarray:
     identity for positions already within budget.
     """
     x, y = float(position[0]), float(position[1])
-    ax, ay = float(anchor[0]), float(anchor[1])
+    return np.array(_settle_xy(x, y, float(anchor[0]), float(anchor[1]), budget))
+
+
+def _settle_xy(x: float, y: float, ax: float, ay: float, budget: float) -> tuple[float, float]:
+    """settle_within on Python floats."""
     guard = 0
-    while float(np.hypot(x - ax, y - ay)) > budget:
+    while _norm_against(x - ax, y - ay, budget) > budget:
         x, y = math.nextafter(x, ax), math.nextafter(y, ay)
         guard += 1
         if guard > 1000:
             raise ConstraintError("settle_within failed to converge")
-    return np.array([x, y])
+    return x, y
 
 
 def clamp_boundary(position, grid: GridConfig) -> np.ndarray:
@@ -142,25 +165,13 @@ def _pair_list(n: int) -> list[tuple[int, int]]:
     return list(zip(*(index.tolist() for index in _pair_index(n))))
 
 
-# math.hypot and np.hypot each round to within an ulp or so of the true norm,
-# so they agree on d < radius unless d lies within this relative band of it.
-_HYPOT_BAND = 1e-9
-
-
 def _violating_pairs(pos: list[tuple[float, float]], radius: float) -> list[tuple[int, int]]:
-    """The (i, j) pairs of _close_pairs(np.array(pos), radius), on (x, y) floats.
-
-    math.hypot, several times cheaper than a scalar np.hypot, decides every
-    pair outside the band around the radius; np.hypot decides inside it.
-    """
-    low, high = radius * (1.0 - _HYPOT_BAND), radius * (1.0 + _HYPOT_BAND)
-    close = []
-    for i, j in _pair_list(len(pos)):
-        dx, dy = pos[i][0] - pos[j][0], pos[i][1] - pos[j][1]
-        d = math.hypot(dx, dy)
-        if d < low or d < high and np.hypot(dx, dy) < radius:
-            close.append((i, j))
-    return close
+    """The (i, j) pairs of _close_pairs(np.array(pos), radius), on (x, y) floats."""
+    return [
+        (i, j)
+        for i, j in _pair_list(len(pos))
+        if _norm_against(pos[i][0] - pos[j][0], pos[i][1] - pos[j][1], radius) < radius
+    ]
 
 
 def _accumulate(n: int, i: np.ndarray, j: np.ndarray, push: np.ndarray) -> np.ndarray:
@@ -227,29 +238,31 @@ def potential_field_repulsion(
 
 
 def escape_no_hotspot_zone(
-    position: np.ndarray,
-    hotspots: list[Hotspot],
+    position,
+    uncovered: np.ndarray,
     threshold_radius: float,
     max_step_size: float,
-) -> np.ndarray | None:
+) -> tuple[float, float] | None:
     """Full-speed displacement toward the nearest uncovered hotspot, or None.
 
-    Fires only when no uncovered hotspot lies within threshold_radius of the
-    agent — the agent is wandering dead ground — and returns a vector of
-    magnitude max_step_size aimed at the nearest uncovered hotspot.  Returns
-    None when some uncovered hotspot is already close, or when every hotspot
-    is covered (there is nowhere useful to send the agent).
+    ``uncovered`` holds the positions of the uncovered hotspots, one row
+    each (``FitnessField.positions``).  Fires only when none of them lies
+    within threshold_radius of the agent at ``position`` — the agent is
+    wandering dead ground — and returns an (x, y) vector of magnitude
+    max_step_size aimed at the nearest one.  Returns None when some
+    uncovered hotspot is already close, or when every hotspot is covered
+    (there is nowhere useful to send the agent).
     """
-    position = np.asarray(position, dtype=float)
-    uncovered = [h.position for h in hotspots if not h.covered]
-    if not uncovered:
+    if not len(uncovered):
         return None
-    deltas = np.asarray(uncovered) - position
+    deltas = uncovered - np.asarray(position, dtype=float)
     dists = np.hypot(deltas[:, 0], deltas[:, 1])
-    nearest = int(np.argmin(dists))
-    if dists[nearest] <= threshold_radius:
+    nearest = int(dists.argmin())
+    d = float(dists[nearest])
+    if d <= threshold_radius:
         return None
-    return deltas[nearest] / dists[nearest] * max_step_size
+    dx, dy = deltas[nearest].tolist()
+    return dx / d * max_step_size, dy / d * max_step_size
 
 
 def resolve_collisions(
@@ -305,7 +318,7 @@ def resolve_collisions(
         if bounded:
             ax, ay = anchor_xy[idx]
             ox, oy = x - ax, y - ay
-            if float(np.hypot(ox, oy)) > budget:
+            if _norm_against(ox, oy, budget) > budget:
                 ox, oy = _clamp_xy(ox, oy, budget)
                 x, y = ax + ox, ay + oy
         if x != px or y != py:

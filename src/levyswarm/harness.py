@@ -21,8 +21,10 @@ from itertools import repeat
 import numpy as np
 
 from .constraints import (
+    _HYPOT_BAND,
     ConstraintReport,
-    _close_pairs,
+    _pair_list,
+    _violating_pairs,
     clamp_boundary,
     clamp_step,
     potential_field_repulsion,
@@ -65,35 +67,37 @@ class RunResult:
     report: ConstraintReport | None = None
 
 
-def _pair_deltas(positions: np.ndarray) -> np.ndarray:
-    """positions[i] - positions[j] for every pair i < j, in (i, j) order."""
-    return _close_pairs(positions, math.inf)[2]
-
-
-def _min_pairwise(delta: np.ndarray) -> float:
-    """The smallest pair distance, from _pair_deltas; inf for one agent."""
+def _min_pairwise(xy: list) -> float:
+    """The smallest distance between two of the (x, y) floats; inf for one agent."""
     # math.hypot, not np.hypot: the two round differently on about 0.5% of
     # inputs, and the recorded min_pairwise_series is pinned to math.hypot.
-    return min(map(math.hypot, delta[:, 0].tolist(), delta[:, 1].tolist()), default=math.inf)
+    return min(
+        (math.hypot(xy[i][0] - xy[j][0], xy[i][1] - xy[j][1]) for i, j in _pair_list(len(xy))),
+        default=math.inf,
+    )
 
 
 def _collision_stage(
     tentative: np.ndarray, anchors: np.ndarray, cons: ConstraintParams, grid: GridConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Soft repulsion, then hard separation, of one step's tentative positions.
 
-    Returns (final positions, intervened mask, _pair_deltas(final)).  Most
-    steps have no pair within reach of either soft force (the safe-zone
-    radius, and twice the collision radius for the potential field), and
-    skip the stage: the hard-separation radius is no larger (validate()
-    keeps collision_radius <= safe_zone_radius), and every proposer leaves
-    its agents within max_step_size of their anchors, so each part of the
-    stage would be the identity.
+    Returns (final positions, intervened mask, smallest pair distance of
+    final).  Most steps have no pair within reach of either soft force (the
+    safe-zone radius, and twice the collision radius for the potential
+    field), and skip the stage: the hard-separation radius is no larger
+    (validate() keeps collision_radius <= safe_zone_radius), and every
+    proposer leaves its agents within max_step_size of their anchors, so each
+    part of the stage would be the identity.
     """
-    _, _, delta, d = _close_pairs(tentative, math.inf)
-    if not (d < max(cons.safe_zone_radius, 2.0 * cons.collision_radius)).any():
+    xy = tentative.tolist()
+    smallest = _min_pairwise(xy)
+    reach = max(cons.safe_zone_radius, 2.0 * cons.collision_radius)
+    # The smallest math.hypot decides the gate unless it is near the reach;
+    # there _violating_pairs decides each pair as np.hypot would.
+    if not smallest < reach * (1.0 + _HYPOT_BAND) or not _violating_pairs(xy, reach):
         # + 0.0 turns -0.0 into 0.0, as adding the zero shove does.
-        return tentative + 0.0, np.zeros(len(tentative), dtype=bool), delta
+        return tentative + 0.0, np.zeros(len(tentative), dtype=bool), smallest
 
     offsets = safe_zone_separation(tentative, cons.safe_zone_radius)
     offsets += potential_field_repulsion(
@@ -119,7 +123,7 @@ def _collision_stage(
     for i in range(len(final)):
         budget = 2.0 * cons.max_step_size if intervened[i] else cons.max_step_size
         final[i] = settle_within(final[i], anchors[i], budget)
-    return final, intervened, _pair_deltas(final)
+    return final, intervened, _min_pairwise(final.tolist())
 
 
 def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
@@ -158,10 +162,10 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         fitness = FitnessField.from_config(hotspots, config)
 
     heatmap = Heatmap.for_grid(config.grid)
-    heatmap.record(swarm.positions())
+    heatmap.record(start_positions.tolist())
     coverage_curve = [(0, swarm.covered_count)]
-    min_pairwise_series = [_min_pairwise(_pair_deltas(swarm.positions()))]
-    trajectories = [swarm.positions()] if record_trajectories else None
+    min_pairwise_series = [_min_pairwise(start_positions.tolist())]
+    trajectories = [start_positions] if record_trajectories else None
     collision_masks = []
     report = ConstraintReport(collision_interventions=collision_interventions)
     steps_to_cover = 0 if swarm.covered_count == len(hotspots) else None
@@ -171,12 +175,16 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         step += 1
         swarm.step = step
         anchors = swarm.positions()
-        proposal = propose_step(swarm, fitness, config, rngs, hotspots)
+        proposal = propose_step(swarm, fitness, config, rngs)
         report.merge(proposal.report)
-        final, intervened, delta = _collision_stage(proposal.positions, anchors, cons, config.grid)
+        final, intervened, min_pairwise = _collision_stage(
+            proposal.positions, anchors, cons, config.grid
+        )
         report.collision_interventions += int(intervened.sum())
         collision_masks.append(intervened)
 
+        # The rows of final become the agents' positions and, when recorded,
+        # a trajectory entry: nothing may change them in place.
         for i, uav in enumerate(swarm.uavs):
             uav.position = final[i]
 
@@ -201,19 +209,22 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
                 and uav.stagnation >= config.params.stagnation_limit
             ):
                 grid_extent = np.array([config.grid.width, config.grid.height], dtype=float)
-                uav.transit_target = rngs[i].uniform(0.0, 1.0, 2) * grid_extent
+                uav.transit_target = tuple((rngs[i].uniform(0.0, 1.0, 2) * grid_extent).tolist())
                 uav.stagnation = 0
 
         # The field depends only on the uncovered set, so it changes only
         # when this step covers something.
-        if mark_coverage(swarm, hotspots, cons.coverage_radius, scanning=proposal.scanning):
+        if mark_coverage(
+            swarm, hotspots, cons.coverage_radius, scanning=proposal.scanning,
+            positions=final, uncovered=fitness.positions,
+        ):
             fitness = FitnessField.from_config(hotspots, config)
 
-        heatmap.record(swarm.positions())
+        heatmap.record(final.tolist())
         coverage_curve.append((step, swarm.covered_count))
-        min_pairwise_series.append(_min_pairwise(delta))
+        min_pairwise_series.append(min_pairwise)
         if record_trajectories:
-            trajectories.append(swarm.positions())
+            trajectories.append(final)
         if swarm.covered_count == len(hotspots):
             steps_to_cover = step
 
@@ -258,8 +269,18 @@ def _distinct(name: str, values, minimum: int = 1) -> list:
     values = list(values)
     if len(values) < minimum:
         raise ValidationError(f"{name} needs at least {minimum}, got {len(values)}")
-    if len(set(values)) != len(values):
-        raise ValidationError(f"{name} must be distinct, got {values}")
+    seen, repeated = set(), {}
+    for value in values:
+        if value in seen:
+            repeated[value] = None
+        seen.add(value)
+    if repeated:
+        # Name a few repeats, not the list: a batch may hold 10 000 seeds.
+        shown = [repr(getattr(value, "value", value)) for value in list(repeated)[:3]]
+        more = ", ..." if len(repeated) > 3 else ""
+        raise ValidationError(
+            f"{name} must be distinct, {len(repeated)} repeated: {', '.join(shown)}{more}"
+        )
     return values
 
 

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .world import GridConfig, Hotspot, ValidationError
+from .world import GridConfig, Hotspot, ValidationError, left_to_right_sum
 
 
 def _float(value) -> str:
@@ -80,10 +80,14 @@ class Heatmap:
         return min(int(y), self.height - 1), min(int(x), self.width - 1)
 
     def record(self, positions):
-        """Count every position, or none of them when one is out of the domain."""
-        cells = [
-            self.cell_of(p) for p in np.atleast_2d(np.asarray(positions, dtype=float)).tolist()
-        ]
+        """Count every position, or none of them when one is out of the domain.
+
+        positions is one (x, y), an (n, 2) array, or a list of (x, y) lists,
+        which is read as it is.
+        """
+        if not (isinstance(positions, list) and positions and isinstance(positions[0], list)):
+            positions = np.atleast_2d(np.asarray(positions, dtype=float)).tolist()
+        cells = [self.cell_of(p) for p in positions]
         for cell in cells:
             self.counts[cell] += 1
 
@@ -108,7 +112,7 @@ def merge_heatmaps(heatmaps) -> Heatmap:
 
 def biodiversity_metric(hotspots: list[Hotspot]) -> float:
     """Total weight of the hotspots currently covered."""
-    return float(sum(h.weight for h in hotspots if h.covered))
+    return left_to_right_sum(h.weight for h in hotspots if h.covered)
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import constraints
 from .rng import RandomSource, levy_step
-from .world import Algorithm, Hotspot, ScenarioConfig, SwarmState, ValidationError
+from .world import Algorithm, ScenarioConfig, SwarmState, ValidationError
 
 
 class FitnessField:
@@ -66,17 +66,52 @@ class FitnessField:
         return total
 
 
+def _np_sum(values: list[float]) -> float:
+    """np.sum of a float vector, on Python floats and in numpy's order.
+
+    numpy adds fewer than 8 values left to right, up to 128 in eight
+    interleaved partial sums joined as a tree, and more by halving; a plain
+    left-to-right sum of 8 or more values differs in the last bits.
+    (Builtin sum() is no substitute: it compensates on Python 3.12 and later.)
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _np_sum(values[:half]) + _np_sum(values[half:])
+    total = 0.0
+    if n < 8:
+        for v in values:
+            total += v
+        return total
+    lanes = values[:8]
+    whole = n - n % 8
+    for start in range(8, whole, 8):
+        for lane in range(8):
+            lanes[lane] += values[start + lane]
+    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+        (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+    )
+    for v in values[whole:]:
+        total += v
+    return total
+
+
+def _nectar_shares(fitnesses: list[float]) -> list[float]:
+    """nectar_probabilities on Python floats."""
+    if not fitnesses:
+        raise ValidationError("nectar_probabilities needs at least one fitness value")
+    if any(f < 0.0 for f in fitnesses):
+        raise ValidationError("fitness values must be non-negative")
+    # np.sum starts from its identity: 0.0 + (-0.0) is 0.0.
+    total = 0.0 + _np_sum(fitnesses)
+    if total <= 0.0:
+        return [1.0 / len(fitnesses)] * len(fitnesses)
+    return [f / total for f in fitnesses]
+
+
 def nectar_probabilities(fitnesses) -> np.ndarray:
     """Selection weights proportional to fitness; uniform when all are zero."""
-    f = np.asarray(fitnesses, dtype=float)
-    if f.size == 0:
-        raise ValidationError("nectar_probabilities needs at least one fitness value")
-    if np.any(f < 0.0):
-        raise ValidationError("fitness values must be non-negative")
-    total = float(f.sum())
-    if total <= 0.0:
-        return np.full(f.size, 1.0 / f.size)
-    return f / total
+    return np.array(_nectar_shares(np.asarray(fitnesses, dtype=float).tolist()))
 
 
 def adaptive_levy_probability(fitness: float, global_best: float, sensitivity: float) -> float:
@@ -127,19 +162,25 @@ class StepProposal:
             self.report = constraints.ConstraintReport()
 
 
-def _constrain_motion(raw_target, anchor, config: ScenarioConfig, report=None) -> np.ndarray:
+def _constrain_motion(target, anchor, config: ScenarioConfig, report=None) -> tuple[float, float]:
+    """The motion budget about anchor applied to a raw target, both (x, y) floats.
+
+    The step is clamped to max_step_size, projected into the grid and
+    settled, with the rounding of the same operations on numpy arrays.
+    """
     max_step = config.constraints.max_step_size
-    raw_step = raw_target - anchor
-    step = constraints.clamp_step(raw_step, max_step)
-    unbounded = anchor + step
-    position = constraints.clamp_boundary(unbounded, config.grid)
+    (x, y), (ax, ay) = target, anchor
+    rx, ry = x - ax, y - ay
+    sx, sy = constraints._clamp_xy(rx, ry, max_step)
+    ux, uy = ax + sx, ay + sy
+    px, py = constraints._box(ux, uy, config.grid)
     if report is not None:
-        # List equality compares the floats with ==, so -0.0 equals 0.0.
-        if step.tolist() != raw_step.tolist():
+        # Tuple equality compares the floats with ==, so -0.0 equals 0.0.
+        if (sx, sy) != (rx, ry):
             report.clamped_steps += 1
-        if position.tolist() != unbounded.tolist():
+        if (px, py) != (ux, uy):
             report.boundary_hits += 1
-    return constraints.settle_within(position, anchor, max_step)
+    return constraints._settle_xy(px, py, ax, ay, max_step)
 
 
 def propose_abc(
@@ -153,13 +194,14 @@ def propose_abc(
     candidates under the same acceptance rule.
     """
     anchors = swarm.positions()
+    anchor_xy = anchors.tolist()
     tentative = anchors.copy()
     proposal = StepProposal(positions=tentative)
     values = np.array([fitness.value(p) for p in tentative])
 
     for i in range(len(tentative)):
         raw = abc_candidate(rngs[i], tentative, i)
-        candidate = _constrain_motion(raw, anchors[i], config, proposal.report)
+        candidate = _constrain_motion(raw.tolist(), anchor_xy[i], config, proposal.report)
         candidate_value = fitness.value(candidate)
         if candidate_value > values[i]:
             tentative[i] = candidate
@@ -169,7 +211,7 @@ def propose_abc(
     for slot in range(len(tentative)):
         s = roulette_pick(rngs[slot], probs)
         raw = abc_candidate(rngs[slot], tentative, s)
-        candidate = _constrain_motion(raw, anchors[s], config, proposal.report)
+        candidate = _constrain_motion(raw.tolist(), anchor_xy[s], config, proposal.report)
         candidate_value = fitness.value(candidate)
         if candidate_value > values[s]:
             tentative[s] = candidate
@@ -189,6 +231,7 @@ def propose_pso(
     """
     pso = config.params.pso
     anchors = swarm.positions()
+    anchor_xy = anchors.tolist()
     tentative = anchors.copy()
     proposal = StepProposal(positions=tentative)
     for i, uav in enumerate(swarm.uavs):
@@ -199,7 +242,9 @@ def propose_pso(
             + pso.cognitive * r1 * (uav.personal_best - uav.position)
             + pso.social * r2 * (swarm.global_best_position - uav.position)
         )
-        new_position = _constrain_motion(uav.position + velocity, anchors[i], config, proposal.report)
+        new_position = np.array(
+            _constrain_motion((uav.position + velocity).tolist(), anchor_xy[i], config, proposal.report)
+        )
         uav.velocity = new_position - uav.position
         tentative[i] = new_position
     return proposal
@@ -214,11 +259,12 @@ def _median(values: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def _nearest_better_neighbor(positions: np.ndarray, values: np.ndarray, i: int) -> int | None:
+def _nearest_better_neighbor(positions, values, i: int) -> int | None:
+    values = np.asarray(values)
     better = np.flatnonzero(values > values[i])
     if better.size == 0:
         return None
-    deltas = positions[better] - positions[i]
+    deltas = np.asarray(positions)[better] - positions[i]
     return int(better[np.argmin(np.hypot(deltas[:, 0], deltas[:, 1]))])
 
 
@@ -227,7 +273,6 @@ def propose_hybrid(
     fitness: FitnessField,
     config: ScenarioConfig,
     rngs: list[RandomSource],
-    hotspots: list[Hotspot],
 ) -> StepProposal:
     """One motion step of the Levy-flight hybrid.
 
@@ -246,46 +291,59 @@ def propose_hybrid(
     move kept only under strict greedy acceptance.  All realized positions
     stay within the per-step motion budget about the agent's step-start
     position.
+
+    Positions are (x, y) pairs of Python floats until the proposal is built:
+    each agent makes a few dozen 2-vector operations, far cheaper on floats
+    than as numpy calls, with the same rounding.
     """
     params = config.params
     cons = config.constraints
-    anchors = swarm.positions()
-    tentative = anchors.copy()
+    max_step = cons.max_step_size
+    uavs = swarm.uavs
+    n = len(uavs)
+    anchors = [uav.position.tolist() for uav in uavs]
+    tentative = list(anchors)
+    gx, gy = swarm.global_best_position.tolist()
     # Balancing and nectar shares key on each agent's last realized fitness
     # (the reward credited for its previous move), not a re-evaluation at the
     # anchor: once a hotspot is marked, standing next to it scores nothing.
-    values = np.array([uav.fitness for uav in swarm.uavs])
-    median_value = _median(values.tolist())
-    proposal = StepProposal(positions=tentative)
+    values = [uav.fitness for uav in uavs]
+    median_value = _median(values)
+    report = constraints.ConstraintReport()
+    transit_legs = 0
+    guided = [False] * n
+    scanning = [True] * n
 
-    in_transit = np.array([uav.transit_target is not None for uav in swarm.uavs])
-    for i, uav in enumerate(swarm.uavs):
+    in_transit = [uav.transit_target is not None for uav in uavs]
+    for i, uav in enumerate(uavs):
         if in_transit[i]:
             continue
+        ax, ay = anchors[i]
         escape = constraints.escape_no_hotspot_zone(
-            anchors[i], hotspots, cons.no_hotspot_threshold_radius, cons.max_step_size
+            anchors[i], fitness.positions, cons.no_hotspot_threshold_radius, max_step
         )
         if escape is not None:
-            proposal.report.zone_escapes += 1
-            proposal.guided[i] = True
-            tentative[i] = _constrain_motion(anchors[i] + escape, anchors[i], config, proposal.report)
+            report.zone_escapes += 1
+            guided[i] = True
+            tentative[i] = _constrain_motion(
+                (ax + escape[0], ay + escape[1]), anchors[i], config, report
+            )
             continue
-        flight = levy_step(
+        fx, fy = levy_step(
             rngs[i], params.levy_weight, params.levy_beta, normalized=params.mantegna_normalized
         )
-        raw = anchors[i] + flight.vector
+        x, y = ax + fx, ay + fy
         if values[i] > median_value:
             j = _nearest_better_neighbor(anchors, values, i)
             if j is not None:
-                raw = raw + params.exploit_sign * params.exploit_coeff * (anchors[i] - anchors[j])
+                c = params.exploit_sign * params.exploit_coeff
+                x, y = x + c * (ax - anchors[j][0]), y + c * (ay - anchors[j][1])
         else:
-            raw = raw + params.explore_coeff * (swarm.global_best_position - anchors[i])
-        raw = np.asarray(raw, dtype=float)
-        waypoint = constraints.clamp_boundary(raw, config.grid)
-        if waypoint.tolist() != raw.tolist():
-            proposal.report.boundary_hits += 1
-        delta = waypoint - anchors[i]
-        if float(np.hypot(delta[0], delta[1])) > cons.max_step_size:
+            x, y = x + params.explore_coeff * (gx - ax), y + params.explore_coeff * (gy - ay)
+        waypoint = constraints._box(x, y, config.grid)
+        if waypoint != (x, y):
+            report.boundary_hits += 1
+        if constraints._norm_against(waypoint[0] - ax, waypoint[1] - ay, max_step) > max_step:
             # The flight outruns one step: commit to the waypoint and start
             # traversing below.
             uav.transit_target = waypoint
@@ -296,29 +354,27 @@ def propose_hybrid(
     # Relocation legs: committed waypoints (long Levy flights and scout
     # resets) are approached at full speed with the sensor off, landing
     # exactly — and scanning — once the target is within one step.
-    for i, uav in enumerate(swarm.uavs):
+    for i, uav in enumerate(uavs):
         if uav.transit_target is None:
             continue
-        proposal.transit_legs += 1
-        proposal.guided[i] = True
-        delta = uav.transit_target - anchors[i]
-        if float(np.hypot(delta[0], delta[1])) <= cons.max_step_size:
-            tentative[i] = uav.transit_target.copy()
+        transit_legs += 1
+        guided[i] = True
+        (tx, ty), (ax, ay) = uav.transit_target, anchors[i]
+        dx, dy = tx - ax, ty - ay
+        if constraints._norm_against(dx, dy, max_step) <= max_step:
+            tentative[i] = (tx, ty)
             uav.transit_target = None
         else:
-            proposal.scanning[i] = False
-            proposal.report.clamped_steps += 1
-            tentative[i] = constraints.settle_within(
-                anchors[i] + constraints.clamp_step(delta, cons.max_step_size),
-                anchors[i],
-                cons.max_step_size,
-            )
+            scanning[i] = False
+            report.clamped_steps += 1
+            sx, sy = constraints._clamp_xy(dx, dy, max_step)
+            tentative[i] = constraints._settle_xy(ax + sx, ay + sy, ax, ay, max_step)
 
     # Onlooker reinforcement: a Bernoulli per agent gates an extra Levy move,
     # kept only when it improves the fitness of that agent's tentative
     # position under the current uncovered set.
-    probs = nectar_probabilities(values)
-    for i in range(len(tentative)):
+    shares = _nectar_shares(values)
+    for i in range(n):
         if in_transit[i]:
             continue
         if params.adaptive_lambda:
@@ -326,20 +382,23 @@ def propose_hybrid(
                 values[i], swarm.global_best_fitness, params.sigma_sensitivity
             )
         else:
-            gate = float(probs[i])
+            gate = shares[i]
         if float(rngs[i].uniform(0.0, 1.0)) >= gate:
             continue
-        _reinforce(tentative, i, anchors, fitness, config, rngs[i], proposal.report)
+        _reinforce(tentative, i, anchors, fitness, config, rngs[i], report)
 
-    return proposal
+    return StepProposal(
+        np.array(tentative), transit_legs, report, np.array(guided), np.array(scanning)
+    )
 
 
 def _reinforce(tentative, i, anchors, fitness, config, src, report=None):
     params = config.params
-    flight = levy_step(
+    fx, fy = levy_step(
         src, params.levy_weight, params.levy_beta, normalized=params.mantegna_normalized
     )
-    candidate = _constrain_motion(tentative[i] + flight.vector, anchors[i], config, report)
+    x, y = tentative[i]
+    candidate = _constrain_motion((x + fx, y + fy), anchors[i], config, report)
     if fitness.value(candidate) > fitness.value(tentative[i]):
         tentative[i] = candidate
 
@@ -349,10 +408,9 @@ def propose_step(
     fitness: FitnessField,
     config: ScenarioConfig,
     rngs: list[RandomSource],
-    hotspots: list[Hotspot],
 ) -> StepProposal:
     if config.algorithm is Algorithm.ABC:
         return propose_abc(swarm, fitness, config, rngs)
     if config.algorithm is Algorithm.PSO:
         return propose_pso(swarm, fitness, config, rngs)
-    return propose_hybrid(swarm, fitness, config, rngs, hotspots)
+    return propose_hybrid(swarm, fitness, config, rngs)

@@ -12,8 +12,10 @@ caught instead of silently altering every experiment.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,12 +62,19 @@ class RandomSource:
         return self._gen.bit_generator.random_raw(n)
 
 
-@dataclass(frozen=True)
-class LevyStep:
+class LevyStep(NamedTuple):
     """A sampled 2-D heavy-tailed displacement, recorded before any clamping."""
 
-    vector: np.ndarray
-    raw_magnitude: float
+    x: float
+    y: float
+
+    @property
+    def vector(self) -> np.ndarray:
+        return np.array(self)
+
+    @property
+    def raw_magnitude(self) -> float:
+        return float(np.hypot(self.x, self.y))
 
 
 def mantegna_sigma(beta: float) -> float:
@@ -79,15 +88,30 @@ def mantegna_sigma(beta: float) -> float:
     """
     if not (isinstance(beta, (int, float)) and math.isfinite(beta)) or not 0.0 < beta <= 2.0:
         raise ParameterError(f"beta must lie in (0, 2], got {beta!r}")
+    return _mantegna_sigma(float(beta))
+
+
+# A run samples at one beta, so a handful of entries covers every caller.
+@functools.lru_cache(maxsize=8)
+def _mantegna_sigma(beta: float) -> float:
     num = math.gamma(1.0 + beta) * math.sin(math.pi * beta / 2.0)
     den = math.gamma((1.0 + beta) / 2.0) * beta * 2.0 ** ((beta - 1.0) / 2.0)
     return (num / den) ** (1.0 / beta)
 
 
-def _draw_v(src: RandomSource) -> float:
+def _normals(src: RandomSource):
+    """src's standard-normal stream: the four draws of a 2-D step in one
+    call, then one at a time for re-drawn denominators.  Philox gives the
+    same values in the same order as four single draws."""
+    yield from src.standard_normal(4).tolist()
+    while True:
+        yield float(src.standard_normal(1)[0])
+
+
+def _draw_v(draws) -> float:
     """Denominator Gaussian; re-draws near-zero values to bound 1/|v|^(1/beta)."""
     for _ in range(_MAX_REDRAWS + 1):
-        v = float(src.standard_normal(1)[0])
+        v = next(draws)
         if abs(v) >= _MIN_ABS_V:
             return v
     return _MIN_ABS_V
@@ -113,10 +137,11 @@ def levy_step(
         raise ParameterError(f"levy_weight must be positive, got {levy_weight!r}")
     sigma = mantegna_sigma(beta)  # validates beta
     scale = levy_weight * (sigma if normalized else 1.0)
-    out = np.empty(2)
-    for axis in range(2):
-        u = float(src.standard_normal(1)[0])
-        v = _draw_v(src)
+    draws = _normals(src)
+    out = []
+    for _ in range(2):
+        u = next(draws)
+        v = _draw_v(draws)
         try:
             denominator = abs(v) ** (1.0 / beta)
         except OverflowError:
@@ -124,5 +149,5 @@ def levy_step(
         step = scale * u / denominator if denominator > 0.0 else math.inf
         if not math.isfinite(step):
             step = math.copysign(_MAX_COMPONENT, u)
-        out[axis] = min(max(step, -_MAX_COMPONENT), _MAX_COMPONENT)
-    return LevyStep(vector=out, raw_magnitude=float(np.hypot(out[0], out[1])))
+        out.append(min(max(step, -_MAX_COMPONENT), _MAX_COMPONENT))
+    return LevyStep(*out)

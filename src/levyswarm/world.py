@@ -86,6 +86,18 @@ def field_value(value, kind: str, name: str, where: str = "", load: bool = False
     return value
 
 
+def left_to_right_sum(values) -> float:
+    """The sum of values as floats, added left to right.
+
+    Builtin sum() compensates float rounding on Python 3.12 and later, so
+    its last bits, which reach the artifacts, would depend on the version.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _check_fields(obj, where: str):
     """field_value on every float, int, bool and str field of the dataclass obj."""
     for f in fields(obj):
@@ -231,10 +243,11 @@ class UavState:
     best_fitness: float = -math.inf
     personal_best: np.ndarray | None = None
     velocity: np.ndarray | None = None
-    # Active relocation waypoint: set while the agent is committed to a
-    # multi-step traversal (a long Levy flight or a scout reset), cleared on
-    # arrival.  The agent flies toward it at the per-step speed cap.
-    transit_target: np.ndarray | None = None
+    # Active relocation waypoint, an (x, y) pair of floats: set while the
+    # agent is committed to a multi-step traversal (a long Levy flight or a
+    # scout reset), cleared on arrival.  The agent flies toward it at the
+    # per-step speed cap.
+    transit_target: tuple[float, float] | None = None
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
@@ -293,7 +306,7 @@ class ScenarioConfig:
         if not self.grid.contains(self.start_position):
             raise ValidationError("start_position lies outside the grid")
         if self.params.shaping:
-            total_w = sum(h.weight for h in self.hotspots)
+            total_w = left_to_right_sum(h.weight for h in self.hotspots)
             min_w = min(h.weight for h in self.hotspots)
             if not self.params.shaping_epsilon * total_w < min_w:
                 raise ValidationError(
@@ -385,29 +398,37 @@ def mark_coverage(
     hotspots: list[Hotspot],
     coverage_radius: float,
     scanning: np.ndarray | None = None,
+    positions: np.ndarray | None = None,
+    uncovered: np.ndarray | None = None,
 ) -> list[int]:
     """Flip uncovered hotspots within coverage_radius of any scanning UAV.
 
     Returns the indices newly covered.  ``scanning`` masks which agents have
     an active sensor this step (default: all); agents mid-traversal of a
-    committed relocation fly dark and only scan on arrival.
+    committed relocation fly dark and only scan on arrival.  A caller that
+    already holds them may pass the agents' positions (default
+    swarm.positions()) and the uncovered hotspots' positions in list order
+    (``FitnessField.positions``), so neither is built again.
     """
     field_value(coverage_radius, "float", "coverage_radius")
-    positions = swarm.positions()
+    if positions is None:
+        positions = swarm.positions()
     if scanning is not None:
         positions = positions[np.asarray(scanning, dtype=bool)]
-    uncovered = [k for k, hot in enumerate(hotspots) if not hot.covered]
+    indices = [k for k, hot in enumerate(hotspots) if not hot.covered]
     newly = []
-    if len(positions) and uncovered:
+    if len(positions) and indices:
+        if uncovered is None:
+            uncovered = np.array([hotspots[k].position for k in indices])
         # One agents x uncovered-hotspots distance matrix; np.hypot over an
         # array rounds exactly as it does element by element.
-        delta = positions[:, None, :] - np.array([hotspots[k].position for k in uncovered])
+        delta = positions[:, None, :] - uncovered
         nearest = np.hypot(delta[..., 0], delta[..., 1]).min(axis=0)
-        for k, d in zip(uncovered, nearest.tolist()):
+        for k, d in zip(indices, nearest.tolist()):
             if d <= coverage_radius:
                 hotspots[k].covered = True
                 newly.append(k)
-    swarm.covered_count = sum(1 for h in hotspots if h.covered)
+    swarm.covered_count = len(hotspots) - len(indices) + len(newly)
     return newly
 
 

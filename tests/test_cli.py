@@ -364,6 +364,16 @@ class TestCompareCommand:
         assert code == EXIT_INVALID
         assert "must be distinct" in capsys.readouterr().err
 
+    def test_duplicate_in_a_long_seed_list_is_named_briefly(self, capsys):
+        seeds = ",".join(map(str, [*range(9_999), 0]))
+        code = main(
+            ["compare", "--algorithms", "hybrid,abc", "--seeds", seeds, "--max-steps", "5"]
+        )
+        assert code == EXIT_INVALID
+        (line,) = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+        assert len(line.encode()) < 200
+        assert line.endswith("compare seeds must be distinct, 1 repeated: 0")
+
 
 class TestSeedListCap:
     """An explicit seed list is held to the 10 000 cap of a seed count."""

@@ -31,7 +31,7 @@ from levyswarm.constraints import (
     safe_zone_separation,
     settle_within,
 )
-from levyswarm.harness import _collision_stage, _min_pairwise, _pair_deltas, run_scenario
+from levyswarm.harness import _collision_stage, run_scenario
 from levyswarm.world import AlgorithmParams, ConstraintParams, GridConfig, preset_scenario
 
 # --- reference: the ungated collision stage -----------------------------------
@@ -61,12 +61,18 @@ def reference_stage(tentative, anchors, cons, grid):
     return final, intervened
 
 
+def reference_min_pairwise(positions):
+    """The smallest pair distance by math.hypot over _close_pairs' deltas."""
+    delta = _close_pairs(positions, math.inf)[2]
+    return min(map(math.hypot, delta[:, 0].tolist(), delta[:, 1].tolist()), default=math.inf)
+
+
 def assert_stage_matches(tentative, anchors, cons, grid):
-    final, intervened, delta = _collision_stage(tentative.copy(), anchors, cons, grid)
+    final, intervened, min_pairwise = _collision_stage(tentative.copy(), anchors, cons, grid)
     ref_final, ref_intervened = reference_stage(tentative.copy(), anchors, cons, grid)
     assert final.tobytes() == ref_final.tobytes()
     assert intervened.tolist() == ref_intervened.tolist()
-    assert _min_pairwise(delta) == _min_pairwise(_pair_deltas(ref_final))
+    assert min_pairwise == reference_min_pairwise(ref_final)
 
 
 GRID = GridConfig(40, 40)

@@ -22,6 +22,7 @@ from levyswarm.constraints import (
     safe_zone_separation,
     settle_within,
 )
+from levyswarm.optimizers import FitnessField
 from levyswarm.world import GridConfig, Hotspot, ValidationError
 
 finite_coord = st.floats(
@@ -274,7 +275,9 @@ class TestPotentialFieldRepulsion:
 
 class TestEscapeNoHotspotZone:
     def hotspots(self, *specs):
-        return [Hotspot(position=np.array(p, dtype=float), covered=c) for p, c in specs]
+        """The uncovered hotspots' positions, as the fitness field holds them."""
+        hotspots = [Hotspot(position=np.array(p, dtype=float), covered=c) for p, c in specs]
+        return FitnessField(hotspots, coverage_radius=3.0).positions
 
     def test_none_when_everything_covered(self):
         hs = self.hotspots(([1.0, 1.0], True), ([2.0, 2.0], True))

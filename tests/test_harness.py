@@ -313,3 +313,13 @@ class TestCompare:
             compare_algorithms(["hybrid", "abc"], seeds=[])
         with pytest.raises(ValidationError, match="distinct"):
             compare_algorithms(["hybrid", "abc"], seeds=[1, 1], max_steps=5)
+
+    def test_repeats_are_named_up_to_three(self):
+        spec = SweepSpec(levy_weights=[1.5, 2.0, 1.5, 3.0, 2.0, 5.0, 3.0, 5.0], seeds=[0])
+        with pytest.raises(ValidationError) as error:
+            spec.validate()
+        assert str(error.value) == (
+            "sweep levy_weights must be distinct, 4 repeated: 1.5, 2.0, 3.0, ..."
+        )
+        with pytest.raises(ValidationError, match=r"1 repeated: 'abc'$"):
+            compare_algorithms(["abc", "hybrid", "abc"], seeds=[0])

@@ -161,6 +161,12 @@ class TestBiodiversity:
     def test_zero_when_nothing_covered(self):
         assert biodiversity_metric([Hotspot(position=np.zeros(2))]) == 0.0
 
+    def test_adds_left_to_right_on_every_python(self):
+        # runs.csv writes the repr.  Left to right, ten weights of 0.1 add up
+        # to 0.9999999999999999; builtin sum() gives 1.0 from Python 3.12 on.
+        hotspots = [Hotspot(position=np.zeros(2), weight=0.1, covered=True) for _ in range(10)]
+        assert repr(biodiversity_metric(hotspots)) == "0.9999999999999999"
+
 
 class TestRunsCsv:
     def test_row_formatting(self):

@@ -353,7 +353,7 @@ class TestHybridFlights(HybridBase):
     def test_short_flight_lands_in_one_step(self):
         config, swarm, field = self.setup_run([hs(16.0, 50.0)], [10.0, 50.0])
         rng = ScriptedSource(normals=flight(4.0, 0.0), uniforms=[1.0])
-        proposal = propose_hybrid(swarm, field, config, [rng], config.hotspots)
+        proposal = propose_hybrid(swarm, field, config, [rng])
         assert np.array_equal(proposal.positions[0], [14.0, 50.0])
         assert swarm.uavs[0].transit_target is None
         assert proposal.transit_legs == 0
@@ -362,7 +362,7 @@ class TestHybridFlights(HybridBase):
     def test_long_flight_commits_to_waypoint_and_flies_dark(self):
         config, swarm, field = self.setup_run([hs(12.0, 50.0)], [10.0, 50.0])
         rng = ScriptedSource(normals=flight(40.0, 0.0))
-        proposal = propose_hybrid(swarm, field, config, [rng], config.hotspots)
+        proposal = propose_hybrid(swarm, field, config, [rng])
         assert np.array_equal(swarm.uavs[0].transit_target, [50.0, 50.0])
         assert np.array_equal(proposal.positions[0], [15.0, 50.0])  # one full step
         assert proposal.transit_legs == 1
@@ -374,14 +374,14 @@ class TestHybridFlights(HybridBase):
         config, swarm, field = self.setup_run([hs(12.0, 50.0)], [10.0, 50.0])
         swarm.uavs[0].transit_target = np.array([50.0, 50.0])
         rng = ScriptedSource()  # any draw would raise IndexError
-        proposal = propose_hybrid(swarm, field, config, [rng], config.hotspots)
+        proposal = propose_hybrid(swarm, field, config, [rng])
         assert np.array_equal(proposal.positions[0], [15.0, 50.0])
         assert proposal.transit_legs == 1 and not proposal.scanning[0]
 
     def test_landing_is_exact_and_scans(self):
         config, swarm, field = self.setup_run([hs(12.0, 50.0)], [46.0, 50.0])
         swarm.uavs[0].transit_target = np.array([50.0, 50.0])
-        proposal = propose_hybrid(swarm, field, config, [ScriptedSource()], config.hotspots)
+        proposal = propose_hybrid(swarm, field, config, [ScriptedSource()])
         assert np.array_equal(proposal.positions[0], [50.0, 50.0])
         assert swarm.uavs[0].transit_target is None
         assert proposal.transit_legs == 1
@@ -391,7 +391,7 @@ class TestHybridFlights(HybridBase):
     def test_boundary_clips_waypoint_before_committing(self):
         config, swarm, field = self.setup_run([hs(12.0, 50.0)], [10.0, 50.0])
         rng = ScriptedSource(normals=flight(-40.0, 0.0))
-        proposal = propose_hybrid(swarm, field, config, [rng], config.hotspots)
+        proposal = propose_hybrid(swarm, field, config, [rng])
         assert np.array_equal(swarm.uavs[0].transit_target, [0.0, 50.0])
         assert np.array_equal(proposal.positions[0], [5.0, 50.0])
         assert proposal.report.boundary_hits == 1
@@ -401,7 +401,7 @@ class TestHybridEscape(HybridBase):
     def test_dead_ground_triggers_full_speed_escape(self):
         config, swarm, field = self.setup_run([hs(90.0, 50.0)], [50.0, 50.0])
         rng = ScriptedSource(uniforms=[1.0])  # onlooker gate only; no flight drawn
-        proposal = propose_hybrid(swarm, field, config, [rng], config.hotspots)
+        proposal = propose_hybrid(swarm, field, config, [rng])
         assert np.array_equal(proposal.positions[0], [55.0, 50.0])
         assert proposal.report.zone_escapes == 1
         assert proposal.guided[0] and proposal.scanning[0]
@@ -410,7 +410,7 @@ class TestHybridEscape(HybridBase):
     def test_uncovered_hotspot_nearby_suppresses_escape(self):
         config, swarm, field = self.setup_run([hs(60.0, 50.0)], [50.0, 50.0])
         rng = ScriptedSource(normals=zero_flight(), uniforms=[1.0])
-        proposal = propose_hybrid(swarm, field, config, [rng], config.hotspots)
+        proposal = propose_hybrid(swarm, field, config, [rng])
         assert proposal.report.zone_escapes == 0
         assert np.array_equal(proposal.positions[0], [50.0, 50.0])
 
@@ -418,9 +418,7 @@ class TestHybridEscape(HybridBase):
         config, swarm, field = self.setup_run(
             [hs(52.0, 50.0, covered=True), hs(90.0, 50.0)], [50.0, 50.0]
         )
-        proposal = propose_hybrid(
-            swarm, field, config, [ScriptedSource(uniforms=[1.0])], config.hotspots
-        )
+        proposal = propose_hybrid(swarm, field, config, [ScriptedSource(uniforms=[1.0])])
         assert proposal.report.zone_escapes == 1
         assert np.array_equal(proposal.positions[0], [55.0, 50.0])
 
@@ -443,7 +441,7 @@ class TestHybridBalancing(HybridBase):
 
     def test_above_median_agents_step_away_from_better_neighbor(self):
         config, swarm, field, anchors, rngs = self.four_agent_setup()
-        proposal = propose_hybrid(swarm, field, config, rngs, config.hotspots)
+        proposal = propose_hybrid(swarm, field, config, rngs)
         expected0 = (anchors[0] + np.zeros(2)) + (1 * 0.02) * (anchors[0] - anchors[1])
         assert np.array_equal(proposal.positions[0], np.clip(expected0, 0.0, 100.0))
         # The top agent has no better neighbour: flight only.
@@ -451,7 +449,7 @@ class TestHybridBalancing(HybridBase):
 
     def test_below_median_agents_drift_toward_global_best(self):
         config, swarm, field, anchors, rngs = self.four_agent_setup()
-        proposal = propose_hybrid(swarm, field, config, rngs, config.hotspots)
+        proposal = propose_hybrid(swarm, field, config, rngs)
         gbest = np.array([30.0, 0.0])
         for i in (2, 3):
             expected = (anchors[i] + np.zeros(2)) + 0.02 * (gbest - anchors[i])
@@ -459,7 +457,7 @@ class TestHybridBalancing(HybridBase):
 
     def test_exploit_sign_flips_the_nudge(self):
         config, swarm, field, anchors, rngs = self.four_agent_setup(exploit_sign=-1)
-        proposal = propose_hybrid(swarm, field, config, rngs, config.hotspots)
+        proposal = propose_hybrid(swarm, field, config, rngs)
         expected0 = (anchors[0] + np.zeros(2)) + (-1 * 0.02) * (anchors[0] - anchors[1])
         assert np.array_equal(proposal.positions[0], np.clip(expected0, 0.0, 100.0))
 
@@ -469,14 +467,14 @@ class TestHybridOnlooker(HybridBase):
         config, swarm, field = self.setup_run([hs(16.0, 50.0)], [10.0, 50.0])
         swarm.uavs[0].fitness = 1.0  # nectar share 1 -> gate certain
         rng = ScriptedSource(normals=zero_flight() + flight(4.0, 0.0), uniforms=[0.0])
-        proposal = propose_hybrid(swarm, field, config, [rng], config.hotspots)
+        proposal = propose_hybrid(swarm, field, config, [rng])
         assert np.array_equal(proposal.positions[0], [14.0, 50.0])
 
     def test_reinforcement_dropped_without_improvement(self):
         config, swarm, field = self.setup_run([hs(16.0, 50.0)], [10.0, 50.0])
         swarm.uavs[0].fitness = 1.0
         rng = ScriptedSource(normals=zero_flight() + flight(1.0, 0.0), uniforms=[0.0])
-        proposal = propose_hybrid(swarm, field, config, [rng], config.hotspots)
+        proposal = propose_hybrid(swarm, field, config, [rng])
         assert np.array_equal(proposal.positions[0], [10.0, 50.0])
 
     def test_adaptive_gate_uses_sigmoid(self):
@@ -486,19 +484,19 @@ class TestHybridOnlooker(HybridBase):
         )
         swarm.global_best_fitness = 0.0
         skip = ScriptedSource(normals=zero_flight(), uniforms=[0.6])
-        propose_hybrid(swarm, field, config, [skip], config.hotspots)
+        propose_hybrid(swarm, field, config, [skip])
         assert not skip.normals and not skip.uniforms
 
         swarm.uavs[0].transit_target = None
         fire = ScriptedSource(normals=zero_flight() + zero_flight(), uniforms=[0.4])
-        propose_hybrid(swarm, field, config, [fire], config.hotspots)
+        propose_hybrid(swarm, field, config, [fire])
         assert not fire.normals and not fire.uniforms
 
     def test_agents_in_transit_sit_out_the_onlooker_pass(self):
         config, swarm, field = self.setup_run([hs(12.0, 50.0)], [10.0, 50.0])
         swarm.uavs[0].transit_target = np.array([90.0, 50.0])
         # Empty queues: any onlooker draw would raise IndexError.
-        propose_hybrid(swarm, field, config, [ScriptedSource()], config.hotspots)
+        propose_hybrid(swarm, field, config, [ScriptedSource()])
 
 
 class TestHybridInvariants:
@@ -510,7 +508,7 @@ class TestHybridInvariants:
         anchors = swarm.positions()
         field = FitnessField.from_config(config.hotspots, config)
         rngs = [RandomSource(seed=seed, stream_id=i) for i in range(5)]
-        proposal = propose_hybrid(swarm, field, config, rngs, config.hotspots)
+        proposal = propose_hybrid(swarm, field, config, rngs)
         for final, anchor in zip(proposal.positions, anchors):
             assert float(np.hypot(*(final - anchor))) <= config.constraints.max_step_size
             assert config.grid.contains(final)
@@ -525,7 +523,7 @@ class TestDispatch:
         anchors = swarm.positions()
         field = FitnessField.from_config(config.hotspots, config)
         rngs = [RandomSource(seed=11, stream_id=i) for i in range(4)]
-        proposal = propose_step(swarm, field, config, rngs, config.hotspots)
+        proposal = propose_step(swarm, field, config, rngs)
         assert isinstance(proposal, StepProposal)
         assert proposal.positions.shape == (4, 2)
         for final, anchor in zip(proposal.positions, anchors):

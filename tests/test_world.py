@@ -205,6 +205,15 @@ class TestScenarioConfigValidation:
                 hotspots=hotspots, params=AlgorithmParams(shaping=True, shaping_epsilon=0.05)
             ).validate()
 
+    def test_shaping_bound_adds_weights_left_to_right(self):
+        # Ten weights of 0.1 add up to 0.9999999999999999 left to right, so
+        # 0.1 * sum(w) < 0.1 holds.  With builtin sum() on Python 3.12 and
+        # later, the sum is 1.0 and the same file would be rejected.
+        hotspots = [Hotspot(position=np.array([float(i), 1.0]), weight=0.1) for i in range(10)]
+        ScenarioConfig(
+            hotspots=hotspots, params=AlgorithmParams(shaping=True, shaping_epsilon=0.1)
+        ).validate()
+
 
 class TestMakeSwarm:
     def test_all_uavs_at_start(self):
