@@ -154,6 +154,26 @@ class TestGatedStageMatchesReference:
         assert_stage_matches(tentative, tentative, cons, GRID)
         assert calls == ([1] if ulps < 0 else [])
 
+    @pytest.mark.parametrize("math_above", [True, False])
+    @pytest.mark.parametrize("on", ["np", "math"])
+    def test_pair_the_two_norms_round_apart_at_the_reach(self, math_above, on):
+        # math.hypot and np.hypot differ by an ulp on this pair, and the
+        # reach sits on one of the two values: the gate must follow np.hypot,
+        # as _close_pairs in the ungated stage does.
+        dy = 1.0 / 3.0
+        for dx in np.linspace(0.1, 1.9, 4000).tolist():
+            norm, fast = float(np.hypot(dx, dy)), math.hypot(dx, dy)
+            if fast != norm and (fast > norm) == math_above:
+                break
+        else:
+            pytest.skip("no rounding difference between the two norms on this platform")
+        reach = norm if on == "np" else fast
+        cons = ConstraintParams(
+            max_step_size=1.0, safe_zone_radius=reach, collision_radius=reach / 2.0
+        )
+        tentative = np.array([[0.0, 0.0], [dx, dy], [30.0, 30.0]])
+        assert_stage_matches(tentative, tentative, cons, GRID)
+
     def test_negative_zero_becomes_positive_on_a_skipped_step(self):
         tentative = np.array([[-0.0, 5.0], [20.0, -0.0]])
         final, intervened, _ = _collision_stage(tentative, tentative, ConstraintParams(), GRID)

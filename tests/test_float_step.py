@@ -81,17 +81,19 @@ class TestNormAgainst:
         want = compare(float(np.hypot(dx, dy)), limit)
         assert compare(_norm_against(dx, dy, limit), limit) == want
 
-    def test_a_pair_the_two_norms_round_apart(self):
+    @pytest.mark.parametrize("math_below", [True, False])
+    def test_a_pair_the_two_norms_round_apart(self, math_below):
+        # With the limit on either norm's value, only np.hypot's decides.
         dy = 1.0 / 3.0
-        for dx in np.linspace(0.1, 9.9, 2000).tolist():
-            if math.hypot(dx, dy) < float(np.hypot(dx, dy)):
+        for dx in np.linspace(0.1, 9.9, 4000).tolist():
+            norm, fast = float(np.hypot(dx, dy)), math.hypot(dx, dy)
+            if fast != norm and (fast < norm) == math_below:
                 break
         else:
             pytest.skip("no rounding difference between the two norms on this platform")
-        limit = math.hypot(dx, dy)
-        # math.hypot alone would say "not beyond"; np.hypot says beyond.
-        assert float(np.hypot(dx, dy)) > limit
-        assert _norm_against(dx, dy, limit) > limit
+        for limit in (norm, fast):
+            for compare in COMPARISONS:
+                assert compare(_norm_against(dx, dy, limit), limit) == compare(norm, limit)
 
 
 # --- levy_step: one batched draw against four scalar draws ----------------------
