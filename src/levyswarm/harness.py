@@ -158,11 +158,13 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         uav.fitness = value
         uav.best_fitness = value
         swarm.observe(uav.position, value)
-    if mark_coverage(swarm, hotspots, cons.coverage_radius):
+    if mark_coverage(
+        swarm, hotspots, cons.coverage_radius, positions=start_positions, field=fitness
+    ):
         fitness = FitnessField.from_config(hotspots, config)
 
     heatmap = Heatmap.for_grid(config.grid)
-    heatmap.record(start_positions.tolist())
+    heatmap.record(start_positions)
     coverage_curve = [(0, swarm.covered_count)]
     min_pairwise_series = [_min_pairwise(start_positions.tolist())]
     trajectories = [start_positions] if record_trajectories else None
@@ -216,11 +218,11 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         # when this step covers something.
         if mark_coverage(
             swarm, hotspots, cons.coverage_radius, scanning=proposal.scanning,
-            positions=final, uncovered=fitness.positions,
+            positions=final, field=fitness,
         ):
             fitness = FitnessField.from_config(hotspots, config)
 
-        heatmap.record(final.tolist())
+        heatmap.record(final)
         coverage_curve.append((step, swarm.covered_count))
         min_pairwise_series.append(min_pairwise)
         if record_trajectories:

@@ -80,14 +80,10 @@ class Heatmap:
         return min(int(y), self.height - 1), min(int(x), self.width - 1)
 
     def record(self, positions):
-        """Count every position, or none of them when one is out of the domain.
-
-        positions is one (x, y), an (n, 2) array, or a list of (x, y) lists,
-        which is read as it is.
-        """
-        if not (isinstance(positions, list) and positions and isinstance(positions[0], list)):
-            positions = np.atleast_2d(np.asarray(positions, dtype=float)).tolist()
-        cells = [self.cell_of(p) for p in positions]
+        """Count every position, or none of them when one is out of the domain."""
+        cells = [
+            self.cell_of(p) for p in np.atleast_2d(np.asarray(positions, dtype=float)).tolist()
+        ]
         for cell in cells:
             self.counts[cell] += 1
 

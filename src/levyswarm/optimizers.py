@@ -18,7 +18,7 @@ import numpy as np
 
 from . import constraints
 from .rng import RandomSource, levy_step
-from .world import Algorithm, ScenarioConfig, SwarmState, ValidationError
+from .world import Algorithm, ScenarioConfig, SwarmState, ValidationError, uncovered_indices
 
 
 class FitnessField:
@@ -28,19 +28,20 @@ class FitnessField:
     x, plus (optionally) a small proximity shaping term
     epsilon * sum_k w_k / (1 + d_k) over the uncovered hotspots, which gives
     hill-climbing acceptance rules a gradient to follow between coverage
-    plateaus.  Covered hotspots contribute nothing.
+    plateaus.  Covered hotspots contribute nothing.  ``indices`` names the
+    uncovered hotspots in list order, one per row of ``positions``.
     """
 
-    __slots__ = ("positions", "weights", "coverage_radius", "shaping", "epsilon")
+    __slots__ = ("indices", "positions", "weights", "coverage_radius", "shaping", "epsilon")
 
     def __init__(self, hotspots, coverage_radius, shaping=False, epsilon=0.01):
-        uncovered = [h for h in hotspots if not h.covered]
+        self.indices = uncovered_indices(hotspots)
         self.positions = (
-            np.array([h.position for h in uncovered], dtype=float)
-            if uncovered
+            np.array([hotspots[k].position for k in self.indices], dtype=float)
+            if self.indices
             else np.zeros((0, 2))
         )
-        self.weights = np.array([h.weight for h in uncovered], dtype=float)
+        self.weights = np.array([hotspots[k].weight for k in self.indices], dtype=float)
         self.coverage_radius = float(coverage_radius)
         self.shaping = bool(shaping)
         self.epsilon = float(epsilon)

@@ -393,13 +393,18 @@ def two_cluster_far_indices(n_hotspots: int) -> list[int]:
     return list(range((n_hotspots + 1) // 2, n_hotspots))
 
 
+def uncovered_indices(hotspots: list[Hotspot]) -> list[int]:
+    """Indices of the uncovered hotspots, in list order."""
+    return [k for k, hot in enumerate(hotspots) if not hot.covered]
+
+
 def mark_coverage(
     swarm: SwarmState,
     hotspots: list[Hotspot],
     coverage_radius: float,
     scanning: np.ndarray | None = None,
     positions: np.ndarray | None = None,
-    uncovered: np.ndarray | None = None,
+    field=None,
 ) -> list[int]:
     """Flip uncovered hotspots within coverage_radius of any scanning UAV.
 
@@ -407,19 +412,24 @@ def mark_coverage(
     an active sensor this step (default: all); agents mid-traversal of a
     committed relocation fly dark and only scan on arrival.  A caller that
     already holds them may pass the agents' positions (default
-    swarm.positions()) and the uncovered hotspots' positions in list order
-    (``FitnessField.positions``), so neither is built again.
+    swarm.positions()) and a FitnessField built on the hotspots' current
+    coverage, whose uncovered positions are then used as they are; a field
+    built on other coverage is a ValidationError.
     """
     field_value(coverage_radius, "float", "coverage_radius")
     if positions is None:
         positions = swarm.positions()
     if scanning is not None:
         positions = positions[np.asarray(scanning, dtype=bool)]
-    indices = [k for k, hot in enumerate(hotspots) if not hot.covered]
+    indices = uncovered_indices(hotspots)
+    if field is not None and field.indices != indices:
+        raise ValidationError("the fitness field was built on other hotspot coverage")
     newly = []
     if len(positions) and indices:
-        if uncovered is None:
+        if field is None:
             uncovered = np.array([hotspots[k].position for k in indices])
+        else:
+            uncovered = field.positions
         # One agents x uncovered-hotspots distance matrix; np.hypot over an
         # array rounds exactly as it does element by element.
         delta = positions[:, None, :] - uncovered

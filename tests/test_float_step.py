@@ -314,13 +314,23 @@ def test_mark_coverage_with_held_arrays(agents, hotspots, scan):
     held = swarm()
     got = mark_coverage(
         held, hotspots, 3.0, scanning=scanning,
-        positions=held.positions(), uncovered=FitnessField(hotspots, 3.0).positions,
+        positions=held.positions(), field=FitnessField(hotspots, 3.0),
     )
     default = swarm()
     want = mark_coverage(default, copies, 3.0, scanning=scanning)
     assert got == want
     assert [h.covered for h in hotspots] == [h.covered for h in copies]
     assert held.covered_count == default.covered_count == sum(h.covered for h in copies)
+
+
+def test_mark_coverage_refuses_a_field_built_on_other_coverage():
+    hotspots = [Hotspot(np.array([1.0, 1.0])), Hotspot(np.array([9.0, 9.0]))]
+    stale = FitnessField(hotspots, 3.0)
+    hotspots[1].covered = True
+    swarm = SwarmState([UavState(position=(1.0, 1.0))], np.zeros(2))
+    with pytest.raises(ValidationError, match="other hotspot coverage"):
+        mark_coverage(swarm, hotspots, 3.0, field=stale)
+    assert not hotspots[0].covered
 
 
 @pytest.mark.parametrize("as_list", [True, False])
