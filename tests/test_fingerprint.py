@@ -34,12 +34,17 @@ from levyswarm.world import (
 GOLDEN = Path(__file__).parent / "golden" / "behaviour_fingerprint.txt"
 STEPS = 300
 CROWD_CASE = "uniform/hybrid-abc-levy/7/n_uavs=8"
-# Eight agents over 40 uniform hotspots weighted 0.1 to 0.9 in turn.  Every
-# other case has unit weights, whose sums are exact integers in any order.
-# This one pins the bytes of a fractional biodiversity_b, and the nectar
-# shares of eight agents, where np.sum adds in a pairwise order of its own
-# (on two of its steps that order and a left-to-right sum differ).
+# Eight agents over 40 uniform hotspots weighted 0.1 to 0.9 in turn, once
+# per algorithm.  Every other case has unit weights, whose sums are exact
+# integers in any order.  These pin the bytes of a fractional
+# biodiversity_b, and the nectar shares of eight agents, where np.sum adds in
+# a pairwise order of its own (on two of the hybrid's steps that order and a
+# left-to-right sum differ).  The PSO case runs the soft forces over 28 pairs
+# on nearly every step.
 WEIGHTED_CASE = "uniform40/hybrid-abc-levy/5/n_uavs=8,weights=0.1..0.9"
+WEIGHTED_CASES = [WEIGHTED_CASE] + [
+    f"uniform40/{algorithm}/5/n_uavs=8,weights=0.1..0.9" for algorithm in ("abc", "pso")
+]
 WEIGHTS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # Six PSO agents clumped on a 20x20 grid with a collision radius twice the
 # step size: the collision resolver stalls and reverts agents to their step
@@ -75,18 +80,19 @@ CASES = [
     for preset in ("uniform20", "twocluster20")
     for algorithm in ("hybrid-abc-levy", "abc", "pso")
     for seed in (0, 1)
-] + [CROWD_CASE, WEIGHTED_CASE] + TIGHT_CASES + list(KNOB_CASES)
+] + [CROWD_CASE] + WEIGHTED_CASES + TIGHT_CASES + list(KNOB_CASES)
 
 
 def scenario(case: str):
     if case == CROWD_CASE:
         return make_scenario("uniform", 20, 7, n_uavs=8, max_steps=STEPS)
-    if case == WEIGHTED_CASE:
+    if case in WEIGHTED_CASES:
         hotspots = generate_hotspots(ScenarioKind.UNIFORM_RANDOM, 40, 5, GridConfig())
         for k, hotspot in enumerate(hotspots):
             hotspot.weight = WEIGHTS[k % len(WEIGHTS)]
         return make_scenario(
-            "custom", 40, 5, custom_hotspots=hotspots, n_uavs=8, max_steps=STEPS
+            "custom", 40, 5, custom_hotspots=hotspots, algorithm=case.split("/")[1],
+            n_uavs=8, max_steps=STEPS,
         )
     if case in TIGHT_CASES:
         kind, algorithm, seed, _ = case.split("/")
