@@ -142,31 +142,17 @@ def clamp_boundary(position, grid: GridConfig) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, 1)
-
-
-def _close_pairs(positions: np.ndarray, radius: float):
-    """Agent pairs closer than radius: (i, j, delta, d), pairs in (i, j) order.
-
-    i < j index arrays, delta = positions[i] - positions[j] and d its
-    ``np.hypot`` length.  Every pair loop in the step pipeline walks this one
-    list, so the order in which per-agent offsets accumulate is fixed here.
-    """
-    i, j = _pair_index(len(positions))
-    delta = positions[i] - positions[j]
-    d = np.hypot(delta[:, 0], delta[:, 1])
-    close = d < radius
-    return i[close], j[close], delta[close], d[close]
-
-
-@functools.lru_cache(maxsize=None)
 def _pair_list(n: int) -> list[tuple[int, int]]:
-    return list(zip(*(index.tolist() for index in _pair_index(n))))
+    """Every agent pair (i, j) with i < j, in (i, j) order.
+
+    Every pair loop in the step pipeline walks this one list, so the order in
+    which per-agent offsets accumulate is fixed here.
+    """
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def _violating_pairs(pos: list[tuple[float, float]], radius: float) -> list[tuple[int, int]]:
-    """The (i, j) pairs of _close_pairs(np.array(pos), radius), on (x, y) floats."""
+    """The pairs of _pair_list closer than radius, by np.hypot's length."""
     return [
         (i, j)
         for i, j in _pair_list(len(pos))
@@ -174,16 +160,23 @@ def _violating_pairs(pos: list[tuple[float, float]], radius: float) -> list[tupl
     ]
 
 
-def _accumulate(n: int, i: np.ndarray, j: np.ndarray, push: np.ndarray) -> np.ndarray:
-    """Per-agent sums of +push on the i side and -push on the j side.
+def _soft_offsets(positions, radius: float, push) -> list[list[float]]:
+    """Per-agent sums of push(dx, dy, d) over the pairs closer than radius.
 
-    Walking pairs in (i, j) order, each agent meets all its j-side pairs
-    before any of its i-side pairs; subtracting first keeps that addition
-    order per agent, and with it every rounding.
+    (dx, dy) is position i minus position j and d its np.hypot length; agent
+    i receives +push, agent j -push.  Walking pairs in (i, j) order, each
+    agent meets all its j-side pairs before any of its i-side pairs; every
+    rounding of the sums depends on that addition order.
     """
-    offsets = np.zeros((n, 2))
-    np.subtract.at(offsets, j, push)
-    np.add.at(offsets, i, push)
+    pos = np.asarray(positions, dtype=float).tolist()
+    offsets = [[0.0, 0.0] for _ in pos]
+    for i, j in _violating_pairs(pos, radius):
+        dx, dy = pos[i][0] - pos[j][0], pos[i][1] - pos[j][1]
+        px, py = push(dx, dy, float(np.hypot(dx, dy)))
+        offsets[i][0] += px
+        offsets[i][1] += py
+        offsets[j][0] -= px
+        offsets[j][1] -= py
     return offsets
 
 
@@ -196,12 +189,14 @@ def safe_zone_separation(positions: np.ndarray, safe_zone_radius: float) -> np.n
     multiple neighbours accumulate.  A coincident pair falls back to the
     x axis: +x for the lower index, -x for the higher.
     """
-    positions = np.asarray(positions, dtype=float)
-    i, j, delta, d = _close_pairs(positions, safe_zone_radius)
-    coincident = d < COINCIDENT_DISTANCE
-    unit = delta / np.where(coincident, 1.0, d)[:, None]
-    unit[coincident] = (1.0, 0.0)
-    return _accumulate(len(positions), i, j, 0.5 * safe_zone_radius * unit)
+    half = 0.5 * safe_zone_radius
+
+    def push(dx, dy, d):
+        if d < COINCIDENT_DISTANCE:
+            return half, 0.0
+        return half * (dx / d), half * (dy / d)
+
+    return np.array(_soft_offsets(positions, safe_zone_radius, push)).reshape(-1, 2)
 
 
 def potential_field_repulsion(
@@ -219,22 +214,21 @@ def potential_field_repulsion(
     floored at 1e-9.  Each agent's accumulated offset is clamped to
     max_step_size, which also caps that blow-up.
     """
-    positions = np.asarray(positions, dtype=float)
     influence = 2.0 * collision_radius
-    i, j, delta, d = _close_pairs(positions, influence)
-    coincident = d < COINCIDENT_DISTANCE
-    d_eff = np.where(coincident, COINCIDENT_DISTANCE, d)
-    unit = delta / d_eff[:, None]
-    unit[coincident] = (1.0, 0.0)
-    # Python's float ** goes through libm pow, which rounds differently from
-    # numpy's d * d on about 0.1% of inputs; the behaviour fingerprint pins
-    # the libm rounding, so each distance is squared in Python.
-    d_squared = np.array([x**2 for x in d_eff.tolist()])
-    magnitude = gain * (1.0 / d_eff - 1.0 / influence) / d_squared
-    offsets = _accumulate(len(positions), i, j, magnitude[:, None] * unit)
-    for k in range(len(offsets)):
-        offsets[k] = clamp_step(offsets[k], max_step_size)
-    return offsets
+
+    def push(dx, dy, d):
+        if d < COINCIDENT_DISTANCE:
+            d, ux, uy = COINCIDENT_DISTANCE, 1.0, 0.0
+        else:
+            ux, uy = dx / d, dy / d
+        # Python's float ** goes through libm pow, which rounds differently
+        # from d * d on about 0.1% of inputs; the behaviour fingerprint pins
+        # the libm rounding.
+        magnitude = gain * (1.0 / d - 1.0 / influence) / d**2
+        return magnitude * ux, magnitude * uy
+
+    offsets = _soft_offsets(positions, influence, push)
+    return np.array([clamp_step(o, max_step_size) for o in offsets]).reshape(-1, 2)
 
 
 def escape_no_hotspot_zone(

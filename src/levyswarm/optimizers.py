@@ -97,8 +97,9 @@ def _np_sum(values: list[float]) -> float:
     return total
 
 
-def _nectar_shares(fitnesses: list[float]) -> list[float]:
-    """nectar_probabilities on Python floats."""
+def nectar_probabilities(fitnesses) -> list[float]:
+    """Selection weights proportional to fitness; uniform when all are zero."""
+    fitnesses = [float(f) for f in fitnesses]
     if not fitnesses:
         raise ValidationError("nectar_probabilities needs at least one fitness value")
     if any(f < 0.0 for f in fitnesses):
@@ -110,33 +111,33 @@ def _nectar_shares(fitnesses: list[float]) -> list[float]:
     return [f / total for f in fitnesses]
 
 
-def nectar_probabilities(fitnesses) -> np.ndarray:
-    """Selection weights proportional to fitness; uniform when all are zero."""
-    return np.array(_nectar_shares(np.asarray(fitnesses, dtype=float).tolist()))
-
-
 def adaptive_levy_probability(fitness: float, global_best: float, sensitivity: float) -> float:
     """Sigmoid gate in (0, 1): agents near the global best move more eagerly."""
     return 1.0 / (1.0 + math.exp(-sensitivity * (fitness - global_best)))
 
 
-def roulette_pick(src: RandomSource, probabilities: np.ndarray) -> int:
-    """Sample an index from a probability vector using one uniform draw."""
+def roulette_pick(src: RandomSource, probabilities) -> int:
+    """Sample an index from non-negative probabilities using one uniform draw:
+    the first whose running sum exceeds the draw, else the last."""
     u = float(src.uniform(0.0, 1.0))
-    cumulative = np.cumsum(probabilities)
-    return min(int(np.searchsorted(cumulative, u, side="right")), len(probabilities) - 1)
+    cumulative = 0.0
+    for k, p in enumerate(probabilities):
+        cumulative += p
+        if cumulative > u:
+            return k
+    return len(probabilities) - 1
 
 
-def abc_candidate(src: RandomSource, positions: np.ndarray, i: int) -> np.ndarray:
-    """Classic neighbour-mixing move: x_i + phi * (x_i - x_k), phi ~ U(-1,1)^2."""
-    n = len(positions)
+def abc_candidate(src: RandomSource, positions, i: int) -> tuple[float, float]:
+    """Neighbour-mixing move on (x, y) floats: x_i + phi * (x_i - x_k), phi ~ U(-1,1)^2."""
+    (x, y), n = positions[i], len(positions)
     if n < 2:
-        return positions[i].copy()
-    k = int(src.integers(0, n - 1))
+        return x, y
+    k = src.integers(0, n - 1)
     if k >= i:
         k += 1
-    phi = src.uniform(-1.0, 1.0, 2)
-    return positions[i] + phi * (positions[i] - positions[k])
+    (kx, ky), (phi_x, phi_y) = positions[k], src.uniform(-1.0, 1.0, 2).tolist()
+    return x + phi_x * (x - kx), y + phi_y * (y - ky)
 
 
 @dataclass
@@ -194,15 +195,14 @@ def propose_abc(
     agent reinforces fitness-proportionally chosen agents with further
     candidates under the same acceptance rule.
     """
-    anchors = swarm.positions()
-    anchor_xy = anchors.tolist()
-    tentative = anchors.copy()
-    proposal = StepProposal(positions=tentative)
-    values = np.array([fitness.value(p) for p in tentative])
+    anchors = swarm.positions().tolist()
+    tentative = [tuple(p) for p in anchors]
+    values = [fitness.value(p) for p in tentative]
+    report = constraints.ConstraintReport()
 
     for i in range(len(tentative)):
         raw = abc_candidate(rngs[i], tentative, i)
-        candidate = _constrain_motion(raw.tolist(), anchor_xy[i], config, proposal.report)
+        candidate = _constrain_motion(raw, anchors[i], config, report)
         candidate_value = fitness.value(candidate)
         if candidate_value > values[i]:
             tentative[i] = candidate
@@ -212,13 +212,13 @@ def propose_abc(
     for slot in range(len(tentative)):
         s = roulette_pick(rngs[slot], probs)
         raw = abc_candidate(rngs[slot], tentative, s)
-        candidate = _constrain_motion(raw.tolist(), anchor_xy[s], config, proposal.report)
+        candidate = _constrain_motion(raw, anchors[s], config, report)
         candidate_value = fitness.value(candidate)
         if candidate_value > values[s]:
             tentative[s] = candidate
             values[s] = candidate_value
 
-    return proposal
+    return StepProposal(np.array(tentative), report=report)
 
 
 def propose_pso(
@@ -231,24 +231,20 @@ def propose_pso(
     the constraints allow.
     """
     pso = config.params.pso
-    anchors = swarm.positions()
-    anchor_xy = anchors.tolist()
-    tentative = anchors.copy()
-    proposal = StepProposal(positions=tentative)
+    anchors = swarm.positions().tolist()
+    gx, gy = swarm.global_best_position.tolist()
+    report = constraints.ConstraintReport()
+    tentative = []
     for i, uav in enumerate(swarm.uavs):
-        r1 = rngs[i].uniform(0.0, 1.0, 2)
-        r2 = rngs[i].uniform(0.0, 1.0, 2)
-        velocity = (
-            pso.inertia * uav.velocity
-            + pso.cognitive * r1 * (uav.personal_best - uav.position)
-            + pso.social * r2 * (swarm.global_best_position - uav.position)
-        )
-        new_position = np.array(
-            _constrain_motion((uav.position + velocity).tolist(), anchor_xy[i], config, proposal.report)
-        )
-        uav.velocity = new_position - uav.position
-        tentative[i] = new_position
-    return proposal
+        r1x, r1y = rngs[i].uniform(0.0, 1.0, 2).tolist()
+        r2x, r2y = rngs[i].uniform(0.0, 1.0, 2).tolist()
+        (x, y), (vx, vy), (bx, by) = anchors[i], uav.velocity.tolist(), uav.personal_best.tolist()
+        vx = pso.inertia * vx + pso.cognitive * r1x * (bx - x) + pso.social * r2x * (gx - x)
+        vy = pso.inertia * vy + pso.cognitive * r1y * (by - y) + pso.social * r2y * (gy - y)
+        nx, ny = _constrain_motion((x + vx, y + vy), anchors[i], config, report)
+        uav.velocity = np.array([nx - x, ny - y])
+        tentative.append((nx, ny))
+    return StepProposal(np.array(tentative), report=report)
 
 
 def _median(values: list[float]) -> float:
@@ -261,12 +257,15 @@ def _median(values: list[float]) -> float:
 
 
 def _nearest_better_neighbor(positions, values, i: int) -> int | None:
-    values = np.asarray(values)
-    better = np.flatnonzero(values > values[i])
-    if better.size == 0:
-        return None
-    deltas = np.asarray(positions)[better] - positions[i]
-    return int(better[np.argmin(np.hypot(deltas[:, 0], deltas[:, 1]))])
+    """The agent of strictly higher value nearest to agent i by np.hypot's
+    length; the lowest index on a tie, None when no agent is better."""
+    x, y = positions[i]
+    better = [k for k, value in enumerate(values) if value > values[i]]
+    return min(
+        better,
+        key=lambda k: float(np.hypot(positions[k][0] - x, positions[k][1] - y)),
+        default=None,
+    )
 
 
 def propose_hybrid(
@@ -374,7 +373,7 @@ def propose_hybrid(
     # Onlooker reinforcement: a Bernoulli per agent gates an extra Levy move,
     # kept only when it improves the fitness of that agent's tentative
     # position under the current uncovered set.
-    shares = _nectar_shares(values)
+    shares = nectar_probabilities(values)
     for i in range(n):
         if in_transit[i]:
             continue

@@ -68,14 +68,6 @@ class LevyStep(NamedTuple):
     x: float
     y: float
 
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array(self)
-
-    @property
-    def raw_magnitude(self) -> float:
-        return float(np.hypot(self.x, self.y))
-
 
 def mantegna_sigma(beta: float) -> float:
     """Scale of the numerator Gaussian in the Mantegna construction.

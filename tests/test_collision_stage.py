@@ -7,8 +7,8 @@ the ungated stage as the run loop had it, kept verbatim: the gated stage must
 match it bit for bit (position bytes including the sign of zero, and the
 intervened mask).  The skip is exact only because every proposer keeps its
 tentative positions within ``max_step_size`` of their anchors, so that
-invariant is tested here too, as is the resolver's float re-check of
-violating pairs against ``_close_pairs``.
+invariant is tested here too, as is the float re-check of violating pairs
+against the numpy ``_ref_close_pairs``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from levyswarm import harness
 from levyswarm.constraints import (
-    _close_pairs,
     _violating_pairs,
     clamp_boundary,
     clamp_step,
@@ -33,6 +32,7 @@ from levyswarm.constraints import (
 )
 from levyswarm.harness import _collision_stage, run_scenario
 from levyswarm.world import AlgorithmParams, ConstraintParams, GridConfig, preset_scenario
+from test_constraints_reference import _ref_close_pairs
 
 # --- reference: the ungated collision stage -----------------------------------
 
@@ -62,8 +62,8 @@ def reference_stage(tentative, anchors, cons, grid):
 
 
 def reference_min_pairwise(positions):
-    """The smallest pair distance by math.hypot over _close_pairs' deltas."""
-    delta = _close_pairs(positions, math.inf)[2]
+    """The smallest pair distance by math.hypot over _ref_close_pairs' deltas."""
+    delta = _ref_close_pairs(positions, math.inf)[2]
     return min(map(math.hypot, delta[:, 0].tolist(), delta[:, 1].tolist()), default=math.inf)
 
 
@@ -159,7 +159,7 @@ class TestGatedStageMatchesReference:
     def test_pair_the_two_norms_round_apart_at_the_reach(self, math_above, on):
         # math.hypot and np.hypot differ by an ulp on this pair, and the
         # reach sits on one of the two values: the gate must follow np.hypot,
-        # as _close_pairs in the ungated stage does.
+        # as the soft forces in the ungated stage do.
         dy = 1.0 / 3.0
         for dx in np.linspace(0.1, 1.9, 4000).tolist():
             norm, fast = float(np.hypot(dx, dy)), math.hypot(dx, dy)
@@ -228,11 +228,11 @@ def test_proposals_stay_within_one_step_of_their_anchors(
     assert len(checked) == result.metrics.recorded_steps - 1
 
 
-# --- the resolver's float re-check against _close_pairs -------------------------
+# --- the float re-check of violating pairs against numpy's ------------------------
 
 
 def reference_pairs(pos, radius):
-    i, j, _, _ = _close_pairs(np.array(pos, dtype=float), radius)
+    i, j, _, _ = _ref_close_pairs(np.array(pos, dtype=float), radius)
     return list(zip(i.tolist(), j.tolist()))
 
 

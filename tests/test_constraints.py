@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from levyswarm.constraints import (
     COINCIDENT_DISTANCE,
-    _close_pairs,
     ConstraintError,
     ConstraintReport,
+    _pair_list,
+    _violating_pairs,
     clamp_boundary,
     clamp_step,
     escape_no_hotspot_zone,
@@ -165,16 +166,20 @@ crowded = st.lists(
 
 class TestClosePairs:
     def test_pairs_in_index_order_with_hypot_lengths(self):
-        positions = np.array([[0.0, 0.0], [3.0, 4.0], [0.5, 0.0], [10.0, 0.0]])
-        i, j, delta, d = _close_pairs(positions, 6.0)
-        assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 2), (1, 2)]
-        assert np.array_equal(delta, positions[i] - positions[j])
-        assert np.array_equal(d, [5.0, 0.5, np.hypot(2.5, 4.0)])
+        positions = [(0.0, 0.0), (3.0, 4.0), (0.5, 0.0), (10.0, 0.0)]
+        assert _pair_list(4) == list(zip(*(k.tolist() for k in np.triu_indices(4, 1))))
+        assert _violating_pairs(positions, 6.0) == [(0, 1), (0, 2), (1, 2)]
+        # A pair is close while its np.hypot length is below the radius.
+        for radius, close in ((5.0, []), (math.nextafter(5.0, 6.0), [(0, 1)])):
+            assert _violating_pairs(positions[:2], radius) == close
+        d = float(np.hypot(2.5, 4.0))
+        assert _violating_pairs(positions[1:3], d) == []
+        assert _violating_pairs(positions[1:3], math.nextafter(d, 6.0)) == [(0, 1)]
 
     def test_fewer_than_two_agents_have_no_pairs(self):
-        for positions in (np.zeros((0, 2)), np.zeros((1, 2))):
-            i, j, delta, d = _close_pairs(positions, math.inf)
-            assert i.size == j.size == d.size == 0 and delta.shape == (0, 2)
+        for positions in ([], [(0.0, 0.0)]):
+            assert _pair_list(len(positions)) == []
+            assert _violating_pairs(positions, math.inf) == []
 
     def test_field_squares_distances_with_python_floats(self):
         d = 1.6175523854862577  # d ** 2 (libm pow) and d * d round apart

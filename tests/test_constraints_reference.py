@@ -1,11 +1,11 @@
 """The float motion primitives against their numpy reference implementations.
 
-``resolve_collisions``, ``clamp_step``, ``settle_within`` and
-``clamp_boundary`` do their arithmetic on Python floats.  The functions below
-are the earlier numpy implementations, kept verbatim as references: every
-result must match them bit for bit (position bytes including the sign of
-zero, the touched mask and the push count), or both must raise the same
-exception type.
+``resolve_collisions``, ``clamp_step``, ``settle_within``,
+``clamp_boundary`` and the two soft forces do their arithmetic on Python
+floats.  The functions below are the earlier numpy implementations, kept
+verbatim as references: every result must match them bit for bit (position
+and offset bytes including the sign of zero, the touched mask and the push
+count), or both must raise the same exception type.
 """
 
 from __future__ import annotations
@@ -16,10 +16,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levyswarm.constraints import (
+    COINCIDENT_DISTANCE,
     ConstraintError,
     clamp_boundary,
     clamp_step,
+    potential_field_repulsion,
     resolve_collisions,
+    safe_zone_separation,
     settle_within,
 )
 from levyswarm.world import GridConfig, ValidationError
@@ -65,6 +68,38 @@ def _ref_close_pairs(positions: np.ndarray, radius: float):
     d = np.hypot(delta[:, 0], delta[:, 1])
     close = d < radius
     return i[close], j[close], delta[close], d[close]
+
+
+def _ref_accumulate(n, i, j, push):
+    offsets = np.zeros((n, 2))
+    np.subtract.at(offsets, j, push)
+    np.add.at(offsets, i, push)
+    return offsets
+
+
+def ref_safe_zone_separation(positions, safe_zone_radius):
+    positions = np.asarray(positions, dtype=float)
+    i, j, delta, d = _ref_close_pairs(positions, safe_zone_radius)
+    coincident = d < COINCIDENT_DISTANCE
+    unit = delta / np.where(coincident, 1.0, d)[:, None]
+    unit[coincident] = (1.0, 0.0)
+    return _ref_accumulate(len(positions), i, j, 0.5 * safe_zone_radius * unit)
+
+
+def ref_potential_field_repulsion(positions, collision_radius, gain, max_step_size):
+    positions = np.asarray(positions, dtype=float)
+    influence = 2.0 * collision_radius
+    i, j, delta, d = _ref_close_pairs(positions, influence)
+    coincident = d < COINCIDENT_DISTANCE
+    d_eff = np.where(coincident, COINCIDENT_DISTANCE, d)
+    unit = delta / d_eff[:, None]
+    unit[coincident] = (1.0, 0.0)
+    d_squared = np.array([x**2 for x in d_eff.tolist()])
+    magnitude = gain * (1.0 / d_eff - 1.0 / influence) / d_squared
+    offsets = _ref_accumulate(len(positions), i, j, magnitude[:, None] * unit)
+    for k in range(len(offsets)):
+        offsets[k] = ref_clamp_step(offsets[k], max_step_size)
+    return offsets
 
 
 def ref_resolve_collisions(
@@ -287,4 +322,58 @@ def test_resolve_collisions_stall_without_fallback_matches_reference(budget):
     kwargs = dict(anchors=anchors, budget=budget)
     assert outcome(resolve_collisions, *args, **kwargs) == outcome(
         ref_resolve_collisions, *args, **kwargs
+    )
+
+
+# --- the soft forces ------------------------------------------------------------
+
+
+@st.composite
+def near_radius(draw):
+    """Agents placed within a few ulps of the radius from one another, and -0.0."""
+    radius = draw(st.sampled_from([0.5, 1.0, 2.0, 2.5]))
+    points = [(draw(st.sampled_from([0.0, -0.0, 3.0])), draw(st.sampled_from([0.0, -0.0, 3.0])))]
+    for _ in range(draw(st.integers(1, 6))):
+        x, y = points[draw(st.integers(0, len(points) - 1))]
+        angle = draw(st.floats(0.0, 6.3))
+        d = radius
+        for _ in range(draw(st.integers(0, 2))):
+            d = np.nextafter(d, draw(st.sampled_from([0.0, np.inf])))
+        points.append((x + d * np.cos(angle), y + d * np.sin(angle)))
+    return np.array(points), radius
+
+
+@given(
+    case=st.one_of(
+        near_radius(),
+        st.tuples(swarms(), st.sampled_from([0.5, 1.0, 1.7, 2.5, 1e-10])),
+    ),
+    gain=st.sampled_from([1.0, 0.3, 7.5, -1.0]),
+    max_step=st.sampled_from([0.05, 1.0, 5.0, 0.0]),
+    half=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_soft_forces_match_reference(case, gain, max_step, half):
+    # half: the field reaches twice the collision radius, so both forces see
+    # the same pairs only when the collision radius is half the safe zone.
+    positions, radius = case
+    collision = radius / 2.0 if half else radius
+    assert outcome(safe_zone_separation, positions, radius) == outcome(
+        ref_safe_zone_separation, positions, radius
+    )
+    args = (positions, collision, gain, max_step)
+    assert outcome(potential_field_repulsion, *args) == outcome(
+        ref_potential_field_repulsion, *args
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_soft_forces_on_tiny_swarms_match_reference(n):
+    positions = np.full((n, 2), 1.0)
+    assert outcome(safe_zone_separation, positions, 2.0) == outcome(
+        ref_safe_zone_separation, positions, 2.0
+    )
+    args = (positions, 1.0, 1.0, 5.0)
+    assert outcome(potential_field_repulsion, *args) == outcome(
+        ref_potential_field_repulsion, *args
     )

@@ -1,11 +1,11 @@
-"""The hybrid step on Python floats against the numpy code it replaced.
+"""The step core on Python floats against the numpy code it replaced.
 
-The proposer, the sampler and the harness bookkeeping compute on (x, y)
+The proposers, the sampler and the harness bookkeeping compute on (x, y)
 floats.  Each reference below is the earlier numpy formulation, kept
-verbatim, and each test requires the float code to give the same bits:
-the hypot band rule, the batched Gaussian draws of ``levy_step``, numpy's
-summation order for nectar shares, the motion clamp, the dead-ground escape
-and coverage marking.
+verbatim, and each test requires the float code to give the same bits and
+the same random draws: the hypot band rule, the batched Gaussian draws of
+``levy_step``, numpy's summation order for nectar shares, the ABC and PSO
+proposers, the motion clamp, the dead-ground escape and coverage marking.
 """
 
 from __future__ import annotations
@@ -21,7 +21,18 @@ from hypothesis import strategies as st
 from levyswarm import constraints
 from levyswarm.constraints import _norm_against, escape_no_hotspot_zone
 from levyswarm.metrics import Heatmap
-from levyswarm.optimizers import FitnessField, _constrain_motion, _nectar_shares, _np_sum
+from levyswarm.optimizers import (
+    FitnessField,
+    StepProposal,
+    _constrain_motion,
+    _nearest_better_neighbor,
+    _np_sum,
+    abc_candidate,
+    nectar_probabilities,
+    propose_abc,
+    propose_pso,
+    roulette_pick,
+)
 from levyswarm.rng import (
     _MAX_COMPONENT,
     ParameterError,
@@ -189,7 +200,7 @@ class TestNectarShares:
             if left_to_right(values) != float(np.sum(values)):
                 found += 1
                 assert _np_sum(values) == float(np.sum(values))
-                shares = _nectar_shares(values)
+                shares = nectar_probabilities(values)
                 assert np.array(shares).tobytes() == (np.array(values) / np.sum(values)).tobytes()
         assert found > 0
 
@@ -206,14 +217,14 @@ class TestNectarShares:
         assert _np_sum(values) == float(f.sum())
         total = float(f.sum())
         want = np.full(f.size, 1.0 / f.size) if total <= 0.0 else f / total
-        assert np.array(_nectar_shares(values)).tobytes() == want.tobytes()
+        assert np.array(nectar_probabilities(values)).tobytes() == want.tobytes()
 
     def test_zero_fitness_is_uniform_and_negatives_rejected(self):
-        assert _nectar_shares([0.0, -0.0, 0.0]) == [1.0 / 3.0] * 3
+        assert nectar_probabilities([0.0, -0.0, 0.0]) == [1.0 / 3.0] * 3
         with pytest.raises(ValidationError):
-            _nectar_shares([1.0, -0.5])
+            nectar_probabilities([1.0, -0.5])
         with pytest.raises(ValidationError):
-            _nectar_shares([])
+            nectar_probabilities([])
 
 
 # --- motion clamp and dead-ground escape --------------------------------------------
@@ -294,6 +305,220 @@ def test_escape_on_the_field_positions_matches_the_hotspot_list(position, hotspo
         assert got is None
     else:
         assert np.array(got).tobytes() == want.tobytes()
+
+
+# --- ABC and PSO: the numpy proposers ---------------------------------------------
+
+
+def ref_nectar_probabilities(values):
+    f = np.asarray(values, dtype=float)
+    total = float(f.sum())
+    return np.full(f.size, 1.0 / f.size) if total <= 0.0 else f / total
+
+
+def ref_roulette_pick(src, probabilities):
+    u = float(src.uniform(0.0, 1.0))
+    cumulative = np.cumsum(probabilities)
+    return min(int(np.searchsorted(cumulative, u, side="right")), len(probabilities) - 1)
+
+
+def ref_abc_candidate(src, positions, i):
+    n = len(positions)
+    if n < 2:
+        return positions[i].copy()
+    k = int(src.integers(0, n - 1))
+    if k >= i:
+        k += 1
+    phi = src.uniform(-1.0, 1.0, 2)
+    return positions[i] + phi * (positions[i] - positions[k])
+
+
+def ref_propose_abc(swarm, fitness, config, rngs):
+    anchors = swarm.positions()
+    anchor_xy = anchors.tolist()
+    tentative = anchors.copy()
+    proposal = StepProposal(positions=tentative)
+    values = np.array([fitness.value(p) for p in tentative])
+
+    for i in range(len(tentative)):
+        raw = ref_abc_candidate(rngs[i], tentative, i)
+        candidate = _constrain_motion(raw.tolist(), anchor_xy[i], config, proposal.report)
+        candidate_value = fitness.value(candidate)
+        if candidate_value > values[i]:
+            tentative[i] = candidate
+            values[i] = candidate_value
+
+    probs = ref_nectar_probabilities(values)
+    for slot in range(len(tentative)):
+        s = ref_roulette_pick(rngs[slot], probs)
+        raw = ref_abc_candidate(rngs[slot], tentative, s)
+        candidate = _constrain_motion(raw.tolist(), anchor_xy[s], config, proposal.report)
+        candidate_value = fitness.value(candidate)
+        if candidate_value > values[s]:
+            tentative[s] = candidate
+            values[s] = candidate_value
+
+    return proposal
+
+
+def ref_propose_pso(swarm, fitness, config, rngs):
+    pso = config.params.pso
+    anchors = swarm.positions()
+    anchor_xy = anchors.tolist()
+    tentative = anchors.copy()
+    proposal = StepProposal(positions=tentative)
+    for i, uav in enumerate(swarm.uavs):
+        r1 = rngs[i].uniform(0.0, 1.0, 2)
+        r2 = rngs[i].uniform(0.0, 1.0, 2)
+        velocity = (
+            pso.inertia * uav.velocity
+            + pso.cognitive * r1 * (uav.personal_best - uav.position)
+            + pso.social * r2 * (swarm.global_best_position - uav.position)
+        )
+        new_position = np.array(
+            _constrain_motion((uav.position + velocity).tolist(), anchor_xy[i], config, proposal.report)
+        )
+        uav.velocity = new_position - uav.position
+        tentative[i] = new_position
+    return proposal
+
+
+velocity_coord = st.one_of(st.floats(min_value=-30.0, max_value=30.0), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def baseline_steps(draw):
+    """One ABC or PSO step: a swarm, its field, a config and per-agent seeds."""
+    n = draw(st.integers(1, 8))
+    point = st.tuples(grid_coord, grid_coord)
+    hotspots = [
+        Hotspot(draw(point), draw(st.sampled_from([0.1, 0.3, 0.7, 1.0])), draw(st.booleans()))
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    config = ScenarioConfig(grid=GridConfig(40, 40), n_uavs=n)
+    config.constraints.max_step_size = draw(st.sampled_from([0.5, 1.0, 5.0, 13.0]))
+    fitness = FitnessField(
+        hotspots, draw(st.sampled_from([3.0, 12.0])), shaping=draw(st.booleans())
+    )
+    agents = [
+        (draw(point), draw(st.tuples(velocity_coord, velocity_coord)), draw(point))
+        for _ in range(n)
+    ]
+    return config, fitness, agents, draw(point), draw(st.integers(0, 2**64 - 1))
+
+
+def _baseline_swarm(agents, best):
+    return SwarmState(
+        [UavState(p, velocity=np.array(v), personal_best=np.array(b)) for p, v, b in agents],
+        np.array(best),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(step=baseline_steps(), pso=st.booleans())
+def test_baseline_proposers_match_numpy(step, pso):
+    config, fitness, agents, best, seed = step
+    propose, reference = (propose_pso, ref_propose_pso) if pso else (propose_abc, ref_propose_abc)
+    ours, theirs = _baseline_swarm(agents, best), _baseline_swarm(agents, best)
+    ours_rngs = [RandomSource(seed, i) for i in range(len(agents))]
+    theirs_rngs = [RandomSource(seed, i) for i in range(len(agents))]
+    got = propose(ours, fitness, config, ours_rngs)
+    want = reference(theirs, fitness, config, theirs_rngs)
+    assert got.positions.dtype == want.positions.dtype
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert got.report == want.report
+    assert got.guided.tolist() == want.guided.tolist()
+    assert got.scanning.tolist() == want.scanning.tolist()
+    for a, b in zip(ours.uavs, theirs.uavs):
+        assert a.velocity.tobytes() == b.velocity.tobytes()
+    # The same draws: every stream stands at the same word afterwards.
+    assert [r.random_raw(2).tolist() for r in ours_rngs] == [
+        r.random_raw(2).tolist() for r in theirs_rngs
+    ]
+
+
+class FixedUniform:
+    """A source whose uniform draw is a given value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def uniform(self, low, high, size=None):
+        return self.value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    probabilities=st.one_of(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=9),
+        st.lists(nectar, min_size=1, max_size=9).map(nectar_probabilities),
+    ),
+    u=st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), st.just(0.0)),
+)
+def test_roulette_pick_matches_numpy(probabilities, u):
+    # A draw on a running sum, between two, or beyond the total.
+    draws = [u] + [math.fsum(probabilities[: k + 1]) for k in range(len(probabilities))]
+    for draw in draws:
+        ours, theirs = FixedUniform(draw), FixedUniform(draw)
+        assert roulette_pick(ours, probabilities) == ref_roulette_pick(theirs, probabilities)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(st.tuples(target_coord, target_coord), min_size=1, max_size=8),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_abc_candidate_matches_numpy(points, seed, data):
+    i = data.draw(st.integers(0, len(points) - 1))
+    ours, theirs = RandomSource(seed, 0), RandomSource(seed, 0)
+    got = abc_candidate(ours, points, i)
+    want = ref_abc_candidate(theirs, np.array(points), i)
+    assert np.array(got).tobytes() == want.tobytes()
+    assert ours.random_raw(1).tolist() == theirs.random_raw(1).tolist()
+
+
+def ref_nearest_better_neighbor(positions, values, i):
+    values = np.asarray(values)
+    better = np.flatnonzero(values > values[i])
+    if better.size == 0:
+        return None
+    deltas = np.asarray(positions)[better] - positions[i]
+    return int(better[np.argmin(np.hypot(deltas[:, 0], deltas[:, 1]))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    agents=st.lists(
+        st.tuples(grid_coord, grid_coord, st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        min_size=1,
+        max_size=8,
+    ),
+    data=st.data(),
+)
+def test_nearest_better_neighbor_matches_numpy(agents, data):
+    # Few distinct values, so ties in value and repeated positions are common.
+    positions = [(x, y) for x, y, _ in agents]
+    values = [v for _, _, v in agents]
+    i = data.draw(st.integers(0, len(agents) - 1))
+    want = ref_nearest_better_neighbor(np.array(positions), values, i)
+    assert _nearest_better_neighbor(positions, values, i) == want
+
+
+def test_nearest_better_neighbor_ranks_by_np_hypot():
+    # Agent 1's math.hypot distance is an ulp below its np.hypot one, and
+    # agent 2 sits on the x axis at the math.hypot value: by np.hypot agent 2
+    # is strictly nearer, by math.hypot the two tie and agent 1 would win.
+    dy = 1.0 / 3.0
+    for dx in np.linspace(0.1, 9.9, 4000).tolist():
+        if math.hypot(dx, dy) < float(np.hypot(dx, dy)):
+            break
+    else:
+        pytest.skip("no rounding difference between the two norms on this platform")
+    positions = [(0.0, 0.0), (dx, dy), (math.hypot(dx, dy), 0.0)]
+    values = [0.0, 1.0, 1.0]
+    assert ref_nearest_better_neighbor(np.array(positions), values, 0) == 2
+    assert _nearest_better_neighbor(positions, values, 0) == 2
 
 
 # --- coverage marking and the heatmap --------------------------------------------

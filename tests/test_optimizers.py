@@ -157,8 +157,9 @@ class TestSelectionHelpers:
     @settings(max_examples=80, deadline=None)
     def test_nectar_is_a_distribution(self, values):
         probs = nectar_probabilities(values)
-        assert np.all(probs >= 0.0)
-        assert float(probs.sum()) == pytest.approx(1.0, rel=1e-9)
+        assert len(probs) == len(values)
+        assert all(p >= 0.0 for p in probs)
+        assert math.fsum(probs) == pytest.approx(1.0, rel=1e-9)
 
     def test_adaptive_gate_half_at_equality(self):
         assert adaptive_levy_probability(2.0, 2.0, 1.0) == 0.5
@@ -178,32 +179,31 @@ class TestSelectionHelpers:
     )
     def test_roulette_boundaries(self, u, want):
         src = ScriptedSource(uniforms=[u])
-        assert roulette_pick(src, np.array([0.25, 0.75])) == want
+        assert roulette_pick(src, [0.25, 0.75]) == want
 
 
 class TestAbcCandidate:
     def test_single_agent_returns_copy(self):
-        positions = np.array([[3.0, 4.0]])
+        # The agent's own position, as an immutable pair, with no draw (an
+        # empty ScriptedSource raises on any).
+        positions = [(3.0, 4.0)]
         out = abc_candidate(ScriptedSource(), positions, 0)
-        assert np.array_equal(out, positions[0])
-        out[0] = 99.0
-        assert positions[0][0] == 3.0
+        assert out == (3.0, 4.0) and isinstance(out, tuple)
+        assert positions == [(3.0, 4.0)]
 
     def test_neighbor_skip_keeps_partner_distinct(self):
-        positions = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        positions = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)]
         # i = 1, raw draw 1 >= i, so the partner resolves to index 2.
         src = ScriptedSource(uniforms=[1.0, 1.0], ints=[1])
         out = abc_candidate(src, positions, 1)
-        expected = positions[1] + 1.0 * (positions[1] - positions[2])
-        assert np.array_equal(out, expected)
+        assert out == (10.0 + 1.0 * (10.0 - 0.0), 0.0 + 1.0 * (0.0 - 10.0))
 
     def test_mixing_formula(self):
-        positions = np.array([[2.0, 2.0], [6.0, 2.0]])
+        positions = [(2.0, 2.0), (6.0, 2.0)]
         # phi = (-0.5, 0.25): u = 0.25 -> -0.5, u = 0.625 -> 0.25.
         src = ScriptedSource(uniforms=[0.25, 0.625], ints=[0])
         out = abc_candidate(src, positions, 0)
-        phi = np.array([-1.0 + 2.0 * 0.25, -1.0 + 2.0 * 0.625])
-        assert np.array_equal(out, positions[0] + phi * (positions[0] - positions[1]))
+        assert out == (2.0 + -0.5 * (2.0 - 6.0), 2.0 + 0.25 * (2.0 - 2.0))
 
 
 class TestProposeAbc:

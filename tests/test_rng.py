@@ -137,8 +137,8 @@ class TestLevyStep:
         # u = 0 on both axes -> both components exactly 0 regardless of v.
         src = _ScriptedSource([0.0, 0.3, 0.0, -2.0])
         step = levy_step(src, 3.0, 1.5)
-        assert step.vector[0] == 0.0 and step.vector[1] == 0.0
-        assert step.raw_magnitude == 0.0
+        assert step.x == 0.0 and step.y == 0.0
+        assert float(np.hypot(*step)) == 0.0
 
     def test_known_draw_reproduces_formula(self):
         u1, v1, u2, v2 = 0.5, -2.0, -1.25, 0.25
@@ -148,17 +148,17 @@ class TestLevyStep:
         sigma = mantegna_sigma(beta)
         want1 = lam * sigma * u1 / abs(v1) ** (1.0 / beta)
         want2 = lam * sigma * u2 / abs(v2) ** (1.0 / beta)
-        assert step.vector[0] == want1
-        assert step.vector[1] == want2
-        assert step.raw_magnitude == float(np.hypot(want1, want2))
+        assert step.x == want1
+        assert step.y == want2
+        assert float(np.hypot(*step)) == float(np.hypot(want1, want2))
 
     def test_unnormalized_drops_sigma(self):
         draws = [0.7, 1.1, -0.4, -0.9]
         a = levy_step(_ScriptedSource(list(draws)), 2.0, 1.5, normalized=True)
         b = levy_step(_ScriptedSource(list(draws)), 2.0, 1.5, normalized=False)
         sigma = mantegna_sigma(1.5)
-        assert b.vector[0] == pytest.approx(a.vector[0] / sigma, rel=1e-15)
-        assert b.vector[1] == pytest.approx(a.vector[1] / sigma, rel=1e-15)
+        assert b.x == pytest.approx(a.x / sigma, rel=1e-15)
+        assert b.y == pytest.approx(a.y / sigma, rel=1e-15)
 
     def test_redraw_path_substitutes_floor(self):
         # Eight rejected v-draws per axis, then the documented |v| = 1e-300
@@ -166,9 +166,9 @@ class TestLevyStep:
         tiny = [1e-310] * (_MAX_REDRAWS + 1)
         src = _ScriptedSource([1.0, *tiny, -1.0, *tiny])
         step = levy_step(src, 1.0, 1.0)
-        assert math.isfinite(step.vector[0]) and math.isfinite(step.vector[1])
+        assert math.isfinite(step.x) and math.isfinite(step.y)
         want = mantegna_sigma(1.0) * 1.0 / 1e-300
-        assert step.vector[0] == want and step.vector[1] == -want
+        assert step.x == want and step.y == -want
 
     def test_overflowing_quotient_clamps_finite(self):
         # A large numerator against the substituted floor overflows the
@@ -176,21 +176,21 @@ class TestLevyStep:
         tiny = [1e-310] * (_MAX_REDRAWS + 1)
         src = _ScriptedSource([1e10, *tiny, -1e10, *tiny])
         step = levy_step(src, 1.0, 1.0)
-        assert step.vector[0] == 1e300 and step.vector[1] == -1e300
-        assert math.isfinite(step.raw_magnitude)
+        assert step.x == 1e300 and step.y == -1e300
+        assert math.isfinite(float(np.hypot(*step)))
 
     def test_tiny_beta_saturates_instead_of_raising(self):
         # At beta = 1e-3, |v| ** (1/beta) overflows for |v| = 3 (a signed zero
         # component) and underflows to 0 for |v| = 0.1 (the 1e300 cap).
         step = levy_step(_ScriptedSource([-0.5, 3.0, -0.5, 0.1]), 1.0, 1e-3)
-        assert step.vector[0] == 0.0 and math.copysign(1.0, step.vector[0]) == -1.0
-        assert step.vector[1] == -1e300
+        assert step.x == 0.0 and math.copysign(1.0, step.x) == -1.0
+        assert step.y == -1e300
 
     def test_redraw_accepts_first_valid(self):
         src = _ScriptedSource([1.0, 1e-310, 2.0, 0.5, 0.5])
         step = levy_step(src, 1.0, 1.0)
         sigma = mantegna_sigma(1.0)
-        assert step.vector[0] == 1.0 * sigma * 1.0 / 2.0
+        assert step.x == 1.0 * sigma * 1.0 / 2.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_nonpositive_weight_rejected(self, bad):
@@ -200,8 +200,8 @@ class TestLevyStep:
     def test_determinism(self):
         a = [levy_step(RandomSource(seed=9, stream_id=2), 3.0, 1.0) for _ in range(1)]
         srcs = (RandomSource(seed=9, stream_id=2), RandomSource(seed=9, stream_id=2))
-        seq1 = [levy_step(srcs[0], 3.0, 1.0).vector for _ in range(50)]
-        seq2 = [levy_step(srcs[1], 3.0, 1.0).vector for _ in range(50)]
+        seq1 = [np.array(levy_step(srcs[0], 3.0, 1.0)) for _ in range(50)]
+        seq2 = [np.array(levy_step(srcs[1], 3.0, 1.0)) for _ in range(50)]
         assert all(np.array_equal(x, y) for x, y in zip(seq1, seq2))
         assert isinstance(a[0], LevyStep)
 
@@ -216,7 +216,7 @@ class TestLevyStep:
         c = 2.0**k
         a = levy_step(RandomSource(seed=seed, stream_id=0), lam, beta)
         b = levy_step(RandomSource(seed=seed, stream_id=0), c * lam, beta)
-        assert np.array_equal(b.vector, c * a.vector)
+        assert np.array_equal(np.array(b), c * np.array(a))
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32),
@@ -227,14 +227,14 @@ class TestLevyStep:
     def test_general_weight_scaling_within_float_error(self, seed, lam, c):
         a = levy_step(RandomSource(seed=seed, stream_id=0), lam, 1.5)
         b = levy_step(RandomSource(seed=seed, stream_id=0), c * lam, 1.5)
-        assert np.allclose(b.vector, c * a.vector, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.array(b), c * np.array(a), rtol=1e-12, atol=0.0)
 
 
 @pytest.fixture(scope="module")
 def components():
     src = RandomSource(seed=2024, stream_id=0)
     steps = [levy_step(src, 1.0, 1.5) for _ in range(100_000)]
-    return np.array([s.vector for s in steps]).ravel()
+    return np.array(steps).ravel()
 
 
 class TestHeavyTailStatistics:
