@@ -171,7 +171,8 @@ def _soft_offsets(positions, radius: float, push) -> list[list[float]]:
     pos = np.asarray(positions, dtype=float).tolist()
     offsets = [[0.0, 0.0] for _ in pos]
     for i, j in _violating_pairs(pos, radius):
-        dx, dy = pos[i][0] - pos[j][0], pos[i][1] - pos[j][1]
+        dx = pos[i][0] - pos[j][0]
+        dy = pos[i][1] - pos[j][1]
         px, py = push(dx, dy, float(np.hypot(dx, dy)))
         offsets[i][0] += px
         offsets[i][1] += py
@@ -218,7 +219,8 @@ def potential_field_repulsion(
 
     def push(dx, dy, d):
         if d < COINCIDENT_DISTANCE:
-            d, ux, uy = COINCIDENT_DISTANCE, 1.0, 0.0
+            d = COINCIDENT_DISTANCE
+            ux, uy = 1.0, 0.0
         else:
             ux, uy = dx / d, dy / d
         # Python's float ** goes through libm pow, which rounds differently

@@ -16,8 +16,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import product
+from itertools import repeat
 
 import numpy as np
 
@@ -287,38 +286,30 @@ def _distinct(name: str, values, minimum: int = 1) -> list:
     return values
 
 
-def _run_cell(preset, cons, max_steps, trajectories, cell) -> RunResult:
-    """Build the config of one (algorithm, params, seed) cell, then run it."""
-    algorithm, params, seed = cell
-    config = preset_scenario(
-        preset, seed, algorithm=algorithm, params=params, constraints=cons, max_steps=max_steps
-    )
-    return run_scenario(config, trajectories)
-
-
 def _run_grid(
     preset, algorithms, levy_weights, seeds, max_steps, params, constraints, trajectories, workers
 ) -> list[RunResult]:
     """Run preset over algorithm x levy_weight x seed, in that order; None keeps params' weight.
 
-    A seed list is held to the cap of a seed count; the pool to the CPUs.
-    Each run builds its own config; every seed and weight is checked first."""
+    A seed list is held to the cap of a seed count; the pool to the CPUs."""
     field_value(len(seeds), "int", "seeds")
-    for seed in seeds:
-        field_value(seed, "int", "seed")
     base = load_section(AlgorithmParams, params, "params")
     cons = load_section(ConstraintParams, constraints, "constraints")
-    weighted = [base if w is None else replace(base, levy_weight=float(w)) for w in levy_weights]
-    for entry in weighted:
-        entry.validate()
-    cells = list(product(algorithms, weighted, seeds))
-    run = partial(_run_cell, preset, cons, max_steps, trajectories)
+    configs = [
+        preset_scenario(
+            preset, seed, algorithm=algorithm, constraints=cons, max_steps=max_steps,
+            params=base if weight is None else replace(base, levy_weight=float(weight)),
+        )
+        for algorithm in algorithms
+        for weight in levy_weights
+        for seed in seeds
+    ]
     # A fork pool starts all its workers at the first submit, needed or not.
-    size = min(workers, len(cells), os.cpu_count() or 1)
+    size = min(workers, len(configs), os.cpu_count() or 1)
     if size <= 1:
-        return list(map(run, cells))
+        return list(map(run_scenario, configs, repeat(trajectories)))
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(run, cells))
+        return list(pool.map(run_scenario, configs, repeat(trajectories)))
 
 
 def _censored_steps(runs: list[RunMetrics], max_steps: int) -> list[float]:

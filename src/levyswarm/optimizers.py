@@ -130,13 +130,15 @@ def roulette_pick(src: RandomSource, probabilities) -> int:
 
 def abc_candidate(src: RandomSource, positions, i: int) -> tuple[float, float]:
     """Neighbour-mixing move on (x, y) floats: x_i + phi * (x_i - x_k), phi ~ U(-1,1)^2."""
-    (x, y), n = positions[i], len(positions)
+    x, y = positions[i]
+    n = len(positions)
     if n < 2:
         return x, y
     k = src.integers(0, n - 1)
     if k >= i:
         k += 1
-    (kx, ky), (phi_x, phi_y) = positions[k], src.uniform(-1.0, 1.0, 2).tolist()
+    kx, ky = positions[k]
+    phi_x, phi_y = src.uniform(-1.0, 1.0, 2).tolist()
     return x + phi_x * (x - kx), y + phi_y * (y - ky)
 
 
@@ -238,7 +240,9 @@ def propose_pso(
     for i, uav in enumerate(swarm.uavs):
         r1x, r1y = rngs[i].uniform(0.0, 1.0, 2).tolist()
         r2x, r2y = rngs[i].uniform(0.0, 1.0, 2).tolist()
-        (x, y), (vx, vy), (bx, by) = anchors[i], uav.velocity.tolist(), uav.personal_best.tolist()
+        x, y = anchors[i]
+        vx, vy = uav.velocity.tolist()
+        bx, by = uav.personal_best.tolist()
         vx = pso.inertia * vx + pso.cognitive * r1x * (bx - x) + pso.social * r2x * (gx - x)
         vy = pso.inertia * vy + pso.cognitive * r1y * (by - y) + pso.social * r2y * (gy - y)
         nx, ny = _constrain_motion((x + vx, y + vy), anchors[i], config, report)

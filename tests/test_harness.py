@@ -277,23 +277,6 @@ class TestSweep:
         with pytest.raises(ValidationError, match="got 10001"):
             compare_algorithms(["hybrid", "abc"], seeds=range(10_001))
 
-    def test_each_run_builds_its_config_just_before_it_runs(self, monkeypatch):
-        log = []
-        build, run = harness.preset_scenario, harness.run_scenario
-
-        def logged_build(*args, **kwargs):
-            log.append("build")
-            return build(*args, **kwargs)
-
-        def logged_run(*args, **kwargs):
-            log.append("run")
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "preset_scenario", logged_build)
-        monkeypatch.setattr(harness, "run_scenario", logged_run)
-        run_sweep(SweepSpec(levy_weights=[1.5, 3.0], seeds=[0, 1], max_steps=5))
-        assert log == ["build", "run"] * 4
-
     @pytest.mark.parametrize(
         "weights,seeds",
         [([3.0], [0, -1]), ([3.0], [0, 2**64]), ([3.0], [0, 1.5]), ([3.0, -1.0], [0])],
