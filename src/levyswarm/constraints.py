@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import GridConfig, ValidationError
+from .world import _HYPOT_BAND, GridConfig, UncoveredHotspots, ValidationError, _norm_against
 
 _TINY = 1e-12
 # Below this separation a pair counts as coincident and separation directions
@@ -53,27 +53,6 @@ class ConstraintReport:
         self.boundary_hits += other.boundary_hits
         self.collision_interventions += other.collision_interventions
         self.zone_escapes += other.zone_escapes
-
-
-# math.hypot and np.hypot each round to within an ulp or so of the true norm,
-# so they agree on how a norm compares with a limit unless it lies within
-# this relative band of the limit.
-_HYPOT_BAND = 1e-9
-
-
-def _norm_against(dx: float, dy: float, limit: float) -> float:
-    """The length of (dx, dy), compared with limit as float(np.hypot(dx, dy)) is.
-
-    math.hypot, about ten times cheaper than a scalar np.hypot, gives the
-    length unless it lies in the band around limit, and np.hypot gives it
-    there; math.hypot rounds differently on about 0.2% of inputs.  Only a
-    comparison with limit is exact: outside the band the value is
-    math.hypot's.
-    """
-    d = math.hypot(dx, dy)
-    if limit * (1.0 - _HYPOT_BAND) <= d <= limit * (1.0 + _HYPOT_BAND):
-        return float(np.hypot(dx, dy))
-    return d
 
 
 def _clamp_xy(x: float, y: float, limit: float) -> tuple[float, float]:
@@ -235,29 +214,40 @@ def potential_field_repulsion(
 
 def escape_no_hotspot_zone(
     position,
-    uncovered: np.ndarray,
+    field: UncoveredHotspots,
     threshold_radius: float,
     max_step_size: float,
 ) -> tuple[float, float] | None:
     """Full-speed displacement toward the nearest uncovered hotspot, or None.
 
-    ``uncovered`` holds the positions of the uncovered hotspots, one row
-    each (``FitnessField.positions``).  Fires only when none of them lies
-    within threshold_radius of the agent at ``position`` — the agent is
-    wandering dead ground — and returns an (x, y) vector of magnitude
-    max_step_size aimed at the nearest one.  Returns None when some
+    ``field`` holds the uncovered hotspots (a FitnessField).  Fires only when
+    none of them lies within threshold_radius of the agent at ``position`` —
+    the agent is wandering dead ground — and returns an (x, y) vector of
+    magnitude max_step_size aimed at the nearest one.  Returns None when some
     uncovered hotspot is already close, or when every hotspot is covered
     (there is nowhere useful to send the agent).
+
+    Distances are np.hypot's, bit for bit.  The x-window of the threshold
+    settles most calls; when the escape fires, squared distances shortlist
+    the nearest, np.hypot ranks the shortlist (the lowest id wins a tie, as
+    in argmin) and gives the length the step is scaled by.
     """
-    if not len(uncovered):
+    x, y, r = float(position[0]), float(position[1]), threshold_radius
+    if not field.points:
         return None
-    deltas = uncovered - np.asarray(position, dtype=float)
-    dists = np.hypot(deltas[:, 0], deltas[:, 1])
-    nearest = int(dists.argmin())
-    d = float(dists[nearest])
-    if d <= threshold_radius:
-        return None
-    dx, dy = deltas[nearest].tolist()
+    # The test of UncoveredHotspots.within, stopping at the first hit.
+    for _, hx, hy in field.window(x, r):
+        if -r <= hy - y <= r and _norm_against(hx - x, hy - y, r) <= r:
+            return None
+    deltas = [(hx - x, hy - y) for hx, hy in field.points]
+    squares = [dx * dx + dy * dy for dx, dy in deltas]
+    # Squares round to a few ulps of the squared norms: any hotspot np.hypot
+    # could rank first lies far inside this band of the least square.
+    cutoff = min(squares) * (1.0 + _HYPOT_BAND)
+    d, nearest = min(
+        (float(np.hypot(*deltas[k])), k) for k, s in enumerate(squares) if s <= cutoff
+    )
+    dx, dy = deltas[nearest]
     return dx / d * max_step_size, dy / d * max_step_size
 
 

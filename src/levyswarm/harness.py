@@ -293,6 +293,7 @@ def _run_grid(
 
     A seed list is held to the cap of a seed count; the pool to the CPUs."""
     field_value(len(seeds), "int", "seeds")
+    field_value(workers, "int", "workers")
     base = load_section(AlgorithmParams, params, "params")
     cons = load_section(ConstraintParams, constraints, "constraints")
     configs = [

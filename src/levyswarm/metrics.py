@@ -73,19 +73,29 @@ class Heatmap:
         return cls(width=grid.width, height=grid.height)
 
     def cell_of(self, position) -> tuple[int, int]:
-        x, y = float(position[0]), float(position[1])
-        if not (0.0 <= x <= self.width and 0.0 <= y <= self.height):
-            raise ValidationError(f"position ({x}, {y}) is outside the heatmap domain")
-        # int() truncates, which is floor for the non-negative x and y left here.
-        return min(int(y), self.height - 1), min(int(x), self.width - 1)
+        (cell,) = self._cells([(float(position[0]), float(position[1]))])
+        return cell
+
+    def _cells(self, points) -> list[tuple[int, int]]:
+        """The binning rule: the (row, col) of each (x, y) float pair.
+
+        A ValidationError when any point lies outside the domain."""
+        width, height = self.width, self.height
+        cells = []
+        for x, y in points:
+            if not (0.0 <= x <= width and 0.0 <= y <= height):
+                raise ValidationError(f"position ({x}, {y}) is outside the heatmap domain")
+            # int() truncates, which is floor for the non-negative x and y
+            # left here; the far edges fall into the last cell.
+            row, col = int(y), int(x)
+            cells.append((row if row < height else height - 1, col if col < width else width - 1))
+        return cells
 
     def record(self, positions):
         """Count every position, or none of them when one is out of the domain."""
-        cells = [
-            self.cell_of(p) for p in np.atleast_2d(np.asarray(positions, dtype=float)).tolist()
-        ]
-        for cell in cells:
-            self.counts[cell] += 1
+        counts = self.counts
+        for cell in self._cells(np.atleast_2d(np.asarray(positions, dtype=float)).tolist()):
+            counts[cell] += 1
 
     def total(self) -> int:
         return int(self.counts.sum())

@@ -18,33 +18,35 @@ import numpy as np
 
 from . import constraints
 from .rng import RandomSource, levy_step
-from .world import Algorithm, ScenarioConfig, SwarmState, ValidationError, uncovered_indices
+from .world import Algorithm, ScenarioConfig, SwarmState, UncoveredHotspots, ValidationError
 
 
-class FitnessField:
+class FitnessField(UncoveredHotspots):
     """Coverage fitness over the currently uncovered hotspots.
 
     value(x) = sum of weights of uncovered hotspots within coverage_radius of
     x, plus (optionally) a small proximity shaping term
     epsilon * sum_k w_k / (1 + d_k) over the uncovered hotspots, which gives
     hill-climbing acceptance rules a gradient to follow between coverage
-    plateaus.  Covered hotspots contribute nothing.  ``indices`` names the
-    uncovered hotspots in list order, one per row of ``positions``.
+    plateaus.  Covered hotspots contribute nothing.  The field is the
+    UncoveredHotspots index of the hotspots it was built on.
     """
 
-    __slots__ = ("indices", "positions", "weights", "coverage_radius", "shaping", "epsilon")
+    __slots__ = ("weights", "coverage_radius", "shaping", "epsilon", "_shaping_terms")
 
     def __init__(self, hotspots, coverage_radius, shaping=False, epsilon=0.01):
-        self.indices = uncovered_indices(hotspots)
-        self.positions = (
-            np.array([hotspots[k].position for k in self.indices], dtype=float)
-            if self.indices
-            else np.zeros((0, 2))
-        )
-        self.weights = np.array([hotspots[k].weight for k in self.indices], dtype=float)
+        super().__init__(hotspots)
+        self.weights = [float(hotspots[k].weight) for k in self.indices]
         self.coverage_radius = float(coverage_radius)
         self.shaping = bool(shaping)
         self.epsilon = float(epsilon)
+        # The shaping term sums over every uncovered hotspot, so it stays one
+        # vectorised np.hypot over these arrays.
+        self._shaping_terms = (
+            (np.array(self.points, dtype=float).reshape(-1, 2), np.array(self.weights, dtype=float))
+            if self.shaping
+            else None
+        )
 
     @classmethod
     def from_config(cls, hotspots, config: ScenarioConfig) -> "FitnessField":
@@ -56,14 +58,17 @@ class FitnessField:
         )
 
     def value(self, position) -> float:
-        if self.weights.size == 0:
-            return 0.0
-        dx = self.positions[:, 0] - float(position[0])
-        dy = self.positions[:, 1] - float(position[1])
-        d = np.hypot(dx, dy)
-        total = float(self.weights[d <= self.coverage_radius].sum())
+        """The fitness at position, bit for bit as numpy computed it over arrays.
+
+        The covered weights come from a within() query and are added in
+        np.sum's pairwise order."""
+        x, y = float(position[0]), float(position[1])
+        weights = self.weights
+        total = _np_sum([weights[k] for k in self.within(x, y, self.coverage_radius)])
         if self.shaping:
-            total += self.epsilon * float(np.sum(self.weights / (1.0 + d)))
+            points, w = self._shaping_terms
+            d = np.hypot(points[:, 0] - x, points[:, 1] - y)
+            total += self.epsilon * float(np.sum(w / (1.0 + d)))
         return total
 
 
@@ -324,7 +329,7 @@ def propose_hybrid(
             continue
         ax, ay = anchors[i]
         escape = constraints.escape_no_hotspot_zone(
-            anchors[i], fitness.positions, cons.no_hotspot_threshold_radius, max_step
+            anchors[i], fitness, cons.no_hotspot_threshold_radius, max_step
         )
         if escape is not None:
             report.zone_escapes += 1

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -54,6 +55,7 @@ _RANGES = {
     "seeds": (1, 10_000),
     "seed": (0, 2**64 - 1),
     "stagnation_limit": (1, math.inf),
+    "workers": (1, math.inf),
 }
 
 
@@ -84,6 +86,27 @@ def field_value(value, kind: str, name: str, where: str = "", load: bool = False
     if kind == "int" and not low <= value <= high:
         raise ValidationError(f"{where}{name} must lie in [{low}, {high}], got {value!r}")
     return value
+
+
+# math.hypot and np.hypot each round to within an ulp or so of the true norm,
+# so they agree on how a norm compares with a limit unless it lies within
+# this relative band of the limit.
+_HYPOT_BAND = 1e-9
+
+
+def _norm_against(dx: float, dy: float, limit: float) -> float:
+    """The length of (dx, dy), compared with limit as float(np.hypot(dx, dy)) is.
+
+    math.hypot, about ten times cheaper than a scalar np.hypot, gives the
+    length unless it lies in the band around limit, and np.hypot gives it
+    there; math.hypot rounds differently on about 0.2% of inputs.  Only a
+    comparison with limit is exact: outside the band the value is
+    math.hypot's.
+    """
+    d = math.hypot(dx, dy)
+    if limit * (1.0 - _HYPOT_BAND) <= d <= limit * (1.0 + _HYPOT_BAND):
+        return float(np.hypot(dx, dy))
+    return d
 
 
 def left_to_right_sum(values) -> float:
@@ -398,46 +421,94 @@ def uncovered_indices(hotspots: list[Hotspot]) -> list[int]:
     return [k for k, hot in enumerate(hotspots) if not hot.covered]
 
 
+class UncoveredHotspots:
+    """The uncovered hotspots, sorted by x for radius queries on Python floats.
+
+    ``indices`` names them in list order and ``points`` holds their (x, y)
+    floats in the same order; a hotspot's id in a query result is its
+    position in both.  within() bisects the x-sorted copy, so a query costs
+    O(log m + window) rather than O(m).
+    """
+
+    __slots__ = ("indices", "points", "_xs", "_by_x")
+
+    def __init__(self, hotspots):
+        self.indices = uncovered_indices(hotspots)
+        self.points = [tuple(hotspots[k].position.tolist()) for k in self.indices]
+        by_x = sorted(enumerate(self.points), key=lambda item: item[1][0])
+        self._xs = [x for _, (x, _) in by_x]
+        self._by_x = [(k, x, y) for k, (x, y) in by_x]
+
+    def window(self, x: float, r: float) -> list[tuple[int, float, float]]:
+        """(id, hx, hy) of every hotspot with |hx - x| <= r, in x order.
+
+        x - r and x + r round, so the bisected bounds may fall an ulp short
+        of a hotspot whose own difference hx - x rounds into [-r, r]; the
+        window is widened over such neighbours.  hx - x rounds monotonically
+        in hx, so they sit next to the bounds.
+        """
+        xs = self._xs
+        lo = bisect_left(xs, x - r)
+        hi = bisect_right(xs, x + r, lo)
+        while lo and abs(xs[lo - 1] - x) <= r:
+            lo -= 1
+        while hi < len(xs) and abs(xs[hi] - x) <= r:
+            hi += 1
+        return self._by_x[lo:hi]
+
+    def within(self, x: float, y: float, r: float) -> list[int]:
+        """Ids of the hotspots within r of (x, y), in list order.
+
+        A hotspot is within r when float(np.hypot(hx - x, hy - y)) <= r, and
+        the verdict is np.hypot's bit for bit: the norm is at least |hy - y|,
+        so a larger |hy - y| rejects it, and _norm_against decides the rest.
+        """
+        hits = [
+            k
+            for k, hx, hy in self.window(x, r)
+            if -r <= hy - y <= r and _norm_against(hx - x, hy - y, r) <= r
+        ]
+        hits.sort()
+        return hits
+
+
 def mark_coverage(
     swarm: SwarmState,
     hotspots: list[Hotspot],
     coverage_radius: float,
     scanning: np.ndarray | None = None,
     positions: np.ndarray | None = None,
-    field=None,
+    field: UncoveredHotspots | None = None,
 ) -> list[int]:
     """Flip uncovered hotspots within coverage_radius of any scanning UAV.
 
-    Returns the indices newly covered.  ``scanning`` masks which agents have
-    an active sensor this step (default: all); agents mid-traversal of a
+    Returns the indices newly covered, in list order: the union of the
+    within() queries of the scanning agents, so "within" means np.hypot's
+    length <= coverage_radius.  ``scanning`` masks which agents have an
+    active sensor this step (default: all); agents mid-traversal of a
     committed relocation fly dark and only scan on arrival.  A caller that
     already holds them may pass the agents' positions (default
-    swarm.positions()) and a FitnessField built on the hotspots' current
-    coverage, whose uncovered positions are then used as they are; a field
+    swarm.positions()) and the UncoveredHotspots (a FitnessField) built on
+    the hotspots' current coverage, which is then queried as it is; one
     built on other coverage is a ValidationError.
     """
     field_value(coverage_radius, "float", "coverage_radius")
     if positions is None:
         positions = swarm.positions()
-    if scanning is not None:
-        positions = positions[np.asarray(scanning, dtype=bool)]
     indices = uncovered_indices(hotspots)
-    if field is not None and field.indices != indices:
+    if field is None:
+        field = UncoveredHotspots(hotspots)
+    elif field.indices != indices:
         raise ValidationError("the fitness field was built on other hotspot coverage")
-    newly = []
-    if len(positions) and indices:
-        if field is None:
-            uncovered = np.array([hotspots[k].position for k in indices])
-        else:
-            uncovered = field.positions
-        # One agents x uncovered-hotspots distance matrix; np.hypot over an
-        # array rounds exactly as it does element by element.
-        delta = positions[:, None, :] - uncovered
-        nearest = np.hypot(delta[..., 0], delta[..., 1]).min(axis=0)
-        for k, d in zip(indices, nearest.tolist()):
-            if d <= coverage_radius:
-                hotspots[k].covered = True
-                newly.append(k)
+    points = np.asarray(positions, dtype=float).tolist()
+    if scanning is not None:
+        points = [p for p, active in zip(points, scanning) if active]
+    hit = set()
+    for x, y in points:
+        hit.update(field.within(x, y, coverage_radius))
+    newly = [indices[k] for k in sorted(hit)]
+    for k in newly:
+        hotspots[k].covered = True
     swarm.covered_count = len(hotspots) - len(indices) + len(newly)
     return newly
 

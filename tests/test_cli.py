@@ -20,7 +20,7 @@ from levyswarm.cli import (
 )
 from levyswarm.harness import run_scenario
 from levyswarm.metrics import heatmap_from_csv, read_runs_csv
-from levyswarm.world import preset_scenario, save_scenario
+from levyswarm.world import ValidationError, preset_scenario, save_scenario
 
 
 class TestArgHelpers:
@@ -404,6 +404,32 @@ class TestSeedListCap:
         spec_path.write_text(json.dumps({"levy_weights": [3.0], "seeds": self.SEEDS}))
         assert main(["sweep", "--spec", str(spec_path)]) == EXIT_INVALID
         assert "seeds must lie in [1, 10000], got 10001" in capsys.readouterr().err
+
+
+class TestWorkersBound:
+    """A worker count below 1 is refused before any config is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_config(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a config was built")
+
+        monkeypatch.setattr(harness, "preset_scenario", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--values", "3.0", "--workers", "0"],
+            ["compare", "--algorithms", "hybrid,abc", "--workers", "-2"],
+        ],
+    )
+    def test_workers_flag(self, capsys, argv):
+        assert main(argv + ["--seeds", "1", "--max-steps", "5"]) == EXIT_INVALID
+        assert "workers must lie in [1, inf]" in capsys.readouterr().err
+
+    def test_run_sweep(self):
+        with pytest.raises(ValidationError, match="workers must lie"):
+            harness.run_sweep(harness.SweepSpec(levy_weights=[3.0], seeds=[1]), workers=0)
 
 
 class TestValidateCommand:

@@ -280,9 +280,9 @@ class TestPotentialFieldRepulsion:
 
 class TestEscapeNoHotspotZone:
     def hotspots(self, *specs):
-        """The uncovered hotspots' positions, as the fitness field holds them."""
+        """The fitness field over these hotspots, which indexes the uncovered ones."""
         hotspots = [Hotspot(position=np.array(p, dtype=float), covered=c) for p, c in specs]
-        return FitnessField(hotspots, coverage_radius=3.0).positions
+        return FitnessField(hotspots, coverage_radius=3.0)
 
     def test_none_when_everything_covered(self):
         hs = self.hotspots(([1.0, 1.0], True), ([2.0, 2.0], True))

@@ -298,8 +298,8 @@ hotspot_list = st.lists(
     threshold=st.sampled_from([0.5, 5.0, 15.0]),
 )
 def test_escape_on_the_field_positions_matches_the_hotspot_list(position, hotspots, threshold):
-    uncovered = FitnessField(hotspots, 3.0).positions
-    got = escape_no_hotspot_zone(list(position), uncovered, threshold, 5.0)
+    field = FitnessField(hotspots, 3.0)
+    got = escape_no_hotspot_zone(list(position), field, threshold, 5.0)
     want = reference_escape(position, hotspots, threshold, 5.0)
     if want is None:
         assert got is None

@@ -53,11 +53,19 @@ class TestHeatmapBinning:
         h = Heatmap(width=100, height=100)
         assert h.cell_of([100.0, 100.0]) == (99, 99)
         assert h.cell_of([0.0, 100.0]) == (99, 0)
+        assert h.cell_of([100.0, 42.5]) == (42, 99)
+        h.record([[100.0, 100.0], [0.0, 100.0], [100.0, 42.5]])
+        assert h.counts[99, 99] == h.counts[99, 0] == h.counts[42, 99] == 1
+        assert h.total() == 3
 
     @pytest.mark.parametrize("position", [[-0.001, 5.0], [5.0, 100.001]])
     def test_outside_domain_rejected(self, position):
         with pytest.raises(ValidationError):
             Heatmap(width=100, height=100).cell_of(position)
+        h = Heatmap(width=100, height=100)
+        with pytest.raises(ValidationError, match="outside the heatmap domain"):
+            h.record([[1.0, 1.0], position, [2.0, 2.0]])
+        assert h.total() == 0
 
     def test_record_single_and_batch(self):
         h = Heatmap(width=10, height=10)

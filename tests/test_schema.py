@@ -189,6 +189,7 @@ BOUND_FIELDS = {
     "n_hotspots": {"RunMetrics"},
     "max_steps": {"ScenarioConfig", "SweepSpec"},
     "seeds": {"SweepSpec"},
+    "workers": set(),
     "seed": {"ScenarioConfig", "CompareRow", "RunMetrics", "RandomSource"},
 }
 MODULES = ["constraints", "harness", "metrics", "optimizers", "rng", "world"]
