@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import _HYPOT_BAND, GridConfig, UncoveredHotspots, ValidationError, _norm_against
+from .world import GridConfig, UncoveredHotspots, ValidationError, _norm_against
 
 _TINY = 1e-12
 # Below this separation a pair counts as coincident and separation directions
@@ -227,28 +227,23 @@ def escape_no_hotspot_zone(
     uncovered hotspot is already close, or when every hotspot is covered
     (there is nowhere useful to send the agent).
 
-    Distances are np.hypot's, bit for bit.  The x-window of the threshold
-    settles most calls; when the escape fires, squared distances shortlist
-    the nearest, np.hypot ranks the shortlist (the lowest id wins a tie, as
-    in argmin) and gives the length the step is scaled by.
+    The x-window of the threshold settles most calls (within()'s test,
+    stopping at the first hit).  Only when the escape fires does it measure
+    every hotspot, with one np.hypot over the field's array: a Python loop
+    over the hotspots is slower than that at any count.
     """
     x, y, r = float(position[0]), float(position[1]), threshold_radius
     if not field.points:
         return None
-    # The test of UncoveredHotspots.within, stopping at the first hit.
     for _, hx, hy in field.window(x, r):
         if -r <= hy - y <= r and _norm_against(hx - x, hy - y, r) <= r:
             return None
-    deltas = [(hx - x, hy - y) for hx, hy in field.points]
-    squares = [dx * dx + dy * dy for dx, dy in deltas]
-    # Squares round to a few ulps of the squared norms: any hotspot np.hypot
-    # could rank first lies far inside this band of the least square.
-    cutoff = min(squares) * (1.0 + _HYPOT_BAND)
-    d, nearest = min(
-        (float(np.hypot(*deltas[k])), k) for k, s in enumerate(squares) if s <= cutoff
-    )
-    dx, dy = deltas[nearest]
-    return dx / d * max_step_size, dy / d * max_step_size
+    dx = field.xy[:, 0] - x
+    dy = field.xy[:, 1] - y
+    dists = np.hypot(dx, dy)
+    nearest = int(dists.argmin())
+    d = float(dists[nearest])
+    return float(dx[nearest]) / d * max_step_size, float(dy[nearest]) / d * max_step_size
 
 
 def resolve_collisions(

@@ -21,7 +21,6 @@ from itertools import repeat
 import numpy as np
 
 from .constraints import (
-    _HYPOT_BAND,
     ConstraintReport,
     _pair_list,
     _violating_pairs,
@@ -36,6 +35,7 @@ from .metrics import Heatmap, RunMetrics, biodiversity_metric, merge_heatmaps
 from .optimizers import FitnessField, propose_step
 from .rng import RandomSource
 from .world import (
+    _HYPOT_BAND,
     Algorithm,
     AlgorithmParams,
     ConstraintParams,

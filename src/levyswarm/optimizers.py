@@ -32,21 +32,15 @@ class FitnessField(UncoveredHotspots):
     UncoveredHotspots index of the hotspots it was built on.
     """
 
-    __slots__ = ("weights", "coverage_radius", "shaping", "epsilon", "_shaping_terms")
+    __slots__ = ("weights", "coverage_radius", "shaping", "epsilon", "_weight_array")
 
     def __init__(self, hotspots, coverage_radius, shaping=False, epsilon=0.01):
         super().__init__(hotspots)
         self.weights = [float(hotspots[k].weight) for k in self.indices]
+        self._weight_array = np.array(self.weights, dtype=float)
         self.coverage_radius = float(coverage_radius)
         self.shaping = bool(shaping)
         self.epsilon = float(epsilon)
-        # The shaping term sums over every uncovered hotspot, so it stays one
-        # vectorised np.hypot over these arrays.
-        self._shaping_terms = (
-            (np.array(self.points, dtype=float).reshape(-1, 2), np.array(self.weights, dtype=float))
-            if self.shaping
-            else None
-        )
 
     @classmethod
     def from_config(cls, hotspots, config: ScenarioConfig) -> "FitnessField":
@@ -61,14 +55,14 @@ class FitnessField(UncoveredHotspots):
         """The fitness at position, bit for bit as numpy computed it over arrays.
 
         The covered weights come from a within() query and are added in
-        np.sum's pairwise order."""
+        np.sum's pairwise order; the shaping term, a sum over every uncovered
+        hotspot, stays one vectorised np.hypot."""
         x, y = float(position[0]), float(position[1])
         weights = self.weights
         total = _np_sum([weights[k] for k in self.within(x, y, self.coverage_radius)])
         if self.shaping:
-            points, w = self._shaping_terms
-            d = np.hypot(points[:, 0] - x, points[:, 1] - y)
-            total += self.epsilon * float(np.sum(w / (1.0 + d)))
+            d = np.hypot(self.xy[:, 0] - x, self.xy[:, 1] - y)
+            total += self.epsilon * float(np.sum(self._weight_array / (1.0 + d)))
         return total
 
 

@@ -424,17 +424,19 @@ def uncovered_indices(hotspots: list[Hotspot]) -> list[int]:
 class UncoveredHotspots:
     """The uncovered hotspots, sorted by x for radius queries on Python floats.
 
-    ``indices`` names them in list order and ``points`` holds their (x, y)
-    floats in the same order; a hotspot's id in a query result is its
-    position in both.  within() bisects the x-sorted copy, so a query costs
-    O(log m + window) rather than O(m).
+    ``indices`` names them in list order, ``points`` holds their (x, y)
+    floats and ``xy`` the same as an (m, 2) array; a hotspot's id in a query
+    result is its position in all three.  within() bisects the x-sorted
+    copy, so a query costs O(log m + window) rather than O(m).  ``xy`` serves
+    the computations that need every hotspot, which numpy does faster.
     """
 
-    __slots__ = ("indices", "points", "_xs", "_by_x")
+    __slots__ = ("indices", "points", "xy", "_xs", "_by_x")
 
     def __init__(self, hotspots):
         self.indices = uncovered_indices(hotspots)
         self.points = [tuple(hotspots[k].position.tolist()) for k in self.indices]
+        self.xy = np.array(self.points, dtype=float).reshape(-1, 2)
         by_x = sorted(enumerate(self.points), key=lambda item: item[1][0])
         self._xs = [x for _, (x, _) in by_x]
         self._by_x = [(k, x, y) for k, (x, y) in by_x]
