@@ -305,7 +305,8 @@ def test_mark_coverage_with_nothing_uncovered():
 def assert_escape_matches(point, threshold, hotspots):
     field = FitnessField(hotspots, 3.0)
     got = escape_no_hotspot_zone(point, field, threshold, 5.0)
-    want = ref_escape_no_hotspot_zone(point, RefFitnessField(hotspots, 3.0).positions, threshold, 5.0)
+    uncovered = RefFitnessField(hotspots, 3.0).positions
+    want = ref_escape_no_hotspot_zone(point, uncovered, threshold, 5.0)
     assert bits(got) == bits(want)
 
 
