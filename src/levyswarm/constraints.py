@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import GridConfig, UncoveredHotspots, ValidationError, _norm_against
+from .world import _HYPOT_BAND, GridConfig, UncoveredHotspots, ValidationError, _norm_against
 
 _TINY = 1e-12
 # Below this separation a pair counts as coincident and separation directions
@@ -55,8 +55,14 @@ class ConstraintReport:
         self.zone_escapes += other.zone_escapes
 
 
-def _clamp_xy(x: float, y: float, limit: float) -> tuple[float, float]:
-    """clamp_step on Python floats, with np.hypot's norm."""
+def clamp_step(x: float, y: float, limit: float) -> tuple[float, float]:
+    """The displacement (x, y) scaled down to length at most limit, direction kept.
+
+    The reduced vector's np.hypot length is <= limit exactly, not just to
+    rounding: after the rescale, components are nudged toward zero until the
+    recomputed norm passes.  Idempotent, and the identity on vectors already
+    inside the limit.
+    """
     if not limit > 0.0:
         raise ValidationError(f"max_step_size must be positive, got {limit}")
     if _norm_against(x, y, limit) <= limit:
@@ -68,25 +74,20 @@ def _clamp_xy(x: float, y: float, limit: float) -> tuple[float, float]:
     return x, y
 
 
-def _box(x: float, y: float, grid: GridConfig) -> tuple[float, float]:
-    """Projection onto [0, width] x [0, height].  0.0 comes first in max() so
-    that -0.0 projects to +0.0; max(x, 0.0) would keep -0.0."""
+def clamp_boundary(x: float, y: float, grid: GridConfig) -> tuple[float, float]:
+    """The point (x, y) projected onto the grid box [0, width] x [0, height].
+
+    Componentwise projection onto a box is non-expansive: for any anchor
+    inside the box, the projected point is no farther from the anchor than the
+    raw point was, so boundary clamping never breaks a step-size budget.
+    0.0 comes first in max() so that -0.0 projects to +0.0; max(x, 0.0)
+    would keep -0.0.
+    """
     return min(max(0.0, x), float(grid.width)), min(max(0.0, y), float(grid.height))
 
 
-def clamp_step(displacement, max_step_size: float) -> np.ndarray:
-    """Scale a displacement down to at most max_step_size, preserving direction.
-
-    The reduced vector's Euclidean norm is <= max_step_size exactly, not just
-    to rounding: after the rescale, components are nudged toward zero until the
-    recomputed norm passes.  Idempotent, and the identity on vectors already
-    inside the limit.
-    """
-    return np.array(_clamp_xy(float(displacement[0]), float(displacement[1]), max_step_size))
-
-
-def settle_within(position, anchor, budget: float) -> np.ndarray:
-    """Nudge a position toward its anchor until ||position - anchor|| <= budget.
+def settle_within(x: float, y: float, ax: float, ay: float, budget: float) -> tuple[float, float]:
+    """(x, y) nudged toward the anchor (ax, ay) until its np.hypot distance is <= budget.
 
     Composing `anchor + clamp_step(...)` rounds once per component, so the
     *measured* displacement of a stored position can exceed the budget by an
@@ -95,12 +96,6 @@ def settle_within(position, anchor, budget: float) -> np.ndarray:
     grid, so containment is preserved) make the recomputed norm pass.  The
     identity for positions already within budget.
     """
-    x, y = float(position[0]), float(position[1])
-    return np.array(_settle_xy(x, y, float(anchor[0]), float(anchor[1]), budget))
-
-
-def _settle_xy(x: float, y: float, ax: float, ay: float, budget: float) -> tuple[float, float]:
-    """settle_within on Python floats."""
     guard = 0
     while _norm_against(x - ax, y - ay, budget) > budget:
         x, y = math.nextafter(x, ax), math.nextafter(y, ay)
@@ -108,16 +103,6 @@ def _settle_xy(x: float, y: float, ax: float, ay: float, budget: float) -> tuple
         if guard > 1000:
             raise ConstraintError("settle_within failed to converge")
     return x, y
-
-
-def clamp_boundary(position, grid: GridConfig) -> np.ndarray:
-    """Project a position onto the grid box [0, width] x [0, height].
-
-    Componentwise projection onto a box is non-expansive: for any anchor
-    inside the box, the projected point is no farther from the anchor than the
-    raw point was, so boundary clamping never breaks a step-size budget.
-    """
-    return np.array(_box(float(position[0]), float(position[1]), grid))
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,44 +115,53 @@ def _pair_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _violating_pairs(pos: list[tuple[float, float]], radius: float) -> list[tuple[int, int]]:
-    """The pairs of _pair_list closer than radius, by np.hypot's length."""
-    return [
-        (i, j)
-        for i, j in _pair_list(len(pos))
-        if _norm_against(pos[i][0] - pos[j][0], pos[i][1] - pos[j][1], radius) < radius
-    ]
+def _violating_pairs(pos: list, radius: float) -> list[tuple[int, int, float, float, float]]:
+    """(i, j, dx, dy, d) for each pair of _pair_list closer than radius, in that order.
+
+    (dx, dy) is position i minus position j and d = float(np.hypot(dx, dy)),
+    which decides closeness.  math.hypot screens the pairs first: outside
+    _HYPOT_BAND above radius the two norms agree on the comparison, so only
+    the pairs it leaves pay for a scalar np.hypot.
+    """
+    near = radius * (1.0 + _HYPOT_BAND)
+    close = []
+    for i, j in _pair_list(len(pos)):
+        (xi, yi), (xj, yj) = pos[i], pos[j]
+        dx, dy = xi - xj, yi - yj
+        if math.hypot(dx, dy) <= near and (d := float(np.hypot(dx, dy))) < radius:
+            close.append((i, j, dx, dy, d))
+    return close
 
 
-def _soft_offsets(positions, radius: float, push) -> list[list[float]]:
-    """Per-agent sums of push(dx, dy, d) over the pairs closer than radius.
+def _soft_offsets(pairs, n: int, radius: float, push) -> list[tuple[float, float]]:
+    """Per-agent sums of push(dx, dy, d) over the listed pairs closer than radius.
 
-    (dx, dy) is position i minus position j and d its np.hypot length; agent
+    pairs is _violating_pairs over a reach >= radius: d < radius keeps
+    exactly the pairs _violating_pairs(positions, radius) would list.  Agent
     i receives +push, agent j -push.  Walking pairs in (i, j) order, each
     agent meets all its j-side pairs before any of its i-side pairs; every
     rounding of the sums depends on that addition order.
     """
-    pos = np.asarray(positions, dtype=float).tolist()
-    offsets = [[0.0, 0.0] for _ in pos]
-    for i, j in _violating_pairs(pos, radius):
-        dx = pos[i][0] - pos[j][0]
-        dy = pos[i][1] - pos[j][1]
-        px, py = push(dx, dy, float(np.hypot(dx, dy)))
-        offsets[i][0] += px
-        offsets[i][1] += py
-        offsets[j][0] -= px
-        offsets[j][1] -= py
-    return offsets
+    offsets = [[0.0, 0.0] for _ in range(n)]
+    for i, j, dx, dy, d in pairs:
+        if d < radius:
+            px, py = push(dx, dy, d)
+            offsets[i][0] += px
+            offsets[i][1] += py
+            offsets[j][0] -= px
+            offsets[j][1] -= py
+    return [(x, y) for x, y in offsets]
 
 
-def safe_zone_separation(positions: np.ndarray, safe_zone_radius: float) -> np.ndarray:
-    """Per-agent offsets pushing pairs closer than safe_zone_radius apart.
+def safe_zone_separation(pairs, n: int, safe_zone_radius: float) -> list[tuple[float, float]]:
+    """Per-agent (x, y) offsets pushing pairs closer than safe_zone_radius apart.
 
-    One pass over pairs in (i, j) order: each agent of a violating pair
-    receives a push of magnitude safe_zone_radius / 2 along the line joining
-    them, away from the partner (symmetric, momentum-free); pushes from
-    multiple neighbours accumulate.  A coincident pair falls back to the
-    x axis: +x for the lower index, -x for the higher.
+    pairs is _violating_pairs over a reach >= safe_zone_radius, n the agent
+    count.  Each agent of a violating pair receives a push of magnitude
+    safe_zone_radius / 2 along the line joining them, away from the partner
+    (symmetric, momentum-free); pushes from multiple neighbours accumulate.
+    A coincident pair falls back to the x axis: +x for the lower index, -x
+    for the higher.
     """
     half = 0.5 * safe_zone_radius
 
@@ -176,23 +170,21 @@ def safe_zone_separation(positions: np.ndarray, safe_zone_radius: float) -> np.n
             return half, 0.0
         return half * (dx / d), half * (dy / d)
 
-    return np.array(_soft_offsets(positions, safe_zone_radius, push)).reshape(-1, 2)
+    return _soft_offsets(pairs, n, safe_zone_radius, push)
 
 
 def potential_field_repulsion(
-    positions: np.ndarray,
-    collision_radius: float,
-    gain: float,
-    max_step_size: float,
-) -> np.ndarray:
-    """Repulsive-field offsets for pairs inside twice the collision radius.
+    pairs, n: int, collision_radius: float, gain: float, max_step_size: float
+) -> list[tuple[float, float]]:
+    """Repulsive-field (x, y) offsets for pairs inside twice the collision radius.
 
-    A pair at distance d < R = 2*collision_radius contributes the classic
-    repulsive-potential gradient gain*(1/d - 1/R)*(1/d^2) along the joining
-    line, equal and opposite on the two agents.  Near-coincident pairs
-    (d < 1e-9) use the same x-axis fallback as safe-zone separation with d
-    floored at 1e-9.  Each agent's accumulated offset is clamped to
-    max_step_size, which also caps that blow-up.
+    pairs is _violating_pairs over a reach >= R = 2*collision_radius.  A pair
+    at distance d < R contributes the classic repulsive-potential gradient
+    gain*(1/d - 1/R)*(1/d^2) along the joining line, equal and opposite on
+    the two agents.  Near-coincident pairs (d < 1e-9) use the same x-axis
+    fallback as safe-zone separation with d floored at 1e-9.  Each agent's
+    accumulated offset is clamped to max_step_size, which also caps that
+    blow-up.
     """
     influence = 2.0 * collision_radius
 
@@ -208,8 +200,8 @@ def potential_field_repulsion(
         magnitude = gain * (1.0 / d - 1.0 / influence) / d**2
         return magnitude * ux, magnitude * uy
 
-    offsets = _soft_offsets(positions, influence, push)
-    return np.array([clamp_step(o, max_step_size) for o in offsets]).reshape(-1, 2)
+    offsets = _soft_offsets(pairs, n, influence, push)
+    return [clamp_step(x, y, max_step_size) for x, y in offsets]
 
 
 def escape_no_hotspot_zone(
@@ -247,15 +239,16 @@ def escape_no_hotspot_zone(
 
 
 def resolve_collisions(
-    positions: np.ndarray,
+    positions,
     grid: GridConfig,
     collision_radius: float,
-    anchors: np.ndarray | None = None,
+    anchors=None,
     budget: float | None = None,
-    revert_to: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
+    revert_to=None,
+) -> tuple[list[tuple[float, float]], np.ndarray, int]:
     """Push agents apart until every pair is at least collision_radius apart.
 
+    positions, anchors and revert_to are sequences of (x, y) pairs.
     Violating pairs are processed in index order, each agent moving half the
     shortfall (plus a small margin) away from its partner, clamped to the grid
     and, when ``anchors``/``budget`` are given, to a displacement budget about
@@ -265,28 +258,29 @@ def resolve_collisions(
     (their feasible step-start positions), cascading until feasible.  Without
     a revert fallback a stall raises ConstraintError.
 
-    Returns (new_positions, touched_mask, pushes_applied).
+    Returns (new positions as a list of (x, y) floats, touched mask as a
+    bool array, pushes applied).
     """
-    start = np.array(positions, dtype=float)
-    n = len(start)
-    # Positions are (x, y) tuples of Python floats: a resolver pass makes
-    # thousands of 2-vector operations, each far cheaper on floats than as a
-    # numpy call.  The arithmetic and its rounding are those of numpy.
-    pos = [tuple(p) for p in start.tolist()]
-
-    def violating() -> list[tuple[int, int]]:
-        return _violating_pairs(pos, collision_radius)
-
-    pairs = violating()
-    if not pairs:
-        return start, np.zeros(n, dtype=bool), 0
+    # (x, y) tuples of Python floats: a resolver pass makes thousands of
+    # 2-vector operations, each far cheaper on floats than as a numpy call.
+    # The arithmetic and its rounding are those of numpy.
+    pos = [(float(x), float(y)) for x, y in positions]
+    n = len(pos)
+    pairs = _violating_pairs(pos, collision_radius)
     bounded = anchors is not None and budget is not None
     if bounded:
-        anchor_xy = np.asarray(anchors, dtype=float).tolist()
+        anchor_xy = [(float(x), float(y)) for x, y in anchors]
+        # Below this math.hypot length an offset is within budget by either norm.
+        inside = budget * (1.0 - _HYPOT_BAND)
+    width, height = float(grid.width), float(grid.height)
     target = collision_radius * (1.0 + SEPARATION_MARGIN)
     touched = [False] * n
     reverted = [False] * n
     pushes = 0
+    # The agents moved in the current pass, each with its position at the
+    # start of the pass; a pair's geometry from the last walk is current
+    # while neither of its agents is here.
+    moved = {}
 
     def separation(i, j):
         dx, dy = pos[i][0] - pos[j][0], pos[i][1] - pos[j][1]
@@ -295,36 +289,40 @@ def resolve_collisions(
     def move(idx, dx, dy):
         nonlocal pushes
         px, py = pos[idx]
-        x, y = _box(px + dx, py + dy, grid)
+        # clamp_boundary inline, as max(0.0, v) then min(v, side) pick.
+        x, y = px + dx, py + dy
+        x = 0.0 if not x > 0.0 else width if x > width else x
+        y = 0.0 if not y > 0.0 else height if y > height else y
         if bounded:
             ax, ay = anchor_xy[idx]
             ox, oy = x - ax, y - ay
-            if _norm_against(ox, oy, budget) > budget:
-                ox, oy = _clamp_xy(ox, oy, budget)
-                x, y = ax + ox, ay + oy
+            # clamp_step changes the offset exactly when it exceeds the budget.
+            if math.hypot(ox, oy) > inside:
+                cx, cy = clamp_step(ox, oy, budget)
+                if cx != ox or cy != oy:
+                    x, y = ax + cx, ay + cy
         if x != px or y != py:
+            moved.setdefault(idx, (px, py))
             pos[idx] = (x, y)
             touched[idx] = True
             pushes += 1
 
     def revert(agents):
-        starts = np.asarray(revert_to, dtype=float).tolist()
+        starts = [(float(x), float(y)) for x, y in revert_to]
         for k in agents:
             if not reverted[k]:
-                pos[k] = tuple(starts[k])
+                pos[k] = starts[k]
                 reverted[k] = True
                 touched[k] = True
-
-    def result():
-        return np.array(pos), np.array(touched), pushes
 
     fallback_cycle = ((1.0, 0.0), (0.0, 1.0))
     for iteration in range(MAX_RESOLVE_PASSES):
         if not pairs:
-            return result()
-        before = list(pos)
-        for i, j in pairs:
-            dx, dy, d = separation(i, j)
+            break
+        moved.clear()
+        for i, j, dx, dy, d in pairs:
+            if i in moved or j in moved:
+                dx, dy, d = separation(i, j)
             if d >= target:
                 continue
             if d > _TINY:
@@ -347,9 +345,11 @@ def resolve_collisions(
                     _, _, d = separation(i, j)
                     if d >= target:
                         break
+        pairs = _violating_pairs(pos, collision_radius)
+        # Agents not in moved kept their positions exactly.
         if all(
-            abs(x - bx) < 1e-15 and abs(y - by) < 1e-15
-            for (x, y), (bx, by) in zip(pos, before)
+            abs(pos[k][0] - bx) < 1e-15 and abs(pos[k][1] - by) < 1e-15
+            for k, (bx, by) in moved.items()
         ):
             # No progress is possible under the current pins; fall back.
             if revert_to is None:
@@ -357,13 +357,13 @@ def resolve_collisions(
                     "cannot separate agents to the collision radius within the "
                     "grid and step budget"
                 )
-            revert({k for pair in violating() for k in pair})
-        pairs = violating()
+            revert({k for i, j, *_ in pairs for k in (i, j)})
+            pairs = _violating_pairs(pos, collision_radius)
     if pairs and revert_to is not None:
         revert(range(n))
-        pairs = violating()
+        pairs = _violating_pairs(pos, collision_radius)
     if pairs:
         raise ConstraintError(
             f"collision resolution did not converge in {MAX_RESOLVE_PASSES} iterations"
         )
-    return result()
+    return pos, np.array(touched, dtype=bool), pushes

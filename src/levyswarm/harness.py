@@ -78,52 +78,47 @@ def _min_pairwise(xy: list) -> float:
 
 
 def _collision_stage(
-    tentative: np.ndarray, anchors: np.ndarray, cons: ConstraintParams, grid: GridConfig
+    tentative: list, anchors: list, cons: ConstraintParams, grid: GridConfig
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Soft repulsion, then hard separation, of one step's tentative positions.
+    """Soft repulsion, then hard separation, of one step's tentative (x, y) positions.
 
-    Returns (final positions, intervened mask, smallest pair distance of
-    final).  Most steps have no pair within reach of either soft force (the
-    safe-zone radius, and twice the collision radius for the potential
-    field), and skip the stage: the hard-separation radius is no larger
-    (validate() keeps collision_radius <= safe_zone_radius), and every
+    Returns (final positions as an array, intervened mask, smallest pair
+    distance of final).  Most steps have no pair within reach of either soft
+    force (the safe-zone radius, and twice the collision radius for the
+    potential field), and skip the stage: the hard-separation radius is no
+    larger (validate() keeps collision_radius <= safe_zone_radius), and every
     proposer leaves its agents within max_step_size of their anchors, so each
     part of the stage would be the identity.
     """
-    xy = tentative.tolist()
-    smallest = _min_pairwise(xy)
+    smallest = _min_pairwise(tentative)
     reach = max(cons.safe_zone_radius, 2.0 * cons.collision_radius)
     # The smallest math.hypot decides the gate unless it is near the reach;
     # there _violating_pairs decides each pair as np.hypot would.
-    if not smallest < reach * (1.0 + _HYPOT_BAND) or not _violating_pairs(xy, reach):
+    pairs = _violating_pairs(tentative, reach) if smallest < reach * (1.0 + _HYPOT_BAND) else []
+    if not pairs:
         # + 0.0 turns -0.0 into 0.0, as adding the zero shove does.
-        return tentative + 0.0, np.zeros(len(tentative), dtype=bool), smallest
+        return np.array(tentative) + 0.0, np.zeros(len(tentative), dtype=bool), smallest
 
-    offsets = safe_zone_separation(tentative, cons.safe_zone_radius)
-    offsets += potential_field_repulsion(
-        tentative, cons.collision_radius, cons.potential_field_gain, cons.max_step_size
+    step = cons.max_step_size
+    safe = safe_zone_separation(pairs, len(tentative), cons.safe_zone_radius)
+    field = potential_field_repulsion(
+        pairs, len(tentative), cons.collision_radius, cons.potential_field_gain, step
     )
-    candidate = np.empty_like(tentative)
-    for i in range(len(tentative)):
-        shove = clamp_step(offsets[i], cons.max_step_size)
-        candidate[i] = clamp_boundary(tentative[i] + shove, grid)
+    candidate = []
+    for (x, y), (sx, sy), (fx, fy) in zip(tentative, safe, field):
+        ox, oy = clamp_step(sx + fx, sy + fy, step)
+        candidate.append(clamp_boundary(x + ox, y + oy, grid))
     final, touched, _ = resolve_collisions(
-        candidate,
-        grid,
-        cons.collision_radius,
-        anchors=tentative,
-        budget=cons.max_step_size,
-        revert_to=anchors,
+        candidate, grid, cons.collision_radius, anchors=tentative, budget=step, revert_to=anchors
     )
-    intervened = touched | np.any(candidate != tentative, axis=1)
+    intervened = touched | np.array([c != (x, y) for c, (x, y) in zip(candidate, tentative)])
     # The logged displacement must respect the budget exactly, not just up
     # to the rounding of anchor + step; nudge stragglers back by an ulp.
     # (The margin in the hard-separation target dwarfs these nudges, so
     # pairwise distances stay above the collision radius.)
-    for i in range(len(final)):
-        budget = 2.0 * cons.max_step_size if intervened[i] else cons.max_step_size
-        final[i] = settle_within(final[i], anchors[i], budget)
-    return final, intervened, _min_pairwise(final.tolist())
+    for k, ((x, y), (ax, ay)) in enumerate(zip(final, anchors)):
+        final[k] = settle_within(x, y, ax, ay, 2.0 * step if intervened[k] else step)
+    return np.array(final), intervened, _min_pairwise(final)
 
 
 def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
@@ -140,9 +135,10 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
 
     # UAVs launch from a single point; spread them to the collision radius
     # before anything is recorded.
-    start_positions, touched, _ = resolve_collisions(
-        swarm.positions(), config.grid, cons.collision_radius
+    start, touched, _ = resolve_collisions(
+        swarm.positions().tolist(), config.grid, cons.collision_radius
     )
+    start_positions = np.array(start)
     collision_interventions = int(touched.sum())
     for i, uav in enumerate(swarm.uavs):
         uav.position = start_positions[i]
@@ -166,7 +162,7 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     heatmap = Heatmap.for_grid(config.grid)
     heatmap.record(start_positions)
     coverage_curve = [(0, swarm.covered_count)]
-    min_pairwise_series = [_min_pairwise(start_positions.tolist())]
+    min_pairwise_series = [_min_pairwise(start)]
     trajectories = [start_positions] if record_trajectories else None
     collision_masks = []
     report = ConstraintReport(collision_interventions=collision_interventions)
@@ -176,24 +172,24 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     while steps_to_cover is None and step < config.max_steps:
         step += 1
         swarm.step = step
-        anchors = swarm.positions()
+        anchors = swarm.positions().tolist()
         proposal = propose_step(swarm, fitness, config, rngs)
         report.merge(proposal.report)
         final, intervened, min_pairwise = _collision_stage(
-            proposal.positions, anchors, cons, config.grid
+            proposal.positions.tolist(), anchors, cons, config.grid
         )
         report.collision_interventions += int(intervened.sum())
         collision_masks.append(intervened)
 
-        # The rows of final become the agents' positions and, when recorded,
-        # a trajectory entry: nothing may change them in place.
+        scored_on = fitness
         for i, uav in enumerate(swarm.uavs):
+            # The rows of final become the agents' positions and, when
+            # recorded, a trajectory entry: nothing may change them in place.
             uav.position = final[i]
-
-        for i, uav in enumerate(swarm.uavs):
             if not proposal.scanning[i]:
                 # Mid-flight: the sensor is dark, so no reward is realized and
                 # nothing is observed; the last landed fitness stays in force.
+                scored_on = None
                 continue
             value = fitness.value(uav.position)
             uav.fitness = value
@@ -213,6 +209,7 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
                 grid_extent = np.array([config.grid.width, config.grid.height], dtype=float)
                 uav.transit_target = tuple((rngs[i].uniform(0.0, 1.0, 2) * grid_extent).tolist())
                 uav.stagnation = 0
+        swarm.scored_on = scored_on
 
         # The field depends only on the uncovered set, so it changes only
         # when this step covers something.
@@ -230,6 +227,8 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         if swarm.covered_count == len(hotspots):
             steps_to_cover = step
 
+    # The result keeps the swarm, not the last field.
+    swarm.scored_on = None
     metrics = RunMetrics(
         scenario_id=config.scenario_id,
         algorithm=config.algorithm.value,

@@ -174,16 +174,16 @@ def _constrain_motion(target, anchor, config: ScenarioConfig, report=None) -> tu
     max_step = config.constraints.max_step_size
     (x, y), (ax, ay) = target, anchor
     rx, ry = x - ax, y - ay
-    sx, sy = constraints._clamp_xy(rx, ry, max_step)
+    sx, sy = constraints.clamp_step(rx, ry, max_step)
     ux, uy = ax + sx, ay + sy
-    px, py = constraints._box(ux, uy, config.grid)
+    px, py = constraints.clamp_boundary(ux, uy, config.grid)
     if report is not None:
         # Tuple equality compares the floats with ==, so -0.0 equals 0.0.
         if (sx, sy) != (rx, ry):
             report.clamped_steps += 1
         if (px, py) != (ux, uy):
             report.boundary_hits += 1
-    return constraints._settle_xy(px, py, ax, ay, max_step)
+    return constraints.settle_within(px, py, ax, ay, max_step)
 
 
 def propose_abc(
@@ -198,7 +198,11 @@ def propose_abc(
     """
     anchors = swarm.positions().tolist()
     tentative = [tuple(p) for p in anchors]
-    values = [fitness.value(p) for p in tentative]
+    if swarm.scored_on is fitness:
+        # The run loop scored every agent on this field where it stands.
+        values = [uav.fitness for uav in swarm.uavs]
+    else:
+        values = [fitness.value(p) for p in tentative]
     report = constraints.ConstraintReport()
 
     for i in range(len(tentative)):
@@ -343,7 +347,7 @@ def propose_hybrid(
                 x, y = x + c * (ax - anchors[j][0]), y + c * (ay - anchors[j][1])
         else:
             x, y = x + params.explore_coeff * (gx - ax), y + params.explore_coeff * (gy - ay)
-        waypoint = constraints._box(x, y, config.grid)
+        waypoint = constraints.clamp_boundary(x, y, config.grid)
         if waypoint != (x, y):
             report.boundary_hits += 1
         if constraints._norm_against(waypoint[0] - ax, waypoint[1] - ay, max_step) > max_step:
@@ -370,8 +374,8 @@ def propose_hybrid(
         else:
             scanning[i] = False
             report.clamped_steps += 1
-            sx, sy = constraints._clamp_xy(dx, dy, max_step)
-            tentative[i] = constraints._settle_xy(ax + sx, ay + sy, ax, ay, max_step)
+            sx, sy = constraints.clamp_step(dx, dy, max_step)
+            tentative[i] = constraints.settle_within(ax + sx, ay + sy, ax, ay, max_step)
 
     # Onlooker reinforcement: a Bernoulli per agent gates an extra Levy move,
     # kept only when it improves the fitness of that agent's tentative

@@ -144,15 +144,20 @@ _ALGORITHM_ALIASES = {
 }
 
 
+def _parse_enum(value, text: str, table: dict, what: str, expected):
+    """table's entry for text, case-blind; else a ValidationError naming value."""
+    try:
+        return table[text.lower()]
+    except KeyError:
+        raise ValidationError(f"unknown {what} {value!r}; expected one of {expected}") from None
+
+
 def parse_algorithm(name) -> Algorithm:
     if isinstance(name, Algorithm):
         return name
-    try:
-        return _ALGORITHM_ALIASES[str(name).strip().lower()]
-    except KeyError:
-        raise ValidationError(
-            f"unknown algorithm {name!r}; expected one of abc, pso, hybrid-abc-levy"
-        ) from None
+    return _parse_enum(
+        name, str(name).strip(), _ALGORITHM_ALIASES, "algorithm", "abc, pso, hybrid-abc-levy"
+    )
 
 
 class ScenarioKind(str, enum.Enum):
@@ -161,11 +166,12 @@ class ScenarioKind(str, enum.Enum):
     CUSTOM = "custom"
 
 
+_KIND_NAMES = {k.value: k for k in ScenarioKind}
+
+
 def _parse_kind(kind) -> ScenarioKind:
-    kinds = [k.value for k in ScenarioKind]
-    if field_value(kind, "str", "kind").lower() not in kinds:
-        raise ValidationError(f"unknown scenario kind {kind!r}; expected one of {kinds}")
-    return ScenarioKind(kind.lower())
+    text = field_value(kind, "str", "kind")
+    return _parse_enum(kind, text, _KIND_NAMES, "scenario kind", list(_KIND_NAMES))
 
 
 @dataclass(frozen=True)
@@ -283,6 +289,9 @@ class SwarmState:
     global_best_fitness: float = -math.inf
     step: int = 0
     covered_count: int = 0
+    # The fitness field every agent's fitness was last scored on, at its
+    # current position; None when that does not hold for some agent.
+    scored_on: UncoveredHotspots | None = None
 
     def observe(self, position: np.ndarray, fitness: float):
         """Fold one fitness evaluation into the running global best."""
@@ -491,16 +500,21 @@ def mark_coverage(
     committed relocation fly dark and only scan on arrival.  A caller that
     already holds them may pass the agents' positions (default
     swarm.positions()) and the UncoveredHotspots (a FitnessField) built on
-    the hotspots' current coverage, which is then queried as it is; one
-    built on other coverage is a ValidationError.
+    the hotspots' current coverage, which is then queried as it is.  A
+    field whose uncovered count plus swarm.covered_count is len(hotspots),
+    as in the run loop, is taken on that count, without a pass over the
+    hotspots; any other must index exactly the uncovered hotspots, else it
+    was built on other coverage, a ValidationError.
     """
     field_value(coverage_radius, "float", "coverage_radius")
     if positions is None:
         positions = swarm.positions()
-    indices = uncovered_indices(hotspots)
     if field is None:
         field = UncoveredHotspots(hotspots)
-    elif field.indices != indices:
+    elif (
+        len(field.indices) + swarm.covered_count != len(hotspots)
+        and field.indices != uncovered_indices(hotspots)
+    ):
         raise ValidationError("the fitness field was built on other hotspot coverage")
     points = np.asarray(positions, dtype=float).tolist()
     if scanning is not None:
@@ -508,10 +522,10 @@ def mark_coverage(
     hit = set()
     for x, y in points:
         hit.update(field.within(x, y, coverage_radius))
-    newly = [indices[k] for k in sorted(hit)]
+    newly = [field.indices[k] for k in sorted(hit)]
     for k in newly:
         hotspots[k].covered = True
-    swarm.covered_count = len(hotspots) - len(indices) + len(newly)
+    swarm.covered_count = len(hotspots) - len(field.indices) + len(newly)
     return newly
 
 

@@ -2,13 +2,15 @@
 
 ``harness._collision_stage`` skips soft repulsion, the shove clamp, the
 resolver and ``settle_within`` on steps where no pair is within
-``max(safe_zone_radius, 2 * collision_radius)``.  ``reference_stage`` below is
-the ungated stage as the run loop had it, kept verbatim: the gated stage must
-match it bit for bit (position bytes including the sign of zero, and the
-intervened mask).  The skip is exact only because every proposer keeps its
-tentative positions within ``max_step_size`` of their anchors, so that
-invariant is tested here too, as is the float re-check of violating pairs
-against the numpy ``_ref_close_pairs``.
+``max(safe_zone_radius, 2 * collision_radius)``, and otherwise runs them on
+(x, y) floats with one pair walk.  ``reference_stage`` below is the ungated
+stage as the run loop had it, on the numpy reference primitives of
+``test_constraints_reference``: the gated stage must match it bit for bit
+(position bytes including the sign of zero, and the intervened mask).  The
+skip is exact only because every proposer keeps its tentative positions
+within ``max_step_size`` of their anchors, so that invariant is tested here
+too, as is the float re-check of violating pairs against the numpy
+``_ref_close_pairs``.
 """
 
 from __future__ import annotations
@@ -21,32 +23,32 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levyswarm import harness
-from levyswarm.constraints import (
-    _violating_pairs,
-    clamp_boundary,
-    clamp_step,
-    potential_field_repulsion,
-    resolve_collisions,
-    safe_zone_separation,
-    settle_within,
-)
+from levyswarm.constraints import _violating_pairs, resolve_collisions
 from levyswarm.harness import _collision_stage, run_scenario
 from levyswarm.world import AlgorithmParams, ConstraintParams, GridConfig, preset_scenario
-from test_constraints_reference import _ref_close_pairs
+from test_constraints_reference import (
+    _ref_close_pairs,
+    ref_clamp_boundary,
+    ref_clamp_step,
+    ref_potential_field_repulsion,
+    ref_resolve_collisions,
+    ref_safe_zone_separation,
+    ref_settle_within,
+)
 
 # --- reference: the ungated collision stage -----------------------------------
 
 
 def reference_stage(tentative, anchors, cons, grid):
-    offsets = safe_zone_separation(tentative, cons.safe_zone_radius)
-    offsets += potential_field_repulsion(
+    offsets = ref_safe_zone_separation(tentative, cons.safe_zone_radius)
+    offsets += ref_potential_field_repulsion(
         tentative, cons.collision_radius, cons.potential_field_gain, cons.max_step_size
     )
     candidate = np.empty_like(tentative)
     for i in range(len(tentative)):
-        shove = clamp_step(offsets[i], cons.max_step_size)
-        candidate[i] = clamp_boundary(tentative[i] + shove, grid)
-    final, touched, _ = resolve_collisions(
+        shove = ref_clamp_step(offsets[i], cons.max_step_size)
+        candidate[i] = ref_clamp_boundary(tentative[i] + shove, grid)
+    final, touched, _ = ref_resolve_collisions(
         candidate,
         grid,
         cons.collision_radius,
@@ -57,7 +59,7 @@ def reference_stage(tentative, anchors, cons, grid):
     intervened = touched | np.any(candidate != tentative, axis=1)
     for i in range(len(final)):
         budget = 2.0 * cons.max_step_size if intervened[i] else cons.max_step_size
-        final[i] = settle_within(final[i], anchors[i], budget)
+        final[i] = ref_settle_within(final[i], anchors[i], budget)
     return final, intervened
 
 
@@ -68,7 +70,9 @@ def reference_min_pairwise(positions):
 
 
 def assert_stage_matches(tentative, anchors, cons, grid):
-    final, intervened, min_pairwise = _collision_stage(tentative.copy(), anchors, cons, grid)
+    final, intervened, min_pairwise = _collision_stage(
+        tentative.tolist(), anchors.tolist(), cons, grid
+    )
     ref_final, ref_intervened = reference_stage(tentative.copy(), anchors, cons, grid)
     assert final.tobytes() == ref_final.tobytes()
     assert intervened.tolist() == ref_intervened.tolist()
@@ -84,8 +88,8 @@ RADII = [(1.0, 1.0), (1.0, 1.5), (1.0, 2.0), (1.0, 5.0), (2.0, 2.0), (0.5, 3.0)]
 
 def motion(anchor, raw, max_step):
     """A proposer's move: clamped about the anchor, projected, settled."""
-    step = clamp_step(np.asarray(raw) - anchor, max_step)
-    return settle_within(clamp_boundary(anchor + step, GRID), anchor, max_step)
+    step = ref_clamp_step(np.asarray(raw) - anchor, max_step)
+    return ref_settle_within(ref_clamp_boundary(anchor + step, GRID), anchor, max_step)
 
 
 coord = st.floats(min_value=0.0, max_value=40.0, allow_nan=False)
@@ -176,7 +180,8 @@ class TestGatedStageMatchesReference:
 
     def test_negative_zero_becomes_positive_on_a_skipped_step(self):
         tentative = np.array([[-0.0, 5.0], [20.0, -0.0]])
-        final, intervened, _ = _collision_stage(tentative, tentative, ConstraintParams(), GRID)
+        xy = tentative.tolist()
+        final, intervened, _ = _collision_stage(xy, xy, ConstraintParams(), GRID)
         assert not intervened.any()
         assert np.signbit(final).tolist() == [[False, False], [False, False]]
         assert_stage_matches(tentative, tentative, ConstraintParams(), GRID)
@@ -236,6 +241,15 @@ def reference_pairs(pos, radius):
     return list(zip(i.tolist(), j.tolist()))
 
 
+def close_pairs(pos, radius):
+    """The (i, j) of _violating_pairs' entries, after checking their geometry."""
+    pairs = _violating_pairs(pos, radius)
+    for i, j, dx, dy, d in pairs:
+        assert (dx, dy) == (pos[i][0] - pos[j][0], pos[i][1] - pos[j][1])
+        assert d == float(np.hypot(dx, dy))
+    return [(i, j) for i, j, *_ in pairs]
+
+
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
@@ -259,7 +273,7 @@ class TestViolatingPairs:
     @given(pairs_near_a_radius())
     def test_matches_close_pairs_around_the_radius(self, case):
         pos, radius = case
-        assert _violating_pairs(pos, radius) == reference_pairs(pos, radius)
+        assert close_pairs(pos, radius) == reference_pairs(pos, radius)
 
     @settings(max_examples=300, deadline=None)
     @given(dx=finite, dy=finite, side=st.sampled_from(["np", "math"]), ulps=st.integers(-1, 1))
@@ -271,7 +285,7 @@ class TestViolatingPairs:
             radius = math.nextafter(radius, math.inf if ulps > 0 else 0.0)
         assume(radius > 0.0)
         pos = [(dx, dy), (0.0, 0.0)]
-        assert _violating_pairs(pos, radius) == reference_pairs(pos, radius)
+        assert close_pairs(pos, radius) == reference_pairs(pos, radius)
 
     def test_a_pair_the_two_norms_round_apart(self):
         # A pair whose math.hypot is an ulp below its np.hypot, with the
@@ -285,4 +299,4 @@ class TestViolatingPairs:
         radius = float(np.hypot(dx, dy))
         pos = [(dx, dy), (0.0, 0.0)]
         assert reference_pairs(pos, radius) == []
-        assert _violating_pairs(pos, radius) == []
+        assert close_pairs(pos, radius) == []

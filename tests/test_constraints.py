@@ -31,7 +31,8 @@ finite_coord = st.floats(
 )
 
 
-def min_pairwise(positions: np.ndarray) -> float:
+def min_pairwise(positions) -> float:
+    positions = np.asarray(positions, dtype=float)
     n = len(positions)
     best = math.inf
     for i in range(n):
@@ -41,47 +42,55 @@ def min_pairwise(positions: np.ndarray) -> float:
     return best
 
 
+def close_pairs(positions, radius):
+    """The (i, j) of _violating_pairs' geometry entries."""
+    return [(i, j) for i, j, *_ in _violating_pairs(positions, radius)]
+
+
+def offsets_of(force, positions, *args) -> np.ndarray:
+    """A soft force's (x, y) offsets as an (n, 2) array, given every pair's geometry."""
+    pos = np.asarray(positions, dtype=float).reshape(-1, 2).tolist()
+    return np.array(force(_violating_pairs(pos, math.inf), len(pos), *args)).reshape(-1, 2)
+
+
 class TestClampStep:
     def test_identity_inside_limit(self):
-        d = np.array([3.0, 4.0])
-        out = clamp_step(d, 5.0)
-        assert np.array_equal(out, d)
+        assert clamp_step(3.0, 4.0, 5.0) == (3.0, 4.0)
 
     def test_zero_vector_unchanged(self):
-        assert np.array_equal(clamp_step(np.zeros(2), 5.0), np.zeros(2))
+        assert clamp_step(0.0, 0.0, 5.0) == (0.0, 0.0)
 
     def test_reduces_to_limit(self):
-        out = clamp_step(np.array([6.0, 8.0]), 5.0)
+        out = clamp_step(6.0, 8.0, 5.0)
         assert float(np.hypot(*out)) <= 5.0
         assert float(np.hypot(*out)) == pytest.approx(5.0, rel=1e-12)
 
     def test_direction_preserved(self):
         d = np.array([6.0, 8.0])
-        out = clamp_step(d, 5.0)
+        out = np.array(clamp_step(6.0, 8.0, 5.0))
         assert np.allclose(out / np.hypot(*out), d / np.hypot(*d), rtol=1e-9)
 
     def test_nonpositive_limit_rejected(self):
         with pytest.raises(ValidationError):
-            clamp_step(np.array([1.0, 0.0]), 0.0)
+            clamp_step(1.0, 0.0, 0.0)
 
     @given(x=finite_coord, y=finite_coord, limit=st.floats(min_value=1e-6, max_value=50.0))
     @settings(max_examples=150, deadline=None)
     def test_norm_never_exceeds_limit_exactly(self, x, y, limit):
-        out = clamp_step(np.array([x, y]), limit)
+        out = clamp_step(x, y, limit)
         assert float(np.hypot(out[0], out[1])) <= limit
 
     @given(x=finite_coord, y=finite_coord, limit=st.floats(min_value=1e-6, max_value=50.0))
     @settings(max_examples=100, deadline=None)
     def test_idempotent(self, x, y, limit):
-        once = clamp_step(np.array([x, y]), limit)
-        twice = clamp_step(once, limit)
-        assert np.array_equal(once, twice)
+        once = clamp_step(x, y, limit)
+        twice = clamp_step(*once, limit)
+        assert once == twice
 
 
 class TestSettleWithin:
     def test_identity_within_budget(self):
-        p = np.array([52.0, 3.0])
-        assert np.array_equal(settle_within(p, np.array([50.0, 0.0]), 5.0), p)
+        assert settle_within(52.0, 3.0, 50.0, 0.0, 5.0) == (52.0, 3.0)
 
     @given(
         ax=st.floats(min_value=0.0, max_value=100.0),
@@ -94,27 +103,24 @@ class TestSettleWithin:
     def test_repairs_composed_rounding(self, ax, ay, dx, dy, budget):
         # The production composition: clamp a displacement, add it to the
         # anchor, then guarantee the *measured* norm of the stored position.
-        anchor = np.array([ax, ay])
-        stored = anchor + clamp_step(np.array([dx, dy]), budget)
-        settled = settle_within(stored, anchor, budget)
-        assert float(np.hypot(*(settled - anchor))) <= budget
+        sx, sy = clamp_step(dx, dy, budget)
+        stored = np.array([ax + sx, ay + sy])
+        settled = np.array(settle_within(*stored.tolist(), ax, ay, budget))
+        assert float(np.hypot(*(settled - np.array([ax, ay])))) <= budget
         assert np.allclose(settled, stored, rtol=0.0, atol=1e-9)
 
     def test_far_overshoot_raises(self):
         with pytest.raises(ConstraintError):
-            settle_within(np.array([10.0, 0.0]), np.zeros(2), 5.0)
+            settle_within(10.0, 0.0, 0.0, 0.0, 5.0)
 
 
 class TestClampBoundary:
     def test_projects_componentwise(self):
         grid = GridConfig()
-        out = clamp_boundary(np.array([-3.0, 104.5]), grid)
-        assert np.array_equal(out, np.array([0.0, 100.0]))
+        assert clamp_boundary(-3.0, 104.5, grid) == (0.0, 100.0)
 
     def test_identity_inside(self):
-        grid = GridConfig()
-        p = np.array([42.5, 99.0])
-        assert np.array_equal(clamp_boundary(p, grid), p)
+        assert clamp_boundary(42.5, 99.0, GridConfig()) == (42.5, 99.0)
 
     @given(
         px=finite_coord,
@@ -127,7 +133,7 @@ class TestClampBoundary:
         grid = GridConfig()
         p = np.array([px, py])
         a = np.array([ax, ay])
-        clamped = clamp_boundary(p, grid)
+        clamped = np.array(clamp_boundary(px, py, grid))
         assert float(np.hypot(*(clamped - a))) <= float(np.hypot(*(p - a))) + 1e-12
 
 
@@ -168,13 +174,21 @@ class TestClosePairs:
     def test_pairs_in_index_order_with_hypot_lengths(self):
         positions = [(0.0, 0.0), (3.0, 4.0), (0.5, 0.0), (10.0, 0.0)]
         assert _pair_list(4) == list(zip(*(k.tolist() for k in np.triu_indices(4, 1))))
-        assert _violating_pairs(positions, 6.0) == [(0, 1), (0, 2), (1, 2)]
+        assert close_pairs(positions, 6.0) == [(0, 1), (0, 2), (1, 2)]
         # A pair is close while its np.hypot length is below the radius.
         for radius, close in ((5.0, []), (math.nextafter(5.0, 6.0), [(0, 1)])):
-            assert _violating_pairs(positions[:2], radius) == close
+            assert close_pairs(positions[:2], radius) == close
         d = float(np.hypot(2.5, 4.0))
-        assert _violating_pairs(positions[1:3], d) == []
-        assert _violating_pairs(positions[1:3], math.nextafter(d, 6.0)) == [(0, 1)]
+        assert close_pairs(positions[1:3], d) == []
+        assert close_pairs(positions[1:3], math.nextafter(d, 6.0)) == [(0, 1)]
+
+    def test_geometry_is_position_i_minus_j_and_its_np_hypot(self):
+        positions = [(0.0, 0.0), (3.0, 4.0), (0.5, 0.0), (10.0, 0.0)]
+        assert _violating_pairs(positions, 6.0) == [
+            (0, 1, -3.0, -4.0, 5.0),
+            (0, 2, -0.5, 0.0, 0.5),
+            (1, 2, 2.5, 4.0, float(np.hypot(2.5, 4.0))),
+        ]
 
     def test_fewer_than_two_agents_have_no_pairs(self):
         for positions in ([], [(0.0, 0.0)]):
@@ -186,42 +200,44 @@ class TestClosePairs:
         assert d**2 != d * d
         positions = np.array([[0.0, 0.0], [d, 0.0]])
         expected = pairwise_offsets(positions, 2.0, field_push)
-        assert np.array_equal(potential_field_repulsion(positions, 1.0, 1.5, 5.0), expected)
+        field = offsets_of(potential_field_repulsion, positions, 1.0, 1.5, 5.0)
+        assert np.array_equal(field, expected)
 
     @settings(max_examples=150, deadline=None)
     @given(crowded)
     def test_separation_offsets_equal_pairwise_walk_bit_for_bit(self, positions):
         # Duplicated first point: every example has a coincident pair.
         assert np.array_equal(
-            safe_zone_separation(positions, 2.0),
+            offsets_of(safe_zone_separation, positions, 2.0),
             pairwise_offsets(positions, 2.0, safe_zone_push),
         )
         expected = pairwise_offsets(positions, 2.0, field_push)
-        expected = np.array([clamp_step(o, 5.0) for o in expected]).reshape(-1, 2)
-        assert np.array_equal(potential_field_repulsion(positions, 1.0, 1.5, 5.0), expected)
+        expected = np.array([clamp_step(*o, 5.0) for o in expected.tolist()]).reshape(-1, 2)
+        field = offsets_of(potential_field_repulsion, positions, 1.0, 1.5, 5.0)
+        assert np.array_equal(field, expected)
 
 
 class TestSafeZoneSeparation:
     def test_close_pair_gets_half_radius_pushes(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0]])
-        offsets = safe_zone_separation(positions, safe_zone_radius=2.0)
+        offsets = offsets_of(safe_zone_separation, positions, 2.0)
         assert np.array_equal(offsets[0], np.array([-1.0, 0.0]))
         assert np.array_equal(offsets[1], np.array([1.0, 0.0]))
 
     def test_pair_at_exact_radius_untouched(self):
         positions = np.array([[0.0, 0.0], [2.0, 0.0]])
-        offsets = safe_zone_separation(positions, safe_zone_radius=2.0)
+        offsets = offsets_of(safe_zone_separation, positions, 2.0)
         assert np.array_equal(offsets, np.zeros((2, 2)))
 
     def test_coincident_pair_splits_along_x(self):
         positions = np.array([[5.0, 5.0], [5.0, 5.0]])
-        offsets = safe_zone_separation(positions, safe_zone_radius=2.0)
+        offsets = offsets_of(safe_zone_separation, positions, 2.0)
         assert np.array_equal(offsets[0], np.array([1.0, 0.0]))
         assert np.array_equal(offsets[1], np.array([-1.0, 0.0]))
 
     def test_collinear_triple_cancels_in_middle(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        offsets = safe_zone_separation(positions, safe_zone_radius=2.0)
+        offsets = offsets_of(safe_zone_separation, positions, 2.0)
         assert np.array_equal(offsets[1], np.zeros(2))
         assert offsets[0][0] < 0.0 < offsets[2][0]
 
@@ -231,32 +247,32 @@ class TestSafeZoneSeparation:
     )
     @settings(max_examples=100, deadline=None)
     def test_pushes_sum_to_zero(self, coords, radius):
-        offsets = safe_zone_separation(np.array(coords), radius)
+        offsets = offsets_of(safe_zone_separation, coords, radius)
         assert np.allclose(offsets.sum(axis=0), 0.0, atol=1e-9)
 
 
 class TestPotentialFieldRepulsion:
     def test_zero_beyond_influence(self):
         positions = np.array([[0.0, 0.0], [2.0, 0.0]])  # d = 2R? R = 2*1 = 2 -> d == R
-        offsets = potential_field_repulsion(positions, 1.0, gain=1.0, max_step_size=5.0)
+        offsets = offsets_of(potential_field_repulsion, positions, 1.0, 1.0, 5.0)
         assert np.array_equal(offsets, np.zeros((2, 2)))
 
     def test_gradient_magnitude_at_unit_distance(self):
         # d = 1, R = 2: magnitude = gain * (1/d - 1/R) / d^2 = 0.5 * gain.
         positions = np.array([[0.0, 0.0], [1.0, 0.0]])
-        offsets = potential_field_repulsion(positions, 1.0, gain=1.0, max_step_size=5.0)
+        offsets = offsets_of(potential_field_repulsion, positions, 1.0, 1.0, 5.0)
         assert np.array_equal(offsets[0], np.array([-0.5, 0.0]))
         assert np.array_equal(offsets[1], np.array([0.5, 0.0]))
 
     def test_gain_scales_linearly(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0]])
-        one = potential_field_repulsion(positions, 1.0, gain=1.0, max_step_size=50.0)
-        three = potential_field_repulsion(positions, 1.0, gain=3.0, max_step_size=50.0)
+        one = offsets_of(potential_field_repulsion, positions, 1.0, 1.0, 50.0)
+        three = offsets_of(potential_field_repulsion, positions, 1.0, 3.0, 50.0)
         assert np.allclose(three, 3.0 * one, rtol=1e-12)
 
     def test_near_coincident_pair_clamped_to_step(self):
         positions = np.array([[5.0, 5.0], [5.0, 5.0]])
-        offsets = potential_field_repulsion(positions, 1.0, gain=1.0, max_step_size=5.0)
+        offsets = offsets_of(potential_field_repulsion, positions, 1.0, 1.0, 5.0)
         for off in offsets:
             assert float(np.hypot(*off)) <= 5.0
         assert float(np.hypot(*offsets[0])) == pytest.approx(5.0, rel=1e-12)
@@ -264,7 +280,7 @@ class TestPotentialFieldRepulsion:
 
     def test_collinear_triple_cancels_in_middle(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        offsets = potential_field_repulsion(positions, 1.0, gain=1.0, max_step_size=5.0)
+        offsets = offsets_of(potential_field_repulsion, positions, 1.0, 1.0, 5.0)
         assert np.allclose(offsets[1], 0.0, atol=1e-15)
 
     @given(
@@ -273,7 +289,7 @@ class TestPotentialFieldRepulsion:
     )
     @settings(max_examples=80, deadline=None)
     def test_offsets_respect_step_cap(self, coords, gain):
-        offsets = potential_field_repulsion(np.array(coords), 1.0, gain, max_step_size=5.0)
+        offsets = offsets_of(potential_field_repulsion, coords, 1.0, gain, 5.0)
         for off in offsets:
             assert float(np.hypot(*off)) <= 5.0
 
@@ -315,26 +331,26 @@ class TestEscapeNoHotspotZone:
 class TestResolveCollisions:
     def test_identity_when_already_separated(self):
         positions = np.array([[0.0, 0.0], [10.0, 0.0]])
-        out, touched, pushes = resolve_collisions(positions, GridConfig(), 1.0)
+        out, touched, pushes = resolve_collisions(positions.tolist(), GridConfig(), 1.0)
         assert np.array_equal(out, positions)
         assert not touched.any() and pushes == 0
 
     def test_separates_close_pair(self):
         positions = np.array([[50.0, 50.0], [50.3, 50.0]])
-        out, touched, pushes = resolve_collisions(positions, GridConfig(), 1.0)
+        out, touched, pushes = resolve_collisions(positions.tolist(), GridConfig(), 1.0)
         assert min_pairwise(out) >= 1.0
         assert touched.all() and pushes > 0
 
     def test_separates_coincident_stack(self):
         positions = np.tile(np.array([50.0, 50.0]), (5, 1))
-        out, _, _ = resolve_collisions(positions, GridConfig(), 1.0)
+        out, _, _ = resolve_collisions(positions.tolist(), GridConfig(), 1.0)
         assert min_pairwise(out) >= 1.0
         for p in out:
             assert GridConfig().contains(p)
 
     def test_wall_pinned_agent_routes_push_through_partner(self):
         positions = np.array([[0.0, 50.0], [0.2, 50.0]])
-        out, _, _ = resolve_collisions(positions, GridConfig(), 1.0)
+        out, _, _ = resolve_collisions(positions.tolist(), GridConfig(), 1.0)
         assert min_pairwise(out) >= 1.0
         assert out[0][0] >= 0.0 and out[1][0] >= 0.0
 
@@ -342,12 +358,12 @@ class TestResolveCollisions:
         starts = np.array([[20.0, 25.0], [30.0, 25.0]])
         proposals = np.array([[24.9, 25.0], [25.1, 25.0]])
         out, touched, _ = resolve_collisions(
-            proposals,
+            proposals.tolist(),
             GridConfig(),
             1.0,
-            anchors=proposals,
+            anchors=proposals.tolist(),
             budget=0.05,
-            revert_to=starts,
+            revert_to=starts.tolist(),
         )
         assert np.array_equal(out, starts)
         assert touched.all()
@@ -356,13 +372,13 @@ class TestResolveCollisions:
         proposals = np.array([[24.9, 25.0], [25.1, 25.0]])
         with pytest.raises(ConstraintError):
             resolve_collisions(
-                proposals, GridConfig(), 1.0, anchors=proposals, budget=0.05
+                proposals.tolist(), GridConfig(), 1.0, anchors=proposals.tolist(), budget=0.05
             )
 
     def test_impossible_geometry_raises(self):
         positions = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
         with pytest.raises(ConstraintError):
-            resolve_collisions(positions, GridConfig(width=1, height=1), 3.0)
+            resolve_collisions(positions.tolist(), GridConfig(width=1, height=1), 3.0)
 
     @given(
         coords=st.lists(
@@ -376,7 +392,7 @@ class TestResolveCollisions:
     )
     @settings(max_examples=100, deadline=None)
     def test_minimum_separation_invariant(self, coords):
-        out, _, _ = resolve_collisions(np.array(coords), GridConfig(), 1.0)
+        out, _, _ = resolve_collisions(coords, GridConfig(), 1.0)
         assert min_pairwise(out) >= 1.0
         for p in out:
             assert GridConfig().contains(p)
@@ -397,15 +413,15 @@ class TestResolveCollisions:
         n = len(proposals)
         starts = np.array([[10.0 + 20.0 * i, 5.0] for i in range(n)])  # feasible
         out, _, _ = resolve_collisions(
-            proposals,
+            coords,
             GridConfig(),
             1.0,
-            anchors=proposals,
+            anchors=coords,
             budget=5.0,
-            revert_to=starts,
+            revert_to=starts.tolist(),
         )
         assert min_pairwise(out) >= 1.0
-        for final, anchor, start in zip(out, proposals, starts):
+        for final, anchor, start in zip(np.array(out), proposals, starts):
             moved = float(np.hypot(*(final - anchor)))
             assert moved <= 5.0 * (1.0 + 1e-9) or np.array_equal(final, start)
 

@@ -1,11 +1,12 @@
 """The float motion primitives against their numpy reference implementations.
 
 ``resolve_collisions``, ``clamp_step``, ``settle_within``,
-``clamp_boundary`` and the two soft forces do their arithmetic on Python
-floats.  The functions below are the earlier numpy implementations, kept
-verbatim as references: every result must match them bit for bit (position
-and offset bytes including the sign of zero, the touched mask and the push
-count), or both must raise the same exception type.
+``clamp_boundary`` and the two soft forces take and return Python floats.
+The functions below are the earlier numpy implementations, kept verbatim as
+references: every result must match them bit for bit (position and offset
+bytes including the sign of zero, the touched mask and the push count), or
+both must raise the same exception type.  The soft forces are given the pair
+geometry of ``_violating_pairs`` over the collision stage's reach.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from levyswarm.constraints import (
     COINCIDENT_DISTANCE,
     ConstraintError,
+    _violating_pairs,
     clamp_boundary,
     clamp_step,
     potential_field_repulsion,
@@ -186,19 +188,26 @@ def ref_resolve_collisions(
 # --- comparison ---------------------------------------------------------------
 
 
+def float_bytes(points) -> bytes:
+    """The float64 bytes of a point or of a sequence of points, array or floats."""
+    return np.array(points, dtype=float).tobytes()
+
+
 def outcome(fn, *args, **kwargs):
     """A comparable record of fn's result: raw bytes, or the exception type."""
     try:
         result = fn(*args, **kwargs)
     except (ValidationError, ConstraintError) as exc:
         return type(exc)
-    if isinstance(result, tuple):
+    if fn in (resolve_collisions, ref_resolve_collisions):
         positions, touched, pushes = result
-        return (
-            positions.dtype, positions.shape, positions.tobytes(),
-            touched.dtype, touched.tobytes(), int(pushes),
-        )
-    return result.dtype, result.shape, result.tobytes()
+        return float_bytes(positions), touched.dtype, touched.tobytes(), int(pushes)
+    return float_bytes(result)
+
+
+def as_lists(value):
+    """An (n, 2) array as a list of [x, y] floats; None stays None."""
+    return None if value is None else value.tolist()
 
 
 # Signed zeros, walls, tiny and huge magnitudes alongside ordinary values.
@@ -216,7 +225,7 @@ limit = st.one_of(
 @settings(max_examples=400, deadline=None)
 def test_clamp_step_matches_reference(x, y, max_step):
     d = np.array([x, y])
-    assert outcome(clamp_step, d, max_step) == outcome(ref_clamp_step, d, max_step)
+    assert outcome(clamp_step, x, y, max_step) == outcome(ref_clamp_step, d, max_step)
 
 
 @given(
@@ -236,7 +245,7 @@ def test_settle_within_matches_reference(ax, ay, dx, dy, budget, composed):
         d = ref_clamp_step(d, budget)
     position = anchor + d
     assume(np.all(np.isfinite(position)))
-    assert outcome(settle_within, position, anchor, budget) == outcome(
+    assert outcome(settle_within, *position.tolist(), ax, ay, budget) == outcome(
         ref_settle_within, position, anchor, budget
     )
 
@@ -251,11 +260,11 @@ def test_settle_within_matches_reference(ax, ay, dx, dy, budget, composed):
 def test_clamp_boundary_matches_reference(x, y, width, height):
     grid = GridConfig(width, height)
     p = np.array([x, y])
-    assert outcome(clamp_boundary, p, grid) == outcome(ref_clamp_boundary, p, grid)
+    assert outcome(clamp_boundary, x, y, grid) == outcome(ref_clamp_boundary, p, grid)
 
 
 def test_clamp_boundary_maps_negative_zero_to_positive_zero():
-    out = clamp_boundary(np.array([-0.0, -0.0]), GridConfig(10, 10))
+    out = clamp_boundary(-0.0, -0.0, GridConfig(10, 10))
     assert np.signbit(out).tolist() == [False, False]
 
 
@@ -293,9 +302,51 @@ def test_resolve_collisions_matches_reference(positions, radius, budget, jitter,
         "same": positions.copy(),
     }[revert]
     kwargs = dict(anchors=anchors, budget=budget, revert_to=revert_to)
-    assert outcome(resolve_collisions, positions, grid, radius, **kwargs) == outcome(
+    lists = dict(anchors=as_lists(anchors), budget=budget, revert_to=as_lists(revert_to))
+    assert outcome(resolve_collisions, positions.tolist(), grid, radius, **lists) == outcome(
         ref_resolve_collisions, positions, grid, radius, **kwargs
     )
+
+
+@st.composite
+def pinned_at_the_wall(draw):
+    """A crowd on the x = 0 wall whose budgets pin it there.
+
+    Pushes into the wall project back onto it, and budgets of an ulp or so
+    about the agents' own positions leave moves of under 1e-15, so a pass
+    can change positions by less than the resolver's no-progress tolerance.
+    """
+    at_wall = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-16, 4e-16, 9e-16, 2e-15]),
+        st.floats(0.0, 1e-14),
+    )
+    n = draw(st.integers(2, 5))
+    points = [(draw(at_wall), draw(st.floats(2.0, 3.0))) for _ in range(n)]
+    budget = draw(st.sampled_from([1e-16, 5e-16, 1e-15, 2e-15, 1e-3, 0.5]))
+    nudge = draw(st.sampled_from([0.0, 1e-16, 3e-15]))
+    anchors = [(x + nudge, y) for x, y in points]
+    revert_to = draw(
+        st.sampled_from(
+            [None, [(float(k) * 1.3, 0.5) for k in range(n)], [(0.0, y) for _, y in points]]
+        )
+    )
+    return points, anchors, budget, revert_to
+
+
+@given(case=pinned_at_the_wall(), radius=st.sampled_from([0.5, 1.0]))
+@settings(max_examples=120, deadline=None)
+def test_resolve_collisions_on_lists_at_the_wall_matches_reference(case, radius):
+    points, anchors, budget, revert_to = case
+    grid = GridConfig(GRID, GRID)
+    got = outcome(
+        resolve_collisions, points, grid, radius,
+        anchors=anchors, budget=budget, revert_to=revert_to,
+    )
+    want = outcome(
+        ref_resolve_collisions, np.array(points), grid, radius, anchors=np.array(anchors),
+        budget=budget, revert_to=None if revert_to is None else np.array(revert_to),
+    )
+    assert got == want
 
 
 def test_resolve_collisions_stall_revert_matches_reference():
@@ -305,8 +356,10 @@ def test_resolve_collisions_stall_revert_matches_reference():
     revert_to = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     args = (positions, GridConfig(10, 10), 1.0)
     kwargs = dict(anchors=positions, budget=1e-3, revert_to=revert_to)
-    out, touched, pushes = resolve_collisions(*args, **kwargs)
-    assert outcome(resolve_collisions, *args, **kwargs) == outcome(
+    lists = (positions.tolist(), GridConfig(10, 10), 1.0)
+    list_kwargs = dict(anchors=positions.tolist(), budget=1e-3, revert_to=revert_to.tolist())
+    out, touched, pushes = resolve_collisions(*lists, **list_kwargs)
+    assert outcome(resolve_collisions, *lists, **list_kwargs) == outcome(
         ref_resolve_collisions, *args, **kwargs
     )
     assert np.array_equal(out, revert_to)
@@ -320,8 +373,9 @@ def test_resolve_collisions_stall_without_fallback_matches_reference(budget):
     anchors = None if budget is None else positions
     args = (positions, GridConfig(1, 1), 1.0)
     kwargs = dict(anchors=anchors, budget=budget)
-    assert outcome(resolve_collisions, *args, **kwargs) == outcome(
-        ref_resolve_collisions, *args, **kwargs
+    lists = (positions.tolist(), GridConfig(1, 1), 1.0)
+    assert outcome(resolve_collisions, *lists, anchors=as_lists(anchors), budget=budget) == (
+        outcome(ref_resolve_collisions, *args, **kwargs)
     )
 
 
@@ -358,22 +412,26 @@ def test_soft_forces_match_reference(case, gain, max_step, half):
     # the same pairs only when the collision radius is half the safe zone.
     positions, radius = case
     collision = radius / 2.0 if half else radius
-    assert outcome(safe_zone_separation, positions, radius) == outcome(
+    n = len(positions)
+    # The collision stage's one pair walk, over the reach of both forces.
+    pairs = _violating_pairs(positions.tolist(), max(radius, 2.0 * collision))
+    assert outcome(safe_zone_separation, pairs, n, radius) == outcome(
         ref_safe_zone_separation, positions, radius
     )
-    args = (positions, collision, gain, max_step)
-    assert outcome(potential_field_repulsion, *args) == outcome(
-        ref_potential_field_repulsion, *args
+    args = (collision, gain, max_step)
+    assert outcome(potential_field_repulsion, pairs, n, *args) == outcome(
+        ref_potential_field_repulsion, positions, *args
     )
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_soft_forces_on_tiny_swarms_match_reference(n):
     positions = np.full((n, 2), 1.0)
-    assert outcome(safe_zone_separation, positions, 2.0) == outcome(
+    pairs = _violating_pairs(positions.tolist(), 2.0)
+    assert outcome(safe_zone_separation, pairs, n, 2.0) == outcome(
         ref_safe_zone_separation, positions, 2.0
     )
-    args = (positions, 1.0, 1.0, 5.0)
-    assert outcome(potential_field_repulsion, *args) == outcome(
-        ref_potential_field_repulsion, *args
+    args = (1.0, 1.0, 5.0)
+    assert outcome(potential_field_repulsion, pairs, n, *args) == outcome(
+        ref_potential_field_repulsion, positions, *args
     )

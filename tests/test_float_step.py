@@ -50,6 +50,7 @@ from levyswarm.world import (
     ValidationError,
     mark_coverage,
 )
+from test_constraints_reference import ref_clamp_boundary, ref_clamp_step, ref_settle_within
 
 COMPARISONS = [operator.lt, operator.le, operator.gt, operator.ge]
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -234,14 +235,14 @@ def reference_constrain_motion(raw_target, anchor, config, report):
     """_constrain_motion as it was, on numpy arrays."""
     max_step = config.constraints.max_step_size
     raw_step = raw_target - anchor
-    step = constraints.clamp_step(raw_step, max_step)
+    step = ref_clamp_step(raw_step, max_step)
     unbounded = anchor + step
-    position = constraints.clamp_boundary(unbounded, config.grid)
+    position = ref_clamp_boundary(unbounded, config.grid)
     if step.tolist() != raw_step.tolist():
         report.clamped_steps += 1
     if position.tolist() != unbounded.tolist():
         report.boundary_hits += 1
-    return constraints.settle_within(position, anchor, max_step)
+    return ref_settle_within(position, anchor, max_step)
 
 
 grid_coord = st.one_of(st.floats(min_value=0.0, max_value=40.0), st.sampled_from([0.0, -0.0, 40.0]))
@@ -437,6 +438,48 @@ def test_baseline_proposers_match_numpy(step, pso):
     ]
 
 
+@settings(max_examples=150, deadline=None)
+@given(step=baseline_steps(), same_field=st.booleans())
+def test_abc_takes_anchor_values_scored_on_the_same_field(step, same_field):
+    # The run loop scores every agent where it stands and records the field
+    # in swarm.scored_on; ABC then reads those values instead of scoring the
+    # anchors again.  Values scored on any other field object are not used.
+    config, fitness, agents, best, seed = step
+    n = len(agents)
+    ours, theirs = _baseline_swarm(agents, best), _baseline_swarm(agents, best)
+    if same_field:
+        for uav in ours.uavs:
+            uav.fitness = fitness.value(uav.position)
+        ours.scored_on = fitness
+    else:
+        for uav in ours.uavs:
+            uav.fitness = -1.0
+        ours.scored_on = FitnessField(fitness_hotspots(fitness), fitness.coverage_radius)
+    calls = {"ours": 0, "theirs": 0}
+    value = FitnessField.value
+
+    def counted(side):
+        def count(self, position):
+            calls[side] += 1
+            return value(self, position)
+
+        return count
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FitnessField, "value", counted("ours"))
+        got = propose_abc(ours, fitness, config, [RandomSource(seed, i) for i in range(n)])
+        patch.setattr(FitnessField, "value", counted("theirs"))
+        want = ref_propose_abc(theirs, fitness, config, [RandomSource(seed, i) for i in range(n)])
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert got.report == want.report
+    assert calls["ours"] == calls["theirs"] - (n if same_field else 0)
+
+
+def fitness_hotspots(field):
+    """Uncovered hotspots at the field's points, so a new field equals it."""
+    return [Hotspot(p, w) for p, w in zip(field.points, field.weights)]
+
+
 class FixedUniform:
     """A source whose uniform draw is a given value."""
 
@@ -552,10 +595,26 @@ def test_mark_coverage_refuses_a_field_built_on_other_coverage():
     hotspots = [Hotspot(np.array([1.0, 1.0])), Hotspot(np.array([9.0, 9.0]))]
     stale = FitnessField(hotspots, 3.0)
     hotspots[1].covered = True
-    swarm = SwarmState([UavState(position=(1.0, 1.0))], np.zeros(2))
+    # The swarm counts the covered hotspot; a count that agreed with the
+    # stale field would be taken on trust.
+    swarm = SwarmState([UavState(position=(1.0, 1.0))], np.zeros(2), covered_count=1)
     with pytest.raises(ValidationError, match="other hotspot coverage"):
         mark_coverage(swarm, hotspots, 3.0, field=stale)
     assert not hotspots[0].covered
+
+
+def test_mark_coverage_refuses_the_field_a_covering_step_used():
+    # The run loop rebuilds the field once a step covers something; the old
+    # field's count no longer matches the swarm's.
+    hotspots = [Hotspot(np.array([1.0, 1.0])), Hotspot(np.array([9.0, 9.0]))]
+    field = FitnessField(hotspots, 3.0)
+    swarm = SwarmState([UavState(position=(9.0, 9.0))], np.zeros(2))
+    assert mark_coverage(swarm, hotspots, 3.0, field=field) == [1]
+    swarm.uavs[0].position = np.array([1.0, 1.0])
+    with pytest.raises(ValidationError, match="other hotspot coverage"):
+        mark_coverage(swarm, hotspots, 3.0, field=field)
+    assert mark_coverage(swarm, hotspots, 3.0, field=FitnessField(hotspots, 3.0)) == [0]
+    assert swarm.covered_count == 2
 
 
 @pytest.mark.parametrize("as_list", [True, False])
