@@ -287,9 +287,9 @@ def resolve_collisions(
         return dx, dy, float(np.hypot(dx, dy))
 
     def move(idx, dx, dy):
+        # clamp_boundary and clamp_step's screen inline: calls cost PSO ~10% of a step.
         nonlocal pushes
         px, py = pos[idx]
-        # clamp_boundary inline, as max(0.0, v) then min(v, side) pick.
         x, y = px + dx, py + dy
         x = 0.0 if not x > 0.0 else width if x > width else x
         y = 0.0 if not y > 0.0 else height if y > height else y

@@ -132,6 +132,7 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     swarm = make_swarm(config)
     is_hybrid = config.algorithm is Algorithm.HYBRID_ABC_LEVY
     is_pso = config.algorithm is Algorithm.PSO
+    is_abc = config.algorithm is Algorithm.ABC
 
     # UAVs launch from a single point; spread them to the collision radius
     # before anything is recorded.
@@ -168,12 +169,14 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     report = ConstraintReport(collision_interventions=collision_interventions)
     steps_to_cover = 0 if swarm.covered_count == len(hotspots) else None
 
+    # ABC's stored values, kept while the field they were scored on is in use.
+    anchor_values = None
     step = 0
     while steps_to_cover is None and step < config.max_steps:
         step += 1
         swarm.step = step
         anchors = swarm.positions().tolist()
-        proposal = propose_step(swarm, fitness, config, rngs)
+        proposal = propose_step(swarm, fitness, config, rngs, anchor_values)
         report.merge(proposal.report)
         final, intervened, min_pairwise = _collision_stage(
             proposal.positions.tolist(), anchors, cons, config.grid
@@ -181,7 +184,6 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         report.collision_interventions += int(intervened.sum())
         collision_masks.append(intervened)
 
-        scored_on = fitness
         for i, uav in enumerate(swarm.uavs):
             # The rows of final become the agents' positions and, when
             # recorded, a trajectory entry: nothing may change them in place.
@@ -189,7 +191,6 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
             if not proposal.scanning[i]:
                 # Mid-flight: the sensor is dark, so no reward is realized and
                 # nothing is observed; the last landed fitness stays in force.
-                scored_on = None
                 continue
             value = fitness.value(uav.position)
             uav.fitness = value
@@ -209,7 +210,8 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
                 grid_extent = np.array([config.grid.width, config.grid.height], dtype=float)
                 uav.transit_target = tuple((rngs[i].uniform(0.0, 1.0, 2) * grid_extent).tolist())
                 uav.stagnation = 0
-        swarm.scored_on = scored_on
+        scored_all = is_abc and proposal.scanning.all()
+        anchor_values = [uav.fitness for uav in swarm.uavs] if scored_all else None
 
         # The field depends only on the uncovered set, so it changes only
         # when this step covers something.
@@ -218,6 +220,7 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
             positions=final, field=fitness,
         ):
             fitness = FitnessField.from_config(hotspots, config)
+            anchor_values = None
 
         heatmap.record(final)
         coverage_curve.append((step, swarm.covered_count))
@@ -227,8 +230,6 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         if swarm.covered_count == len(hotspots):
             steps_to_cover = step
 
-    # The result keeps the swarm, not the last field.
-    swarm.scored_on = None
     metrics = RunMetrics(
         scenario_id=config.scenario_id,
         algorithm=config.algorithm.value,

@@ -187,22 +187,24 @@ def _constrain_motion(target, anchor, config: ScenarioConfig, report=None) -> tu
 
 
 def propose_abc(
-    swarm: SwarmState, fitness: FitnessField, config: ScenarioConfig, rngs: list[RandomSource]
+    swarm: SwarmState,
+    fitness: FitnessField,
+    config: ScenarioConfig,
+    rngs: list[RandomSource],
+    anchor_values: list[float] | None = None,
 ) -> StepProposal:
     """Employed + onlooker phases with strict greedy acceptance.
 
     Employed: every agent proposes a neighbour-mixing candidate and accepts it
     only on a strict fitness improvement.  Onlooker: one roulette slot per
     agent reinforces fitness-proportionally chosen agents with further
-    candidates under the same acceptance rule.
+    candidates under the same acceptance rule.  anchor_values, when given,
+    are fitness's values at the agents' positions, which are then not
+    scored again.
     """
     anchors = swarm.positions().tolist()
     tentative = [tuple(p) for p in anchors]
-    if swarm.scored_on is fitness:
-        # The run loop scored every agent on this field where it stands.
-        values = [uav.fitness for uav in swarm.uavs]
-    else:
-        values = [fitness.value(p) for p in tentative]
+    values = [fitness.value(p) for p in tentative] if anchor_values is None else list(anchor_values)
     report = constraints.ConstraintReport()
 
     for i in range(len(tentative)):
@@ -415,9 +417,11 @@ def propose_step(
     fitness: FitnessField,
     config: ScenarioConfig,
     rngs: list[RandomSource],
+    anchor_values: list[float] | None = None,
 ) -> StepProposal:
+    """The configured algorithm's proposal; only ABC reads anchor_values."""
     if config.algorithm is Algorithm.ABC:
-        return propose_abc(swarm, fitness, config, rngs)
+        return propose_abc(swarm, fitness, config, rngs, anchor_values)
     if config.algorithm is Algorithm.PSO:
         return propose_pso(swarm, fitness, config, rngs)
     return propose_hybrid(swarm, fitness, config, rngs)

@@ -289,9 +289,6 @@ class SwarmState:
     global_best_fitness: float = -math.inf
     step: int = 0
     covered_count: int = 0
-    # The fitness field every agent's fitness was last scored on, at its
-    # current position; None when that does not hold for some agent.
-    scored_on: UncoveredHotspots | None = None
 
     def observe(self, position: np.ndarray, fitness: float):
         """Fold one fitness evaluation into the running global best."""
@@ -500,21 +497,15 @@ def mark_coverage(
     committed relocation fly dark and only scan on arrival.  A caller that
     already holds them may pass the agents' positions (default
     swarm.positions()) and the UncoveredHotspots (a FitnessField) built on
-    the hotspots' current coverage, which is then queried as it is.  A
-    field whose uncovered count plus swarm.covered_count is len(hotspots),
-    as in the run loop, is taken on that count, without a pass over the
-    hotspots; any other must index exactly the uncovered hotspots, else it
-    was built on other coverage, a ValidationError.
+    the hotspots' current coverage, which is then queried as it is; one
+    built on other coverage is a ValidationError.
     """
     field_value(coverage_radius, "float", "coverage_radius")
     if positions is None:
         positions = swarm.positions()
     if field is None:
         field = UncoveredHotspots(hotspots)
-    elif (
-        len(field.indices) + swarm.covered_count != len(hotspots)
-        and field.indices != uncovered_indices(hotspots)
-    ):
+    elif field.indices != uncovered_indices(hotspots):
         raise ValidationError("the fitness field was built on other hotspot coverage")
     points = np.asarray(positions, dtype=float).tolist()
     if scanning is not None:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from levyswarm import constraints
+from levyswarm import constraints, harness
 from levyswarm.constraints import _norm_against, escape_no_hotspot_zone
 from levyswarm.metrics import Heatmap
 from levyswarm.optimizers import (
@@ -49,6 +49,7 @@ from levyswarm.world import (
     UavState,
     ValidationError,
     mark_coverage,
+    preset_scenario,
 )
 from test_constraints_reference import ref_clamp_boundary, ref_clamp_step, ref_settle_within
 
@@ -439,22 +440,14 @@ def test_baseline_proposers_match_numpy(step, pso):
 
 
 @settings(max_examples=150, deadline=None)
-@given(step=baseline_steps(), same_field=st.booleans())
-def test_abc_takes_anchor_values_scored_on_the_same_field(step, same_field):
-    # The run loop scores every agent where it stands and records the field
-    # in swarm.scored_on; ABC then reads those values instead of scoring the
-    # anchors again.  Values scored on any other field object are not used.
+@given(step=baseline_steps(), given_values=st.booleans())
+def test_abc_takes_the_anchor_values_it_is_given(step, given_values):
+    # The run loop hands ABC the values it scored every agent on where it
+    # stands; ABC then does not score its anchors again.
     config, fitness, agents, best, seed = step
     n = len(agents)
     ours, theirs = _baseline_swarm(agents, best), _baseline_swarm(agents, best)
-    if same_field:
-        for uav in ours.uavs:
-            uav.fitness = fitness.value(uav.position)
-        ours.scored_on = fitness
-    else:
-        for uav in ours.uavs:
-            uav.fitness = -1.0
-        ours.scored_on = FitnessField(fitness_hotspots(fitness), fitness.coverage_radius)
+    values = [fitness.value(uav.position) for uav in ours.uavs] if given_values else None
     calls = {"ours": 0, "theirs": 0}
     value = FitnessField.value
 
@@ -467,17 +460,37 @@ def test_abc_takes_anchor_values_scored_on_the_same_field(step, same_field):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(FitnessField, "value", counted("ours"))
-        got = propose_abc(ours, fitness, config, [RandomSource(seed, i) for i in range(n)])
+        rngs = [RandomSource(seed, i) for i in range(n)]
+        got = propose_abc(ours, fitness, config, rngs, values)
         patch.setattr(FitnessField, "value", counted("theirs"))
         want = ref_propose_abc(theirs, fitness, config, [RandomSource(seed, i) for i in range(n)])
     assert got.positions.tobytes() == want.positions.tobytes()
     assert got.report == want.report
-    assert calls["ours"] == calls["theirs"] - (n if same_field else 0)
+    assert calls["ours"] == calls["theirs"] - (n if given_values else 0)
 
 
-def fitness_hotspots(field):
-    """Uncovered hotspots at the field's points, so a new field equals it."""
-    return [Hotspot(p, w) for p, w in zip(field.points, field.weights)]
+@pytest.mark.parametrize("preset", ["uniform20", "twocluster20"])
+def test_run_loop_hands_abc_only_values_of_the_field_in_use(preset):
+    # The values go stale when a covering step rebuilds the field: the run
+    # loop must then let ABC score its anchors again.
+    propose = harness.propose_step
+    given = []
+
+    def checked(swarm, fitness, config, rngs, anchor_values=None):
+        if anchor_values is not None:
+            assert anchor_values == [fitness.value(p) for p in swarm.positions()]
+        given.append(anchor_values is not None)
+        return propose(swarm, fitness, config, rngs, anchor_values)
+
+    config = preset_scenario(preset, 2, algorithm="abc", max_steps=120)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "propose_step", checked)
+        result = harness.run_scenario(config)
+    # Values are given on every step but the first and those after a
+    # covering step.
+    curve = [covered for _, covered in result.metrics.coverage_curve]
+    assert given == [s > 0 and curve[s] == curve[s - 1] for s in range(len(given))]
+    assert any(given) and given.count(False) > 1
 
 
 class FixedUniform:
@@ -595,9 +608,7 @@ def test_mark_coverage_refuses_a_field_built_on_other_coverage():
     hotspots = [Hotspot(np.array([1.0, 1.0])), Hotspot(np.array([9.0, 9.0]))]
     stale = FitnessField(hotspots, 3.0)
     hotspots[1].covered = True
-    # The swarm counts the covered hotspot; a count that agreed with the
-    # stale field would be taken on trust.
-    swarm = SwarmState([UavState(position=(1.0, 1.0))], np.zeros(2), covered_count=1)
+    swarm = SwarmState([UavState(position=(1.0, 1.0))], np.zeros(2))
     with pytest.raises(ValidationError, match="other hotspot coverage"):
         mark_coverage(swarm, hotspots, 3.0, field=stale)
     assert not hotspots[0].covered
@@ -605,7 +616,7 @@ def test_mark_coverage_refuses_a_field_built_on_other_coverage():
 
 def test_mark_coverage_refuses_the_field_a_covering_step_used():
     # The run loop rebuilds the field once a step covers something; the old
-    # field's count no longer matches the swarm's.
+    # field still indexes the hotspot that step covered.
     hotspots = [Hotspot(np.array([1.0, 1.0])), Hotspot(np.array([9.0, 9.0]))]
     field = FitnessField(hotspots, 3.0)
     swarm = SwarmState([UavState(position=(9.0, 9.0))], np.zeros(2))
