@@ -90,13 +90,16 @@ def _cmd_run(args) -> int:
         metrics.heatmap_to_csv(m.heatmap, out / "heatmap.csv")
         metrics.write_coverage_curve(m, out / "coverage_curve.csv")
         if args.trajectories:
-            # Python floats: the csv module writes a numpy 2 scalar as "np.float64(...)".
-            rows = (
-                (step, uav, x, y)
-                for step, frame in enumerate(result.trajectories)
-                for uav, (x, y) in enumerate(frame.tolist())
-            )
-            metrics.write_csv(out / "trajectories.csv", ["step", "uav", "x", "y"], rows)
+            # The rows csv.writer would write, formatted directly: numbers need
+            # no quoting, and repr of a Python float (not of a numpy scalar,
+            # hence tolist(), a frame at a time) is the text csv writes for it.
+            with open(out / "trajectories.csv", "w", newline="") as f:
+                f.write("step,uav,x,y\n")
+                f.writelines(
+                    f"{step},{uav},{x!r},{y!r}\n"
+                    for step, frame in enumerate(result.trajectories)
+                    for uav, (x, y) in enumerate(frame.tolist())
+                )
     if args.require_coverage and not m.covered_all:
         print("coverage incomplete", file=sys.stderr)
         return EXIT_NOT_COVERED

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -79,16 +80,16 @@ def _min_pairwise(xy: list) -> float:
 
 def _collision_stage(
     tentative: list, anchors: list, cons: ConstraintParams, grid: GridConfig
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[list, np.ndarray | None, float]:
     """Soft repulsion, then hard separation, of one step's tentative (x, y) positions.
 
-    Returns (final positions as an array, intervened mask, smallest pair
-    distance of final).  Most steps have no pair within reach of either soft
-    force (the safe-zone radius, and twice the collision radius for the
-    potential field), and skip the stage: the hard-separation radius is no
-    larger (validate() keeps collision_radius <= safe_zone_radius), and every
-    proposer leaves its agents within max_step_size of their anchors, so each
-    part of the stage would be the identity.
+    Returns (final (x, y) positions, intervened mask, smallest pair distance
+    of final).  Most steps have no pair within reach of either soft force
+    (the safe-zone radius, and twice the collision radius for the potential
+    field), and skip the stage with no mask (None): the hard-separation
+    radius is no larger (validate() keeps collision_radius <= safe_zone_radius),
+    and every proposer leaves its agents within max_step_size of their
+    anchors, so each part of the stage would be the identity.
     """
     smallest = _min_pairwise(tentative)
     reach = max(cons.safe_zone_radius, 2.0 * cons.collision_radius)
@@ -97,7 +98,7 @@ def _collision_stage(
     pairs = _violating_pairs(tentative, reach) if smallest < reach * (1.0 + _HYPOT_BAND) else []
     if not pairs:
         # + 0.0 turns -0.0 into 0.0, as adding the zero shove does.
-        return np.array(tentative) + 0.0, np.zeros(len(tentative), dtype=bool), smallest
+        return [(x + 0.0, y + 0.0) for x, y in tentative], None, smallest
 
     step = cons.max_step_size
     safe = safe_zone_separation(pairs, len(tentative), cons.safe_zone_radius)
@@ -118,7 +119,7 @@ def _collision_stage(
     # pairwise distances stay above the collision radius.)
     for k, ((x, y), (ax, ay)) in enumerate(zip(final, anchors)):
         final[k] = settle_within(x, y, ax, ay, 2.0 * step if intervened[k] else step)
-    return np.array(final), intervened, _min_pairwise(final)
+    return final, intervened, _min_pairwise(final)
 
 
 def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
@@ -136,38 +137,39 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
 
     # UAVs launch from a single point; spread them to the collision radius
     # before anything is recorded.
+    uavs = swarm.uavs
     start, touched, _ = resolve_collisions(
-        swarm.positions().tolist(), config.grid, cons.collision_radius
+        [uav.position for uav in uavs], config.grid, cons.collision_radius
     )
-    start_positions = np.array(start)
     collision_interventions = int(touched.sum())
-    for i, uav in enumerate(swarm.uavs):
-        uav.position = start_positions[i]
+    for uav, position in zip(uavs, start):
+        uav.position = position
         if is_pso:
-            uav.personal_best = start_positions[i].copy()
+            uav.personal_best = position
 
     # Fitness is always scored against the uncovered set the move was decided
     # under (evaluate, then mark): the agent that brings a hotspot into
     # coverage range is the one credited for it.
     fitness = FitnessField.from_config(hotspots, config)
-    for uav in swarm.uavs:
+    for uav in uavs:
         value = fitness.value(uav.position)
         uav.fitness = value
         uav.best_fitness = value
         swarm.observe(uav.position, value)
-    if mark_coverage(
-        swarm, hotspots, cons.coverage_radius, positions=start_positions, field=fitness
-    ):
+    if mark_coverage(swarm, hotspots, cons.coverage_radius, positions=start, field=fitness):
         fitness = FitnessField.from_config(hotspots, config)
 
     heatmap = Heatmap.for_grid(config.grid)
-    heatmap.record(start_positions)
+    heatmap.record(start)
     coverage_curve = [(0, swarm.covered_count)]
     min_pairwise_series = [_min_pairwise(start)]
-    trajectories = [start_positions] if record_trajectories else None
-    collision_masks = []
+    # Recorded frames go into one flat buffer of doubles, 16 bytes an agent-step.
+    frames = array("d", chain.from_iterable(start)) if record_trajectories else None
+    # (step index, intervened mask) of the steps that ran the collision stage.
+    interventions = []
     report = ConstraintReport(collision_interventions=collision_interventions)
     steps_to_cover = 0 if swarm.covered_count == len(hotspots) else None
+    width, height = float(config.grid.width), float(config.grid.height)
 
     # ABC's stored values, kept while the field they were scored on is in use.
     anchor_values = None
@@ -175,48 +177,51 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     while steps_to_cover is None and step < config.max_steps:
         step += 1
         swarm.step = step
-        anchors = swarm.positions().tolist()
+        anchors = [uav.position for uav in uavs]
         proposal = propose_step(swarm, fitness, config, rngs, anchor_values)
         report.merge(proposal.report)
         final, intervened, min_pairwise = _collision_stage(
-            proposal.positions.tolist(), anchors, cons, config.grid
+            proposal.positions, anchors, cons, config.grid
         )
-        report.collision_interventions += int(intervened.sum())
-        collision_masks.append(intervened)
+        if intervened is not None:
+            report.collision_interventions += int(intervened.sum())
+            interventions.append((step - 1, intervened))
+        scanning = proposal.scanning.tolist()
+        guided = proposal.guided.tolist()
 
-        for i, uav in enumerate(swarm.uavs):
-            # The rows of final become the agents' positions and, when
-            # recorded, a trajectory entry: nothing may change them in place.
-            uav.position = final[i]
-            if not proposal.scanning[i]:
+        for i, uav in enumerate(uavs):
+            position = uav.position = final[i]
+            if not scanning[i]:
                 # Mid-flight: the sensor is dark, so no reward is realized and
                 # nothing is observed; the last landed fitness stays in force.
                 continue
-            value = fitness.value(uav.position)
+            value = fitness.value(position)
             uav.fitness = value
-            swarm.observe(uav.position, value)
+            swarm.observe(position, value)
             if value > uav.best_fitness:
                 uav.best_fitness = value
                 uav.stagnation = 0
                 if is_pso:
-                    uav.personal_best = uav.position.copy()
-            elif not proposal.guided[i]:
+                    uav.personal_best = position
+            elif not guided[i]:
                 uav.stagnation += 1
             if (
                 is_hybrid
                 and uav.transit_target is None
                 and uav.stagnation >= config.params.stagnation_limit
             ):
-                grid_extent = np.array([config.grid.width, config.grid.height], dtype=float)
-                uav.transit_target = tuple((rngs[i].uniform(0.0, 1.0, 2) * grid_extent).tolist())
+                src = rngs[i]
+                uav.transit_target = (
+                    src.uniform(0.0, 1.0) * width, src.uniform(0.0, 1.0) * height
+                )
                 uav.stagnation = 0
-        scored_all = is_abc and proposal.scanning.all()
-        anchor_values = [uav.fitness for uav in swarm.uavs] if scored_all else None
+        scored_all = is_abc and all(scanning)
+        anchor_values = [uav.fitness for uav in uavs] if scored_all else None
 
         # The field depends only on the uncovered set, so it changes only
         # when this step covers something.
         if mark_coverage(
-            swarm, hotspots, cons.coverage_radius, scanning=proposal.scanning,
+            swarm, hotspots, cons.coverage_radius, scanning=scanning,
             positions=final, field=fitness,
         ):
             fitness = FitnessField.from_config(hotspots, config)
@@ -226,10 +231,13 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         coverage_curve.append((step, swarm.covered_count))
         min_pairwise_series.append(min_pairwise)
         if record_trajectories:
-            trajectories.append(final)
+            frames.extend(chain.from_iterable(final))
         if swarm.covered_count == len(hotspots):
             steps_to_cover = step
 
+    collision_mask = np.zeros((step, config.n_uavs), dtype=bool)
+    for k, intervened in interventions:
+        collision_mask[k] = intervened
     metrics = RunMetrics(
         scenario_id=config.scenario_id,
         algorithm=config.algorithm.value,
@@ -253,12 +261,10 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         metrics=metrics,
         hotspots=hotspots,
         swarm=swarm,
-        trajectories=np.array(trajectories) if record_trajectories else None,
-        collision_mask=(
-            np.array(collision_masks)
-            if collision_masks
-            else np.zeros((0, config.n_uavs), dtype=bool)
+        trajectories=(
+            np.frombuffer(frames).reshape(-1, config.n_uavs, 2) if record_trajectories else None
         ),
+        collision_mask=collision_mask,
         report=report,
     )
 

@@ -92,9 +92,14 @@ class Heatmap:
         return cells
 
     def record(self, positions):
-        """Count every position, or none of them when one is out of the domain."""
+        """Count every (x, y) pair of positions, or positions itself when its
+        items do not unpack; or nothing, when one is out of the domain."""
+        try:
+            cells = self._cells(positions)
+        except TypeError:
+            cells = self._cells([positions])
         counts = self.counts
-        for cell in self._cells(np.atleast_2d(np.asarray(positions, dtype=float)).tolist()):
+        for cell in cells:
             counts[cell] += 1
 
     def total(self) -> int:

@@ -118,7 +118,7 @@ def adaptive_levy_probability(fitness: float, global_best: float, sensitivity: f
 def roulette_pick(src: RandomSource, probabilities) -> int:
     """Sample an index from non-negative probabilities using one uniform draw:
     the first whose running sum exceeds the draw, else the last."""
-    u = float(src.uniform(0.0, 1.0))
+    u = src.uniform(0.0, 1.0)
     cumulative = 0.0
     for k, p in enumerate(probabilities):
         cumulative += p
@@ -137,15 +137,15 @@ def abc_candidate(src: RandomSource, positions, i: int) -> tuple[float, float]:
     if k >= i:
         k += 1
     kx, ky = positions[k]
-    phi_x, phi_y = src.uniform(-1.0, 1.0, 2).tolist()
+    phi_x, phi_y = src.uniform(-1.0, 1.0), src.uniform(-1.0, 1.0)
     return x + phi_x * (x - kx), y + phi_y * (y - ky)
 
 
 @dataclass
 class StepProposal:
-    """Tentative post-motion positions plus per-step event bookkeeping."""
+    """Tentative post-motion (x, y) positions plus per-step event bookkeeping."""
 
-    positions: np.ndarray
+    positions: list[tuple[float, float]]
     transit_legs: int = 0
     report: constraints.ConstraintReport = None
     # Agents whose step was goal-directed (a committed relocation leg or a
@@ -202,8 +202,8 @@ def propose_abc(
     are fitness's values at the agents' positions, which are then not
     scored again.
     """
-    anchors = swarm.positions().tolist()
-    tentative = [tuple(p) for p in anchors]
+    anchors = [uav.position for uav in swarm.uavs]
+    tentative = list(anchors)
     values = [fitness.value(p) for p in tentative] if anchor_values is None else list(anchor_values)
     report = constraints.ConstraintReport()
 
@@ -225,7 +225,7 @@ def propose_abc(
             tentative[s] = candidate
             values[s] = candidate_value
 
-    return StepProposal(np.array(tentative), report=report)
+    return StepProposal(tentative, report=report)
 
 
 def propose_pso(
@@ -238,22 +238,21 @@ def propose_pso(
     the constraints allow.
     """
     pso = config.params.pso
-    anchors = swarm.positions().tolist()
-    gx, gy = swarm.global_best_position.tolist()
+    gx, gy = swarm.global_best_position
     report = constraints.ConstraintReport()
     tentative = []
-    for i, uav in enumerate(swarm.uavs):
-        r1x, r1y = rngs[i].uniform(0.0, 1.0, 2).tolist()
-        r2x, r2y = rngs[i].uniform(0.0, 1.0, 2).tolist()
-        x, y = anchors[i]
-        vx, vy = uav.velocity.tolist()
-        bx, by = uav.personal_best.tolist()
+    for uav, src in zip(swarm.uavs, rngs):
+        r1x, r1y = src.uniform(0.0, 1.0), src.uniform(0.0, 1.0)
+        r2x, r2y = src.uniform(0.0, 1.0), src.uniform(0.0, 1.0)
+        x, y = anchor = uav.position
+        vx, vy = uav.velocity
+        bx, by = uav.personal_best
         vx = pso.inertia * vx + pso.cognitive * r1x * (bx - x) + pso.social * r2x * (gx - x)
         vy = pso.inertia * vy + pso.cognitive * r1y * (by - y) + pso.social * r2y * (gy - y)
-        nx, ny = _constrain_motion((x + vx, y + vy), anchors[i], config, report)
-        uav.velocity = np.array([nx - x, ny - y])
+        nx, ny = _constrain_motion((x + vx, y + vy), anchor, config, report)
+        uav.velocity = (nx - x, ny - y)
         tentative.append((nx, ny))
-    return StepProposal(np.array(tentative), report=report)
+    return StepProposal(tentative, report=report)
 
 
 def _median(values: list[float]) -> float:
@@ -301,18 +300,18 @@ def propose_hybrid(
     stay within the per-step motion budget about the agent's step-start
     position.
 
-    Positions are (x, y) pairs of Python floats until the proposal is built:
-    each agent makes a few dozen 2-vector operations, far cheaper on floats
-    than as numpy calls, with the same rounding.
+    Positions are (x, y) pairs of Python floats: each agent makes a few dozen
+    2-vector operations, far cheaper on floats than as numpy calls, with the
+    same rounding.
     """
     params = config.params
     cons = config.constraints
     max_step = cons.max_step_size
     uavs = swarm.uavs
     n = len(uavs)
-    anchors = [uav.position.tolist() for uav in uavs]
+    anchors = [uav.position for uav in uavs]
     tentative = list(anchors)
-    gx, gy = swarm.global_best_position.tolist()
+    gx, gy = swarm.global_best_position
     # Balancing and nectar shares key on each agent's last realized fitness
     # (the reward credited for its previous move), not a re-evaluation at the
     # anchor: once a hotspot is marked, standing next to it scores nothing.
@@ -392,13 +391,11 @@ def propose_hybrid(
             )
         else:
             gate = shares[i]
-        if float(rngs[i].uniform(0.0, 1.0)) >= gate:
+        if rngs[i].uniform(0.0, 1.0) >= gate:
             continue
         _reinforce(tentative, i, anchors, fitness, config, rngs[i], report)
 
-    return StepProposal(
-        np.array(tentative), transit_legs, report, np.array(guided), np.array(scanning)
-    )
+    return StepProposal(tentative, transit_legs, report, np.array(guided), np.array(scanning))
 
 
 def _reinforce(tentative, i, anchors, fitness, config, src, report=None):

@@ -52,7 +52,14 @@ class RandomSource:
         return self._gen.standard_normal(n)
 
     def uniform(self, low: float, high: float, size=None):
-        return self._gen.uniform(low, high, size)
+        """Generator.uniform bit for bit: numpy's low + (high - low) * u, with u
+        from Generator.random, which skips uniform's costly argument handling."""
+        span = high - low
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if span < 0.0:
+            raise ValueError("high - low < 0")
+        return low + span * self._gen.random(size)
 
     def integers(self, low: int, high: int) -> int:
         return int(self._gen.integers(low, high))

@@ -262,16 +262,24 @@ class ConstraintParams:
             )
 
 
+def _xy(point) -> tuple[float, float]:
+    """point as an (x, y) pair of Python floats."""
+    return float(point[0]), float(point[1])
+
+
 @dataclass
 class UavState:
-    position: np.ndarray
+    """One agent's state.  Points and vectors are (x, y) pairs of Python
+    floats: immutable, so the run loop shares them without a copy."""
+
+    position: tuple[float, float]
     fitness: float = 0.0
     stagnation: int = 0
     # Reference value for the stagnation counter: the best fitness this agent
     # has observed in the run.  Doubles as the PSO personal-best fitness.
     best_fitness: float = -math.inf
-    personal_best: np.ndarray | None = None
-    velocity: np.ndarray | None = None
+    personal_best: tuple[float, float] | None = None
+    velocity: tuple[float, float] | None = None
     # Active relocation waypoint, an (x, y) pair of floats: set while the
     # agent is committed to a multi-step traversal (a long Levy flight or a
     # scout reset), cleared on arrival.  The agent flies toward it at the
@@ -279,24 +287,32 @@ class UavState:
     transit_target: tuple[float, float] | None = None
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
+        self.position = _xy(self.position)
+        if self.personal_best is not None:
+            self.personal_best = _xy(self.personal_best)
+        if self.velocity is not None:
+            self.velocity = _xy(self.velocity)
 
 
 @dataclass
 class SwarmState:
     uavs: list[UavState]
-    global_best_position: np.ndarray
+    global_best_position: tuple[float, float]
     global_best_fitness: float = -math.inf
     step: int = 0
     covered_count: int = 0
 
-    def observe(self, position: np.ndarray, fitness: float):
+    def __post_init__(self):
+        self.global_best_position = _xy(self.global_best_position)
+
+    def observe(self, position, fitness: float):
         """Fold one fitness evaluation into the running global best."""
         if fitness > self.global_best_fitness:
             self.global_best_fitness = fitness
-            self.global_best_position = np.array(position, dtype=float)
+            self.global_best_position = _xy(position)
 
     def positions(self) -> np.ndarray:
+        """The agents' positions as an (n, 2) array, for callers that want one."""
         return np.array([u.position for u in self.uavs])
 
 
@@ -348,14 +364,15 @@ class ScenarioConfig:
 
 def make_swarm(config: ScenarioConfig) -> SwarmState:
     """All UAVs at the start position; separation happens in the run pipeline."""
+    start = _xy(config.start_position)
     uavs = []
     for _ in range(config.n_uavs):
-        uav = UavState(position=config.start_position.copy())
+        uav = UavState(position=start)
         if config.algorithm is Algorithm.PSO:
-            uav.personal_best = config.start_position.copy()
-            uav.velocity = np.zeros(2)
+            uav.personal_best = start
+            uav.velocity = (0.0, 0.0)
         uavs.append(uav)
-    return SwarmState(uavs=uavs, global_best_position=config.start_position.copy())
+    return SwarmState(uavs=uavs, global_best_position=start)
 
 
 # --- scenario generators ---------------------------------------------------
@@ -484,8 +501,8 @@ def mark_coverage(
     swarm: SwarmState,
     hotspots: list[Hotspot],
     coverage_radius: float,
-    scanning: np.ndarray | None = None,
-    positions: np.ndarray | None = None,
+    scanning=None,
+    positions=None,
     field: UncoveredHotspots | None = None,
 ) -> list[int]:
     """Flip uncovered hotspots within coverage_radius of any scanning UAV.
@@ -495,24 +512,24 @@ def mark_coverage(
     length <= coverage_radius.  ``scanning`` masks which agents have an
     active sensor this step (default: all); agents mid-traversal of a
     committed relocation fly dark and only scan on arrival.  A caller that
-    already holds them may pass the agents' positions (default
-    swarm.positions()) and the UncoveredHotspots (a FitnessField) built on
-    the hotspots' current coverage, which is then queried as it is; one
-    built on other coverage is a ValidationError.
+    already holds them may pass the agents' positions (default: the agents'
+    own), as (x, y) pairs of a list or the rows of an array, and the
+    UncoveredHotspots (a FitnessField) built on the hotspots' current
+    coverage, which is then queried as it is; one built on other coverage
+    is a ValidationError.
     """
     field_value(coverage_radius, "float", "coverage_radius")
     if positions is None:
-        positions = swarm.positions()
+        positions = [uav.position for uav in swarm.uavs]
     if field is None:
         field = UncoveredHotspots(hotspots)
     elif field.indices != uncovered_indices(hotspots):
         raise ValidationError("the fitness field was built on other hotspot coverage")
-    points = np.asarray(positions, dtype=float).tolist()
     if scanning is not None:
-        points = [p for p, active in zip(points, scanning) if active]
+        positions = [p for p, active in zip(positions, scanning) if active]
     hit = set()
-    for x, y in points:
-        hit.update(field.within(x, y, coverage_radius))
+    for x, y in positions:
+        hit.update(field.within(float(x), float(y), coverage_radius))
     newly = [field.indices[k] for k in sorted(hit)]
     for k in newly:
         hotspots[k].covered = True

@@ -369,18 +369,20 @@ def ref_propose_pso(swarm, fitness, config, rngs):
     anchor_xy = anchors.tolist()
     tentative = anchors.copy()
     proposal = StepProposal(positions=tentative)
+    global_best = np.array(swarm.global_best_position, dtype=float)
     for i, uav in enumerate(swarm.uavs):
+        position = np.array(uav.position, dtype=float)
         r1 = rngs[i].uniform(0.0, 1.0, 2)
         r2 = rngs[i].uniform(0.0, 1.0, 2)
         velocity = (
-            pso.inertia * uav.velocity
-            + pso.cognitive * r1 * (uav.personal_best - uav.position)
-            + pso.social * r2 * (swarm.global_best_position - uav.position)
+            pso.inertia * np.array(uav.velocity, dtype=float)
+            + pso.cognitive * r1 * (np.array(uav.personal_best, dtype=float) - position)
+            + pso.social * r2 * (global_best - position)
         )
         new_position = np.array(
-            _constrain_motion((uav.position + velocity).tolist(), anchor_xy[i], config, proposal.report)
+            _constrain_motion((position + velocity).tolist(), anchor_xy[i], config, proposal.report)
         )
-        uav.velocity = new_position - uav.position
+        uav.velocity = new_position - position
         tentative[i] = new_position
     return proposal
 
@@ -426,13 +428,14 @@ def test_baseline_proposers_match_numpy(step, pso):
     theirs_rngs = [RandomSource(seed, i) for i in range(len(agents))]
     got = propose(ours, fitness, config, ours_rngs)
     want = reference(theirs, fitness, config, theirs_rngs)
-    assert got.positions.dtype == want.positions.dtype
-    assert got.positions.tobytes() == want.positions.tobytes()
+    assert all(type(v) is float for point in got.positions for v in point)
+    assert np.array(got.positions, dtype=float).tobytes() == want.positions.tobytes()
     assert got.report == want.report
     assert got.guided.tolist() == want.guided.tolist()
     assert got.scanning.tolist() == want.scanning.tolist()
     for a, b in zip(ours.uavs, theirs.uavs):
-        assert a.velocity.tobytes() == b.velocity.tobytes()
+        velocities = [np.array(uav.velocity, dtype=float).tobytes() for uav in (a, b)]
+        assert velocities[0] == velocities[1]
     # The same draws: every stream stands at the same word afterwards.
     assert [r.random_raw(2).tolist() for r in ours_rngs] == [
         r.random_raw(2).tolist() for r in theirs_rngs
@@ -464,7 +467,7 @@ def test_abc_takes_the_anchor_values_it_is_given(step, given_values):
         got = propose_abc(ours, fitness, config, rngs, values)
         patch.setattr(FitnessField, "value", counted("theirs"))
         want = ref_propose_abc(theirs, fitness, config, [RandomSource(seed, i) for i in range(n)])
-    assert got.positions.tobytes() == want.positions.tobytes()
+    assert np.array(got.positions, dtype=float).tobytes() == want.positions.tobytes()
     assert got.report == want.report
     assert calls["ours"] == calls["theirs"] - (n if given_values else 0)
 

@@ -22,6 +22,7 @@ from levyswarm.metrics import RunMetrics
 from levyswarm.world import (
     Hotspot,
     ScenarioConfig,
+    SwarmState,
     ValidationError,
     preset_scenario,
 )
@@ -126,6 +127,43 @@ class TestRunScenario:
         )
         result = run_scenario(config, record_trajectories=True)
         audit_run(result)
+
+    @pytest.mark.parametrize("algorithm", ["hybrid", "abc", "pso"])
+    def test_run_loop_keeps_state_on_floats(self, monkeypatch, algorithm):
+        # Agent state is (x, y) floats from launch to the last step: the run
+        # loop never stacks the positions into an array.
+        calls = []
+        positions = SwarmState.positions
+
+        def counted(self):
+            calls.append(1)
+            return positions(self)
+
+        monkeypatch.setattr(SwarmState, "positions", counted)
+        config = preset_scenario("uniform20", seed=4, algorithm=algorithm, max_steps=100)
+        result = run_scenario(config, record_trajectories=True)
+        assert calls == []
+        swarm = result.swarm
+
+        def is_xy(value):
+            return type(value) is tuple and len(value) == 2 and all(type(v) is float for v in value)
+
+        assert is_xy(swarm.global_best_position)
+        for uav in swarm.uavs:
+            assert is_xy(uav.position)
+            if algorithm == "pso":
+                assert is_xy(uav.personal_best) and is_xy(uav.velocity)
+            else:
+                assert uav.personal_best is None and uav.velocity is None
+            if uav.transit_target is not None:
+                assert is_xy(uav.transit_target)
+        # The edges still hand out arrays.
+        steps = result.metrics.recorded_steps
+        assert result.trajectories.shape == (steps, config.n_uavs, 2)
+        assert result.trajectories.dtype == np.float64
+        assert result.collision_mask.shape == (steps - 1, config.n_uavs)
+        assert result.collision_mask.dtype == bool
+        assert np.array(swarm.positions(), dtype=float).tobytes() == result.trajectories[-1].tobytes()
 
     def test_max_steps_censors_run(self):
         config = preset_scenario("uniform20", seed=2, algorithm="abc", max_steps=10)

@@ -525,7 +525,7 @@ class TestDispatch:
         rngs = [RandomSource(seed=11, stream_id=i) for i in range(4)]
         proposal = propose_step(swarm, field, config, rngs)
         assert isinstance(proposal, StepProposal)
-        assert proposal.positions.shape == (4, 2)
+        assert np.array(proposal.positions, dtype=float).shape == (4, 2)
         for final, anchor in zip(proposal.positions, anchors):
             assert float(np.hypot(*(final - anchor))) <= config.constraints.max_step_size
             assert config.grid.contains(final)

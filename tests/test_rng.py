@@ -113,6 +113,52 @@ class TestRandomSource:
         assert SCENARIO_STREAM == 1 << 32
 
 
+class TestUniform:
+    """RandomSource.uniform is Generator.uniform bit for bit on twin streams."""
+
+    @pytest.mark.parametrize("low,high", [(0.0, 1.0), (-1.0, 1.0), (0.0, 2.0 * math.pi)])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_matches_generator_uniform_between_other_draws(self, low, high, seed):
+        ours = RandomSource(seed=seed, stream_id=3)
+        twin = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(3,))))
+        for size in [None, 1, 2, None, (3, 2), None, 257]:
+            got, want = ours.uniform(low, high, size), twin.uniform(low, high, size)
+            assert type(got) is type(want)
+            assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+            # Interleaved draws of other kinds keep both streams in step.
+            assert ours.integers(0, 9) == int(twin.integers(0, 9))
+            assert ours.standard_normal(3).tobytes() == twin.standard_normal(3).tobytes()
+        assert ours.random_raw(2).tolist() == twin.bit_generator.random_raw(2).tolist()
+
+    def test_scalar_draws_are_sized_draws_one_at_a_time(self):
+        scalar, sized = RandomSource(5, 0), RandomSource(5, 0)
+        singles = [scalar.uniform(-1.0, 1.0) for _ in range(64)]
+        assert all(type(u) is float for u in singles)
+        assert np.array(singles).tobytes() == sized.uniform(-1.0, 1.0, 64).tobytes()
+
+    def test_reversed_range_raises_value_error_as_numpy_does(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).uniform(1.0, 0.0)
+        with pytest.raises(ValueError, match="high - low < 0"):
+            RandomSource(0, 0).uniform(1.0, 0.0)
+        with pytest.raises(ValueError):
+            RandomSource(0, 0).uniform(1.0, 0.0, 4)
+
+    @pytest.mark.parametrize(
+        "low,high",
+        [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan), (-1e308, 1e308)],
+    )
+    def test_non_finite_range_raises_overflow_error_as_numpy_does(self, low, high):
+        with pytest.raises(OverflowError):
+            np.random.default_rng(0).uniform(low, high)
+        source = RandomSource(0, 0)
+        for size in [None, 3]:
+            with pytest.raises(OverflowError, match="range exceeds valid bounds"):
+                source.uniform(low, high, size)
+        # A rejected range draws nothing.
+        assert source.random_raw(1).tolist() == RandomSource(0, 0).random_raw(1).tolist()
+
+
 class TestStandardNormal:
     def test_moments(self):
         src = RandomSource(seed=11, stream_id=0)
