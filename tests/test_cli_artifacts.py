@@ -96,9 +96,19 @@ def test_cli_artifacts(case, tmp_path):
 
 
 if __name__ == "__main__":
+    old = _golden()
+    new = {}
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            new[case] = digests(case, Path(tmp))
     with open(GOLDEN, "w") as f:
         f.write("# SHA-256 per CLI case: stdout and every file written to --out.\n")
-        for case in sorted(CASES):
-            with tempfile.TemporaryDirectory() as tmp:
-                for name, digest in digests(case, Path(tmp)).items():
-                    f.write(f"{case} {name} {digest}\n")
+        for case, found in new.items():
+            for name, digest in found.items():
+                f.write(f"{case} {name} {digest}\n")
+    # The changed digests, for the change log.
+    for case, found in new.items():
+        for name, digest in found.items():
+            before = old.get(case, {}).get(name)
+            if before != digest:
+                print(f"{case} {name}: {before} -> {digest}")

@@ -148,9 +148,15 @@ def test_behaviour_fingerprint(case):
 
 
 if __name__ == "__main__":
+    old = _golden()
+    new = {name: fingerprint(scenario(name)) for name in sorted(CASES)}
     with open(GOLDEN, "w") as f:
         f.write(f"# SHA-256 per case: runs.csv, trajectories, collision masks, "
                 f"min_pairwise_series; {STEPS} steps ({TIGHT_STEPS} for the tight "
                 f"cases).\n")
-        for name in sorted(CASES):
-            f.write(f"{name} {fingerprint(scenario(name))}\n")
+        for name, digest in new.items():
+            f.write(f"{name} {digest}\n")
+    # The changed digests, for the change log.
+    for name, digest in new.items():
+        if old.get(name) != digest:
+            print(f"{name}: {old.get(name)} -> {digest}")
