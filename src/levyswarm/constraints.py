@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import _HYPOT_BAND, GridConfig, UncoveredHotspots, ValidationError, _norm_against
+from .world import GridConfig, UncoveredHotspots, ValidationError
 
 _TINY = 1e-12
 # Below this separation a pair counts as coincident and separation directions
@@ -58,18 +58,19 @@ class ConstraintReport:
 def clamp_step(x: float, y: float, limit: float) -> tuple[float, float]:
     """The displacement (x, y) scaled down to length at most limit, direction kept.
 
-    The reduced vector's np.hypot length is <= limit exactly, not just to
+    The reduced vector's math.hypot length is <= limit exactly, not just to
     rounding: after the rescale, components are nudged toward zero until the
     recomputed norm passes.  Idempotent, and the identity on vectors already
     inside the limit.
     """
     if not limit > 0.0:
         raise ValidationError(f"max_step_size must be positive, got {limit}")
-    if _norm_against(x, y, limit) <= limit:
+    norm = math.hypot(x, y)
+    if norm <= limit:
         return x, y
-    scale = limit / float(np.hypot(x, y))
+    scale = limit / norm
     x, y = x * scale, y * scale
-    while _norm_against(x, y, limit) > limit:
+    while math.hypot(x, y) > limit:
         x, y = math.nextafter(x, 0.0), math.nextafter(y, 0.0)
     return x, y
 
@@ -87,7 +88,7 @@ def clamp_boundary(x: float, y: float, grid: GridConfig) -> tuple[float, float]:
 
 
 def settle_within(x: float, y: float, ax: float, ay: float, budget: float) -> tuple[float, float]:
-    """(x, y) nudged toward the anchor (ax, ay) until its np.hypot distance is <= budget.
+    """(x, y) nudged toward the anchor (ax, ay) until its math.hypot distance is <= budget.
 
     Composing `anchor + clamp_step(...)` rounds once per component, so the
     *measured* displacement of a stored position can exceed the budget by an
@@ -97,7 +98,7 @@ def settle_within(x: float, y: float, ax: float, ay: float, budget: float) -> tu
     identity for positions already within budget.
     """
     guard = 0
-    while _norm_against(x - ax, y - ay, budget) > budget:
+    while math.hypot(x - ax, y - ay) > budget:
         x, y = math.nextafter(x, ax), math.nextafter(y, ay)
         guard += 1
         if guard > 1000:
@@ -118,17 +119,14 @@ def _pair_list(n: int) -> list[tuple[int, int]]:
 def _violating_pairs(pos: list, radius: float) -> list[tuple[int, int, float, float, float]]:
     """(i, j, dx, dy, d) for each pair of _pair_list closer than radius, in that order.
 
-    (dx, dy) is position i minus position j and d = float(np.hypot(dx, dy)),
-    which decides closeness.  math.hypot screens the pairs first: outside
-    _HYPOT_BAND above radius the two norms agree on the comparison, so only
-    the pairs it leaves pay for a scalar np.hypot.
+    (dx, dy) is position i minus position j and d = math.hypot(dx, dy),
+    which decides closeness.
     """
-    near = radius * (1.0 + _HYPOT_BAND)
     close = []
     for i, j in _pair_list(len(pos)):
         (xi, yi), (xj, yj) = pos[i], pos[j]
         dx, dy = xi - xj, yi - yj
-        if math.hypot(dx, dy) <= near and (d := float(np.hypot(dx, dy))) < radius:
+        if (d := math.hypot(dx, dy)) < radius:
             close.append((i, j, dx, dy, d))
     return close
 
@@ -221,21 +219,19 @@ def escape_no_hotspot_zone(
 
     The x-window of the threshold settles most calls (within()'s test,
     stopping at the first hit).  Only when the escape fires does it measure
-    every hotspot, with one np.hypot over the field's array: a Python loop
-    over the hotspots is slower than that at any count.
+    every hotspot; the nearest is the first of least math.hypot distance in
+    list order.
     """
     x, y, r = float(position[0]), float(position[1]), threshold_radius
     if not field.points:
         return None
     for _, hx, hy in field.window(x, r):
-        if -r <= hy - y <= r and _norm_against(hx - x, hy - y, r) <= r:
+        if math.hypot(hx - x, hy - y) <= r:
             return None
-    dx = field.xy[:, 0] - x
-    dy = field.xy[:, 1] - y
-    dists = np.hypot(dx, dy)
-    nearest = int(dists.argmin())
-    d = float(dists[nearest])
-    return float(dx[nearest]) / d * max_step_size, float(dy[nearest]) / d * max_step_size
+    dists = [math.hypot(hx - x, hy - y) for hx, hy in field.points]
+    d = min(dists)
+    hx, hy = field.points[dists.index(d)]
+    return (hx - x) / d * max_step_size, (hy - y) / d * max_step_size
 
 
 def resolve_collisions(
@@ -263,15 +259,13 @@ def resolve_collisions(
     """
     # (x, y) tuples of Python floats: a resolver pass makes thousands of
     # 2-vector operations, each far cheaper on floats than as a numpy call.
-    # The arithmetic and its rounding are those of numpy.
+    # The arithmetic is elementwise, so it rounds as numpy's does.
     pos = [(float(x), float(y)) for x, y in positions]
     n = len(pos)
     pairs = _violating_pairs(pos, collision_radius)
     bounded = anchors is not None and budget is not None
     if bounded:
         anchor_xy = [(float(x), float(y)) for x, y in anchors]
-        # Below this math.hypot length an offset is within budget by either norm.
-        inside = budget * (1.0 - _HYPOT_BAND)
     width, height = float(grid.width), float(grid.height)
     target = collision_radius * (1.0 + SEPARATION_MARGIN)
     touched = [False] * n
@@ -284,7 +278,7 @@ def resolve_collisions(
 
     def separation(i, j):
         dx, dy = pos[i][0] - pos[j][0], pos[i][1] - pos[j][1]
-        return dx, dy, float(np.hypot(dx, dy))
+        return dx, dy, math.hypot(dx, dy)
 
     def move(idx, dx, dy):
         # clamp_boundary and clamp_step's screen inline: calls cost PSO ~10% of a step.
@@ -297,10 +291,9 @@ def resolve_collisions(
             ax, ay = anchor_xy[idx]
             ox, oy = x - ax, y - ay
             # clamp_step changes the offset exactly when it exceeds the budget.
-            if math.hypot(ox, oy) > inside:
+            if math.hypot(ox, oy) > budget:
                 cx, cy = clamp_step(ox, oy, budget)
-                if cx != ox or cy != oy:
-                    x, y = ax + cx, ay + cy
+                x, y = ax + cx, ay + cy
         if x != px or y != py:
             moved.setdefault(idx, (px, py))
             pos[idx] = (x, y)

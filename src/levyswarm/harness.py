@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 
@@ -36,7 +35,6 @@ from .metrics import Heatmap, RunMetrics, biodiversity_metric, merge_heatmaps
 from .optimizers import FitnessField, propose_step
 from .rng import RandomSource
 from .world import (
-    _HYPOT_BAND,
     Algorithm,
     AlgorithmParams,
     ConstraintParams,
@@ -69,9 +67,7 @@ class RunResult:
 
 
 def _min_pairwise(xy: list) -> float:
-    """The smallest distance between two of the (x, y) floats; inf for one agent."""
-    # math.hypot, not np.hypot: the two round differently on about 0.5% of
-    # inputs, and the recorded min_pairwise_series is pinned to math.hypot.
+    """The smallest math.hypot distance between two of the (x, y) floats; inf for one agent."""
     return min(
         (math.hypot(xy[i][0] - xy[j][0], xy[i][1] - xy[j][1]) for i, j in _pair_list(len(xy))),
         default=math.inf,
@@ -93,9 +89,7 @@ def _collision_stage(
     """
     smallest = _min_pairwise(tentative)
     reach = max(cons.safe_zone_radius, 2.0 * cons.collision_radius)
-    # The smallest math.hypot decides the gate unless it is near the reach;
-    # there _violating_pairs decides each pair as np.hypot would.
-    pairs = _violating_pairs(tentative, reach) if smallest < reach * (1.0 + _HYPOT_BAND) else []
+    pairs = _violating_pairs(tentative, reach) if smallest < reach else []
     if not pairs:
         # + 0.0 turns -0.0 into 0.0, as adding the zero shove does.
         return [(x + 0.0, y + 0.0) for x, y in tentative], None, smallest
@@ -315,6 +309,9 @@ def _run_grid(
     size = min(workers, len(configs), os.cpu_count() or 1)
     if size <= 1:
         return list(map(run_scenario, configs, repeat(trajectories)))
+    # Imported here: it loads multiprocessing, which a serial run never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(run_scenario, configs, repeat(trajectories)))
 

@@ -98,7 +98,8 @@ class Heatmap:
             cells = self._cells(positions)
         except TypeError:
             cells = self._cells([positions])
-        counts = self.counts
+        # A memoryview's item increment skips numpy's scalar indexing.
+        counts = memoryview(self.counts)
         for cell in cells:
             counts[cell] += 1
 

@@ -32,11 +32,14 @@ class FitnessField(UncoveredHotspots):
     UncoveredHotspots index of the hotspots it was built on.
     """
 
-    __slots__ = ("weights", "coverage_radius", "shaping", "epsilon", "_weight_array")
+    __slots__ = ("weights", "coverage_radius", "shaping", "epsilon", "_xy", "_weight_array")
 
     def __init__(self, hotspots, coverage_radius, shaping=False, epsilon=0.01):
         super().__init__(hotspots)
         self.weights = [float(hotspots[k].weight) for k in self.indices]
+        # The shaping term's operands: it sums over every uncovered hotspot,
+        # which numpy does faster than a Python loop.
+        self._xy = np.array(self.points, dtype=float).reshape(-1, 2)
         self._weight_array = np.array(self.weights, dtype=float)
         self.coverage_radius = float(coverage_radius)
         self.shaping = bool(shaping)
@@ -56,12 +59,13 @@ class FitnessField(UncoveredHotspots):
 
         The covered weights come from a within() query and are added in
         np.sum's pairwise order; the shaping term, a sum over every uncovered
-        hotspot, stays one vectorised np.hypot."""
+        hotspot, stays one vectorised np.hypot: a value, not a comparison
+        with a limit."""
         x, y = float(position[0]), float(position[1])
         weights = self.weights
         total = _np_sum([weights[k] for k in self.within(x, y, self.coverage_radius)])
         if self.shaping:
-            d = np.hypot(self.xy[:, 0] - x, self.xy[:, 1] - y)
+            d = np.hypot(self._xy[:, 0] - x, self._xy[:, 1] - y)
             total += self.epsilon * float(np.sum(self._weight_array / (1.0 + d)))
         return total
 
@@ -265,13 +269,13 @@ def _median(values: list[float]) -> float:
 
 
 def _nearest_better_neighbor(positions, values, i: int) -> int | None:
-    """The agent of strictly higher value nearest to agent i by np.hypot's
+    """The agent of strictly higher value nearest to agent i by math.hypot's
     length; the lowest index on a tie, None when no agent is better."""
     x, y = positions[i]
     better = [k for k, value in enumerate(values) if value > values[i]]
     return min(
         better,
-        key=lambda k: float(np.hypot(positions[k][0] - x, positions[k][1] - y)),
+        key=lambda k: math.hypot(positions[k][0] - x, positions[k][1] - y),
         default=None,
     )
 
@@ -351,7 +355,7 @@ def propose_hybrid(
         waypoint = constraints.clamp_boundary(x, y, config.grid)
         if waypoint != (x, y):
             report.boundary_hits += 1
-        if constraints._norm_against(waypoint[0] - ax, waypoint[1] - ay, max_step) > max_step:
+        if math.hypot(waypoint[0] - ax, waypoint[1] - ay) > max_step:
             # The flight outruns one step: commit to the waypoint and start
             # traversing below.
             uav.transit_target = waypoint
@@ -369,7 +373,7 @@ def propose_hybrid(
         guided[i] = True
         (tx, ty), (ax, ay) = uav.transit_target, anchors[i]
         dx, dy = tx - ax, ty - ay
-        if constraints._norm_against(dx, dy, max_step) <= max_step:
+        if math.hypot(dx, dy) <= max_step:
             tentative[i] = (tx, ty)
             uav.transit_target = None
         else:

@@ -88,27 +88,6 @@ def field_value(value, kind: str, name: str, where: str = "", load: bool = False
     return value
 
 
-# math.hypot and np.hypot each round to within an ulp or so of the true norm,
-# so they agree on how a norm compares with a limit unless it lies within
-# this relative band of the limit.
-_HYPOT_BAND = 1e-9
-
-
-def _norm_against(dx: float, dy: float, limit: float) -> float:
-    """The length of (dx, dy), compared with limit as float(np.hypot(dx, dy)) is.
-
-    math.hypot, about ten times cheaper than a scalar np.hypot, gives the
-    length unless it lies in the band around limit, and np.hypot gives it
-    there; math.hypot rounds differently on about 0.2% of inputs.  Only a
-    comparison with limit is exact: outside the band the value is
-    math.hypot's.
-    """
-    d = math.hypot(dx, dy)
-    if limit * (1.0 - _HYPOT_BAND) <= d <= limit * (1.0 + _HYPOT_BAND):
-        return float(np.hypot(dx, dy))
-    return d
-
-
 def left_to_right_sum(values) -> float:
     """The sum of values as floats, added left to right.
 
@@ -447,19 +426,17 @@ def uncovered_indices(hotspots: list[Hotspot]) -> list[int]:
 class UncoveredHotspots:
     """The uncovered hotspots, sorted by x for radius queries on Python floats.
 
-    ``indices`` names them in list order, ``points`` holds their (x, y)
-    floats and ``xy`` the same as an (m, 2) array; a hotspot's id in a query
-    result is its position in all three.  within() bisects the x-sorted
-    copy, so a query costs O(log m + window) rather than O(m).  ``xy`` serves
-    the computations that need every hotspot, which numpy does faster.
+    ``indices`` names them in list order and ``points`` holds their (x, y)
+    floats; a hotspot's id in a query result is its position in both.
+    within() bisects the x-sorted copy, so a query costs O(log m + window)
+    rather than O(m).
     """
 
-    __slots__ = ("indices", "points", "xy", "_xs", "_by_x")
+    __slots__ = ("indices", "points", "_xs", "_by_x")
 
     def __init__(self, hotspots):
         self.indices = uncovered_indices(hotspots)
         self.points = [tuple(hotspots[k].position.tolist()) for k in self.indices]
-        self.xy = np.array(self.points, dtype=float).reshape(-1, 2)
         by_x = sorted(enumerate(self.points), key=lambda item: item[1][0])
         self._xs = [x for _, (x, _) in by_x]
         self._by_x = [(k, x, y) for k, (x, y) in by_x]
@@ -484,15 +461,9 @@ class UncoveredHotspots:
     def within(self, x: float, y: float, r: float) -> list[int]:
         """Ids of the hotspots within r of (x, y), in list order.
 
-        A hotspot is within r when float(np.hypot(hx - x, hy - y)) <= r, and
-        the verdict is np.hypot's bit for bit: the norm is at least |hy - y|,
-        so a larger |hy - y| rejects it, and _norm_against decides the rest.
+        A hotspot is within r when math.hypot(hx - x, hy - y) <= r.
         """
-        hits = [
-            k
-            for k, hx, hy in self.window(x, r)
-            if -r <= hy - y <= r and _norm_against(hx - x, hy - y, r) <= r
-        ]
+        hits = [k for k, hx, hy in self.window(x, r) if math.hypot(hx - x, hy - y) <= r]
         hits.sort()
         return hits
 
@@ -508,7 +479,7 @@ def mark_coverage(
     """Flip uncovered hotspots within coverage_radius of any scanning UAV.
 
     Returns the indices newly covered, in list order: the union of the
-    within() queries of the scanning agents, so "within" means np.hypot's
+    within() queries of the scanning agents, so "within" means a math.hypot
     length <= coverage_radius.  ``scanning`` masks which agents have an
     active sensor this step (default: all); agents mid-traversal of a
     committed relocation fly dark and only scan on arrival.  A caller that

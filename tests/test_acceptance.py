@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from levyswarm.harness import SweepSpec, compare_algorithms, run_sweep
 from levyswarm.optimizers import FitnessField, nectar_probabilities
 from levyswarm.rng import RandomSource, levy_step, mantegna_sigma
 from levyswarm.world import GridConfig, Hotspot
+from test_constraints_reference import math_hypot
 
 SWEEP_VALUES = [1.5, 2.0, 2.5, 3.0, 5.0]
 SEEDS = list(range(20))
@@ -77,12 +79,26 @@ def audited_runs(levy_weight_sweep, algorithm_comparison):
     return list(sweep.results) + list(algorithm_comparison.results)
 
 
-def pairwise_minima(trajectory: np.ndarray) -> np.ndarray:
-    """Per-step minimum pairwise distance over a (steps, n, 2) trajectory."""
-    diff = trajectory[:, :, None, :] - trajectory[:, None, :, :]
-    d = np.hypot(diff[..., 0], diff[..., 1])
+# math.hypot's length of the float difference of two float points lies
+# within a few ulps of their true distance, so only a length this close to a
+# limit, relatively, can sit on the other side of it from the true distance;
+# the exact checks below measure those pairs with Fractions.
+NEAR_LIMIT = 1e-12
+
+
+def pair_lengths(trajectory: np.ndarray):
+    """math.hypot length of every pair at every step of a (steps, n, 2) trajectory,
+    with the pairs' first and second agents."""
     i, j = np.triu_indices(trajectory.shape[1], k=1)
-    return d[:, i, j].min(axis=1)
+    diff = trajectory[:, i, :] - trajectory[:, j, :]
+    return math_hypot(diff[..., 0], diff[..., 1]), i, j
+
+
+def true_distance_squared(p, q) -> Fraction:
+    """The exact squared distance between two points of float coordinates."""
+    dx = Fraction(float(p[0])) - Fraction(float(q[0]))
+    dy = Fraction(float(p[1])) - Fraction(float(q[1]))
+    return dx * dx + dy * dy
 
 
 def test_criterion_1_flight_scale_ordering(levy_weight_sweep):
@@ -119,22 +135,27 @@ def test_criterion_2_baselines_stall_on_far_cluster(algorithm_comparison):
 
 def test_criterion_3_collision_safety(audited_runs):
     worst = math.inf
+    exact = 0
     for result in audited_runs:
-        separation = float(pairwise_minima(result.trajectories).min())
+        traj = result.trajectories
+        lengths, first, second = pair_lengths(traj)
+        separation = float(lengths.min())
         worst = min(worst, separation)
-        assert separation >= COLLISION_RADIUS, (
-            result.config.algorithm.value,
-            result.config.seed,
-            separation,
-        )
+        run = (result.config.algorithm.value, result.config.seed)
+        assert separation >= COLLISION_RADIUS, (*run, separation)
+        for t, k in zip(*np.nonzero(lengths < COLLISION_RADIUS * (1.0 + NEAR_LIMIT))):
+            exact += 1
+            p, q = traj[t, first[k]], traj[t, second[k]]
+            assert true_distance_squared(p, q) >= COLLISION_RADIUS**2, (*run, t)
     print(
-        f"criterion 3 PASS: min pairwise distance over {len(audited_runs)} runs "
-        f"= {worst:.6f} >= {COLLISION_RADIUS}"
+        f"criterion 3 PASS: min pairwise math.hypot distance over {len(audited_runs)} "
+        f"runs = {worst:.6f} >= {COLLISION_RADIUS}; {exact} pairs near it checked exactly"
     )
 
 
 def test_criterion_4_containment_and_step_cap(audited_runs):
     largest = 0.0
+    exact = over = 0
     for result in audited_runs:
         traj = result.trajectories
         assert np.all(traj >= 0.0) and np.all(traj <= 100.0), (
@@ -142,18 +163,25 @@ def test_criterion_4_containment_and_step_cap(audited_runs):
             result.config.seed,
         )
         delta = traj[1:] - traj[:-1]
-        moved = np.hypot(delta[..., 0], delta[..., 1])
+        moved = math_hypot(delta[..., 0], delta[..., 1])
         caps = np.where(result.collision_mask, 2.0 * MAX_STEP, MAX_STEP)
         assert moved.shape == caps.shape
-        assert np.all(moved <= caps), (
-            result.config.algorithm.value,
-            result.config.seed,
-            float((moved - caps).max()),
-        )
+        run = (result.config.algorithm.value, result.config.seed)
+        assert np.all(moved <= caps), (*run, float((moved - caps).max()))
         largest = max(largest, float(moved.max()))
+        # The true displacement may pass the cap by no more than one ulp of it.
+        for t, i in zip(*np.nonzero(moved > caps * (1.0 - NEAR_LIMIT))):
+            exact += 1
+            cap = float(caps[t, i])
+            bound = Fraction(cap) + Fraction(math.ulp(cap))
+            true_squared = true_distance_squared(traj[t + 1, i], traj[t, i])
+            over += true_squared > Fraction(cap) ** 2
+            assert true_squared <= bound * bound, (*run, t, i)
     print(
-        f"criterion 4 PASS: all positions in [0,100]^2; max per-step displacement "
-        f"{largest:.6f} <= {2.0 * MAX_STEP} (uncontested steps <= {MAX_STEP}); exact"
+        f"criterion 4 PASS: all positions in [0,100]^2; max per-step math.hypot "
+        f"displacement {largest:.6f} <= {2.0 * MAX_STEP} (uncontested steps <= "
+        f"{MAX_STEP}); of {exact} steps at a cap checked exactly, {over} pass it by "
+        f"less than one ulp"
     )
 
 

@@ -64,7 +64,7 @@ def reference_stage(tentative, anchors, cons, grid):
 
 
 def reference_min_pairwise(positions):
-    """The smallest pair distance by math.hypot over _ref_close_pairs' deltas."""
+    """The smallest pair distance over _ref_close_pairs' math.hypot lengths."""
     delta = _ref_close_pairs(positions, math.inf)[2]
     return min(map(math.hypot, delta[:, 0].tolist(), delta[:, 1].tolist()), default=math.inf)
 
@@ -163,10 +163,10 @@ class TestGatedStageMatchesReference:
 
     @pytest.mark.parametrize("math_above", [True, False])
     @pytest.mark.parametrize("on", ["np", "math"])
-    def test_pair_the_two_norms_round_apart_at_the_reach(self, math_above, on):
+    def test_pair_the_two_norms_round_apart_at_the_reach(self, monkeypatch, math_above, on):
         # math.hypot and np.hypot differ by an ulp on this pair, and the
-        # reach sits on one of the two values: the gate must follow np.hypot,
-        # as the soft forces in the ungated stage do.
+        # reach sits on one of the two values: the gate must follow
+        # math.hypot, as the soft forces in the ungated stage do.
         dy = 1.0 / 3.0
         for dx in np.linspace(0.1, 1.9, 4000).tolist():
             norm, fast = float(np.hypot(dx, dy)), math.hypot(dx, dy)
@@ -179,7 +179,15 @@ class TestGatedStageMatchesReference:
             max_step_size=1.0, safe_zone_radius=reach, collision_radius=reach / 2.0
         )
         tentative = np.array([[0.0, 0.0], [dx, dy], [30.0, 30.0]])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return resolve_collisions(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "resolve_collisions", counted)
         assert_stage_matches(tentative, tentative, cons, GRID)
+        assert calls == ([1] if fast < reach else [])
 
     def test_negative_zero_becomes_positive_on_a_skipped_step(self):
         tentative = np.array([[-0.0, 5.0], [20.0, -0.0]])
@@ -221,7 +229,7 @@ def test_proposals_stay_within_one_step_of_their_anchors(
         anchors = swarm.positions()
         proposal = propose(swarm, *args)
         delta = proposal.positions - anchors
-        assert (np.hypot(delta[:, 0], delta[:, 1]) <= max_step).all()
+        assert all(math.hypot(dx, dy) <= max_step for dx, dy in delta.tolist())
         checked.append(len(anchors))
         return proposal
 
@@ -236,7 +244,7 @@ def test_proposals_stay_within_one_step_of_their_anchors(
     assert len(checked) == result.metrics.recorded_steps - 1
 
 
-# --- the float re-check of violating pairs against numpy's ------------------------
+# --- violating pairs: the float walk against numpy's -------------------------------
 
 
 def reference_pairs(pos, radius):
@@ -249,7 +257,7 @@ def close_pairs(pos, radius):
     pairs = _violating_pairs(pos, radius)
     for i, j, dx, dy, d in pairs:
         assert (dx, dy) == (pos[i][0] - pos[j][0], pos[i][1] - pos[j][1])
-        assert d == float(np.hypot(dx, dy))
+        assert d == math.hypot(dx, dy)
     return [(i, j) for i, j, *_ in pairs]
 
 
@@ -282,17 +290,19 @@ class TestViolatingPairs:
     @given(dx=finite, dy=finite, side=st.sampled_from(["np", "math"]), ulps=st.integers(-1, 1))
     def test_radius_one_ulp_around_either_norm(self, dx, dy, side, ulps):
         # math.hypot and np.hypot round differently on some inputs; a radius
-        # on or one ulp beside either one's result must still follow np.hypot.
+        # on or one ulp beside either one's result must follow math.hypot.
         radius = float(np.hypot(dx, dy)) if side == "np" else math.hypot(dx, dy)
         for _ in range(abs(ulps)):
             radius = math.nextafter(radius, math.inf if ulps > 0 else 0.0)
         assume(radius > 0.0)
         pos = [(dx, dy), (0.0, 0.0)]
         assert close_pairs(pos, radius) == reference_pairs(pos, radius)
+        assert close_pairs(pos, radius) == ([(0, 1)] if math.hypot(dx, dy) < radius else [])
 
     def test_a_pair_the_two_norms_round_apart(self):
         # A pair whose math.hypot is an ulp below its np.hypot, with the
-        # radius at np.hypot's value: math.hypot alone would call it close.
+        # radius at np.hypot's value: the pair is close by math.hypot, the
+        # simulator's norm, and would not be by np.hypot.
         dy = 1.0 / 3.0
         for dx in np.linspace(0.1, 9.9, 2000).tolist():
             if math.hypot(dx, dy) < float(np.hypot(dx, dy)):
@@ -301,5 +311,5 @@ class TestViolatingPairs:
             pytest.skip("no rounding difference between the two norms on this platform")
         radius = float(np.hypot(dx, dy))
         pos = [(dx, dy), (0.0, 0.0)]
-        assert reference_pairs(pos, radius) == []
-        assert close_pairs(pos, radius) == []
+        assert reference_pairs(pos, radius) == [(0, 1)]
+        assert close_pairs(pos, radius) == [(0, 1)]

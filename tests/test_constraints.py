@@ -37,7 +37,7 @@ def min_pairwise(positions) -> float:
     best = math.inf
     for i in range(n):
         for j in range(i + 1, n):
-            d = float(np.hypot(*(positions[i] - positions[j])))
+            d = math.hypot(*(positions[i] - positions[j]))
             best = min(best, d)
     return best
 
@@ -62,8 +62,8 @@ class TestClampStep:
 
     def test_reduces_to_limit(self):
         out = clamp_step(6.0, 8.0, 5.0)
-        assert float(np.hypot(*out)) <= 5.0
-        assert float(np.hypot(*out)) == pytest.approx(5.0, rel=1e-12)
+        assert math.hypot(*out) <= 5.0
+        assert math.hypot(*out) == pytest.approx(5.0, rel=1e-12)
 
     def test_direction_preserved(self):
         d = np.array([6.0, 8.0])
@@ -78,7 +78,7 @@ class TestClampStep:
     @settings(max_examples=150, deadline=None)
     def test_norm_never_exceeds_limit_exactly(self, x, y, limit):
         out = clamp_step(x, y, limit)
-        assert float(np.hypot(out[0], out[1])) <= limit
+        assert math.hypot(*out) <= limit
 
     @given(x=finite_coord, y=finite_coord, limit=st.floats(min_value=1e-6, max_value=50.0))
     @settings(max_examples=100, deadline=None)
@@ -106,7 +106,7 @@ class TestSettleWithin:
         sx, sy = clamp_step(dx, dy, budget)
         stored = np.array([ax + sx, ay + sy])
         settled = np.array(settle_within(*stored.tolist(), ax, ay, budget))
-        assert float(np.hypot(*(settled - np.array([ax, ay])))) <= budget
+        assert math.hypot(*(settled - np.array([ax, ay]))) <= budget
         assert np.allclose(settled, stored, rtol=0.0, atol=1e-9)
 
     def test_far_overshoot_raises(self):
@@ -143,7 +143,7 @@ def pairwise_offsets(positions, radius, push):
     for i in range(len(positions)):
         for j in range(i + 1, len(positions)):
             delta = positions[i] - positions[j]
-            d = float(np.hypot(delta[0], delta[1]))
+            d = math.hypot(*delta)
             if d < radius:
                 offsets[i] += push(delta, d)
                 offsets[j] -= push(delta, d)
@@ -175,10 +175,10 @@ class TestClosePairs:
         positions = [(0.0, 0.0), (3.0, 4.0), (0.5, 0.0), (10.0, 0.0)]
         assert _pair_list(4) == list(zip(*(k.tolist() for k in np.triu_indices(4, 1))))
         assert close_pairs(positions, 6.0) == [(0, 1), (0, 2), (1, 2)]
-        # A pair is close while its np.hypot length is below the radius.
+        # A pair is close while its math.hypot length is below the radius.
         for radius, close in ((5.0, []), (math.nextafter(5.0, 6.0), [(0, 1)])):
             assert close_pairs(positions[:2], radius) == close
-        d = float(np.hypot(2.5, 4.0))
+        d = math.hypot(2.5, 4.0)
         assert close_pairs(positions[1:3], d) == []
         assert close_pairs(positions[1:3], math.nextafter(d, 6.0)) == [(0, 1)]
 
@@ -274,8 +274,8 @@ class TestPotentialFieldRepulsion:
         positions = np.array([[5.0, 5.0], [5.0, 5.0]])
         offsets = offsets_of(potential_field_repulsion, positions, 1.0, 1.0, 5.0)
         for off in offsets:
-            assert float(np.hypot(*off)) <= 5.0
-        assert float(np.hypot(*offsets[0])) == pytest.approx(5.0, rel=1e-12)
+            assert math.hypot(*off) <= 5.0
+        assert math.hypot(*offsets[0]) == pytest.approx(5.0, rel=1e-12)
         assert offsets[0][0] > 0.0 > offsets[1][0]  # x-axis fallback, lower index +x
 
     def test_collinear_triple_cancels_in_middle(self):
@@ -291,7 +291,7 @@ class TestPotentialFieldRepulsion:
     def test_offsets_respect_step_cap(self, coords, gain):
         offsets = offsets_of(potential_field_repulsion, coords, 1.0, gain, 5.0)
         for off in offsets:
-            assert float(np.hypot(*off)) <= 5.0
+            assert math.hypot(*off) <= 5.0
 
 
 class TestEscapeNoHotspotZone:
@@ -422,7 +422,7 @@ class TestResolveCollisions:
         )
         assert min_pairwise(out) >= 1.0
         for final, anchor, start in zip(np.array(out), proposals, starts):
-            moved = float(np.hypot(*(final - anchor)))
+            moved = math.hypot(*(final - anchor))
             assert moved <= 5.0 * (1.0 + 1e-9) or np.array_equal(final, start)
 
 

@@ -2,14 +2,20 @@
 
 ``resolve_collisions``, ``clamp_step``, ``settle_within``,
 ``clamp_boundary`` and the two soft forces take and return Python floats.
-The functions below are the earlier numpy implementations, kept verbatim as
-references: every result must match them bit for bit (position and offset
+The functions below are the earlier numpy implementations, kept as
+references with one change: every length is math.hypot's, the simulator's
+one norm, where they took np.hypot's (the two round apart on a few inputs in
+a thousand).  Every result must match them bit for bit (position and offset
 bytes including the sign of zero, the touched mask and the push count), or
 both must raise the same exception type.  The soft forces are given the pair
-geometry of ``_violating_pairs`` over the collision stage's reach.
+geometry of ``_violating_pairs`` over the collision stage's reach.  The
+invariants the resolver and the soft forces promise are tested on the same
+inputs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -32,17 +38,19 @@ from levyswarm.world import GridConfig, ValidationError
 # --- references: the numpy implementations ----------------------------------
 
 _TINY = 1e-12
+# math.hypot over arrays of components.
+math_hypot = np.vectorize(math.hypot, otypes=[float])
 
 
 def ref_clamp_step(displacement, max_step_size: float) -> np.ndarray:
     if not max_step_size > 0.0:
         raise ValidationError(f"max_step_size must be positive, got {max_step_size}")
     d = np.array(displacement, dtype=float)
-    norm = float(np.hypot(d[0], d[1]))
+    norm = math.hypot(d[0], d[1])
     if norm <= max_step_size:
         return d
     scaled = d * (max_step_size / norm)
-    while float(np.hypot(scaled[0], scaled[1])) > max_step_size:
+    while math.hypot(scaled[0], scaled[1]) > max_step_size:
         scaled = np.nextafter(scaled, 0.0)
     return scaled
 
@@ -51,7 +59,7 @@ def ref_settle_within(position, anchor, budget: float) -> np.ndarray:
     p = np.array(position, dtype=float)
     a = np.asarray(anchor, dtype=float)
     guard = 0
-    while float(np.hypot(p[0] - a[0], p[1] - a[1])) > budget:
+    while math.hypot(p[0] - a[0], p[1] - a[1]) > budget:
         p = np.nextafter(p, a)
         guard += 1
         if guard > 1000:
@@ -67,7 +75,7 @@ def ref_clamp_boundary(position, grid: GridConfig) -> np.ndarray:
 def _ref_close_pairs(positions: np.ndarray, radius: float):
     i, j = np.triu_indices(len(positions), 1)
     delta = positions[i] - positions[j]
-    d = np.hypot(delta[:, 0], delta[:, 1])
+    d = math_hypot(delta[:, 0], delta[:, 1])
     close = d < radius
     return i[close], j[close], delta[close], d[close]
 
@@ -127,14 +135,14 @@ def ref_resolve_collisions(
 
     def separation(i, j):
         delta = pos[i] - pos[j]
-        return delta, float(np.hypot(delta[0], delta[1]))
+        return delta, math.hypot(delta[0], delta[1])
 
     def move(idx, point):
         nonlocal pushes
         point = ref_clamp_boundary(point, grid)
         if anchors is not None and budget is not None:
             offset = point - anchors[idx]
-            if float(np.hypot(offset[0], offset[1])) > budget:
+            if math.hypot(offset[0], offset[1]) > budget:
                 point = anchors[idx] + ref_clamp_step(offset, budget)
         if not np.array_equal(point, pos[idx]):
             pos[idx] = point
@@ -208,6 +216,24 @@ def outcome(fn, *args, **kwargs):
 def as_lists(value):
     """An (n, 2) array as a list of [x, y] floats; None stays None."""
     return None if value is None else value.tolist()
+
+
+def assert_resolved(positions, grid, radius, revert_to, **kwargs):
+    """resolve_collisions' promise, when it returns: no pair closer than the
+    radius by math.hypot, every agent it did not touch where it was, and
+    every agent inside the grid unless a fallback start lies outside it."""
+    try:
+        out, touched, _ = resolve_collisions(positions, grid, radius, revert_to=revert_to, **kwargs)
+    except ConstraintError:
+        return
+    for i in range(len(out)):
+        for j in range(i + 1, len(out)):
+            assert math.hypot(out[i][0] - out[j][0], out[i][1] - out[j][1]) >= radius
+    for (x, y), start, moved in zip(out, positions, touched.tolist()):
+        if not moved:
+            assert float_bytes((x, y)) == float_bytes(start)
+    if revert_to is None or all(grid.contains(p) for p in revert_to):
+        assert all(grid.contains(p) for p in out)
 
 
 # Signed zeros, walls, tiny and huge magnitudes alongside ordinary values.
@@ -306,6 +332,7 @@ def test_resolve_collisions_matches_reference(positions, radius, budget, jitter,
     assert outcome(resolve_collisions, positions.tolist(), grid, radius, **lists) == outcome(
         ref_resolve_collisions, positions, grid, radius, **kwargs
     )
+    assert_resolved(positions.tolist(), grid, radius, **lists)
 
 
 @st.composite
@@ -347,6 +374,7 @@ def test_resolve_collisions_on_lists_at_the_wall_matches_reference(case, radius)
         budget=budget, revert_to=None if revert_to is None else np.array(revert_to),
     )
     assert got == want
+    assert_resolved(points, grid, radius, revert_to, anchors=anchors, budget=budget)
 
 
 def test_resolve_collisions_stall_revert_matches_reference():
@@ -397,6 +425,14 @@ def near_radius(draw):
     return np.array(points), radius
 
 
+def assert_unpushed(offsets, pairs, radius):
+    """Agents in no pair closer than radius have the zero offset."""
+    pushed = {k for i, j, *_, d in pairs if d < radius for k in (i, j)}
+    for k, offset in enumerate(offsets):
+        if k not in pushed:
+            assert float_bytes(offset) == float_bytes((0.0, 0.0))
+
+
 @given(
     case=st.one_of(
         near_radius(),
@@ -422,6 +458,13 @@ def test_soft_forces_match_reference(case, gain, max_step, half):
     assert outcome(potential_field_repulsion, pairs, n, *args) == outcome(
         ref_potential_field_repulsion, positions, *args
     )
+    # An agent in no pair closer than a force's radius gets no push from
+    # it, and the field's offsets are clamped by math.hypot.
+    assert_unpushed(safe_zone_separation(pairs, n, radius), pairs, radius)
+    if max_step > 0.0:
+        field = potential_field_repulsion(pairs, n, *args)
+        assert_unpushed(field, pairs, 2.0 * collision)
+        assert all(math.hypot(ox, oy) <= max_step for ox, oy in field)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

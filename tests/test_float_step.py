@@ -3,15 +3,16 @@
 The proposers, the sampler and the harness bookkeeping compute on (x, y)
 floats.  Each reference below is the earlier numpy formulation, kept
 verbatim, and each test requires the float code to give the same bits and
-the same random draws: the hypot band rule, the batched Gaussian draws of
-``levy_step``, numpy's summation order for nectar shares, the ABC and PSO
-proposers, the motion clamp, the dead-ground escape and coverage marking.
+the same random draws: the batched Gaussian draws of ``levy_step``, numpy's
+summation order for nectar shares, the ABC and PSO proposers, the motion
+clamp, the dead-ground escape and coverage marking.  Every length test takes
+math.hypot's verdict, which ``TestNormAgainst`` pins where np.hypot's
+differs.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levyswarm import constraints, harness
-from levyswarm.constraints import _norm_against, escape_no_hotspot_zone
+from levyswarm.constraints import _violating_pairs, clamp_step, escape_no_hotspot_zone, settle_within
 from levyswarm.metrics import Heatmap
 from levyswarm.optimizers import (
     FitnessField,
@@ -47,13 +48,18 @@ from levyswarm.world import (
     ScenarioConfig,
     SwarmState,
     UavState,
+    UncoveredHotspots,
     ValidationError,
     mark_coverage,
     preset_scenario,
 )
-from test_constraints_reference import ref_clamp_boundary, ref_clamp_step, ref_settle_within
+from test_constraints_reference import (
+    math_hypot,
+    ref_clamp_boundary,
+    ref_clamp_step,
+    ref_settle_within,
+)
 
-COMPARISONS = [operator.lt, operator.le, operator.gt, operator.ge]
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
 
@@ -63,40 +69,51 @@ def nudge(value: float, ulps: int) -> float:
     return value
 
 
-# --- the hypot band rule -------------------------------------------------------
+# --- one norm: every length test is math.hypot's --------------------------------
+
+
+def length_verdicts(dx, dy, limit):
+    """How each length test of the step core takes (dx, dy) against limit:
+    clamp_step and settle_within leave it, within() and the escape's
+    threshold find it, _violating_pairs lists it."""
+    hotspots = [Hotspot(position=(dx, dy))]
+    return [
+        clamp_step(dx, dy, limit) == (dx, dy),
+        settle_within(dx, dy, 0.0, 0.0, limit) == (dx, dy),
+        UncoveredHotspots(hotspots).within(0.0, 0.0, limit) == [0],
+        escape_no_hotspot_zone((0.0, 0.0), FitnessField(hotspots, 1.0), limit, 1.0) is None,
+        _violating_pairs([(dx, dy), (0.0, 0.0)], limit) != [],
+    ]
+
+
+def math_hypot_verdicts(dx, dy, limit):
+    d = math.hypot(dx, dy)
+    return [d <= limit] * 4 + [d < limit]
 
 
 class TestNormAgainst:
     @settings(max_examples=400, deadline=None)
-    @given(
-        dx=finite,
-        dy=finite,
-        side=st.sampled_from(["np", "math"]),
-        ulps=st.integers(-3, 3),
-        compare=st.sampled_from(COMPARISONS),
-    )
-    def test_limit_within_ulps_of_either_norm(self, dx, dy, side, ulps, compare):
+    @given(dx=finite, dy=finite, side=st.sampled_from(["np", "math"]), ulps=st.integers(-3, 3))
+    def test_limit_within_ulps_of_either_norm(self, dx, dy, side, ulps):
         limit = nudge(float(np.hypot(dx, dy)) if side == "np" else math.hypot(dx, dy), ulps)
         assume(limit > 0.0)
-        want = compare(float(np.hypot(dx, dy)), limit)
-        assert compare(_norm_against(dx, dy, limit), limit) == want
+        assert length_verdicts(dx, dy, limit) == math_hypot_verdicts(dx, dy, limit)
 
     @settings(max_examples=400, deadline=None)
     @given(
         limit=st.floats(min_value=1e-6, max_value=50.0),
         angle=st.floats(min_value=0.0, max_value=2.0 * math.pi),
         ulps=st.integers(-4, 4),
-        compare=st.sampled_from(COMPARISONS),
     )
-    def test_points_placed_ulps_from_the_limit(self, limit, angle, ulps, compare):
+    def test_points_placed_ulps_from_the_limit(self, limit, angle, ulps):
         d = nudge(limit, ulps)
         dx, dy = d * math.cos(angle), d * math.sin(angle)
-        want = compare(float(np.hypot(dx, dy)), limit)
-        assert compare(_norm_against(dx, dy, limit), limit) == want
+        assert length_verdicts(dx, dy, limit) == math_hypot_verdicts(dx, dy, limit)
 
     @pytest.mark.parametrize("math_below", [True, False])
     def test_a_pair_the_two_norms_round_apart(self, math_below):
-        # With the limit on either norm's value, only np.hypot's decides.
+        # With the limit on either norm's value, only math.hypot's decides:
+        # np.hypot at any of the tests would flip one verdict here.
         dy = 1.0 / 3.0
         for dx in np.linspace(0.1, 9.9, 4000).tolist():
             norm, fast = float(np.hypot(dx, dy)), math.hypot(dx, dy)
@@ -105,8 +122,7 @@ class TestNormAgainst:
         else:
             pytest.skip("no rounding difference between the two norms on this platform")
         for limit in (norm, fast):
-            for compare in COMPARISONS:
-                assert compare(_norm_against(dx, dy, limit), limit) == compare(norm, limit)
+            assert length_verdicts(dx, dy, limit) == math_hypot_verdicts(dx, dy, limit)
 
 
 # --- levy_step: one batched draw against four scalar draws ----------------------
@@ -266,6 +282,9 @@ def test_constrain_motion_matches_numpy(anchor, target, max_step):
     want = reference_constrain_motion(np.array(target), np.array(anchor), config, theirs)
     assert np.array(got).tobytes() == want.tobytes()
     assert ours == theirs
+    # The motion budget, by the simulator's norm, and the grid.
+    assert math.hypot(got[0] - anchor[0], got[1] - anchor[1]) <= max_step
+    assert config.grid.contains(got)
 
 
 def reference_escape(position, hotspots, threshold_radius, max_step_size):
@@ -275,7 +294,7 @@ def reference_escape(position, hotspots, threshold_radius, max_step_size):
     if not uncovered:
         return None
     deltas = np.asarray(uncovered) - position
-    dists = np.hypot(deltas[:, 0], deltas[:, 1])
+    dists = math_hypot(deltas[:, 0], deltas[:, 1])
     nearest = int(np.argmin(dists))
     if dists[nearest] <= threshold_radius:
         return None
@@ -543,7 +562,7 @@ def ref_nearest_better_neighbor(positions, values, i):
     if better.size == 0:
         return None
     deltas = np.asarray(positions)[better] - positions[i]
-    return int(better[np.argmin(np.hypot(deltas[:, 0], deltas[:, 1]))])
+    return int(better[np.argmin(math_hypot(deltas[:, 0], deltas[:, 1]))])
 
 
 @settings(max_examples=300, deadline=None)
@@ -564,17 +583,17 @@ def test_nearest_better_neighbor_matches_numpy(agents, data):
     assert _nearest_better_neighbor(positions, values, i) == want
 
 
-def test_nearest_better_neighbor_ranks_by_np_hypot():
-    # Agent 1's math.hypot distance is an ulp below its np.hypot one, and
-    # agent 2 sits on the x axis at the math.hypot value: by np.hypot agent 2
-    # is strictly nearer, by math.hypot the two tie and agent 1 would win.
+def test_nearest_better_neighbor_ranks_by_math_hypot():
+    # Agent 2's math.hypot distance is an ulp below its np.hypot one, and
+    # agent 1 sits on the x axis at the np.hypot value: by math.hypot agent 2
+    # is strictly nearer, by np.hypot the two tie and agent 1 would win.
     dy = 1.0 / 3.0
     for dx in np.linspace(0.1, 9.9, 4000).tolist():
         if math.hypot(dx, dy) < float(np.hypot(dx, dy)):
             break
     else:
         pytest.skip("no rounding difference between the two norms on this platform")
-    positions = [(0.0, 0.0), (dx, dy), (math.hypot(dx, dy), 0.0)]
+    positions = [(0.0, 0.0), (float(np.hypot(dx, dy)), 0.0), (dx, dy)]
     values = [0.0, 1.0, 1.0]
     assert ref_nearest_better_neighbor(np.array(positions), values, 0) == 2
     assert _nearest_better_neighbor(positions, values, 0) == 2

@@ -3,9 +3,12 @@
 ``FitnessField.value``, ``mark_coverage`` and ``escape_no_hotspot_zone``
 answer "which uncovered hotspots lie within r of (x, y)?" on Python floats,
 through ``UncoveredHotspots.within``.  The functions below are the earlier
-numpy implementations, kept verbatim as references: every fitness value and
-escape vector must match them bit for bit (sign of zero included), and
-coverage marking must flip the same hotspots and return the same indices.
+numpy implementations, kept as references with one change: a length
+compared with a radius or ranked is math.hypot's, the simulator's one norm,
+where they took np.hypot's; the shaping term's sum keeps np.hypot.  Every
+fitness value and escape vector must match them bit for bit (sign of zero
+included), and coverage marking must flip the same hotspots and return the
+same indices.
 The inputs put hotspots a few ulps either side of the radius, on shared x
 coordinates (ties in the bisected index) and in dense clusters, so that
 np.sum's pairwise order over the covered weights shows.
@@ -32,6 +35,7 @@ from levyswarm.world import (
     mark_coverage,
     uncovered_indices,
 )
+from test_constraints_reference import math_hypot
 from test_float_step import nudge
 
 # --- references: the numpy implementations ----------------------------------
@@ -55,10 +59,9 @@ class RefFitnessField:
             return 0.0
         dx = self.positions[:, 0] - float(position[0])
         dy = self.positions[:, 1] - float(position[1])
-        d = np.hypot(dx, dy)
-        total = float(self.weights[d <= self.coverage_radius].sum())
+        total = float(self.weights[math_hypot(dx, dy) <= self.coverage_radius].sum())
         if self.shaping:
-            total += self.epsilon * float(np.sum(self.weights / (1.0 + d)))
+            total += self.epsilon * float(np.sum(self.weights / (1.0 + np.hypot(dx, dy))))
         return total
 
 
@@ -80,7 +83,7 @@ def ref_mark_coverage(
         else:
             uncovered = field.positions
         delta = positions[:, None, :] - uncovered
-        nearest = np.hypot(delta[..., 0], delta[..., 1]).min(axis=0)
+        nearest = math_hypot(delta[..., 0], delta[..., 1]).min(axis=0)
         for k, d in zip(indices, nearest.tolist()):
             if d <= coverage_radius:
                 hotspots[k].covered = True
@@ -93,7 +96,7 @@ def ref_escape_no_hotspot_zone(position, uncovered, threshold_radius, max_step_s
     if not len(uncovered):
         return None
     deltas = uncovered - np.asarray(position, dtype=float)
-    dists = np.hypot(deltas[:, 0], deltas[:, 1])
+    dists = math_hypot(deltas[:, 0], deltas[:, 1])
     nearest = int(dists.argmin())
     d = float(dists[nearest])
     if d <= threshold_radius:
@@ -220,11 +223,11 @@ def test_value_of_an_empty_field_is_zero():
 
 @settings(max_examples=300, deadline=None)
 @given(case=scene())
-def test_within_is_np_hypot_in_list_order(case):
+def test_within_is_math_hypot_in_list_order(case):
     (x, y), r, hotspots = case
     field = UncoveredHotspots(hotspots)
     ref = RefFitnessField(hotspots, r)
-    d = np.hypot(ref.positions[:, 0] - x, ref.positions[:, 1] - y)
+    d = math_hypot(ref.positions[:, 0] - x, ref.positions[:, 1] - y)
     assert field.within(x, y, r) == np.flatnonzero(d <= r).tolist()
 
 
@@ -254,18 +257,18 @@ def norms_that_disagree(math_below: bool):
 
 
 @pytest.mark.parametrize("math_below", [True, False])
-def test_queries_take_np_hypots_verdict_where_math_hypot_differs(math_below):
-    # The radius is one norm and the hotspot sits at the other: math.hypot
-    # alone would give the opposite verdict from np.hypot.
+def test_queries_take_math_hypots_verdict_where_np_hypot_differs(math_below):
+    # The radius is either norm of the hotspot's offset: at one of the two,
+    # np.hypot would give the opposite verdict from math.hypot.
     dx, dy = norms_that_disagree(math_below)
-    r = math.hypot(dx, dy)
     hotspots = [Hotspot(position=(dx, dy), weight=0.5)]
-    expected = [] if math_below else [0]
-    assert UncoveredHotspots(hotspots).within(0.0, 0.0, r) == expected
-    assert_value_matches((0.0, 0.0), r, hotspots)
-    swarm = swarm_at([(0.0, 0.0)])
-    assert mark_coverage(swarm, copies(hotspots), r) == expected
-    assert_escape_matches((0.0, 0.0), r, hotspots)
+    for r in (math.hypot(dx, dy), float(np.hypot(dx, dy))):
+        expected = [0] if math.hypot(dx, dy) <= r else []
+        assert UncoveredHotspots(hotspots).within(0.0, 0.0, r) == expected
+        assert_value_matches((0.0, 0.0), r, hotspots)
+        swarm = swarm_at([(0.0, 0.0)])
+        assert mark_coverage(swarm, copies(hotspots), r) == expected
+        assert_escape_matches((0.0, 0.0), r, hotspots)
 
 
 # --- coverage marking -------------------------------------------------------------
@@ -345,10 +348,11 @@ def test_escape_between_equidistant_nearest_hotspots(point, d, directions, cover
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
 def test_escape_ranks_by_np_hypot_not_by_squares(order):
-    # np.hypot puts the second point an ulp nearer; the squared norms rank
-    # the first one nearer.
+    # np.hypot puts the second point an ulp nearer, and so does math.hypot,
+    # the simulator's norm; the squared norms rank the first one nearer.
     points = [(1.0641129518565822, 13.169271974261704), (11.239550836629228, 6.945110344494961)]
     assert float(np.hypot(*points[1])) < float(np.hypot(*points[0]))
+    assert math.hypot(*points[1]) < math.hypot(*points[0])
     (ax, ay), (bx, by) = points
     assert bx * bx + by * by > ax * ax + ay * ay
     hotspots = [Hotspot(position=points[k]) for k in order]

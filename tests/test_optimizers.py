@@ -107,7 +107,7 @@ class TestFitnessField:
         expected = sum(
             h.weight
             for h in self.HOTSPOTS
-            if not h.covered and float(np.hypot(h.position[0] - px, h.position[1] - py)) <= 3.0
+            if not h.covered and math.hypot(h.position[0] - px, h.position[1] - py) <= 3.0
         )
         assert field.value([px, py]) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -233,7 +233,7 @@ class TestProposeAbc:
         proposal = propose_abc(swarm, field, config, rngs)
         assert proposal.positions[0][0] == pytest.approx(5.0, rel=1e-9)
         assert proposal.positions[0][1] == 0.0
-        assert float(np.hypot(*proposal.positions[0])) <= 5.0
+        assert math.hypot(*proposal.positions[0]) <= 5.0
         assert np.array_equal(proposal.positions[1], [50.0, 50.0])
         assert proposal.report.clamped_steps == 1
 
@@ -247,7 +247,7 @@ class TestProposeAbc:
         rngs = [RandomSource(seed=seed, stream_id=i) for i in range(5)]
         proposal = propose_abc(swarm, field, config, rngs)
         for final, anchor in zip(proposal.positions, anchors):
-            assert float(np.hypot(*(final - anchor))) <= config.constraints.max_step_size
+            assert math.hypot(*(final - anchor)) <= config.constraints.max_step_size
             assert config.grid.contains(final)
 
 
@@ -280,8 +280,8 @@ class TestProposePso:
         field = FitnessField.from_config(config.hotspots, config)
         proposal = propose_pso(swarm, field, config, [ScriptedSource(uniforms=[0.5] * 4)])
         moved = proposal.positions[0] - np.array([10.0, 10.0])
-        assert float(np.hypot(*moved)) <= 5.0
-        assert float(np.hypot(*moved)) == pytest.approx(5.0, rel=1e-12)
+        assert math.hypot(*moved) <= 5.0
+        assert math.hypot(*moved) == pytest.approx(5.0, rel=1e-12)
         assert np.array_equal(swarm.uavs[0].velocity, moved)
         assert proposal.report.clamped_steps == 1
 
@@ -304,7 +304,7 @@ class TestProposePso:
         rngs = [RandomSource(seed=seed, stream_id=i) for i in range(5)]
         proposal = propose_pso(swarm, field, config, rngs)
         for final, anchor, uav in zip(proposal.positions, anchors, swarm.uavs):
-            assert float(np.hypot(*(final - anchor))) <= config.constraints.max_step_size
+            assert math.hypot(*(final - anchor)) <= config.constraints.max_step_size
             assert config.grid.contains(final)
             assert np.array_equal(uav.velocity, final - anchor)
 
@@ -510,7 +510,7 @@ class TestHybridInvariants:
         rngs = [RandomSource(seed=seed, stream_id=i) for i in range(5)]
         proposal = propose_hybrid(swarm, field, config, rngs)
         for final, anchor in zip(proposal.positions, anchors):
-            assert float(np.hypot(*(final - anchor))) <= config.constraints.max_step_size
+            assert math.hypot(*(final - anchor)) <= config.constraints.max_step_size
             assert config.grid.contains(final)
         assert proposal.scanning.shape == (5,) and proposal.guided.shape == (5,)
 
@@ -527,5 +527,5 @@ class TestDispatch:
         assert isinstance(proposal, StepProposal)
         assert np.array(proposal.positions, dtype=float).shape == (4, 2)
         for final, anchor in zip(proposal.positions, anchors):
-            assert float(np.hypot(*(final - anchor))) <= config.constraints.max_step_size
+            assert math.hypot(*(final - anchor)) <= config.constraints.max_step_size
             assert config.grid.contains(final)

@@ -398,7 +398,7 @@ class TestMarkCoverage:
             k
             for k, hot in enumerate(hotspots)
             if not hot.covered
-            and min(float(np.hypot(*(np.array(a) - hot.position))) for a in agents) <= radius
+            and min(math.hypot(*(np.array(a) - hot.position)) for a in agents) <= radius
         ]
         assert mark_coverage(swarm, hotspots, radius) == expected
         assert swarm.covered_count == sum(h.covered for h in hotspots)
