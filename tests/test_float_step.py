@@ -2,7 +2,8 @@
 
 The proposers, the sampler and the harness bookkeeping compute on (x, y)
 floats.  Each reference below is the earlier numpy formulation, kept
-verbatim, and each test requires the float code to give the same bits and
+verbatim but for its norm (math.hypot's, the simulator's one), and each
+test requires the float code to give the same bits and
 the same random draws: the batched Gaussian draws of ``levy_step``, numpy's
 summation order for nectar shares, the ABC and PSO proposers, the motion
 clamp, the dead-ground escape and coverage marking.  Every length test takes
@@ -20,7 +21,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levyswarm import constraints, harness
-from levyswarm.constraints import _violating_pairs, clamp_step, escape_no_hotspot_zone, settle_within
+from levyswarm.constraints import (
+    _violating_pairs,
+    clamp_step,
+    escape_no_hotspot_zone,
+    settle_within,
+)
 from levyswarm.metrics import Heatmap
 from levyswarm.optimizers import (
     FitnessField,
