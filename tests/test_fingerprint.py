@@ -1,7 +1,8 @@
 """Behaviour fingerprint: a SHA-256 per run over everything a run determines.
 
 Each case hashes the ``runs.csv`` bytes, the trajectory array, the collision
-masks and the per-step minimum pairwise distances of one short run.  The
+masks and the per-step minimum pairwise distances of one short run, and, on
+lines of their own, the run's heatmap counts and its coverage curve.  The
 digests are frozen in ``tests/golden/behaviour_fingerprint.txt``; any change
 to a trajectory, a metric or an artifact byte fails here loudly, the way the
 Philox golden file catches a change in the raw random words.
@@ -12,6 +13,7 @@ the change log) with ``PYTHONPATH=src python tests/test_fingerprint.py``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 from pathlib import Path
@@ -112,20 +114,39 @@ def scenario(case: str):
     )
 
 
-def fingerprint(config) -> str:
-    result = run_scenario(config, record_trajectories=True)
+def _update(digest, *arrays):
+    for array in arrays:
+        digest.update(repr(array.shape).encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _run(case: str):
+    return run_scenario(scenario(case), record_trajectories=True)
+
+
+def fingerprint(result) -> str:
     runs_csv = io.StringIO()
     write_runs_csv([result.metrics], runs_csv)
     digest = hashlib.sha256()
     digest.update(runs_csv.getvalue().encode())
-    for array in (
+    return _update(
+        digest,
         result.trajectories,
         result.collision_mask,
         np.array(result.metrics.min_pairwise_series, dtype=float),
-    ):
-        digest.update(repr(array.shape).encode())
-        digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
+    )
+
+
+# The second and third golden line of a case: its heatmap counts and its
+# (step, covered_count) coverage curve.
+RECORDS = {
+    "heatmap": lambda result: _update(hashlib.sha256(), result.metrics.heatmap.counts),
+    "coverage": lambda result: _update(
+        hashlib.sha256(), np.array(result.metrics.coverage_curve, dtype=np.int64)
+    ),
+}
 
 
 def _golden() -> dict[str, str]:
@@ -134,28 +155,43 @@ def _golden() -> dict[str, str]:
 
 
 def test_golden_covers_every_case():
-    assert sorted(_golden()) == sorted(CASES)
+    assert sorted(_golden()) == sorted(
+        CASES + [f"{record}:{case}" for record in RECORDS for case in CASES]
+    )
 
 
 def test_golden_digests_are_distinct():
     # A knob case whose knob never acts would repeat its default twin's digest.
-    assert len(set(_golden().values())) == len(CASES)
+    assert len({_golden()[case] for case in CASES}) == len(CASES)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_behaviour_fingerprint(case):
-    assert fingerprint(scenario(case)) == _golden()[case]
+    assert fingerprint(_run(case)) == _golden()[case]
+
+
+@pytest.mark.parametrize("record", list(RECORDS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_heatmap_and_coverage_fingerprint(case, record):
+    assert RECORDS[record](_run(case)) == _golden()[f"{record}:{case}"]
 
 
 if __name__ == "__main__":
     old = _golden()
-    new = {name: fingerprint(scenario(name)) for name in sorted(CASES)}
+    new = {name: fingerprint(_run(name)) for name in sorted(CASES)}
+    for record, digest_of in RECORDS.items():
+        new |= {f"{record}:{name}": digest_of(_run(name)) for name in sorted(CASES)}
     with open(GOLDEN, "w") as f:
         f.write(f"# SHA-256 per case: runs.csv, trajectories, collision masks, "
                 f"min_pairwise_series; {STEPS} steps ({TIGHT_STEPS} for the tight "
                 f"cases).\n")
+        for name in sorted(CASES):
+            f.write(f"{name} {new[name]}\n")
+        f.write("# heatmap:<case> hashes the heatmap counts, coverage:<case> the "
+                "(step, covered_count) curve.\n")
         for name, digest in new.items():
-            f.write(f"{name} {digest}\n")
+            if ":" in name:
+                f.write(f"{name} {digest}\n")
     # The changed digests, for the change log.
     for name, digest in new.items():
         if old.get(name) != digest:
