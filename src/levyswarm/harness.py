@@ -5,9 +5,12 @@ all randomness, simulated time is steps * dt, and iteration order is fixed,
 so repeating a run reproduces positions, metrics, and artifact bytes exactly.
 
 Each step applies two displacement budgets per UAV (optimizer motion, then
-collision response, each capped at max_step_size), marks newly covered
-hotspots, re-evaluates fitness at the final constrained positions, and
-records the step.  Runs stop early once every hotspot is covered.
+collision response, each capped at max_step_size), re-evaluates fitness at
+the final constrained positions, marks newly covered hotspots, and records
+the step.  One coverage query per scanning agent serves both its fitness
+and the marking; the heatmap bins the visited positions in bulk, from a
+buffer flushed every HEATMAP_BATCH positions and at the end of the run.
+Runs stop early once every hotspot is covered.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ from .world import (
     preset_scenario,
     two_cluster_far_indices,
 )
+
+
+# Positions binned into the heatmap at once; the run loop's buffer holds
+# fewer than HEATMAP_BATCH + n_uavs of them, 16 bytes each.
+HEATMAP_BATCH = 8192
 
 
 @dataclass
@@ -144,17 +152,22 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     # Fitness is always scored against the uncovered set the move was decided
     # under (evaluate, then mark): the agent that brings a hotspot into
     # coverage range is the one credited for it.
+    radius = cons.coverage_radius
     fitness = FitnessField.from_config(hotspots, config)
+    hits = set()
     for uav in uavs:
-        value = fitness.value(uav.position)
+        ids = fitness.within(*uav.position, radius)
+        hits.update(ids)
+        value = fitness.value(uav.position, ids)
         uav.fitness = value
         uav.best_fitness = value
         swarm.observe(uav.position, value)
-    if mark_coverage(swarm, hotspots, cons.coverage_radius, positions=start, field=fitness):
+    if mark_coverage(swarm, hotspots, radius, field=fitness, hits=hits):
         fitness = FitnessField.from_config(hotspots, config)
 
     heatmap = Heatmap.for_grid(config.grid)
-    heatmap.record(start)
+    # Visited positions, as flat doubles, wait here to be binned in bulk.
+    visits = array("d", chain.from_iterable(start))
     coverage_curve = [(0, swarm.covered_count)]
     min_pairwise_series = [_min_pairwise(start)]
     # Recorded frames go into one flat buffer of doubles, 16 bytes an agent-step.
@@ -183,13 +196,18 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         scanning = proposal.scanning.tolist()
         guided = proposal.guided.tolist()
 
+        # One coverage query per scanning agent serves its fitness and the
+        # coverage marking below.
+        hits = set()
         for i, uav in enumerate(uavs):
             position = uav.position = final[i]
             if not scanning[i]:
                 # Mid-flight: the sensor is dark, so no reward is realized and
                 # nothing is observed; the last landed fitness stays in force.
                 continue
-            value = fitness.value(position)
+            ids = fitness.within(*position, radius)
+            hits.update(ids)
+            value = fitness.value(position, ids)
             uav.fitness = value
             swarm.observe(position, value)
             if value > uav.best_fitness:
@@ -214,14 +232,14 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
 
         # The field depends only on the uncovered set, so it changes only
         # when this step covers something.
-        if mark_coverage(
-            swarm, hotspots, cons.coverage_radius, scanning=scanning,
-            positions=final, field=fitness,
-        ):
+        if mark_coverage(swarm, hotspots, radius, field=fitness, hits=hits):
             fitness = FitnessField.from_config(hotspots, config)
             anchor_values = None
 
-        heatmap.record(final)
+        if len(visits) >= 2 * HEATMAP_BATCH:
+            heatmap.record(np.frombuffer(visits).reshape(-1, 2))
+            del visits[:]
+        visits.extend(chain.from_iterable(final))
         coverage_curve.append((step, swarm.covered_count))
         min_pairwise_series.append(min_pairwise)
         if record_trajectories:
@@ -229,6 +247,7 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         if swarm.covered_count == len(hotspots):
             steps_to_cover = step
 
+    heatmap.record(np.frombuffer(visits).reshape(-1, 2))
     collision_mask = np.zeros((step, config.n_uavs), dtype=bool)
     for k, intervened in interventions:
         collision_mask[k] = intervened

@@ -73,35 +73,38 @@ class Heatmap:
         return cls(width=grid.width, height=grid.height)
 
     def cell_of(self, position) -> tuple[int, int]:
-        (cell,) = self._cells([(float(position[0]), float(position[1]))])
-        return cell
+        rows, cols = self._cells(position)
+        return int(rows[0]), int(cols[0])
 
-    def _cells(self, points) -> list[tuple[int, int]]:
-        """The binning rule: the (row, col) of each (x, y) float pair.
+    def _cells(self, positions) -> tuple[np.ndarray, np.ndarray]:
+        """The binning rule: the rows and columns of positions, an (N, 2)
+        array-like of (x, y) floats or one (x, y) pair.
 
-        A ValidationError when any point lies outside the domain."""
-        width, height = self.width, self.height
-        cells = []
-        for x, y in points:
-            if not (0.0 <= x <= width and 0.0 <= y <= height):
-                raise ValidationError(f"position ({x}, {y}) is outside the heatmap domain")
-            # int() truncates, which is floor for the non-negative x and y
-            # left here; the far edges fall into the last cell.
-            row, col = int(y), int(x)
-            cells.append((row if row < height else height - 1, col if col < width else width - 1))
-        return cells
+        A ValidationError naming the first point outside the domain when any is."""
+        points = np.asarray(positions, dtype=float)
+        if points.shape[-1:] != (2,) or points.ndim > 2:
+            raise ValidationError(f"positions of shape {points.shape} are not (x, y) pairs")
+        x, y = points.reshape(-1, 2).T
+        inside = (0.0 <= x) & (x <= self.width) & (0.0 <= y) & (y <= self.height)
+        if not inside.all():
+            k = int(np.argmin(inside))
+            raise ValidationError(
+                f"position ({float(x[k])}, {float(y[k])}) is outside the heatmap domain"
+            )
+        # The cast truncates, as int() does, which is floor for the
+        # non-negative x and y left here (-0.0 included); the far edges fall
+        # into the last cell.
+        rows = np.minimum(y.astype(np.int64), self.height - 1)
+        cols = np.minimum(x.astype(np.int64), self.width - 1)
+        return rows, cols
 
     def record(self, positions):
-        """Count every (x, y) pair of positions, or positions itself when its
-        items do not unpack; or nothing, when one is out of the domain."""
-        try:
-            cells = self._cells(positions)
-        except TypeError:
-            cells = self._cells([positions])
-        # A memoryview's item increment skips numpy's scalar indexing.
-        counts = memoryview(self.counts)
-        for cell in cells:
-            counts[cell] += 1
+        """Count every (x, y) row of positions, an (N, 2) array-like, or the
+        one pair positions itself; or nothing, when a point is out of the
+        domain.  The binning is one numpy pass, so a caller may buffer many
+        steps' positions and record them at once."""
+        rows, cols = self._cells(positions)
+        np.add.at(self.counts, (rows, cols), 1)
 
     def total(self) -> int:
         return int(self.counts.sum())

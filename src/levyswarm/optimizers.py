@@ -54,16 +54,19 @@ class FitnessField(UncoveredHotspots):
             epsilon=config.params.shaping_epsilon,
         )
 
-    def value(self, position) -> float:
+    def value(self, position, ids=None) -> float:
         """The fitness at position, bit for bit as numpy computed it over arrays.
 
-        The covered weights come from a within() query and are added in
-        np.sum's pairwise order; the shaping term, a sum over every uncovered
-        hotspot, stays one vectorised np.hypot: a value, not a comparison
-        with a limit."""
+        The covered weights are those of ``ids``, the within() query at
+        position and coverage_radius, made here unless the caller already
+        holds it, and are added in np.sum's pairwise order; the shaping term,
+        a sum over every uncovered hotspot, stays one vectorised np.hypot: a
+        value, not a comparison with a limit."""
         x, y = float(position[0]), float(position[1])
+        if ids is None:
+            ids = self.within(x, y, self.coverage_radius)
         weights = self.weights
-        total = _np_sum([weights[k] for k in self.within(x, y, self.coverage_radius)])
+        total = _np_sum([weights[k] for k in ids])
         if self.shaping:
             d = np.hypot(self._xy[:, 0] - x, self._xy[:, 1] - y)
             total += self.epsilon * float(np.sum(self._weight_array / (1.0 + d)))

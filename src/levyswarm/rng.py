@@ -98,11 +98,11 @@ def _mantegna_sigma(beta: float) -> float:
     return (num / den) ** (1.0 / beta)
 
 
-def _normals(src: RandomSource):
-    """src's standard-normal stream: the four draws of a 2-D step in one
-    call, then one at a time for re-drawn denominators.  Philox gives the
-    same values in the same order as four single draws."""
-    yield from src.standard_normal(4).tolist()
+def _normals(first, src: RandomSource):
+    """The four draws of a 2-D step, then src's standard-normal stream one
+    value at a time for re-drawn denominators.  Philox gives the same values
+    in the same order as four single draws."""
+    yield from first
     while True:
         yield float(src.standard_normal(1)[0])
 
@@ -131,12 +131,32 @@ def levy_step(
     they are capped at 1e300, which also covers the re-draw substitution
     path and a denominator that underflows to 0 (tiny beta, |v| < 1), and a
     denominator that overflows (tiny beta, |v| > 1) gives a signed zero.
+
+    The four Gaussians come from one ``standard_normal(4)`` draw.  When both
+    denominators need no re-draw and both components land within the cap,
+    the quotients are the step; otherwise ``_saturating_step`` takes over
+    the same four values and continues the stream with single draws.
     """
     if not levy_weight > 0.0:
         raise ParameterError(f"levy_weight must be positive, got {levy_weight!r}")
     sigma = mantegna_sigma(beta)  # validates beta
     scale = levy_weight * (sigma if normalized else 1.0)
-    draws = _normals(src)
+    first = src.standard_normal(4).tolist()
+    u1, v1, u2, v2 = first
+    if abs(v1) >= _MIN_ABS_V and abs(v2) >= _MIN_ABS_V:
+        try:
+            x = scale * u1 / abs(v1) ** (1.0 / beta)
+            y = scale * u2 / abs(v2) ** (1.0 / beta)
+        except (OverflowError, ZeroDivisionError):
+            pass
+        else:
+            if -_MAX_COMPONENT <= x <= _MAX_COMPONENT and -_MAX_COMPONENT <= y <= _MAX_COMPONENT:
+                return LevyStep(x, y)
+    return _saturating_step(_normals(first, src), scale, beta)
+
+
+def _saturating_step(draws, scale: float, beta: float) -> LevyStep:
+    """levy_step's guarded form: re-drawn denominators and capped components."""
     out = []
     for _ in range(2):
         u = next(draws)

@@ -475,6 +475,7 @@ def mark_coverage(
     scanning=None,
     positions=None,
     field: UncoveredHotspots | None = None,
+    hits=None,
 ) -> list[int]:
     """Flip uncovered hotspots within coverage_radius of any scanning UAV.
 
@@ -487,21 +488,26 @@ def mark_coverage(
     own), as (x, y) pairs of a list or the rows of an array, and the
     UncoveredHotspots (a FitnessField) built on the hotspots' current
     coverage, which is then queried as it is; one built on other coverage
-    is a ValidationError.
+    is a ValidationError.  A caller that has made those queries on that
+    field passes the union of their ids as ``hits``, and no query is made
+    here: scanning and positions are then not read.
     """
     field_value(coverage_radius, "float", "coverage_radius")
-    if positions is None:
-        positions = [uav.position for uav in swarm.uavs]
     if field is None:
+        if hits is not None:
+            raise ValidationError("hits name the ids of a given field")
         field = UncoveredHotspots(hotspots)
     elif field.indices != uncovered_indices(hotspots):
         raise ValidationError("the fitness field was built on other hotspot coverage")
-    if scanning is not None:
-        positions = [p for p, active in zip(positions, scanning) if active]
-    hit = set()
-    for x, y in positions:
-        hit.update(field.within(float(x), float(y), coverage_radius))
-    newly = [field.indices[k] for k in sorted(hit)]
+    if hits is None:
+        if positions is None:
+            positions = [uav.position for uav in swarm.uavs]
+        if scanning is not None:
+            positions = [p for p, active in zip(positions, scanning) if active]
+        hits = set()
+        for x, y in positions:
+            hits.update(field.within(float(x), float(y), coverage_radius))
+    newly = [field.indices[k] for k in sorted(hits)]
     for k in newly:
         hotspots[k].covered = True
     swarm.covered_count = len(hotspots) - len(field.indices) + len(newly)

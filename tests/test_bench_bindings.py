@@ -17,7 +17,8 @@ import levyswarm.cli  # noqa: F401  (the table names cli.main)
 import numpy as np
 import pytest
 from levyswarm.constraints import resolve_collisions
-from levyswarm.world import GridConfig
+from levyswarm.harness import run_scenario
+from levyswarm.world import GridConfig, preset_scenario
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "levybench" / "spans.py"
 
@@ -47,3 +48,22 @@ def test_resolver_counter_reads_the_resolver_result(spans):
     spans.RESULT_COUNTERS["constraints.resolve_collisions"](counts, result)
     assert counts["constraints.resolve_collisions.touched"] == 2
     assert counts["constraints.resolve_collisions.pushes"] == result[2] > 0
+
+
+def test_the_hybrid_step_calls_each_traced_binding(spans):
+    # A binding that exists but is no longer called reads zero in a traced
+    # run, which fails the benchmark's plan checks; mark_coverage is called
+    # once per recorded step, where the benchmark's calibration probe rides.
+    tracer = spans.Tracer(levyswarm)
+    tracer.install()
+    try:
+        result = run_scenario(preset_scenario("uniform20", seed=0, max_steps=80))
+    finally:
+        tracer.uninstall()
+    calls = {name: stats[0] for name, stats in tracer.stats.items()}
+    steps = result.metrics.recorded_steps
+    assert calls["world.mark_coverage"] == steps
+    assert calls["optimizers.propose_step"] == steps - 1
+    for name in ("rng.levy_step", "optimizers.FitnessField.value", "metrics.Heatmap.record"):
+        assert calls[name] > 0, name
+    assert tracer.counts["optimizers.dark_agent_steps"] > 0

@@ -161,6 +161,17 @@ def reference_levy_step(src, levy_weight, beta, normalized=True):
     return out
 
 
+class ScriptedNormals:
+    """A source of scripted standard normals; ``left`` is what no call has read."""
+
+    def __init__(self, values):
+        self.left = list(values)
+
+    def standard_normal(self, n):
+        taken, self.left = self.left[:n], self.left[n:]
+        return np.array(taken)
+
+
 class TestBatchedLevyStep:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -183,6 +194,29 @@ class TestBatchedLevyStep:
             assert np.array(step).tobytes() == want.tobytes()
             for _ in range(count):
                 assert ours.uniform(0.0, 1.0) == theirs.uniform(0.0, 1.0)
+
+    # Scripted Gaussians that leave levy_step's fast path: (u1, v1, u2, v2,
+    # then the values a re-draw reads), a weight and a beta.
+    SLOW_PATHS = {
+        # v1 passes and v2 re-draws twice, so the stream goes on past the
+        # four batched values.
+        "second_axis_redraws": ([0.7, -1.3, 0.4, 1e-310, -1e-301, 0.25, 9.0], 1.0, 1.5),
+        # |v| ** (1/beta) underflows to a subnormal: the quotient overflows to inf.
+        "quotient_overflows": ([1.0, 1e-160, -1.0, 0.5, 9.0], 1.0, 0.5),
+        # A finite quotient beyond the 1e300 cap.
+        "quotient_beyond_cap": ([1.0, 1e-151, 2.0, -0.5, 9.0], 1.0, 0.5),
+        # |v| ** (1/beta) overflows (pow raises) or underflows to zero.
+        "denominator_overflows": ([-0.5, 3.0, -0.5, 0.1, 9.0], 1.0, 1e-3),
+    }
+
+    @pytest.mark.parametrize("case", list(SLOW_PATHS))
+    def test_slow_paths_match_scalar_draws(self, case):
+        draws, weight, beta = self.SLOW_PATHS[case]
+        ours, theirs = ScriptedNormals(draws), ScriptedNormals(draws)
+        step = levy_step(ours, weight, beta)
+        want = reference_levy_step(theirs, weight, beta)
+        assert np.array(step).tobytes() == want.tobytes()
+        assert ours.left == theirs.left == [9.0]
 
     def test_redraws_continue_the_stream(self):
         # A near-zero denominator takes the next values of the same stream.

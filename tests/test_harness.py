@@ -23,11 +23,12 @@ from levyswarm.harness import (
     run_scenario,
     run_sweep,
 )
-from levyswarm.metrics import RunMetrics
+from levyswarm.metrics import Heatmap, RunMetrics
 from levyswarm.world import (
     Hotspot,
     ScenarioConfig,
     SwarmState,
+    UncoveredHotspots,
     ValidationError,
     preset_scenario,
 )
@@ -170,6 +171,65 @@ class TestRunScenario:
         assert result.collision_mask.shape == (steps - 1, config.n_uavs)
         assert result.collision_mask.dtype == bool
         assert np.array(swarm.positions(), dtype=float).tobytes() == result.trajectories[-1].tobytes()
+
+    @pytest.mark.parametrize("algorithm", ["hybrid", "abc", "pso"])
+    def test_one_coverage_query_per_scanning_agent(self, monkeypatch, algorithm):
+        # Outside the proposal, a step queries the field at the coverage
+        # radius once per scanning agent: its fitness and the coverage
+        # marking share the query.
+        config = preset_scenario("uniform20", seed=1, algorithm=algorithm, max_steps=200)
+        radius = config.constraints.coverage_radius
+        within, propose, mark = UncoveredHotspots.within, harness.propose_step, harness.mark_coverage
+        queries, proposing, scanning, per_step = [0], [False], [config.n_uavs], []
+
+        def counted_within(self, x, y, r):
+            queries[0] += r == radius and not proposing[0]
+            return within(self, x, y, r)
+
+        def uncounted_propose(*args):
+            proposing[0] = True
+            try:
+                proposal = propose(*args)
+            finally:
+                proposing[0] = False
+            scanning[0] = int(proposal.scanning.sum())
+            return proposal
+
+        def counted_mark(*args, **kwargs):
+            newly = mark(*args, **kwargs)
+            per_step.append((queries[0], scanning[0]))
+            queries[0] = 0
+            return newly
+
+        monkeypatch.setattr(UncoveredHotspots, "within", counted_within)
+        monkeypatch.setattr(harness, "propose_step", uncounted_propose)
+        monkeypatch.setattr(harness, "mark_coverage", counted_mark)
+        result = run_scenario(config)
+        assert len(per_step) == result.metrics.recorded_steps
+        assert [q for q, _ in per_step] == [n for _, n in per_step]
+        if algorithm == "hybrid":
+            assert min(n for _, n in per_step) < config.n_uavs  # some agents fly dark
+
+    @pytest.mark.parametrize("batch", [3, 7, None])
+    def test_heatmap_buffer_is_bounded_and_bins_every_position(self, monkeypatch, batch):
+        config = preset_scenario("uniform20", seed=2, max_steps=120)
+        if batch is not None:
+            monkeypatch.setattr(harness, "HEATMAP_BATCH", batch)
+        batch = harness.HEATMAP_BATCH
+        record, sizes = Heatmap.record, []
+
+        def sized(self, positions):
+            sizes.append(len(positions))
+            return record(self, positions)
+
+        monkeypatch.setattr(Heatmap, "record", sized)
+        result = run_scenario(config, record_trajectories=True)
+        expected = Heatmap.for_grid(config.grid)
+        for position in result.trajectories.reshape(-1, 2).tolist():
+            expected.counts[expected.cell_of(position)] += 1
+        assert np.array_equal(result.metrics.heatmap.counts, expected.counts)
+        assert sum(sizes) == result.metrics.recorded_steps * config.n_uavs
+        assert max(sizes) < batch + config.n_uavs
 
     def test_max_steps_censors_run(self):
         config = preset_scenario("uniform20", seed=2, algorithm="abc", max_steps=10)

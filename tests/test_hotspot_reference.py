@@ -295,6 +295,46 @@ def test_mark_coverage_matches_numpy(case, others, scan, held):
     assert ours_swarm.covered_count == their_swarm.covered_count
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    case=scene(),
+    others=st.lists(st.tuples(coord, coord), max_size=7),
+    scan=st.lists(st.booleans(), min_size=8, max_size=8),
+)
+def test_mark_coverage_with_hits_matches_the_positions_path(case, others, scan):
+    # The run loop passes the union of the within() queries it has made for
+    # fitness; mark_coverage must then mark what its own queries would.
+    point, r, hotspots = case
+    agents = [point, *others]
+    scanning = scan[: len(agents)]
+    theirs = copies(hotspots)
+    field = FitnessField(hotspots, r)
+    hits = set()
+    for (x, y), active in zip(agents, scanning):
+        if active:
+            hits.update(field.within(x, y, r))
+    ours_swarm, their_swarm = swarm_at(agents), swarm_at(agents)
+    got = mark_coverage(ours_swarm, hotspots, r, field=field, hits=hits)
+    want = mark_coverage(their_swarm, theirs, r, scanning=scanning, field=FitnessField(theirs, r))
+    assert got == want
+    assert [h.covered for h in hotspots] == [h.covered for h in theirs]
+    assert ours_swarm.covered_count == their_swarm.covered_count
+
+
+def test_mark_coverage_with_hits_keeps_its_checks():
+    hotspots = [Hotspot(position=(1.0, 1.0)), Hotspot(position=(9.0, 9.0))]
+    swarm = swarm_at([(1.0, 1.0)])
+    with pytest.raises(ValidationError, match="ids of a given field"):
+        mark_coverage(swarm, hotspots, 3.0, hits={0})
+    stale = FitnessField(hotspots, 3.0)
+    hotspots[1].covered = True
+    with pytest.raises(ValidationError, match="other hotspot coverage"):
+        mark_coverage(swarm, hotspots, 3.0, field=stale, hits={0})
+    with pytest.raises(ValidationError, match="coverage_radius"):
+        mark_coverage(swarm, hotspots, -1.0, field=FitnessField(hotspots, 3.0), hits={0})
+    assert not hotspots[0].covered
+
+
 def test_mark_coverage_with_nothing_uncovered():
     hotspots = [Hotspot(position=(1.0, 1.0), covered=True)]
     swarm = swarm_at([(1.0, 1.0)])

@@ -120,6 +120,56 @@ class TestHeatmapBinning:
             expected[min(math.floor(y), 2), min(math.floor(x), 6)] += 1
         assert np.array_equal(h.counts, expected)
 
+    @given(
+        xs=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, -0.0, 7.0, 6.999999999999999]), st.floats(0.0, 7.0)),
+                st.one_of(st.sampled_from([0.0, -0.0, 3.0, 2.999999999999999]), st.floats(0.0, 3.0)),
+            ),
+            max_size=24,
+        ),
+        cut=st.integers(0, 24),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bulk_record_is_the_per_point_int_rule_across_a_flush(self, xs, cut):
+        # Two records split at any point, as a run's buffered flushes are,
+        # count what int() and the far-edge rule give one point at a time.
+        h = Heatmap(width=7, height=3)
+        points = np.array(xs, dtype=float).reshape(-1, 2)
+        h.record(points[:cut])
+        h.record(points[cut:])
+        expected = np.zeros((3, 7), dtype=np.int64)
+        for x, y in xs:
+            expected[min(int(y), 2), min(int(x), 6)] += 1
+        assert np.array_equal(h.counts, expected)
+
+    @given(
+        good=st.lists(st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)), max_size=6),
+        bad=st.lists(
+            st.sampled_from([(-5e-324, 1.0), (5.000000000000001, 0.0), (1.0, math.inf),
+                             (math.nan, 1.0), (2.0, -1.0)]),
+            min_size=1,
+            max_size=3,
+        ),
+        at=st.integers(0, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_out_of_domain_batch_names_its_first_bad_point(self, good, bad, at):
+        h = Heatmap(width=5, height=5)
+        h.record([2.5, 2.5])
+        points = good[:at] + bad + good[at:]
+        x, y = bad[0]
+        with pytest.raises(ValidationError, match=rf"position \({x}, {y}\) is outside"):
+            h.record(np.array(points))
+        assert h.total() == 1 and h.counts[2, 2] == 1
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 2, 2), (3,)])
+    def test_points_that_are_not_pairs_are_rejected(self, shape):
+        h = Heatmap(width=5, height=5)
+        with pytest.raises(ValidationError, match="not \\(x, y\\) pairs"):
+            h.record(np.ones(shape))
+        assert h.total() == 0
+
     def test_out_of_domain_record_rejected_and_counts_nothing(self):
         h = Heatmap(width=10, height=10)
         with pytest.raises(ValidationError, match=r"position \(10.5, 1.0\)"):
