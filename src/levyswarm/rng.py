@@ -134,7 +134,7 @@ def levy_step(
 
     The four Gaussians come from one ``standard_normal(4)`` draw.  When both
     denominators need no re-draw and both components land within the cap,
-    the quotients are the step; otherwise ``_saturating_step`` takes over
+    the quotients are the step; otherwise the guarded code below takes over
     the same four values and continues the stream with single draws.
     """
     if not levy_weight > 0.0:
@@ -152,11 +152,7 @@ def levy_step(
         else:
             if -_MAX_COMPONENT <= x <= _MAX_COMPONENT and -_MAX_COMPONENT <= y <= _MAX_COMPONENT:
                 return LevyStep(x, y)
-    return _saturating_step(_normals(first, src), scale, beta)
-
-
-def _saturating_step(draws, scale: float, beta: float) -> LevyStep:
-    """levy_step's guarded form: re-drawn denominators and capped components."""
+    draws = _normals(first, src)
     out = []
     for _ in range(2):
         u = next(draws)
