@@ -219,8 +219,8 @@ def escape_no_hotspot_zone(
 
     The x-window of the threshold settles most calls (within()'s test,
     stopping at the first hit).  Only when the escape fires does it measure
-    every hotspot; the nearest is the first of least math.hypot distance in
-    list order.
+    every uncovered hotspot; the nearest is the one of least math.hypot
+    distance, the lowest id on a tie.
     """
     x, y, r = float(position[0]), float(position[1]), threshold_radius
     if not field.points:
@@ -228,9 +228,9 @@ def escape_no_hotspot_zone(
     for _, hx, hy in field.window(x, r):
         if math.hypot(hx - x, hy - y) <= r:
             return None
-    dists = [math.hypot(hx - x, hy - y) for hx, hy in field.points]
+    dists = [math.hypot(hx - x, hy - y) for _, hx, hy in field.points]
     d = min(dists)
-    hx, hy = field.points[dists.index(d)]
+    _, hx, hy = field.points[dists.index(d)]
     return (hx - x) / d * max_step_size, (hy - y) / d * max_step_size
 
 

@@ -4,13 +4,15 @@ A run is a pure function of its ScenarioConfig: per-UAV Philox streams drive
 all randomness, simulated time is steps * dt, and iteration order is fixed,
 so repeating a run reproduces positions, metrics, and artifact bytes exactly.
 
-Each step applies two displacement budgets per UAV (optimizer motion, then
-collision response, each capped at max_step_size), re-evaluates fitness at
-the final constrained positions, marks newly covered hotspots, and records
-the step.  One coverage query per scanning agent serves both its fitness
-and the marking; the heatmap bins the visited positions in bulk, from a
-buffer flushed every HEATMAP_BATCH positions and at the end of the run.
-Runs stop early once every hotspot is covered.
+Step 0 scores, marks and records the launch positions.  Every later step
+applies two displacement budgets per UAV (optimizer motion, then collision
+response, each capped at max_step_size), then does the same at the final
+constrained positions.  One FitnessField per run owns the coverage: one
+query per scanning agent serves both its fitness and the marking, which
+drops the newly covered hotspots from the field.  The heatmap bins the
+visited positions in bulk, from a buffer flushed every HEATMAP_BATCH
+positions and at the end of the run.  Runs stop early once every hotspot
+is covered.
 """
 
 from __future__ import annotations
@@ -143,59 +145,28 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     start, touched, _ = resolve_collisions(
         [uav.position for uav in uavs], config.grid, cons.collision_radius
     )
-    collision_interventions = int(touched.sum())
-    for uav, position in zip(uavs, start):
-        uav.position = position
-        if is_pso:
-            uav.personal_best = position
+    report = ConstraintReport(collision_interventions=int(touched.sum()))
 
     # Fitness is always scored against the uncovered set the move was decided
     # under (evaluate, then mark): the agent that brings a hotspot into
     # coverage range is the one credited for it.
     radius = cons.coverage_radius
     fitness = FitnessField.from_config(hotspots, config)
-    hits = set()
-    for uav in uavs:
-        ids = fitness.within(*uav.position, radius)
-        hits.update(ids)
-        value = fitness.value(uav.position, ids)
-        uav.fitness = value
-        uav.best_fitness = value
-        swarm.observe(uav.position, value)
-    if mark_coverage(swarm, hotspots, radius, field=fitness, hits=hits):
-        fitness = FitnessField.from_config(hotspots, config)
-
     heatmap = Heatmap.for_grid(config.grid)
     # Visited positions, as flat doubles, wait here to be binned in bulk.
-    visits = array("d", chain.from_iterable(start))
-    coverage_curve = [(0, swarm.covered_count)]
-    min_pairwise_series = [_min_pairwise(start)]
+    visits = array("d")
+    coverage_curve, min_pairwise_series = [], []
     # Recorded frames go into one flat buffer of doubles, 16 bytes an agent-step.
-    frames = array("d", chain.from_iterable(start)) if record_trajectories else None
+    frames = array("d") if record_trajectories else None
     # (step index, intervened mask) of the steps that ran the collision stage.
     interventions = []
-    report = ConstraintReport(collision_interventions=collision_interventions)
-    steps_to_cover = 0 if swarm.covered_count == len(hotspots) else None
     width, height = float(config.grid.width), float(config.grid.height)
 
-    # ABC's stored values, kept while the field they were scored on is in use.
-    anchor_values = None
+    # Step 0 scores and records the launch positions, every agent scanning.
+    final, min_pairwise = start, _min_pairwise(start)
+    scanning, guided = [True] * config.n_uavs, [False] * config.n_uavs
     step = 0
-    while steps_to_cover is None and step < config.max_steps:
-        step += 1
-        swarm.step = step
-        anchors = [uav.position for uav in uavs]
-        proposal = propose_step(swarm, fitness, config, rngs, anchor_values)
-        report.merge(proposal.report)
-        final, intervened, min_pairwise = _collision_stage(
-            proposal.positions, anchors, cons, config.grid
-        )
-        if intervened is not None:
-            report.collision_interventions += int(intervened.sum())
-            interventions.append((step - 1, intervened))
-        scanning = proposal.scanning.tolist()
-        guided = proposal.guided.tolist()
-
+    while True:
         # One coverage query per scanning agent serves its fitness and the
         # coverage marking below.
         hits = set()
@@ -227,13 +198,11 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
                     src.uniform(0.0, 1.0) * width, src.uniform(0.0, 1.0) * height
                 )
                 uav.stagnation = 0
+        # ABC's stored values, kept while the uncovered set they were scored
+        # on stands.
         scored_all = is_abc and all(scanning)
         anchor_values = [uav.fitness for uav in uavs] if scored_all else None
-
-        # The field depends only on the uncovered set, so it changes only
-        # when this step covers something.
-        if mark_coverage(swarm, hotspots, radius, field=fitness, hits=hits):
-            fitness = FitnessField.from_config(hotspots, config)
+        if mark_coverage(swarm, fitness, hits):
             anchor_values = None
 
         if len(visits) >= 2 * HEATMAP_BATCH:
@@ -244,9 +213,24 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         min_pairwise_series.append(min_pairwise)
         if record_trajectories:
             frames.extend(chain.from_iterable(final))
-        if swarm.covered_count == len(hotspots):
-            steps_to_cover = step
+        if swarm.covered_count == len(hotspots) or step == config.max_steps:
+            break
 
+        step += 1
+        swarm.step = step
+        anchors = [uav.position for uav in uavs]
+        proposal = propose_step(swarm, fitness, config, rngs, anchor_values)
+        report.merge(proposal.report)
+        final, intervened, min_pairwise = _collision_stage(
+            proposal.positions, anchors, cons, config.grid
+        )
+        if intervened is not None:
+            report.collision_interventions += int(intervened.sum())
+            interventions.append((step - 1, intervened))
+        scanning = proposal.scanning.tolist()
+        guided = proposal.guided.tolist()
+
+    steps_to_cover = step if swarm.covered_count == len(hotspots) else None
     heatmap.record(np.frombuffer(visits).reshape(-1, 2))
     collision_mask = np.zeros((step, config.n_uavs), dtype=bool)
     for k, intervened in interventions:

@@ -29,21 +29,28 @@ class FitnessField(UncoveredHotspots):
     epsilon * sum_k w_k / (1 + d_k) over the uncovered hotspots, which gives
     hill-climbing acceptance rules a gradient to follow between coverage
     plateaus.  Covered hotspots contribute nothing.  The field is the
-    UncoveredHotspots index of the hotspots it was built on.
+    UncoveredHotspots index of the run's hotspots, so cover() updates it.
     """
 
     __slots__ = ("weights", "coverage_radius", "shaping", "epsilon", "_xy", "_weight_array")
 
     def __init__(self, hotspots, coverage_radius, shaping=False, epsilon=0.01):
         super().__init__(hotspots)
-        self.weights = [float(hotspots[k].weight) for k in self.indices]
-        # The shaping term's operands: it sums over every uncovered hotspot,
-        # which numpy does faster than a Python loop.
-        self._xy = np.array(self.points, dtype=float).reshape(-1, 2)
-        self._weight_array = np.array(self.weights, dtype=float)
+        self.weights = [float(hot.weight) for hot in hotspots]
+        self._shaping_operands()
         self.coverage_radius = float(coverage_radius)
         self.shaping = bool(shaping)
         self.epsilon = float(epsilon)
+
+    def cover(self, ids) -> None:
+        super().cover(ids)
+        self._shaping_operands()
+
+    def _shaping_operands(self):
+        # The shaping term sums over every uncovered hotspot, which numpy
+        # does faster than a Python loop.
+        self._xy = np.array([(x, y) for _, x, y in self.points], dtype=float).reshape(-1, 2)
+        self._weight_array = np.array([self.weights[k] for k, _, _ in self.points], dtype=float)
 
     @classmethod
     def from_config(cls, hotspots, config: ScenarioConfig) -> "FitnessField":
@@ -118,8 +125,13 @@ def nectar_probabilities(fitnesses) -> list[float]:
 
 
 def adaptive_levy_probability(fitness: float, global_best: float, sensitivity: float) -> float:
-    """Sigmoid gate in (0, 1): agents near the global best move more eagerly."""
-    return 1.0 / (1.0 + math.exp(-sensitivity * (fitness - global_best)))
+    """Sigmoid gate in [0, 1]: agents near the global best move more eagerly.
+
+    Where exp overflows, the gate is the sigmoid's limit, 0.0."""
+    try:
+        return 1.0 / (1.0 + math.exp(-sensitivity * (fitness - global_best)))
+    except OverflowError:
+        return 0.0
 
 
 def roulette_pick(src: RandomSource, probabilities) -> int:

@@ -418,31 +418,41 @@ def two_cluster_far_indices(n_hotspots: int) -> list[int]:
     return list(range((n_hotspots + 1) // 2, n_hotspots))
 
 
-def uncovered_indices(hotspots: list[Hotspot]) -> list[int]:
-    """Indices of the uncovered hotspots, in list order."""
-    return [k for k, hot in enumerate(hotspots) if not hot.covered]
-
-
 class UncoveredHotspots:
-    """The uncovered hotspots, sorted by x for radius queries on Python floats.
+    """The run's hotspots and their coverage, indexed by x for radius queries.
 
-    ``indices`` names them in list order and ``points`` holds their (x, y)
-    floats; a hotspot's id in a query result is its position in both.
-    within() bisects the x-sorted copy, so a query costs O(log m + window)
-    rather than O(m).
+    ``hotspots`` is the run's list, and a hotspot's id is its index there.
+    ``points`` holds (id, x, y) of each uncovered hotspot, in list order;
+    within() bisects an x-sorted copy, so a query costs O(log m +
+    window) rather than O(m).  Coverage changes only through cover(), which
+    sets the flags and drops the hotspots from both lists.
     """
 
-    __slots__ = ("indices", "points", "_xs", "_by_x")
+    __slots__ = ("hotspots", "points", "_xs", "_by_x")
 
     def __init__(self, hotspots):
-        self.indices = uncovered_indices(hotspots)
-        self.points = [tuple(hotspots[k].position.tolist()) for k in self.indices]
-        by_x = sorted(enumerate(self.points), key=lambda item: item[1][0])
-        self._xs = [x for _, (x, _) in by_x]
-        self._by_x = [(k, x, y) for k, (x, y) in by_x]
+        self.hotspots = hotspots
+        self.points = [
+            (k, *hot.position.tolist()) for k, hot in enumerate(hotspots) if not hot.covered
+        ]
+        self._by_x = sorted(self.points, key=lambda point: point[1])
+        self._xs = [x for _, x, _ in self._by_x]
+
+    def cover(self, ids) -> None:
+        """Mark the hotspots ids covered and drop them from the index.
+
+        The sort is stable, so filtering both lists leaves the order that
+        sorting the remaining hotspots again would give.
+        """
+        gone = set(ids)
+        for k in gone:
+            self.hotspots[k].covered = True
+        self.points = [point for point in self.points if point[0] not in gone]
+        self._by_x = [point for point in self._by_x if point[0] not in gone]
+        self._xs = [x for _, x, _ in self._by_x]
 
     def window(self, x: float, r: float) -> list[tuple[int, float, float]]:
-        """(id, hx, hy) of every hotspot with |hx - x| <= r, in x order.
+        """(id, hx, hy) of every uncovered hotspot with |hx - x| <= r, in x order.
 
         x - r and x + r round, so the bisected bounds may fall an ulp short
         of a hotspot whose own difference hx - x rounds into [-r, r]; the
@@ -459,7 +469,7 @@ class UncoveredHotspots:
         return self._by_x[lo:hi]
 
     def within(self, x: float, y: float, r: float) -> list[int]:
-        """Ids of the hotspots within r of (x, y), in list order.
+        """Ids of the uncovered hotspots within r of (x, y), in list order.
 
         A hotspot is within r when math.hypot(hx - x, hy - y) <= r.
         """
@@ -468,49 +478,18 @@ class UncoveredHotspots:
         return hits
 
 
-def mark_coverage(
-    swarm: SwarmState,
-    hotspots: list[Hotspot],
-    coverage_radius: float,
-    scanning=None,
-    positions=None,
-    field: UncoveredHotspots | None = None,
-    hits=None,
-) -> list[int]:
-    """Flip uncovered hotspots within coverage_radius of any scanning UAV.
+def mark_coverage(swarm: SwarmState, field: UncoveredHotspots, hits) -> list[int]:
+    """Cover the uncovered hotspots among the ids hits; returns them in list order.
 
-    Returns the indices newly covered, in list order: the union of the
-    within() queries of the scanning agents, so "within" means a math.hypot
-    length <= coverage_radius.  ``scanning`` masks which agents have an
-    active sensor this step (default: all); agents mid-traversal of a
-    committed relocation fly dark and only scan on arrival.  A caller that
-    already holds them may pass the agents' positions (default: the agents'
-    own), as (x, y) pairs of a list or the rows of an array, and the
-    UncoveredHotspots (a FitnessField) built on the hotspots' current
-    coverage, which is then queried as it is; one built on other coverage
-    is a ValidationError.  A caller that has made those queries on that
-    field passes the union of their ids as ``hits``, and no query is made
-    here: scanning and positions are then not read.
+    The run loop passes the union of the scanning agents' within() queries
+    at coverage_radius, so "covered" means a math.hypot length <= the radius
+    from an agent whose sensor is active; agents mid-traversal of a committed
+    relocation fly dark and make no query.  swarm.covered_count is updated.
     """
-    field_value(coverage_radius, "float", "coverage_radius")
-    if field is None:
-        if hits is not None:
-            raise ValidationError("hits name the ids of a given field")
-        field = UncoveredHotspots(hotspots)
-    elif field.indices != uncovered_indices(hotspots):
-        raise ValidationError("the fitness field was built on other hotspot coverage")
-    if hits is None:
-        if positions is None:
-            positions = [uav.position for uav in swarm.uavs]
-        if scanning is not None:
-            positions = [p for p, active in zip(positions, scanning) if active]
-        hits = set()
-        for x, y in positions:
-            hits.update(field.within(float(x), float(y), coverage_radius))
-    newly = [field.indices[k] for k in sorted(hits)]
-    for k in newly:
-        hotspots[k].covered = True
-    swarm.covered_count = len(hotspots) - len(field.indices) + len(newly)
+    newly = sorted({k for k in hits if not field.hotspots[k].covered})
+    if newly:
+        field.cover(newly)
+    swarm.covered_count = len(field.hotspots) - len(field.points)
     return newly
 
 

@@ -249,6 +249,20 @@ class TestRunCommand:
         if code == EXIT_INVALID:
             assert "error:" in capsys.readouterr().err
 
+    def test_large_sigma_sensitivity_runs(self, tmp_path):
+        # The adaptive gate's exp overflows at this sensitivity; validate()
+        # accepts it, so the run must complete.
+        path = tmp_path / "sharp-gate.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "uniform", "n_hotspots": 20, "seed": 0, "max_steps": 300,
+                    "params": {"adaptive_lambda": True, "sigma_sensitivity": 1000},
+                }
+            )
+        )
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+
     def test_missing_scenario_file_exits_two(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.json")]) == EXIT_IO
         assert "io error:" in capsys.readouterr().err

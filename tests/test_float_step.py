@@ -533,8 +533,8 @@ def test_abc_takes_the_anchor_values_it_is_given(step, given_values):
 
 @pytest.mark.parametrize("preset", ["uniform20", "twocluster20"])
 def test_run_loop_hands_abc_only_values_of_the_field_in_use(preset):
-    # The values go stale when a covering step rebuilds the field: the run
-    # loop must then let ABC score its anchors again.
+    # The values go stale when a step, launch included, covers something: the
+    # run loop must then let ABC score its anchors again.
     propose = harness.propose_step
     given = []
 
@@ -548,11 +548,11 @@ def test_run_loop_hands_abc_only_values_of_the_field_in_use(preset):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "propose_step", checked)
         result = harness.run_scenario(config)
-    # Values are given on every step but the first and those after a
-    # covering step.
-    curve = [covered for _, covered in result.metrics.coverage_curve]
-    assert given == [s > 0 and curve[s] == curve[s - 1] for s in range(len(given))]
-    assert any(given) and given.count(False) > 1
+    # Values are given on every step but those after a covering step; the
+    # launch values reach step 1.
+    curve = [0] + [covered for _, covered in result.metrics.coverage_curve]
+    assert given == [curve[s + 1] == curve[s] for s in range(len(given))]
+    assert given[0] and False in given
 
 
 class FixedUniform:
@@ -649,45 +649,28 @@ def test_nearest_better_neighbor_ranks_by_math_hypot():
     scan=st.lists(st.booleans(), min_size=8, max_size=8),
 )
 def test_mark_coverage_with_held_arrays(agents, hotspots, scan):
-    def swarm():
-        return SwarmState([UavState(position=p) for p in agents], np.zeros(2))
-
-    scanning = np.array(scan[: len(agents)])
-    copies = [Hotspot(h.position.copy(), h.weight, h.covered) for h in hotspots]
-    held = swarm()
-    got = mark_coverage(
-        held, hotspots, 3.0, scanning=scanning,
-        positions=held.positions(), field=FitnessField(hotspots, 3.0),
-    )
-    default = swarm()
-    want = mark_coverage(default, copies, 3.0, scanning=scanning)
-    assert got == want
-    assert [h.covered for h in hotspots] == [h.covered for h in copies]
-    assert held.covered_count == default.covered_count == sum(h.covered for h in copies)
-
-
-def test_mark_coverage_refuses_a_field_built_on_other_coverage():
-    hotspots = [Hotspot(np.array([1.0, 1.0])), Hotspot(np.array([9.0, 9.0]))]
-    stale = FitnessField(hotspots, 3.0)
-    hotspots[1].covered = True
-    swarm = SwarmState([UavState(position=(1.0, 1.0))], np.zeros(2))
-    with pytest.raises(ValidationError, match="other hotspot coverage"):
-        mark_coverage(swarm, hotspots, 3.0, field=stale)
-    assert not hotspots[0].covered
-
-
-def test_mark_coverage_refuses_the_field_a_covering_step_used():
-    # The run loop rebuilds the field once a step covers something; the old
-    # field still indexes the hotspot that step covered.
-    hotspots = [Hotspot(np.array([1.0, 1.0])), Hotspot(np.array([9.0, 9.0]))]
+    # The run loop's hits, one within() query per scanning agent on the
+    # FitnessField it holds, mark what math.hypot's rule marks.
+    swarm = SwarmState([UavState(position=p) for p in agents], np.zeros(2))
+    scanning = scan[: len(agents)]
+    expected = [
+        k
+        for k, hot in enumerate(hotspots)
+        if not hot.covered
+        and any(
+            math.hypot(hot.position[0] - x, hot.position[1] - y) <= 3.0
+            for (x, y), active in zip(agents, scanning)
+            if active
+        )
+    ]
     field = FitnessField(hotspots, 3.0)
-    swarm = SwarmState([UavState(position=(9.0, 9.0))], np.zeros(2))
-    assert mark_coverage(swarm, hotspots, 3.0, field=field) == [1]
-    swarm.uavs[0].position = np.array([1.0, 1.0])
-    with pytest.raises(ValidationError, match="other hotspot coverage"):
-        mark_coverage(swarm, hotspots, 3.0, field=field)
-    assert mark_coverage(swarm, hotspots, 3.0, field=FitnessField(hotspots, 3.0)) == [0]
-    assert swarm.covered_count == 2
+    hits = set()
+    for (x, y), active in zip(agents, scanning):
+        if active:
+            hits.update(field.within(x, y, 3.0))
+    assert mark_coverage(swarm, field, hits) == expected
+    assert all(hotspots[k].covered for k in expected)
+    assert swarm.covered_count == sum(h.covered for h in hotspots)
 
 
 @pytest.mark.parametrize("as_list", [True, False])

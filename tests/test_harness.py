@@ -24,6 +24,7 @@ from levyswarm.harness import (
     run_sweep,
 )
 from levyswarm.metrics import Heatmap, RunMetrics
+from levyswarm.optimizers import FitnessField
 from levyswarm.world import (
     Hotspot,
     ScenarioConfig,
@@ -209,6 +210,22 @@ class TestRunScenario:
         assert [q for q, _ in per_step] == [n for _, n in per_step]
         if algorithm == "hybrid":
             assert min(n for _, n in per_step) < config.n_uavs  # some agents fly dark
+
+    @pytest.mark.parametrize("algorithm", ["hybrid", "abc", "pso"])
+    def test_one_fitness_field_per_run(self, monkeypatch, algorithm):
+        # The field owns the coverage: covering steps shrink it in place.
+        built = []
+        from_config = FitnessField.from_config
+
+        def counted(cls, hotspots, config):
+            built.append(1)
+            return from_config(hotspots, config)
+
+        monkeypatch.setattr(FitnessField, "from_config", classmethod(counted))
+        config = preset_scenario("twocluster20", seed=2, algorithm=algorithm, max_steps=200)
+        result = run_scenario(config)
+        assert result.metrics.covered_count >= 1
+        assert len(built) == 1
 
     @pytest.mark.parametrize("batch", [3, 7, None])
     def test_heatmap_buffer_is_bounded_and_bins_every_position(self, monkeypatch, batch):

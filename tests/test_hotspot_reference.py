@@ -8,7 +8,8 @@ compared with a radius or ranked is math.hypot's, the simulator's one norm,
 where they took np.hypot's; the shaping term's sum keeps np.hypot.  Every
 fitness value and escape vector must match them bit for bit (sign of zero
 included), and coverage marking must flip the same hotspots and return the
-same indices.
+same indices.  A field that cover() has shrunk must answer every query as
+one built fresh on the same hotspots.
 The inputs put hotspots a few ulps either side of the radius, on shared x
 coordinates (ties in the bisected index) and in dense clusters, so that
 np.sum's pairwise order over the covered weights shows.
@@ -30,15 +31,16 @@ from levyswarm.world import (
     SwarmState,
     UavState,
     UncoveredHotspots,
-    ValidationError,
-    field_value,
     mark_coverage,
-    uncovered_indices,
 )
 from test_constraints_reference import math_hypot
 from test_float_step import nudge
 
 # --- references: the numpy implementations ----------------------------------
+
+
+def uncovered_indices(hotspots) -> list[int]:
+    return [k for k, hot in enumerate(hotspots) if not hot.covered]
 
 
 class RefFitnessField:
@@ -65,23 +67,14 @@ class RefFitnessField:
         return total
 
 
-def ref_mark_coverage(
-    swarm, hotspots, coverage_radius, scanning=None, positions=None, field=None
-) -> list[int]:
-    field_value(coverage_radius, "float", "coverage_radius")
-    if positions is None:
-        positions = swarm.positions()
+def ref_mark_coverage(swarm, hotspots, coverage_radius, scanning=None) -> list[int]:
+    positions = swarm.positions()
     if scanning is not None:
         positions = positions[np.asarray(scanning, dtype=bool)]
     indices = uncovered_indices(hotspots)
-    if field is not None and field.indices != indices:
-        raise ValidationError("the fitness field was built on other hotspot coverage")
     newly = []
     if len(positions) and indices:
-        if field is None:
-            uncovered = np.array([hotspots[k].position for k in indices])
-        else:
-            uncovered = field.positions
+        uncovered = np.array([hotspots[k].position for k in indices])
         delta = positions[:, None, :] - uncovered
         nearest = math_hypot(delta[..., 0], delta[..., 1]).min(axis=0)
         for k, d in zip(indices, nearest.tolist()):
@@ -172,6 +165,15 @@ def swarm_at(points):
     return SwarmState([UavState(position=p) for p in points], np.zeros(2))
 
 
+def scanned_hits(field, agents, r, scanning=None):
+    """The union of the scanning agents' within() queries, as the run loop makes them."""
+    hits = set()
+    for k, (x, y) in enumerate(agents):
+        if scanning is None or scanning[k]:
+            hits.update(field.within(x, y, r))
+    return hits
+
+
 # --- fitness ----------------------------------------------------------------------
 
 
@@ -228,7 +230,7 @@ def test_within_is_math_hypot_in_list_order(case):
     field = UncoveredHotspots(hotspots)
     ref = RefFitnessField(hotspots, r)
     d = math_hypot(ref.positions[:, 0] - x, ref.positions[:, 1] - y)
-    assert field.within(x, y, r) == np.flatnonzero(d <= r).tolist()
+    assert field.within(x, y, r) == [ref.indices[k] for k in np.flatnonzero(d <= r).tolist()]
 
 
 @pytest.mark.parametrize(
@@ -266,8 +268,9 @@ def test_queries_take_math_hypots_verdict_where_np_hypot_differs(math_below):
         expected = [0] if math.hypot(dx, dy) <= r else []
         assert UncoveredHotspots(hotspots).within(0.0, 0.0, r) == expected
         assert_value_matches((0.0, 0.0), r, hotspots)
+        field = UncoveredHotspots(copies(hotspots))
         swarm = swarm_at([(0.0, 0.0)])
-        assert mark_coverage(swarm, copies(hotspots), r) == expected
+        assert mark_coverage(swarm, field, scanned_hits(field, [(0.0, 0.0)], r)) == expected
         assert_escape_matches((0.0, 0.0), r, hotspots)
 
 
@@ -282,13 +285,14 @@ def test_queries_take_math_hypots_verdict_where_np_hypot_differs(math_below):
     held=st.booleans(),
 )
 def test_mark_coverage_matches_numpy(case, others, scan, held):
+    # held: the run loop's FitnessField owns the coverage, else a plain index.
     point, r, hotspots = case
     agents = [point, *others]
     scanning = np.array(scan[: len(agents)])
     theirs = copies(hotspots)
     ours_swarm, their_swarm = swarm_at(agents), swarm_at(agents)
-    field = FitnessField(hotspots, r) if held else None
-    got = mark_coverage(ours_swarm, hotspots, r, scanning=scanning, field=field)
+    field = FitnessField(hotspots, r) if held else UncoveredHotspots(hotspots)
+    got = mark_coverage(ours_swarm, field, scanned_hits(field, agents, r, scanning))
     want = ref_mark_coverage(their_swarm, theirs, r, scanning=scanning)
     assert got == want
     assert [h.covered for h in hotspots] == [h.covered for h in theirs]
@@ -300,46 +304,86 @@ def test_mark_coverage_matches_numpy(case, others, scan, held):
     case=scene(),
     others=st.lists(st.tuples(coord, coord), max_size=7),
     scan=st.lists(st.booleans(), min_size=8, max_size=8),
+    earlier=st.lists(st.tuples(coord, coord), max_size=4),
 )
-def test_mark_coverage_with_hits_matches_the_positions_path(case, others, scan):
-    # The run loop passes the union of the within() queries it has made for
-    # fitness; mark_coverage must then mark what its own queries would.
+def test_mark_coverage_with_hits_matches_the_positions_path(case, others, scan, earlier):
+    # As in a run: the field has already marked what earlier positions
+    # covered, and the hits of this step's positions must then mark what
+    # the numpy reference marks from the same positions.
     point, r, hotspots = case
     agents = [point, *others]
     scanning = scan[: len(agents)]
     theirs = copies(hotspots)
     field = FitnessField(hotspots, r)
-    hits = set()
-    for (x, y), active in zip(agents, scanning):
-        if active:
-            hits.update(field.within(x, y, r))
     ours_swarm, their_swarm = swarm_at(agents), swarm_at(agents)
-    got = mark_coverage(ours_swarm, hotspots, r, field=field, hits=hits)
-    want = mark_coverage(their_swarm, theirs, r, scanning=scanning, field=FitnessField(theirs, r))
+    if earlier:
+        mark_coverage(swarm_at(earlier), field, scanned_hits(field, earlier, r))
+        ref_mark_coverage(swarm_at(earlier), theirs, r)
+    got = mark_coverage(ours_swarm, field, scanned_hits(field, agents, r, scanning))
+    want = ref_mark_coverage(their_swarm, theirs, r, scanning=scanning)
     assert got == want
     assert [h.covered for h in hotspots] == [h.covered for h in theirs]
     assert ours_swarm.covered_count == their_swarm.covered_count
 
 
 def test_mark_coverage_with_hits_keeps_its_checks():
-    hotspots = [Hotspot(position=(1.0, 1.0)), Hotspot(position=(9.0, 9.0))]
+    hotspots = [Hotspot(position=(1.0, 1.0)), Hotspot(position=(9.0, 9.0), covered=True)]
+    field = FitnessField(hotspots, 3.0)
     swarm = swarm_at([(1.0, 1.0)])
-    with pytest.raises(ValidationError, match="ids of a given field"):
-        mark_coverage(swarm, hotspots, 3.0, hits={0})
-    stale = FitnessField(hotspots, 3.0)
-    hotspots[1].covered = True
-    with pytest.raises(ValidationError, match="other hotspot coverage"):
-        mark_coverage(swarm, hotspots, 3.0, field=stale, hits={0})
-    with pytest.raises(ValidationError, match="coverage_radius"):
-        mark_coverage(swarm, hotspots, -1.0, field=FitnessField(hotspots, 3.0), hits={0})
-    assert not hotspots[0].covered
+    # An id past the list marks nothing; a covered one is not newly covered.
+    with pytest.raises(IndexError):
+        mark_coverage(swarm, field, {0, 2})
+    assert not hotspots[0].covered and [k for k, _, _ in field.points] == [0]
+    assert mark_coverage(swarm, field, {1}) == []
+    assert swarm.covered_count == 1
 
 
 def test_mark_coverage_with_nothing_uncovered():
     hotspots = [Hotspot(position=(1.0, 1.0), covered=True)]
     swarm = swarm_at([(1.0, 1.0)])
-    assert mark_coverage(swarm, hotspots, 3.0, field=FitnessField(hotspots, 3.0)) == []
+    field = FitnessField(hotspots, 3.0)
+    assert mark_coverage(swarm, field, scanned_hits(field, [(1.0, 1.0)], 3.0)) == []
     assert swarm.covered_count == 1
+
+
+# --- the owner: cover() against a fresh build -------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=scene(),
+    covers=st.lists(
+        st.tuples(st.lists(st.integers(0, 59), max_size=6), st.booleans()), max_size=5
+    ),
+    shaping=st.booleans(),
+    probes=st.lists(st.tuples(coord, coord), max_size=3),
+)
+def test_cover_leaves_the_field_a_fresh_build_gives(case, covers, shaping, probes):
+    # Each cover() call, made directly or through mark_coverage, drops ids from
+    # the index; every query must then answer as a field built fresh on the
+    # same hotspots does, and the swarm's count must follow the flags.
+    point, r, hotspots = case
+    field = FitnessField(hotspots, r, shaping=shaping)
+    swarm = swarm_at([point])
+    for ids, through_mark in covers:
+        ids = [k % len(hotspots) for k in ids]
+        if through_mark:
+            uncovered = [k for k in sorted(set(ids)) if not hotspots[k].covered]
+            assert mark_coverage(swarm, field, ids) == uncovered
+        else:
+            field.cover(ids)
+            mark_coverage(swarm, field, ())
+        assert swarm.covered_count == sum(h.covered for h in hotspots)
+        fresh = FitnessField(hotspots, r, shaping=shaping)
+        assert field.points == fresh.points
+        for x, y in [point, *probes]:
+            for radius in (r, 15.0):
+                assert field.window(x, radius) == fresh.window(x, radius)
+                assert field.within(x, y, radius) == fresh.within(x, y, radius)
+            assert bits(field.value((x, y))) == bits(fresh.value((x, y)))
+            for threshold in (r, 15.0):
+                got = escape_no_hotspot_zone((x, y), field, threshold, 5.0)
+                assert bits(got) == bits(escape_no_hotspot_zone((x, y), fresh, threshold, 5.0))
 
 
 # --- dead-ground escape -----------------------------------------------------------

@@ -173,6 +173,16 @@ class TestSelectionHelpers:
             1.0 / (1.0 + math.exp(1.0)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("sensitivity", [710.0, 1000.0, 1e308])
+    def test_adaptive_gate_is_zero_where_exp_overflows(self, sensitivity):
+        # exp(-z) overflows past z of about -709.78: the sigmoid's limit, 0.0.
+        assert adaptive_levy_probability(1.0, 2.0, sensitivity) == 0.0
+        assert adaptive_levy_probability(2.0, 2.0, sensitivity) == 0.5
+        assert adaptive_levy_probability(3.0, 2.0, sensitivity) == 1.0
+        # Just short of the overflow the value is computed as before.
+        z = -709.0
+        assert adaptive_levy_probability(z, 0.0, 1.0) == 1.0 / (1.0 + math.exp(-z))
+
     @pytest.mark.parametrize(
         ("u", "want"),
         [(0.1, 0), (0.25, 1), (0.99, 1), (1.0, 1)],

@@ -22,6 +22,7 @@ from levyswarm.world import (
     ScenarioKind,
     SwarmState,
     UavState,
+    UncoveredHotspots,
     ValidationError,
     load_scenario,
     make_scenario,
@@ -343,45 +344,54 @@ class TestMarkCoverage:
         hotspots = [Hotspot(position=np.array(p, dtype=float)) for p in hotspot_positions]
         return swarm, hotspots
 
+    def mark(self, swarm, hotspots, radius, scanning=None, field=None):
+        """mark_coverage with the hits of the scanning agents' within() queries,
+        as the run loop makes them; field defaults to a fresh index."""
+        field = UncoveredHotspots(hotspots) if field is None else field
+        hits = set()
+        for k, uav in enumerate(swarm.uavs):
+            if scanning is None or scanning[k]:
+                hits.update(field.within(*uav.position, radius))
+        return mark_coverage(swarm, field, hits)
+
     def test_marks_within_radius_boundary_inclusive(self):
         swarm, hotspots = self.make([[0.0, 0.0]], [[3.0, 0.0], [3.0000001, 0.0]])
-        newly = mark_coverage(swarm, hotspots, coverage_radius=3.0)
+        newly = self.mark(swarm, hotspots, 3.0)
         assert newly == [0]
         assert hotspots[0].covered and not hotspots[1].covered
         assert swarm.covered_count == 1
 
     def test_second_call_reports_nothing_new(self):
         swarm, hotspots = self.make([[0.0, 0.0]], [[1.0, 0.0]])
-        assert mark_coverage(swarm, hotspots, 3.0) == [0]
-        assert mark_coverage(swarm, hotspots, 3.0) == []
+        field = UncoveredHotspots(hotspots)
+        assert self.mark(swarm, hotspots, 3.0, field=field) == [0]
+        assert self.mark(swarm, hotspots, 3.0, field=field) == []
+        # Hits that name a covered hotspot mark nothing new either.
+        assert mark_coverage(swarm, field, {0}) == []
         assert swarm.covered_count == 1
 
     def test_coverage_never_reverts(self):
         swarm, hotspots = self.make([[0.0, 0.0]], [[1.0, 0.0]])
-        mark_coverage(swarm, hotspots, 3.0)
-        swarm.uavs[0].position = np.array([90.0, 90.0])
-        mark_coverage(swarm, hotspots, 3.0)
+        field = UncoveredHotspots(hotspots)
+        self.mark(swarm, hotspots, 3.0, field=field)
+        swarm.uavs[0].position = (90.0, 90.0)
+        self.mark(swarm, hotspots, 3.0, field=field)
         assert hotspots[0].covered and swarm.covered_count == 1
 
     def test_any_agent_suffices(self):
         swarm, hotspots = self.make([[90.0, 90.0], [1.0, 0.0]], [[0.0, 0.0]])
-        assert mark_coverage(swarm, hotspots, 3.0) == [0]
+        assert self.mark(swarm, hotspots, 3.0) == [0]
 
     def test_scanning_mask_disables_dark_agents(self):
         swarm, hotspots = self.make([[1.0, 0.0], [90.0, 90.0]], [[0.0, 0.0], [91.0, 90.0]])
-        newly = mark_coverage(swarm, hotspots, 3.0, scanning=np.array([False, True]))
+        newly = self.mark(swarm, hotspots, 3.0, scanning=[False, True])
         assert newly == [1]
         assert not hotspots[0].covered and hotspots[1].covered
 
     def test_all_dark_marks_nothing(self):
         swarm, hotspots = self.make([[1.0, 0.0]], [[0.0, 0.0]])
-        assert mark_coverage(swarm, hotspots, 3.0, scanning=np.array([False])) == []
+        assert self.mark(swarm, hotspots, 3.0, scanning=[False]) == []
         assert swarm.covered_count == 0
-
-    def test_nonpositive_radius_rejected(self):
-        swarm, hotspots = self.make([[0.0, 0.0]], [[1.0, 0.0]])
-        with pytest.raises(ValidationError):
-            mark_coverage(swarm, hotspots, 0.0)
 
     @given(
         agents=st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)), min_size=1, max_size=8),
@@ -400,7 +410,7 @@ class TestMarkCoverage:
             if not hot.covered
             and min(math.hypot(*(np.array(a) - hot.position)) for a in agents) <= radius
         ]
-        assert mark_coverage(swarm, hotspots, radius) == expected
+        assert self.mark(swarm, hotspots, radius) == expected
         assert swarm.covered_count == sum(h.covered for h in hotspots)
 
 
