@@ -81,10 +81,14 @@ def clamp_boundary(x: float, y: float, grid: GridConfig) -> tuple[float, float]:
     Componentwise projection onto a box is non-expansive: for any anchor
     inside the box, the projected point is no farther from the anchor than the
     raw point was, so boundary clamping never breaks a step-size budget.
-    0.0 comes first in max() so that -0.0 projects to +0.0; max(x, 0.0)
-    would keep -0.0.
+    A coordinate that is not above 0.0 (-0.0 and nan too) projects to +0.0.
+    The comparisons are those of min(max(0.0, x), width), without the cost of
+    two builtin calls.
     """
-    return min(max(0.0, x), float(grid.width)), min(max(0.0, y), float(grid.height))
+    width, height = float(grid.width), float(grid.height)
+    x = x if x > 0.0 else 0.0
+    y = y if y > 0.0 else 0.0
+    return (width if x > width else x), (height if y > height else y)
 
 
 def settle_within(x: float, y: float, ax: float, ay: float, budget: float) -> tuple[float, float]:
@@ -116,19 +120,25 @@ def _pair_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _violating_pairs(pos: list, radius: float) -> list[tuple[int, int, float, float, float]]:
-    """(i, j, dx, dy, d) for each pair of _pair_list closer than radius, in that order.
+def _violating_pairs(pos: list, radius: float) -> tuple[list, float]:
+    """(i, j, dx, dy, d) for each pair of _pair_list closer than radius, in that
+    order, and the smallest d of all pairs (inf for one agent).
 
     (dx, dy) is position i minus position j and d = math.hypot(dx, dy),
-    which decides closeness.
+    which decides closeness.  At radius 0.0 the walk lists no pair and only
+    measures the smallest distance.
     """
     close = []
+    smallest = math.inf
     for i, j in _pair_list(len(pos)):
         (xi, yi), (xj, yj) = pos[i], pos[j]
         dx, dy = xi - xj, yi - yj
-        if (d := math.hypot(dx, dy)) < radius:
+        d = math.hypot(dx, dy)
+        if d < smallest:
+            smallest = d
+        if d < radius:
             close.append((i, j, dx, dy, d))
-    return close
+    return close, smallest
 
 
 def _soft_offsets(pairs, n: int, radius: float, push) -> list[tuple[float, float]]:
@@ -262,7 +272,7 @@ def resolve_collisions(
     # The arithmetic is elementwise, so it rounds as numpy's does.
     pos = [(float(x), float(y)) for x, y in positions]
     n = len(pos)
-    pairs = _violating_pairs(pos, collision_radius)
+    pairs, _ = _violating_pairs(pos, collision_radius)
     bounded = anchors is not None and budget is not None
     if bounded:
         anchor_xy = [(float(x), float(y)) for x, y in anchors]
@@ -338,7 +348,7 @@ def resolve_collisions(
                     _, _, d = separation(i, j)
                     if d >= target:
                         break
-        pairs = _violating_pairs(pos, collision_radius)
+        pairs, _ = _violating_pairs(pos, collision_radius)
         # Agents not in moved kept their positions exactly.
         if all(
             abs(pos[k][0] - bx) < 1e-15 and abs(pos[k][1] - by) < 1e-15
@@ -351,10 +361,10 @@ def resolve_collisions(
                     "grid and step budget"
                 )
             revert({k for i, j, *_ in pairs for k in (i, j)})
-            pairs = _violating_pairs(pos, collision_radius)
+            pairs, _ = _violating_pairs(pos, collision_radius)
     if pairs and revert_to is not None:
         revert(range(n))
-        pairs = _violating_pairs(pos, collision_radius)
+        pairs, _ = _violating_pairs(pos, collision_radius)
     if pairs:
         raise ConstraintError(
             f"collision resolution did not converge in {MAX_RESOLVE_PASSES} iterations"

@@ -27,7 +27,6 @@ import numpy as np
 
 from .constraints import (
     ConstraintReport,
-    _pair_list,
     _violating_pairs,
     clamp_boundary,
     clamp_step,
@@ -76,14 +75,6 @@ class RunResult:
     report: ConstraintReport | None = None
 
 
-def _min_pairwise(xy: list) -> float:
-    """The smallest math.hypot distance between two of the (x, y) floats; inf for one agent."""
-    return min(
-        (math.hypot(xy[i][0] - xy[j][0], xy[i][1] - xy[j][1]) for i, j in _pair_list(len(xy))),
-        default=math.inf,
-    )
-
-
 def _collision_stage(
     tentative: list, anchors: list, cons: ConstraintParams, grid: GridConfig
 ) -> tuple[list, np.ndarray | None, float]:
@@ -97,9 +88,8 @@ def _collision_stage(
     and every proposer leaves its agents within max_step_size of their
     anchors, so each part of the stage would be the identity.
     """
-    smallest = _min_pairwise(tentative)
     reach = max(cons.safe_zone_radius, 2.0 * cons.collision_radius)
-    pairs = _violating_pairs(tentative, reach) if smallest < reach else []
+    pairs, smallest = _violating_pairs(tentative, reach)
     if not pairs:
         # + 0.0 turns -0.0 into 0.0, as adding the zero shove does.
         return [(x + 0.0, y + 0.0) for x, y in tentative], None, smallest
@@ -123,7 +113,7 @@ def _collision_stage(
     # pairwise distances stay above the collision radius.)
     for k, ((x, y), (ax, ay)) in enumerate(zip(final, anchors)):
         final[k] = settle_within(x, y, ax, ay, 2.0 * step if intervened[k] else step)
-    return final, intervened, _min_pairwise(final)
+    return final, intervened, _violating_pairs(final, 0.0)[1]
 
 
 def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
@@ -163,7 +153,7 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     width, height = float(config.grid.width), float(config.grid.height)
 
     # Step 0 scores and records the launch positions, every agent scanning.
-    final, min_pairwise = start, _min_pairwise(start)
+    final, min_pairwise = start, _violating_pairs(start, 0.0)[1]
     scanning, guided = [True] * config.n_uavs, [False] * config.n_uavs
     step = 0
     while True:

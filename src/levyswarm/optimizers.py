@@ -73,7 +73,8 @@ class FitnessField(UncoveredHotspots):
         if ids is None:
             ids = self.within(x, y, self.coverage_radius)
         weights = self.weights
-        total = _np_sum([weights[k] for k in ids])
+        # Most positions cover nothing: 0.0, the empty sum.
+        total = _np_sum([weights[k] for k in ids]) if ids else 0.0
         if self.shaping:
             d = np.hypot(self._xy[:, 0] - x, self._xy[:, 1] - y)
             total += self.epsilon * float(np.sum(self._weight_array / (1.0 + d)))
@@ -193,16 +194,21 @@ def _constrain_motion(target, anchor, config: ScenarioConfig, report=None) -> tu
     max_step = config.constraints.max_step_size
     (x, y), (ax, ay) = target, anchor
     rx, ry = x - ax, y - ay
-    sx, sy = constraints.clamp_step(rx, ry, max_step)
-    ux, uy = ax + sx, ay + sy
-    px, py = constraints.clamp_boundary(ux, uy, config.grid)
-    if report is not None:
-        # Tuple equality compares the floats with ==, so -0.0 equals 0.0.
-        if (sx, sy) != (rx, ry):
+    # clamp_step and settle_within are the identity on what is already within
+    # max_step, which most candidates are; they run only on the rest.
+    if not math.hypot(rx, ry) <= max_step:
+        rx, ry = constraints.clamp_step(rx, ry, max_step)
+        if report is not None:
+            # Beyond the limit (or nan), clamp_step always changes the step.
             report.clamped_steps += 1
-        if (px, py) != (ux, uy):
-            report.boundary_hits += 1
-    return constraints.settle_within(px, py, ax, ay, max_step)
+    ux, uy = ax + rx, ay + ry
+    px, py = constraints.clamp_boundary(ux, uy, config.grid)
+    # Tuple equality compares the floats with ==, so -0.0 equals 0.0.
+    if report is not None and (px, py) != (ux, uy):
+        report.boundary_hits += 1
+    if math.hypot(px - ax, py - ay) > max_step:
+        return constraints.settle_within(px, py, ax, ay, max_step)
+    return px, py
 
 
 def propose_abc(

@@ -34,39 +34,91 @@ class ParameterError(ValueError):
     """Raised when a sampler parameter is outside its documented range."""
 
 
+# Philox words to doubles in [0, 1): the top 53 bits times 2**-53, as
+# numpy's next_double computes them.
+_TO_UNIT = 2.0**-53
+_HALF_MASK = 0xFFFFFFFF
+
+
 @dataclass
 class RandomSource:
-    """One deterministic stream: same (seed, stream_id) -> same draws."""
+    """One deterministic stream: same (seed, stream_id) -> same draws.
+
+    uniform and integers decode the Philox words themselves, bit for bit as
+    numpy's Generator.uniform and Generator.integers decode them, without
+    numpy's per-call argument handling; numpy's Generator is used only for
+    standard_normal.  integers keeps the upper half of a word for its next
+    draw, as Philox's own 32-bit buffer does.
+    """
 
     seed: int
     stream_id: int
     _gen: np.random.Generator = field(init=False, repr=False)
+    _raw: object = field(init=False, repr=False)
+    _half: int | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.Philox(ss))
+        self._raw = self._gen.bit_generator.random_raw
 
     def standard_normal(self, n: int) -> np.ndarray:
         return self._gen.standard_normal(n)
 
     def uniform(self, low: float, high: float, size=None):
-        """Generator.uniform bit for bit: numpy's low + (high - low) * u, with u
-        from Generator.random, which skips uniform's costly argument handling."""
+        """Generator.uniform bit for bit: low + (high - low) * u, with u the top
+        53 bits of one Philox word times 2**-53, a Python float when size is None."""
         span = high - low
-        if not math.isfinite(span):
-            raise OverflowError("high - low range exceeds valid bounds")
-        if span < 0.0:
+        if not 0.0 <= span < math.inf:
+            if not math.isfinite(span):
+                raise OverflowError("high - low range exceeds valid bounds")
             raise ValueError("high - low < 0")
-        return low + span * self._gen.random(size)
+        if size is None:
+            return low + span * ((self._raw() >> 11) * _TO_UNIT)
+        return low + span * ((self._raw(size) >> 11) * _TO_UNIT)
 
     def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))
+        """Generator.integers(low, high) bit for bit, for spans up to 2**32.
+
+        numpy's 32-bit Lemire rejection (Lemire, ACM TOMACS 29(1), 2019)
+        over 32-bit draws, each the low half of a fresh word or the held high
+        half of the last one.  Span 1 draws nothing; span 2**32 is one 32-bit
+        draw.  A wider span raises ParameterError."""
+        span = high - low
+        if not (0 < span <= 1 << 32 and -(1 << 63) <= low and high <= 1 << 63):
+            if span <= 0:
+                raise ValueError("low >= high")
+            if span > 1 << 32:
+                raise ParameterError(f"integers draws spans up to 2**32, got {span}")
+            raise ValueError("low or high is out of bounds for int64")
+        if span == 1:
+            return low
+        word = self._next32()
+        if span == 1 << 32:
+            return low + word
+        m = word * span
+        if (m & _HALF_MASK) < span:
+            threshold = ((1 << 32) - span) % span
+            while (m & _HALF_MASK) < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)
+
+    def _next32(self) -> int:
+        """Philox's next_uint32: the held high half-word, else the low half of
+        a fresh word, keeping its high half."""
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._raw()
+        self._half = word >> 32
+        return word & _HALF_MASK
 
     def random_raw(self, n: int) -> np.ndarray:
-        """Raw 64-bit generator words, used only by the golden-file test."""
-        return self._gen.bit_generator.random_raw(n)
+        """Raw 64-bit generator words, for tests."""
+        return self._raw(n)
 
 
 class LevyStep(NamedTuple):

@@ -39,14 +39,27 @@ _KINDS = {
 }
 
 # Bounds by field name, checked after the type: floats in _POSITIVE are > 0,
-# ints in _RANGES lie in their inclusive range.  A name means one quantity in
-# every class with such a field (tests/test_schema.py pins them).  The caps
-# bound the heatmap, UAVs, hotspots, trajectory frames and runs of a seed count.
+# numbers in _RANGES lie in their inclusive range.  A name means one quantity
+# in every class with such a field (tests/test_schema.py pins them).  The int
+# caps bound the heatmap, UAVs, hotspots, trajectory frames and runs of a seed
+# count.  The coefficient cap keeps every product a coefficient enters finite:
+# it meets grid offsets of at most 1024, a potential-field push of at most
+# gain * 1e27 per pair (d >= 1e-9) over at most 255 pairs, and fitness sums
+# of at most 10^4 weights, added over at most 256 agents.  Even the square of
+# a capped value stays far below the float maximum of about 1.8e308.
 _POSITIVE = {
     "dt", "weight", "levy_weight", "levy_beta", "sigma_sensitivity", "max_step_size",
     "coverage_radius", "collision_radius", "potential_field_gain", "no_hotspot_threshold_radius",
 }
+_COEFFICIENT = (-1e100, 1e100)
 _RANGES = {
+    **dict.fromkeys(
+        [
+            "inertia", "cognitive", "social", "potential_field_gain", "explore_coeff",
+            "exploit_coeff", "shaping_epsilon", "weight", "levy_weight",
+        ],
+        _COEFFICIENT,
+    ),
     "width": (1, 1024),
     "height": (1, 1024),
     "n_uavs": (1, 256),
@@ -83,7 +96,7 @@ def field_value(value, kind: str, name: str, where: str = "", load: bool = False
     if kind == "float" and name in _POSITIVE and not value > 0.0:
         raise ValidationError(f"{where}{name} must be positive, got {value!r}")
     low, high = _RANGES.get(name, (-math.inf, math.inf))
-    if kind == "int" and not low <= value <= high:
+    if number and not low <= value <= high:
         raise ValidationError(f"{where}{name} must lie in [{low}, {high}], got {value!r}")
     return value
 

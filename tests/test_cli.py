@@ -20,7 +20,7 @@ from levyswarm.cli import (
 )
 from levyswarm.harness import run_scenario
 from levyswarm.metrics import heatmap_from_csv, read_runs_csv
-from levyswarm.world import ValidationError, preset_scenario, save_scenario
+from levyswarm.world import _POSITIVE, _RANGES, ValidationError, preset_scenario, save_scenario
 
 
 class TestArgHelpers:
@@ -263,6 +263,36 @@ class TestRunCommand:
         )
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "path, name, algorithm",
+        [
+            (("params", "pso"), "inertia", "pso"),
+            (("params", "pso"), "cognitive", "pso"),
+            (("params", "pso"), "social", "pso"),
+            (("constraints",), "potential_field_gain", "pso"),
+            (("params",), "explore_coeff", "hybrid"),
+            (("params",), "exploit_coeff", "hybrid"),
+            (("params",), "levy_weight", "hybrid"),
+            (("params",), "shaping_epsilon", "abc"),
+            (("hotspots", 0), "weight", "abc"),
+        ],
+    )
+    def test_coefficient_at_its_cap_runs(self, tmp_path, path, name, algorithm):
+        for bound in _RANGES[name]:
+            if name in _POSITIVE and bound < 0.0:
+                continue
+            scenario = {
+                "hotspots": [{"x": 10.0 * k, "y": 5.0 + 9.0 * k} for k in range(10)],
+                "seed": 0, "max_steps": 150, "algorithm": algorithm,
+            }
+            section = scenario
+            for step in path:
+                section = section[step] if step == 0 else section.setdefault(step, {})
+            section[name] = bound
+            file = tmp_path / f"{name}.json"
+            file.write_text(json.dumps(scenario))
+            assert main(["run", "--scenario", str(file), "--out", str(tmp_path / "out")]) == EXIT_OK
+
     def test_missing_scenario_file_exits_two(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.json")]) == EXIT_IO
         assert "io error:" in capsys.readouterr().err
@@ -460,6 +490,24 @@ class TestValidateCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"hotspots": [{"x": -5, "y": 1}]}))
         assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"params": {"pso": {"social": 1e308}}},
+            {"constraints": {"potential_field_gain": 1e306}},
+            {"constraints": {"potential_field_gain": 1e308}},
+        ],
+    )
+    def test_overflowing_coefficient_is_rejected(self, tmp_path, capsys, section):
+        # Each of these once passed validate, and the run then failed with
+        # "settle_within failed to converge".
+        path = tmp_path / "huge.json"
+        scenario = {"kind": "uniform", "n_hotspots": 20, "seed": 0, "algorithm": "pso"}
+        path.write_text(json.dumps({**scenario, "max_steps": 200, **section}))
+        assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert "must lie in [-1e+100, 1e+100]" in capsys.readouterr().err
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "extra.json"

@@ -254,7 +254,7 @@ def reference_pairs(pos, radius):
 
 def close_pairs(pos, radius):
     """The (i, j) of _violating_pairs' entries, after checking their geometry."""
-    pairs = _violating_pairs(pos, radius)
+    pairs, _ = _violating_pairs(pos, radius)
     for i, j, dx, dy, d in pairs:
         assert (dx, dy) == (pos[i][0] - pos[j][0], pos[i][1] - pos[j][1])
         assert d == math.hypot(dx, dy)

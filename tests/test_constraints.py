@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -44,13 +45,13 @@ def min_pairwise(positions) -> float:
 
 def close_pairs(positions, radius):
     """The (i, j) of _violating_pairs' geometry entries."""
-    return [(i, j) for i, j, *_ in _violating_pairs(positions, radius)]
+    return [(i, j) for i, j, *_ in _violating_pairs(positions, radius)[0]]
 
 
 def offsets_of(force, positions, *args) -> np.ndarray:
     """A soft force's (x, y) offsets as an (n, 2) array, given every pair's geometry."""
     pos = np.asarray(positions, dtype=float).reshape(-1, 2).tolist()
-    return np.array(force(_violating_pairs(pos, math.inf), len(pos), *args)).reshape(-1, 2)
+    return np.array(force(_violating_pairs(pos, math.inf)[0], len(pos), *args)).reshape(-1, 2)
 
 
 class TestClampStep:
@@ -184,16 +185,30 @@ class TestClosePairs:
 
     def test_geometry_is_position_i_minus_j_and_its_np_hypot(self):
         positions = [(0.0, 0.0), (3.0, 4.0), (0.5, 0.0), (10.0, 0.0)]
-        assert _violating_pairs(positions, 6.0) == [
-            (0, 1, -3.0, -4.0, 5.0),
-            (0, 2, -0.5, 0.0, 0.5),
-            (1, 2, 2.5, 4.0, float(np.hypot(2.5, 4.0))),
-        ]
+        assert _violating_pairs(positions, 6.0) == (
+            [
+                (0, 1, -3.0, -4.0, 5.0),
+                (0, 2, -0.5, 0.0, 0.5),
+                (1, 2, 2.5, 4.0, float(np.hypot(2.5, 4.0))),
+            ],
+            0.5,
+        )
+
+    def test_smallest_distance_covers_every_pair_at_any_radius(self):
+        positions = [(0.0, 0.0), (3.0, 4.0), (10.0, 0.0), (10.0, 0.25)]
+        for radius in (0.0, 0.25, 1.0, math.inf):
+            pairs, smallest = _violating_pairs(positions, radius)
+            assert smallest == 0.25
+            assert [d for *_, d in pairs] == [
+                math.hypot(xi - xj, yi - yj)
+                for (i, (xi, yi)), (j, (xj, yj)) in itertools.combinations(enumerate(positions), 2)
+                if math.hypot(xi - xj, yi - yj) < radius
+            ]
 
     def test_fewer_than_two_agents_have_no_pairs(self):
         for positions in ([], [(0.0, 0.0)]):
             assert _pair_list(len(positions)) == []
-            assert _violating_pairs(positions, math.inf) == []
+            assert _violating_pairs(positions, math.inf) == ([], math.inf)
 
     def test_field_squares_distances_with_python_floats(self):
         d = 1.6175523854862577  # d ** 2 (libm pow) and d * d round apart

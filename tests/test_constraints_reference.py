@@ -289,6 +289,22 @@ def test_clamp_boundary_matches_reference(x, y, width, height):
     assert outcome(clamp_boundary, x, y, grid) == outcome(ref_clamp_boundary, p, grid)
 
 
+@given(
+    x=st.floats(),
+    y=st.floats(),
+    width=st.sampled_from([1, 3, 20, 100]),
+    height=st.sampled_from([1, 3, 20, 100]),
+)
+@settings(max_examples=400, deadline=None)
+def test_clamp_boundary_is_min_of_max_on_any_float(x, y, width, height):
+    # Any float, nan, infinities and -0.0 included, projects as
+    # min(max(0.0, v), side) does.
+    got = clamp_boundary(x, y, GridConfig(width, height))
+    want = min(max(0.0, x), float(width)), min(max(0.0, y), float(height))
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_clamp_boundary_maps_negative_zero_to_positive_zero():
     out = clamp_boundary(-0.0, -0.0, GridConfig(10, 10))
     assert np.signbit(out).tolist() == [False, False]
@@ -450,7 +466,7 @@ def test_soft_forces_match_reference(case, gain, max_step, half):
     collision = radius / 2.0 if half else radius
     n = len(positions)
     # The collision stage's one pair walk, over the reach of both forces.
-    pairs = _violating_pairs(positions.tolist(), max(radius, 2.0 * collision))
+    pairs, _ = _violating_pairs(positions.tolist(), max(radius, 2.0 * collision))
     assert outcome(safe_zone_separation, pairs, n, radius) == outcome(
         ref_safe_zone_separation, positions, radius
     )
@@ -470,7 +486,7 @@ def test_soft_forces_match_reference(case, gain, max_step, half):
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_soft_forces_on_tiny_swarms_match_reference(n):
     positions = np.full((n, 2), 1.0)
-    pairs = _violating_pairs(positions.tolist(), 2.0)
+    pairs, _ = _violating_pairs(positions.tolist(), 2.0)
     assert outcome(safe_zone_separation, pairs, n, 2.0) == outcome(
         ref_safe_zone_separation, positions, 2.0
     )

@@ -88,7 +88,7 @@ def length_verdicts(dx, dy, limit):
         settle_within(dx, dy, 0.0, 0.0, limit) == (dx, dy),
         UncoveredHotspots(hotspots).within(0.0, 0.0, limit) == [0],
         escape_no_hotspot_zone((0.0, 0.0), FitnessField(hotspots, 1.0), limit, 1.0) is None,
-        _violating_pairs([(dx, dy), (0.0, 0.0)], limit) != [],
+        _violating_pairs([(dx, dy), (0.0, 0.0)], limit)[0] != [],
     ]
 
 

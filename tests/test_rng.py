@@ -7,6 +7,7 @@ in either implementation.
 """
 
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from levyswarm.harness import run_scenario
 from levyswarm.rng import (
     _MAX_REDRAWS,
     SCENARIO_STREAM,
@@ -24,6 +26,7 @@ from levyswarm.rng import (
     levy_step,
     mantegna_sigma,
 )
+from levyswarm.world import preset_scenario
 
 GOLDEN = Path(__file__).parent / "golden" / "philox_seed0_stream0.txt"
 
@@ -157,6 +160,110 @@ class TestUniform:
                 source.uniform(low, high, size)
         # A rejected range draws nothing.
         assert source.random_raw(1).tolist() == RandomSource(0, 0).random_raw(1).tolist()
+
+
+def twin_generator(seed: int, stream_id: int) -> np.random.Generator:
+    """numpy's Generator on the Philox stream that RandomSource(seed, stream_id) reads."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream_id,))))
+
+
+# Spans 1 (no word), 2 and 3 (ABC's neighbour picks), a few rejection-prone
+# ones, 2**32 - 1 (the widest Lemire span) and 2**32 (a bare half-word).
+SPANS = [1, 2, 3, 7, 255, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+
+
+class TestDecode:
+    """uniform and integers decode the Philox words as numpy's Generator does."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_matches_generator_on_half_a_million_interleaved_draws(self, seed):
+        ours, twin = RandomSource(seed, 9), twin_generator(seed, 9)
+        script = random.Random(seed)
+        drawn = 0
+        while drawn < 500_000:
+            kind = script.randrange(5)
+            if kind == 0:
+                span, low = script.choice(SPANS), script.randrange(-3, 4)
+                got, want = ours.integers(low, low + span), int(twin.integers(low, low + span))
+                assert type(got) is int
+                drawn += 1
+            elif kind == 1:
+                got, want = ours.uniform(-1.0, 1.0), twin.uniform(-1.0, 1.0)
+                assert type(got) is float
+                drawn += 1
+            elif kind == 2:
+                got, want = ours.uniform(0.0, 1.0), twin.random()
+                drawn += 1
+            elif kind == 3:
+                size = script.choice([0, 1, 2, 5, (3, 2), 64])
+                got = ours.uniform(0.0, 2.0 * math.pi, size).tobytes()
+                want = twin.uniform(0.0, 2.0 * math.pi, size).tobytes()
+                drawn += int(np.prod(size))
+            else:
+                n = script.randrange(1, 5)
+                got, want = ours.standard_normal(n).tobytes(), twin.standard_normal(n).tobytes()
+                drawn += n
+            assert got == want, (kind, drawn)
+        assert ours.random_raw(4).tolist() == twin.bit_generator.random_raw(4).tolist()
+
+    def test_a_held_half_word_outlives_other_draws(self):
+        words = RandomSource(3, 1).random_raw(1).tolist()
+        ours, twin = RandomSource(3, 1), twin_generator(3, 1)
+        assert ours.integers(0, 2**32) == int(twin.integers(0, 2**32)) == words[0] & 0xFFFFFFFF
+        assert ours.uniform(0.0, 1.0) == twin.random()
+        assert ours.standard_normal(3).tobytes() == twin.standard_normal(3).tobytes()
+        assert ours.uniform(0.0, 1.0, 4).tobytes() == twin.random(4).tobytes()
+        # The second 32-bit draw is the high half of the first word.
+        assert ours.integers(0, 2**32) == int(twin.integers(0, 2**32)) == words[0] >> 32
+        assert ours.integers(0, 7) == int(twin.integers(0, 7))
+        assert ours.random_raw(2).tolist() == twin.bit_generator.random_raw(2).tolist()
+
+    def test_span_one_draws_nothing(self):
+        ours, fresh = RandomSource(5, 2), RandomSource(5, 2)
+        assert [ours.integers(k, k + 1) for k in (-4, 0, 9)] == [-4, 0, 9]
+        assert ours.uniform(0.0, 1.0) == fresh.uniform(0.0, 1.0)
+
+    def test_bad_ranges_raise_numpys_errors_and_draw_nothing(self):
+        source, twin = RandomSource(0, 0), twin_generator(0, 0)
+        for low, high, message in [
+            (3, 3, "low >= high"),
+            (4, 3, "low >= high"),
+            (-(2**63) - 1, -(2**63) + 1, "out of bounds"),
+            (2**63 - 1, 2**63 + 1, "out of bounds"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                twin.integers(low, high)
+            with pytest.raises(ValueError, match=message):
+                source.integers(low, high)
+        assert source.random_raw(1).tolist() == RandomSource(0, 0).random_raw(1).tolist()
+
+    @pytest.mark.parametrize("high", [2**32 + 1, 2**40])
+    def test_a_span_above_two_to_the_32_raises(self, high):
+        source = RandomSource(0, 0)
+        with pytest.raises(ParameterError, match="spans up to 2"):
+            source.integers(0, high)
+        assert source.random_raw(1).tolist() == RandomSource(0, 0).random_raw(1).tolist()
+
+
+class _NoDecoders(np.random.Generator):
+    """numpy's Generator with its uniform and integer decoders disabled."""
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("a run decoded a Philox word through numpy")
+
+    integers = uniform = random
+
+
+@pytest.mark.parametrize("preset", ["uniform20", "twocluster20"])
+@pytest.mark.parametrize("algorithm", ["hybrid-abc-levy", "abc", "pso"])
+def test_runs_take_only_words_and_normals_from_numpy(monkeypatch, algorithm, preset):
+    # numpy may change its decoders between feature releases (NEP 19); the
+    # artifacts rest only on Philox's words and standard_normal.
+    monkeypatch.setattr(np.random, "Generator", _NoDecoders)
+    assert isinstance(RandomSource(0, 0)._gen, _NoDecoders)
+    config = preset_scenario(preset, 1, algorithm=algorithm, max_steps=300)
+    result = run_scenario(config)
+    assert result.metrics.recorded_steps > 1
 
 
 class TestStandardNormal:

@@ -73,7 +73,11 @@ def values(name: str, kind: str):
         fractions = st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer())
         return st.one_of(ints, ints.map(float), st.one_of(fractions, wrong))
     if kind == "float":
-        return st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-5, 5), wrong)
+        # A capped float also draws its caps and the floats on either side.
+        caps = [b for b in _RANGES.get(name, ()) if math.isfinite(b)]
+        edges = [v for b in caps for v in (math.nextafter(b, 0.0), b, math.nextafter(b, 2 * b))]
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        return st.one_of(finite, st.sampled_from(edges or [0.0]), st.integers(-5, 5), wrong)
     if kind == "bool":
         return st.one_of(st.booleans(), st.sampled_from([0, 1, "false", "true", None]))
     return st.one_of(st.text(max_size=8), st.integers(), wrong)
@@ -182,6 +186,12 @@ BOUND_FIELDS = {
     "coverage_radius": {"ConstraintParams"},
     "collision_radius": {"ConstraintParams"},
     "potential_field_gain": {"ConstraintParams"},
+    "inertia": {"PsoParams"},
+    "cognitive": {"PsoParams"},
+    "social": {"PsoParams"},
+    "explore_coeff": {"AlgorithmParams"},
+    "exploit_coeff": {"AlgorithmParams"},
+    "shaping_epsilon": {"AlgorithmParams"},
     "no_hotspot_threshold_radius": {"ConstraintParams"},
     "width": {"GridConfig", "Heatmap"},
     "height": {"GridConfig", "Heatmap"},
@@ -238,6 +248,53 @@ class TestUnifiedRule:
 
     def test_kind_is_case_blind(self):
         assert len(scenario_from_dict({"kind": "TwoCluster", "n_hotspots": 4}).hotspots) == 4
+
+
+# (path, name) of every float key with a range: the coefficient caps.
+CAPPED = [(path, name) for path, name, kind in KEYS if kind == "float" and name in _RANGES]
+
+
+def _section(config: ScenarioConfig, path):
+    """The part of config that the JSON path names."""
+    part = config
+    for step in path:
+        part = part[step] if step == 0 else getattr(part, step)
+    return part
+
+
+class TestCoefficientCaps:
+    """A coefficient of any magnitude up to its cap runs (tests/test_cli.py runs
+    each one there); a larger one is rejected up front."""
+
+    def test_the_unbounded_coefficients_are_capped(self):
+        assert sorted(name for _, name in CAPPED) == sorted(
+            [
+                "inertia", "cognitive", "social", "potential_field_gain", "explore_coeff",
+                "exploit_coeff", "shaping_epsilon", "weight", "levy_weight",
+            ]
+        )
+
+    @pytest.mark.parametrize("path, name", CAPPED)
+    def test_cap_is_accepted_and_the_next_float_rejected(self, path, name):
+        def scenario(value):
+            data = {"hotspots": [dict(HOTSPOT)]}
+            section = data
+            for step in path:
+                section = section[step] if step == 0 else section.setdefault(step, {})
+            section[name] = value
+            return data
+
+        for bound in _RANGES[name]:
+            if name in _POSITIVE and bound < 0.0:
+                continue
+            beyond = math.nextafter(bound, math.copysign(math.inf, bound))
+            config = scenario_from_dict(scenario(bound))
+            assert getattr(_section(config, path), name) == bound
+            with pytest.raises(ValidationError, match=f"{name} must lie in"):
+                scenario_from_dict(scenario(beyond))
+            setattr(_section(config, path), name, beyond)
+            with pytest.raises(ValidationError, match=f"{name} must lie in"):
+                config.validate()
 
 
 class TestSizeCaps:
