@@ -228,9 +228,8 @@ def escape_no_hotspot_zone(
     (there is nowhere useful to send the agent).
 
     The x-window of the threshold settles most calls (within()'s test,
-    stopping at the first hit).  Only when the escape fires does it measure
-    every uncovered hotspot; the nearest is the one of least math.hypot
-    distance, the lowest id on a tie.
+    stopping at the first hit).  A fired escape aims at field.nearest(): the
+    least math.hypot distance, the lowest id on a tie.
     """
     x, y, r = float(position[0]), float(position[1]), threshold_radius
     if not field.points:
@@ -238,9 +237,7 @@ def escape_no_hotspot_zone(
     for _, hx, hy in field.window(x, r):
         if math.hypot(hx - x, hy - y) <= r:
             return None
-    dists = [math.hypot(hx - x, hy - y) for _, hx, hy in field.points]
-    d = min(dists)
-    _, hx, hy = field.points[dists.index(d)]
+    d, _, hx, hy = field.nearest(x, y)
     return (hx - x) / d * max_step_size, (hy - y) / d * max_step_size
 
 
@@ -273,6 +270,8 @@ def resolve_collisions(
     pos = [(float(x), float(y)) for x, y in positions]
     n = len(pos)
     pairs, _ = _violating_pairs(pos, collision_radius)
+    if not pairs:
+        return pos, np.zeros(n, dtype=bool), 0
     bounded = anchors is not None and budget is not None
     if bounded:
         anchor_xy = [(float(x), float(y)) for x, y in anchors]
@@ -285,10 +284,6 @@ def resolve_collisions(
     # start of the pass; a pair's geometry from the last walk is current
     # while neither of its agents is here.
     moved = {}
-
-    def separation(i, j):
-        dx, dy = pos[i][0] - pos[j][0], pos[i][1] - pos[j][1]
-        return dx, dy, math.hypot(dx, dy)
 
     def move(idx, dx, dy):
         # clamp_boundary and clamp_step's screen inline: calls cost PSO ~10% of a step.
@@ -305,7 +300,8 @@ def resolve_collisions(
                 cx, cy = clamp_step(ox, oy, budget)
                 x, y = ax + cx, ay + cy
         if x != px or y != py:
-            moved.setdefault(idx, (px, py))
+            if idx not in moved:
+                moved[idx] = (px, py)
             pos[idx] = (x, y)
             touched[idx] = True
             pushes += 1
@@ -325,35 +321,39 @@ def resolve_collisions(
         moved.clear()
         for i, j, dx, dy, d in pairs:
             if i in moved or j in moved:
-                dx, dy, d = separation(i, j)
+                dx, dy = pos[i][0] - pos[j][0], pos[i][1] - pos[j][1]
+                d = math.hypot(dx, dy)
             if d >= target:
                 continue
             if d > _TINY:
                 ux, uy = dx / d, dy / d
             else:
                 ux, uy = fallback_cycle[iteration % len(fallback_cycle)]
-            movers = [
-                (k, vx, vy) for k, vx, vy in ((i, ux, uy), (j, -ux, -uy)) if not reverted[k]
-            ]
-            if not movers:
+            if not (reverted[i] or reverted[j]):
+                movers, share = ((i, ux, uy), (j, -ux, -uy)), (target - d) / 2
+            elif not reverted[i]:
+                movers, share = ((i, ux, uy),), target - d
+            elif not reverted[j]:
+                movers, share = ((j, -ux, -uy),), target - d
+            else:
                 continue
-            share = (target - d) / len(movers)
             for idx, vx, vy in movers:
                 move(idx, vx * share, vy * share)
             # If clamping pinned one side, let the freer partner absorb the rest.
-            _, _, d = separation(i, j)
+            d = math.hypot(pos[i][0] - pos[j][0], pos[i][1] - pos[j][1])
             if d < target and d > _TINY:
                 for idx, vx, vy in movers:
                     move(idx, vx * (target - d), vy * (target - d))
-                    _, _, d = separation(i, j)
+                    d = math.hypot(pos[i][0] - pos[j][0], pos[i][1] - pos[j][1])
                     if d >= target:
                         break
         pairs, _ = _violating_pairs(pos, collision_radius)
         # Agents not in moved kept their positions exactly.
-        if all(
-            abs(pos[k][0] - bx) < 1e-15 and abs(pos[k][1] - by) < 1e-15
-            for k, (bx, by) in moved.items()
-        ):
+        for k, (bx, by) in moved.items():
+            x, y = pos[k]
+            if not (abs(x - bx) < 1e-15 and abs(y - by) < 1e-15):
+                break
+        else:
             # No progress is possible under the current pins; fall back.
             if revert_to is None:
                 raise ConstraintError(

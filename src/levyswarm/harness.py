@@ -77,16 +77,17 @@ class RunResult:
 
 def _collision_stage(
     tentative: list, anchors: list, cons: ConstraintParams, grid: GridConfig
-) -> tuple[list, np.ndarray | None, float]:
+) -> tuple[list, list[bool] | None, float]:
     """Soft repulsion, then hard separation, of one step's tentative (x, y) positions.
 
-    Returns (final (x, y) positions, intervened mask, smallest pair distance
-    of final).  Most steps have no pair within reach of either soft force
-    (the safe-zone radius, and twice the collision radius for the potential
-    field), and skip the stage with no mask (None): the hard-separation
-    radius is no larger (validate() keeps collision_radius <= safe_zone_radius),
-    and every proposer leaves its agents within max_step_size of their
-    anchors, so each part of the stage would be the identity.
+    Returns (final (x, y) positions, intervened mask as a list of bools,
+    smallest pair distance of final).  Most steps have no pair within reach
+    of either soft force (the safe-zone radius, and twice the collision
+    radius for the potential field), and skip the stage with no mask
+    (None): the hard-separation radius is no larger (validate() keeps
+    collision_radius <= safe_zone_radius), and every proposer leaves its
+    agents within max_step_size of their anchors, so each part of the stage
+    would be the identity.
     """
     reach = max(cons.safe_zone_radius, 2.0 * cons.collision_radius)
     pairs, smallest = _violating_pairs(tentative, reach)
@@ -106,7 +107,9 @@ def _collision_stage(
     final, touched, _ = resolve_collisions(
         candidate, grid, cons.collision_radius, anchors=tentative, budget=step, revert_to=anchors
     )
-    intervened = touched | np.array([c != (x, y) for c, (x, y) in zip(candidate, tentative)])
+    intervened = [
+        t or c != (x, y) for t, c, (x, y) in zip(touched.tolist(), candidate, tentative)
+    ]
     # The logged displacement must respect the budget exactly, not just up
     # to the rounding of anchor + step; nudge stragglers back by an ulp.
     # (The margin in the hard-separation target dwarfs these nudges, so
@@ -215,7 +218,7 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
             proposal.positions, anchors, cons, config.grid
         )
         if intervened is not None:
-            report.collision_interventions += int(intervened.sum())
+            report.collision_interventions += sum(intervened)
             interventions.append((step - 1, intervened))
         scanning = proposal.scanning.tolist()
         guided = proposal.guided.tolist()

@@ -486,9 +486,43 @@ class UncoveredHotspots:
 
         A hotspot is within r when math.hypot(hx - x, hy - y) <= r.
         """
-        hits = [k for k, hx, hy in self.window(x, r) if math.hypot(hx - x, hy - y) <= r]
+        window = self.window(x, r)
+        if not window:
+            return []
+        hits = []
+        for k, hx, hy in window:
+            if math.hypot(hx - x, hy - y) <= r:
+                hits.append(k)
         hits.sort()
         return hits
+
+    def nearest(self, x: float, y: float) -> tuple[float, int, float, float] | None:
+        """(d, id, hx, hy) of the uncovered hotspot nearest (x, y), or None if none is left.
+
+        d is math.hypot(hx - x, hy - y), the least of all, and id the lowest
+        among equal d: min() over every hotspot's (d, id, hx, hy).  The walk
+        goes outward from x through the x-sorted index, the side whose next
+        |hx - x| is smaller first, and stops once that exceeds the best d:
+        math.hypot(dx, dy) >= |dx| under faithful rounding, and |hx - x|
+        only grows outward, so no hotspot beyond can be nearer or tie.
+        """
+        xs, by_x = self._xs, self._by_x
+        hi = bisect_left(xs, x)
+        lo = hi - 1
+        best = None
+        while lo >= 0 or hi < len(xs):
+            if hi < len(xs) and (lo < 0 or xs[hi] - x <= x - xs[lo]):
+                k, hx, hy = by_x[hi]
+                hi += 1
+            else:
+                k, hx, hy = by_x[lo]
+                lo -= 1
+            if best is not None and abs(hx - x) > best[0]:
+                break
+            candidate = (math.hypot(hx - x, hy - y), k, hx, hy)
+            if best is None or candidate < best:
+                best = candidate
+        return best
 
 
 def mark_coverage(swarm: SwarmState, field: UncoveredHotspots, hits) -> list[int]:

@@ -77,8 +77,8 @@ def assert_stage_matches(tentative, anchors, cons, grid):
     assert np.array(final, dtype=float).tobytes() == ref_final.tobytes()
     # A skipped stage reports no mask: nobody intervened.
     if intervened is None:
-        intervened = np.zeros(len(final), dtype=bool)
-    assert intervened.tolist() == ref_intervened.tolist()
+        intervened = [False] * len(final)
+    assert intervened == ref_intervened.tolist()
     assert min_pairwise == reference_min_pairwise(ref_final)
 
 

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from levyswarm import constraints, harness
 from levyswarm.constraints import (
     COINCIDENT_DISTANCE,
     ConstraintError,
@@ -33,7 +34,7 @@ from levyswarm.constraints import (
     safe_zone_separation,
     settle_within,
 )
-from levyswarm.world import GridConfig, ValidationError
+from levyswarm.world import GridConfig, ValidationError, preset_scenario
 
 # --- references: the numpy implementations ----------------------------------
 
@@ -421,6 +422,36 @@ def test_resolve_collisions_stall_without_fallback_matches_reference(budget):
     assert outcome(resolve_collisions, *lists, anchors=as_lists(anchors), budget=budget) == (
         outcome(ref_resolve_collisions, *args, **kwargs)
     )
+
+
+def test_resolve_collisions_matches_reference_on_pso_traffic(monkeypatch):
+    # Every resolver call of a PSO run on twocluster20, launch included.  PSO
+    # piles agents on the y = 0 wall, where a pinned chain halves its
+    # shortfall each pass; the calls must cover that tail of many pair walks.
+    calls, walks = [], []
+
+    def counted_walk(*args):
+        walks[-1] += 1
+        return walk(*args)
+
+    def recorded(positions, grid, radius, **kwargs):
+        walks.append(0)
+        out, touched, pushes = resolve(positions, grid, radius, **kwargs)
+        # Inputs as the reference takes them; the run loop edits out afterwards.
+        arrays = {k: v if k == "budget" else np.array(v) for k, v in kwargs.items()}
+        args = (np.array(positions), grid, radius)
+        calls.append((args, arrays, float_bytes(out), touched, pushes))
+        return out, touched, pushes
+
+    walk, resolve = constraints._violating_pairs, harness.resolve_collisions
+    monkeypatch.setattr(constraints, "_violating_pairs", counted_walk)
+    monkeypatch.setattr(harness, "resolve_collisions", recorded)
+    harness.run_scenario(preset_scenario("twocluster20", seed=0, algorithm="pso", max_steps=150))
+
+    assert max(walks) >= 30
+    for args, kwargs, out, touched, pushes in calls:
+        want = outcome(ref_resolve_collisions, *args, **kwargs)
+        assert (out, touched.dtype, touched.tobytes(), pushes) == want
 
 
 # --- the soft forces ------------------------------------------------------------

@@ -456,3 +456,63 @@ def test_escape_with_an_empty_field_is_none():
     hotspots = [Hotspot(position=(30.0, 30.0), covered=True)]
     assert escape_no_hotspot_zone((0.0, 0.0), FitnessField(hotspots, 3.0), 15.0, 5.0) is None
     assert escape_no_hotspot_zone((0.0, 0.0), FitnessField([], 3.0), 15.0, 5.0) is None
+
+
+# --- the nearest uncovered hotspot --------------------------------------------------
+
+
+def ref_nearest(field, x, y):
+    """The brute-force scan: min() over every uncovered hotspot's (d, id, hx, hy)."""
+    return min(
+        ((math.hypot(hx - x, hy - y), k, hx, hy) for k, hx, hy in field.points), default=None
+    )
+
+
+@st.composite
+def nearest_scene(draw):
+    """A query point and 1 to 40 hotspots: mirrored about it, on shared x, or anywhere."""
+    x, y = draw(coord), draw(coord)
+    sign = st.sampled_from([1.0, -1.0])
+    offset = st.sampled_from([0.0, 0.5, 3.0, 7.25, 12.0])
+    hotspots = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["mirrored", "shared_x", "anywhere"]))
+        if kind == "mirrored":
+            # Reflections of one offset tie in distance, up to rounding.
+            hx, hy = x + draw(sign) * draw(offset), y + draw(sign) * draw(offset)
+        elif kind == "shared_x":
+            hx, hy = draw(st.sampled_from([x, x + 3.0, x - 3.0, 5.0])), draw(coord)
+        else:
+            hx, hy = draw(coord), draw(coord)
+        hotspots.append(Hotspot(position=(hx, hy), covered=draw(st.booleans())))
+    return (x, y), hotspots
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=nearest_scene(), drop=st.lists(st.integers(0, 39), max_size=10))
+def test_nearest_walk_matches_the_scan(case, drop):
+    (x, y), hotspots = case
+    field = UncoveredHotspots(hotspots)
+    assert field.nearest(x, y) == ref_nearest(field, x, y)
+    # A field that cover() shrank walks its filtered index.
+    field.cover([k for k in drop if k < len(hotspots)])
+    assert field.nearest(x, y) == ref_nearest(field, x, y)
+
+
+@pytest.mark.parametrize("hx", [-4.0, 0.0, 2.0, 9.0])
+def test_nearest_of_a_single_hotspot_on_either_side(hx):
+    field = UncoveredHotspots([Hotspot(position=(hx, 1.0))])
+    assert field.nearest(2.0, 5.0) == (math.hypot(hx - 2.0, -4.0), 0, hx, 1.0)
+    field.cover([0])
+    assert field.nearest(2.0, 5.0) is None
+
+
+def test_nearest_takes_the_lowest_id_among_mirrored_ties():
+    # Four reflections of one offset, and a duplicate x on each side.
+    points = [(13.0, 6.0), (7.0, 14.0), (7.0, 6.0), (13.0, 14.0), (13.0, 10.0), (7.0, 10.0)]
+    field = UncoveredHotspots([Hotspot(position=p) for p in points])
+    assert field.nearest(10.0, 10.0) == (3.0, 4, 13.0, 10.0)
+    field.cover([4])
+    assert field.nearest(10.0, 10.0) == (3.0, 5, 7.0, 10.0)
+    field.cover([5])
+    assert field.nearest(10.0, 10.0) == (5.0, 0, 13.0, 6.0)
