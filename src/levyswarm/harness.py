@@ -12,7 +12,8 @@ query per scanning agent serves both its fitness and the marking, which
 drops the newly covered hotspots from the field.  The heatmap bins the
 visited positions in bulk, from a buffer flushed every HEATMAP_BATCH
 positions and at the end of the run.  Runs stop early once every hotspot
-is covered.
+is covered.  The loop has no algorithm branch: every agent keeps the same
+memory, and propose_step's proposer reads what its algorithm needs.
 """
 
 from __future__ import annotations
@@ -128,9 +129,6 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     ]
     rngs = [RandomSource(seed=config.seed, stream_id=i) for i in range(config.n_uavs)]
     swarm = make_swarm(config)
-    is_hybrid = config.algorithm is Algorithm.HYBRID_ABC_LEVY
-    is_pso = config.algorithm is Algorithm.PSO
-    is_abc = config.algorithm is Algorithm.ABC
 
     # UAVs launch from a single point; spread them to the collision radius
     # before anything is recorded.
@@ -153,7 +151,6 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     frames = array("d") if record_trajectories else None
     # (step index, intervened mask) of the steps that ran the collision stage.
     interventions = []
-    width, height = float(config.grid.width), float(config.grid.height)
 
     # Step 0 scores and records the launch positions, every agent scanning.
     final, min_pairwise = start, _violating_pairs(start, 0.0)[1]
@@ -176,27 +173,13 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
             swarm.observe(position, value)
             if value > uav.best_fitness:
                 uav.best_fitness = value
+                uav.personal_best = position
                 uav.stagnation = 0
-                if is_pso:
-                    uav.personal_best = position
             elif not guided[i]:
                 uav.stagnation += 1
-            if (
-                is_hybrid
-                and uav.transit_target is None
-                and uav.stagnation >= config.params.stagnation_limit
-            ):
-                src = rngs[i]
-                uav.transit_target = (
-                    src.uniform(0.0, 1.0) * width, src.uniform(0.0, 1.0) * height
-                )
-                uav.stagnation = 0
-        # ABC's stored values, kept while the uncovered set they were scored
-        # on stands.
-        scored_all = is_abc and all(scanning)
-        anchor_values = [uav.fitness for uav in uavs] if scored_all else None
-        if mark_coverage(swarm, fitness, hits):
-            anchor_values = None
+        # Every uav.fitness is the field's value where the agent stands while
+        # all agents scanned and the marking covered nothing.
+        fresh = not mark_coverage(swarm, fitness, hits) and all(scanning)
 
         if len(visits) >= 2 * HEATMAP_BATCH:
             heatmap.record(np.frombuffer(visits).reshape(-1, 2))
@@ -210,9 +193,8 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
             break
 
         step += 1
-        swarm.step = step
         anchors = [uav.position for uav in uavs]
-        proposal = propose_step(swarm, fitness, config, rngs, anchor_values)
+        proposal = propose_step(swarm, fitness, config, rngs, fresh)
         report.merge(proposal.report)
         final, intervened, min_pairwise = _collision_stage(
             proposal.positions, anchors, cons, config.grid

@@ -37,18 +37,20 @@ class FitnessField(UncoveredHotspots):
     def __init__(self, hotspots, coverage_radius, shaping=False, epsilon=0.01):
         super().__init__(hotspots)
         self.weights = [float(hot.weight) for hot in hotspots]
-        self._shaping_operands()
         self.coverage_radius = float(coverage_radius)
         self.shaping = bool(shaping)
         self.epsilon = float(epsilon)
+        if self.shaping:
+            self._shaping_operands()
 
     def cover(self, ids) -> None:
         super().cover(ids)
-        self._shaping_operands()
+        if self.shaping:
+            self._shaping_operands()
 
     def _shaping_operands(self):
         # The shaping term sums over every uncovered hotspot, which numpy
-        # does faster than a Python loop.
+        # does faster than a Python loop.  Nothing else reads these arrays.
         self._xy = np.array([(x, y) for _, x, y in self.points], dtype=float).reshape(-1, 2)
         self._weight_array = np.array([self.weights[k] for k, _, _ in self.points], dtype=float)
 
@@ -216,20 +218,20 @@ def propose_abc(
     fitness: FitnessField,
     config: ScenarioConfig,
     rngs: list[RandomSource],
-    anchor_values: list[float] | None = None,
+    fresh: bool = False,
 ) -> StepProposal:
     """Employed + onlooker phases with strict greedy acceptance.
 
     Employed: every agent proposes a neighbour-mixing candidate and accepts it
     only on a strict fitness improvement.  Onlooker: one roulette slot per
     agent reinforces fitness-proportionally chosen agents with further
-    candidates under the same acceptance rule.  anchor_values, when given,
-    are fitness's values at the agents' positions, which are then not
-    scored again.
+    candidates under the same acceptance rule.  When fresh, each
+    uav.fitness is fitness's value at the agent's position, so the anchors
+    are not scored again.
     """
     anchors = [uav.position for uav in swarm.uavs]
     tentative = list(anchors)
-    values = [fitness.value(p) for p in tentative] if anchor_values is None else list(anchor_values)
+    values = [uav.fitness for uav in swarm.uavs] if fresh else [fitness.value(p) for p in anchors]
     report = constraints.ConstraintReport()
 
     for i in range(len(tentative)):
@@ -309,6 +311,10 @@ def propose_hybrid(
 ) -> StepProposal:
     """One motion step of the Levy-flight hybrid.
 
+    The step opens with the scout reset: an agent with no relocation pending
+    whose stagnation count has reached stagnation_limit commits to a
+    uniformly drawn waypoint, and its count restarts.
+
     A Levy draw is a flight length, not a teleport: agents travel at most
     max_step_size per step, so a draw whose boundary-clamped destination lies
     farther than one step becomes a committed waypoint the agent traverses
@@ -334,6 +340,11 @@ def propose_hybrid(
     max_step = cons.max_step_size
     uavs = swarm.uavs
     n = len(uavs)
+    width, height = float(config.grid.width), float(config.grid.height)
+    for uav, src in zip(uavs, rngs):
+        if uav.transit_target is None and uav.stagnation >= params.stagnation_limit:
+            uav.transit_target = (src.uniform(0.0, 1.0) * width, src.uniform(0.0, 1.0) * height)
+            uav.stagnation = 0
     anchors = [uav.position for uav in uavs]
     tentative = list(anchors)
     gx, gy = swarm.global_best_position
@@ -439,11 +450,12 @@ def propose_step(
     fitness: FitnessField,
     config: ScenarioConfig,
     rngs: list[RandomSource],
-    anchor_values: list[float] | None = None,
+    fresh: bool = False,
 ) -> StepProposal:
-    """The configured algorithm's proposal; only ABC reads anchor_values."""
+    """The configured algorithm's proposal, the step's one algorithm branch.  Only
+    ABC reads fresh: each uav.fitness is then fitness's value where it stands."""
     if config.algorithm is Algorithm.ABC:
-        return propose_abc(swarm, fitness, config, rngs, anchor_values)
+        return propose_abc(swarm, fitness, config, rngs, fresh)
     if config.algorithm is Algorithm.PSO:
         return propose_pso(swarm, fitness, config, rngs)
     return propose_hybrid(swarm, fitness, config, rngs)

@@ -261,17 +261,18 @@ def _xy(point) -> tuple[float, float]:
 
 @dataclass
 class UavState:
-    """One agent's state.  Points and vectors are (x, y) pairs of Python
-    floats: immutable, so the run loop shares them without a copy."""
+    """One agent's state, the same memory for every algorithm.  Points and
+    vectors are (x, y) pairs of Python floats: immutable, so the run loop
+    shares them without a copy."""
 
     position: tuple[float, float]
     fitness: float = 0.0
     stagnation: int = 0
     # Reference value for the stagnation counter: the best fitness this agent
-    # has observed in the run.  Doubles as the PSO personal-best fitness.
+    # has observed in the run, seen at personal_best.
     best_fitness: float = -math.inf
     personal_best: tuple[float, float] | None = None
-    velocity: tuple[float, float] | None = None
+    velocity: tuple[float, float] = (0.0, 0.0)
     # Active relocation waypoint, an (x, y) pair of floats: set while the
     # agent is committed to a multi-step traversal (a long Levy flight or a
     # scout reset), cleared on arrival.  The agent flies toward it at the
@@ -282,8 +283,7 @@ class UavState:
         self.position = _xy(self.position)
         if self.personal_best is not None:
             self.personal_best = _xy(self.personal_best)
-        if self.velocity is not None:
-            self.velocity = _xy(self.velocity)
+        self.velocity = _xy(self.velocity)
 
 
 @dataclass
@@ -291,7 +291,6 @@ class SwarmState:
     uavs: list[UavState]
     global_best_position: tuple[float, float]
     global_best_fitness: float = -math.inf
-    step: int = 0
     covered_count: int = 0
 
     def __post_init__(self):
@@ -357,13 +356,7 @@ class ScenarioConfig:
 def make_swarm(config: ScenarioConfig) -> SwarmState:
     """All UAVs at the start position; separation happens in the run pipeline."""
     start = _xy(config.start_position)
-    uavs = []
-    for _ in range(config.n_uavs):
-        uav = UavState(position=start)
-        if config.algorithm is Algorithm.PSO:
-            uav.personal_best = start
-            uav.velocity = (0.0, 0.0)
-        uavs.append(uav)
+    uavs = [UavState(position=start, personal_best=start) for _ in range(config.n_uavs)]
     return SwarmState(uavs=uavs, global_best_position=start)
 
 

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,3 +517,26 @@ class TestValidateCommand:
         path = tmp_path / "extra.json"
         path.write_text(json.dumps({"hotspots": [{"x": 1, "y": 1}], "speed": 3}))
         assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            (["run", "--preset", "uniform20", "--max-steps", "5"], 0),
+            (["run", "--preset", "uniform20", "--max-steps", "5", "--require-coverage"], 3),
+            (["run", "--preset", "uniform20", "--max-steps", "0"], 1),
+            (["run", "--scenario", "missing.json"], 2),
+            (["frobnicate"], 2),
+        ],
+    )
+    def test_python_dash_m_exits_with_the_documented_code(self, tmp_path, args, code):
+        # The codes README documents, as the shell sees them: an unknown
+        # subcommand is an argparse usage error, which exits 2 like I/O.
+        path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "levyswarm", *args],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr

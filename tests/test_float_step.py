@@ -8,7 +8,8 @@ the same random draws: the batched Gaussian draws of ``levy_step``, numpy's
 summation order for nectar shares, the ABC and PSO proposers, the motion
 clamp, the dead-ground escape and coverage marking.  Every length test takes
 math.hypot's verdict, which ``TestNormAgainst`` pins where np.hypot's
-differs.
+differs.  The run loop's hand-offs to the proposers are pinned too: ABC's
+stored anchor values and the hybrid's scout draws.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from levyswarm.optimizers import (
     abc_candidate,
     nectar_probabilities,
     propose_abc,
+    propose_hybrid,
     propose_pso,
     roulette_pick,
 )
@@ -56,6 +58,7 @@ from levyswarm.world import (
     UavState,
     UncoveredHotspots,
     ValidationError,
+    make_swarm,
     mark_coverage,
     preset_scenario,
 )
@@ -502,14 +505,16 @@ def test_baseline_proposers_match_numpy(step, pso):
 
 
 @settings(max_examples=150, deadline=None)
-@given(step=baseline_steps(), given_values=st.booleans())
-def test_abc_takes_the_anchor_values_it_is_given(step, given_values):
-    # The run loop hands ABC the values it scored every agent on where it
-    # stands; ABC then does not score its anchors again.
+@given(step=baseline_steps(), fresh=st.booleans())
+def test_abc_takes_the_anchor_values_it_is_given(step, fresh):
+    # When the run loop says the stored values are fresh, each uav.fitness
+    # is the field's value where the agent stands; ABC then takes them and
+    # does not score its anchors again.
     config, fitness, agents, best, seed = step
     n = len(agents)
     ours, theirs = _baseline_swarm(agents, best), _baseline_swarm(agents, best)
-    values = [fitness.value(uav.position) for uav in ours.uavs] if given_values else None
+    for uav in ours.uavs:
+        uav.fitness = fitness.value(uav.position)
     calls = {"ours": 0, "theirs": 0}
     value = FitnessField.value
 
@@ -520,39 +525,82 @@ def test_abc_takes_the_anchor_values_it_is_given(step, given_values):
 
         return count
 
+    ours_rngs = [RandomSource(seed, i) for i in range(n)]
+    theirs_rngs = [RandomSource(seed, i) for i in range(n)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(FitnessField, "value", counted("ours"))
-        rngs = [RandomSource(seed, i) for i in range(n)]
-        got = propose_abc(ours, fitness, config, rngs, values)
+        got = propose_abc(ours, fitness, config, ours_rngs, fresh)
         patch.setattr(FitnessField, "value", counted("theirs"))
-        want = ref_propose_abc(theirs, fitness, config, [RandomSource(seed, i) for i in range(n)])
+        want = ref_propose_abc(theirs, fitness, config, theirs_rngs)
     assert np.array(got.positions, dtype=float).tobytes() == want.positions.tobytes()
     assert got.report == want.report
-    assert calls["ours"] == calls["theirs"] - (n if given_values else 0)
+    assert calls["ours"] == calls["theirs"] - (n if fresh else 0)
+    assert [r.random_raw(2).tolist() for r in ours_rngs] == [
+        r.random_raw(2).tolist() for r in theirs_rngs
+    ]
 
 
 @pytest.mark.parametrize("preset", ["uniform20", "twocluster20"])
 def test_run_loop_hands_abc_only_values_of_the_field_in_use(preset):
-    # The values go stale when a step, launch included, covers something: the
-    # run loop must then let ABC score its anchors again.
+    # The stored values go stale when a step, launch included, covers
+    # something: the run loop must then not call them fresh, and ABC scores
+    # its anchors again.
     propose = harness.propose_step
     given = []
 
-    def checked(swarm, fitness, config, rngs, anchor_values=None):
-        if anchor_values is not None:
-            assert anchor_values == [fitness.value(p) for p in swarm.positions()]
-        given.append(anchor_values is not None)
-        return propose(swarm, fitness, config, rngs, anchor_values)
+    def checked(swarm, fitness, config, rngs, fresh=False):
+        if fresh:
+            assert [uav.fitness for uav in swarm.uavs] == [
+                fitness.value(uav.position) for uav in swarm.uavs
+            ]
+        given.append(fresh)
+        return propose(swarm, fitness, config, rngs, fresh)
 
     config = preset_scenario(preset, 2, algorithm="abc", max_steps=120)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "propose_step", checked)
         result = harness.run_scenario(config)
-    # Values are given on every step but those after a covering step; the
+    # Values are fresh on every step but those after a covering step; the
     # launch values reach step 1.
     curve = [0] + [covered for _, covered in result.metrics.coverage_curve]
     assert given == [curve[s + 1] == curve[s] for s in range(len(given))]
     assert given[0] and False in given
+
+
+def test_hybrid_scouts_an_agent_at_the_stagnation_limit():
+    # The scout reset is the hybrid proposer's first act: an agent with no
+    # relocation pending whose stagnation count reached the limit commits
+    # to a waypoint drawn from the first two uniforms of its stream.
+    config = preset_scenario("uniform20", 3, n_uavs=2)
+    limit = config.params.stagnation_limit
+
+    def propose(stagnation):
+        swarm = make_swarm(config)
+        for uav, count in zip(swarm.uavs, stagnation):
+            uav.stagnation = count
+        rngs = [RandomSource(config.seed, i) for i in range(config.n_uavs)]
+        fitness = FitnessField.from_config(config.hotspots, config)
+        return swarm, rngs, propose_hybrid(swarm, fitness, config, rngs)
+
+    swarm, rngs, proposal = propose([limit, limit - 1])
+    copy = RandomSource(config.seed, 0)
+    target = (
+        copy.uniform(0.0, 1.0) * config.grid.width,
+        copy.uniform(0.0, 1.0) * config.grid.height,
+    )
+    scout = swarm.uavs[0]
+    assert scout.stagnation == 0
+    # The target lies more than one step away, so the scout flies dark.
+    sx, sy = config.start_position
+    assert math.hypot(target[0] - sx, target[1] - sy) > config.constraints.max_step_size
+    assert scout.transit_target == target
+    assert proposal.guided[0] and not proposal.scanning[0]
+    # One below the limit, an agent moves and draws as one that never stagnated.
+    assert swarm.uavs[1].stagnation == limit - 1
+    other, other_rngs, unstuck = propose([limit, 0])
+    assert proposal.positions == unstuck.positions
+    assert swarm.uavs[1].transit_target == other.uavs[1].transit_target
+    assert rngs[1].random_raw(2).tolist() == other_rngs[1].random_raw(2).tolist()
 
 
 class FixedUniform:

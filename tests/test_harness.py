@@ -159,10 +159,7 @@ class TestRunScenario:
         assert is_xy(swarm.global_best_position)
         for uav in swarm.uavs:
             assert is_xy(uav.position)
-            if algorithm == "pso":
-                assert is_xy(uav.personal_best) and is_xy(uav.velocity)
-            else:
-                assert uav.personal_best is None and uav.velocity is None
+            assert is_xy(uav.personal_best) and is_xy(uav.velocity)
             if uav.transit_target is not None:
                 assert is_xy(uav.transit_target)
         # The edges still hand out arrays.

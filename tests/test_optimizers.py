@@ -136,6 +136,18 @@ class TestFitnessField:
         assert field.coverage_radius == 7.0
         assert field.shaping is False
 
+    def test_shaping_off_builds_no_shaping_arrays(self, monkeypatch):
+        # Only value() with shaping on reads them; at 10 000 hotspots the
+        # rebuild on every cover() once took most of a run.
+        def refuse(self):
+            raise AssertionError("shaping arrays built with shaping off")
+
+        monkeypatch.setattr(FitnessField, "_shaping_operands", refuse)
+        field = FitnessField(self.HOTSPOTS, coverage_radius=3.0)
+        assert field.value([10.0, 10.0]) == 4.0
+        field.cover(field.within(10.0, 10.0, 3.0))
+        assert field.value([10.0, 10.0]) == 0.0
+
 
 class TestSelectionHelpers:
     def test_nectar_proportional(self):

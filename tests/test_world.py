@@ -226,18 +226,15 @@ class TestMakeSwarm:
             assert uav.transit_target is None
         assert np.array_equal(swarm.global_best_position, config.start_position)
         assert swarm.global_best_fitness == -math.inf
-        assert swarm.step == 0 and swarm.covered_count == 0
+        assert swarm.covered_count == 0
 
-    def test_pso_agents_carry_velocity_and_personal_best(self):
-        swarm = make_swarm(small_scenario(algorithm="pso"))
+    @pytest.mark.parametrize("algorithm", ["hybrid", "abc", "pso"])
+    def test_agents_carry_velocity_and_personal_best(self, algorithm):
+        # Every algorithm's agents start with the same memory.
+        swarm = make_swarm(small_scenario(algorithm=algorithm))
         for uav in swarm.uavs:
-            assert np.array_equal(uav.velocity, np.zeros(2))
-            assert np.array_equal(uav.personal_best, uav.position)
-
-    def test_non_pso_agents_do_not(self):
-        swarm = make_swarm(small_scenario(algorithm="hybrid"))
-        for uav in swarm.uavs:
-            assert uav.velocity is None and uav.personal_best is None
+            assert uav.velocity == (0.0, 0.0)
+            assert uav.personal_best == uav.position
 
 
 class TestScenarioGenerators:
