@@ -44,7 +44,6 @@ from .world import (
     AlgorithmParams,
     ConstraintParams,
     GridConfig,
-    Hotspot,
     ScenarioConfig,
     SwarmState,
     ValidationError,
@@ -65,15 +64,17 @@ HEATMAP_BATCH = 8192
 
 @dataclass
 class RunResult:
-    """A finished run: metrics plus the state needed to audit it."""
+    """A finished run: metrics plus the state needed to audit it.
+
+    covered[k] says whether the run covered config.hotspots[k]: the run's
+    field's flags, since the hotspots themselves hold no run state."""
 
     config: ScenarioConfig
     metrics: RunMetrics
-    hotspots: list[Hotspot]
+    covered: list[bool]
     swarm: SwarmState
     trajectories: np.ndarray | None = None
     collision_mask: np.ndarray | None = None
-    report: ConstraintReport | None = None
 
 
 def _collision_stage(
@@ -123,10 +124,7 @@ def _collision_stage(
 def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
     config.validate()
     cons = config.constraints
-    hotspots = [
-        Hotspot(position=h.position.copy(), weight=h.weight, covered=False)
-        for h in config.hotspots
-    ]
+    hotspots = config.hotspots
     rngs = [RandomSource(seed=config.seed, stream_id=i) for i in range(config.n_uavs)]
     swarm = make_swarm(config)
 
@@ -217,7 +215,7 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
         seed=config.seed,
         steps_to_cover=steps_to_cover,
         time_to_cover_s=None if steps_to_cover is None else steps_to_cover * config.dt,
-        biodiversity_b=biodiversity_metric(hotspots),
+        biodiversity_b=biodiversity_metric(hotspots, fitness.covered),
         min_pairwise_distance=min(min_pairwise_series),
         collision_interventions=report.collision_interventions,
         coverage_curve=coverage_curve,
@@ -231,13 +229,12 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     return RunResult(
         config=config,
         metrics=metrics,
-        hotspots=hotspots,
+        covered=fitness.covered,
         swarm=swarm,
         trajectories=(
             np.frombuffer(frames).reshape(-1, config.n_uavs, 2) if record_trajectories else None
         ),
         collision_mask=collision_mask,
-        report=report,
     )
 
 
@@ -436,10 +433,10 @@ def compare_algorithms(
         params or {}, constraints or {}, record_trajectories, workers,
     )
     twocluster = preset.startswith("twocluster")
-    far = two_cluster_far_indices(len(results[0].hotspots))
+    far = two_cluster_far_indices(len(results[0].covered))
     rows = [
         CompareRow(r.config.algorithm.value, r.config.seed, r.metrics,
-                   sum(r.hotspots[k].covered for k in far) if twocluster else None)
+                   sum(r.covered[k] for k in far) if twocluster else None)
         for r in results
     ]
     n = len(seeds)

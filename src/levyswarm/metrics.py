@@ -125,9 +125,9 @@ def merge_heatmaps(heatmaps) -> Heatmap:
     return out
 
 
-def biodiversity_metric(hotspots: list[Hotspot]) -> float:
-    """Total weight of the hotspots currently covered."""
-    return left_to_right_sum(h.weight for h in hotspots if h.covered)
+def biodiversity_metric(hotspots: list[Hotspot], covered: list[bool]) -> float:
+    """Total weight of the hotspots whose covered flag is set, added left to right."""
+    return left_to_right_sum(h.weight for h, c in zip(hotspots, covered) if c)
 
 
 @dataclass

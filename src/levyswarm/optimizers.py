@@ -187,7 +187,7 @@ class StepProposal:
             self.report = constraints.ConstraintReport()
 
 
-def _constrain_motion(target, anchor, config: ScenarioConfig, report=None) -> tuple[float, float]:
+def _constrain_motion(target, anchor, config: ScenarioConfig, report) -> tuple[float, float]:
     """The motion budget about anchor applied to a raw target, both (x, y) floats.
 
     The step is clamped to max_step_size, projected into the grid and
@@ -200,13 +200,12 @@ def _constrain_motion(target, anchor, config: ScenarioConfig, report=None) -> tu
     # max_step, which most candidates are; they run only on the rest.
     if not math.hypot(rx, ry) <= max_step:
         rx, ry = constraints.clamp_step(rx, ry, max_step)
-        if report is not None:
-            # Beyond the limit (or nan), clamp_step always changes the step.
-            report.clamped_steps += 1
+        # Beyond the limit (or nan), clamp_step always changes the step.
+        report.clamped_steps += 1
     ux, uy = ax + rx, ay + ry
     px, py = constraints.clamp_boundary(ux, uy, config.grid)
     # Tuple equality compares the floats with ==, so -0.0 equals 0.0.
-    if report is not None and (px, py) != (ux, uy):
+    if (px, py) != (ux, uy):
         report.boundary_hits += 1
     if math.hypot(px - ax, py - ay) > max_step:
         return constraints.settle_within(px, py, ax, ay, max_step)
@@ -434,7 +433,7 @@ def propose_hybrid(
     return StepProposal(tentative, transit_legs, report, np.array(guided), np.array(scanning))
 
 
-def _reinforce(tentative, i, anchors, fitness, config, src, report=None):
+def _reinforce(tentative, i, anchors, fitness, config, src, report):
     params = config.params
     fx, fy = levy_step(
         src, params.levy_weight, params.levy_beta, normalized=params.mantegna_normalized

@@ -3,7 +3,8 @@
 Agents move in the continuous domain [0, width] x [0, height]; the integer
 cell grid exists only for heatmap binning.  Scenario generation is a pure
 function of (kind, n_hotspots, seed, grid): identical inputs reproduce the
-hotspot list bit for bit.
+hotspot list bit for bit.  A hotspot is a point and a weight, input to a
+run; which hotspots a run covers lives only in its UncoveredHotspots.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import os
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -166,6 +167,11 @@ def _parse_kind(kind) -> ScenarioKind:
     return _parse_enum(kind, text, _KIND_NAMES, "scenario kind", list(_KIND_NAMES))
 
 
+def _xy(point) -> tuple[float, float]:
+    """point as an (x, y) pair of Python floats."""
+    return float(point[0]), float(point[1])
+
+
 @dataclass(frozen=True)
 class GridConfig:
     width: int = 100
@@ -179,14 +185,13 @@ class GridConfig:
         return 0.0 <= x <= self.width and 0.0 <= y <= self.height
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hotspot:
-    position: np.ndarray
+    position: tuple[float, float]
     weight: float = 1.0
-    covered: bool = False
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
+        object.__setattr__(self, "position", _xy(self.position))
 
 
 @dataclass
@@ -254,11 +259,6 @@ class ConstraintParams:
             )
 
 
-def _xy(point) -> tuple[float, float]:
-    """point as an (x, y) pair of Python floats."""
-    return float(point[0]), float(point[1])
-
-
 @dataclass
 class UavState:
     """One agent's state, the same memory for every algorithm.  Points and
@@ -312,7 +312,7 @@ class ScenarioConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     hotspots: list[Hotspot] = field(default_factory=list)
     n_uavs: int = 5
-    start_position: np.ndarray = field(default_factory=lambda: np.array([50.0, 0.0]))
+    start_position: tuple[float, float] = (50.0, 0.0)
     algorithm: Algorithm = Algorithm.HYBRID_ABC_LEVY
     params: AlgorithmParams = field(default_factory=AlgorithmParams)
     constraints: ConstraintParams = field(default_factory=ConstraintParams)
@@ -322,7 +322,7 @@ class ScenarioConfig:
     scenario_id: str = "custom"
 
     def __post_init__(self):
-        self.start_position = np.asarray(self.start_position, dtype=float)
+        self.start_position = _xy(self.start_position)
         self.algorithm = parse_algorithm(self.algorithm)
 
     def validate(self):
@@ -355,7 +355,7 @@ class ScenarioConfig:
 
 def make_swarm(config: ScenarioConfig) -> SwarmState:
     """All UAVs at the start position; separation happens in the run pipeline."""
-    start = _xy(config.start_position)
+    start = config.start_position
     uavs = [UavState(position=start, personal_best=start) for _ in range(config.n_uavs)]
     return SwarmState(uavs=uavs, global_best_position=start)
 
@@ -390,7 +390,7 @@ def make_scenario(
     if kind is ScenarioKind.CUSTOM:
         if not custom_hotspots:
             raise ValidationError("custom scenario requires a non-empty hotspot list")
-        hotspots = [replace(h, position=np.array(h.position, dtype=float)) for h in custom_hotspots]
+        hotspots = list(custom_hotspots)
     else:
         hotspots = generate_hotspots(kind, n_hotspots, seed, grid)
     config = ScenarioConfig(grid=grid, hotspots=hotspots, seed=seed, **config_overrides)
@@ -416,7 +416,7 @@ def generate_hotspots(kind: ScenarioKind, n_hotspots: int, seed: int, grid: Grid
         radii = radius * np.sqrt(src.uniform(0.0, 1.0, n_far))
         far = center + np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
         pts = np.vstack([near, far]) if n_far else near
-    return [Hotspot(position=p) for p in pts]
+    return [Hotspot(position=p) for p in pts.tolist()]
 
 
 def two_cluster_far_indices(n_hotspots: int) -> list[int]:
@@ -425,22 +425,23 @@ def two_cluster_far_indices(n_hotspots: int) -> list[int]:
 
 
 class UncoveredHotspots:
-    """The run's hotspots and their coverage, indexed by x for radius queries.
+    """A run's coverage of its hotspots, indexed by x for radius queries.
 
     ``hotspots`` is the run's list, and a hotspot's id is its index there.
-    ``points`` holds (id, x, y) of each uncovered hotspot, in list order;
-    within() bisects an x-sorted copy, so a query costs O(log m +
-    window) rather than O(m).  Coverage changes only through cover(), which
-    sets the flags and drops the hotspots from both lists.
+    ``covered[k]`` is true once hotspot k is covered; the field is the only
+    owner of these flags.  ``points`` holds (id, x, y) of each uncovered
+    hotspot, in list order; within() bisects an x-sorted copy, so a query
+    costs O(log m + window) rather than O(m).  Every hotspot starts
+    uncovered, and coverage changes only through cover(), which sets the
+    flags and drops the hotspots from both lists.
     """
 
-    __slots__ = ("hotspots", "points", "_xs", "_by_x")
+    __slots__ = ("hotspots", "covered", "points", "_xs", "_by_x")
 
     def __init__(self, hotspots):
         self.hotspots = hotspots
-        self.points = [
-            (k, *hot.position.tolist()) for k, hot in enumerate(hotspots) if not hot.covered
-        ]
+        self.covered = [False] * len(hotspots)
+        self.points = [(k, *hot.position) for k, hot in enumerate(hotspots)]
         self._by_x = sorted(self.points, key=lambda point: point[1])
         self._xs = [x for _, x, _ in self._by_x]
 
@@ -452,7 +453,7 @@ class UncoveredHotspots:
         """
         gone = set(ids)
         for k in gone:
-            self.hotspots[k].covered = True
+            self.covered[k] = True
         self.points = [point for point in self.points if point[0] not in gone]
         self._by_x = [point for point in self._by_x if point[0] not in gone]
         self._xs = [x for _, x, _ in self._by_x]
@@ -524,9 +525,10 @@ def mark_coverage(swarm: SwarmState, field: UncoveredHotspots, hits) -> list[int
     The run loop passes the union of the scanning agents' within() queries
     at coverage_radius, so "covered" means a math.hypot length <= the radius
     from an agent whose sensor is active; agents mid-traversal of a committed
-    relocation fly dark and make no query.  swarm.covered_count is updated.
+    relocation fly dark and make no query.  field.covered holds the flags,
+    and swarm.covered_count is updated.
     """
-    newly = sorted({k for k in hits if not field.hotspots[k].covered})
+    newly = sorted({k for k in hits if not field.covered[k]})
     if newly:
         field.cover(newly)
     swarm.covered_count = len(field.hotspots) - len(field.points)
@@ -599,14 +601,14 @@ def load_section(cls, value, name: str, **rules):
     return cls(**load_fields(cls, value, name, **rules))
 
 
-def _start(value) -> np.ndarray:
+def _start(value) -> tuple[float, float]:
     if not (isinstance(value, list) and len(value) == 2):
         raise ValidationError(f"start must be a list of two finite numbers, got {value!r}")
-    return np.array([field_value(v, "float", "start", load=True) for v in value])
+    return tuple(field_value(v, "float", "start", load=True) for v in value)
 
 
 def _hotspots(entries) -> list[Hotspot]:
-    rules = _load_rules(Hotspot, x="float", y="float", position=None, covered=None)
+    rules = _load_rules(Hotspot, x="float", y="float", position=None)
     hotspots = []
     for i, entry in enumerate(field_value(entries, "list", "hotspots")):
         data = _load_with(rules, entry, f"hotspot {i}")
@@ -637,11 +639,11 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     return {
         "grid": asdict(config.grid),
         "hotspots": [
-            {"x": float(h.position[0]), "y": float(h.position[1]), "weight": h.weight}
+            {"x": h.position[0], "y": h.position[1], "weight": h.weight}
             for h in config.hotspots
         ],
         "n_uavs": config.n_uavs,
-        "start": [float(config.start_position[0]), float(config.start_position[1])],
+        "start": list(config.start_position),
         "algorithm": config.algorithm.value,
         "params": asdict(config.params),
         "constraints": asdict(config.constraints),

@@ -215,17 +215,18 @@ def test_criterion_6_small_instance_oracles():
     hotspots = [
         Hotspot(position=np.array([1.0, 1.0]), weight=1.0),
         Hotspot(position=np.array([4.0, 2.0]), weight=2.0),
-        Hotspot(position=np.array([3.0, 5.0]), weight=0.5, covered=True),
+        Hotspot(position=np.array([3.0, 5.0]), weight=0.5),
     ]
     grid = GridConfig(width=5, height=5)
     field = FitnessField(hotspots, coverage_radius=3.0)
+    field.cover([2])
     checked = 0
     for x in range(grid.width + 1):
         for y in range(grid.height + 1):
             brute = sum(
                 h.weight
-                for h in hotspots
-                if not h.covered
+                for k, h in enumerate(hotspots)
+                if not field.covered[k]
                 and math.hypot(h.position[0] - x, h.position[1] - y) <= 3.0
             )
             assert field.value([float(x), float(y)]) == brute, (x, y)

@@ -53,7 +53,9 @@ def test_resolver_counter_reads_the_resolver_result(spans):
 def test_the_hybrid_step_calls_each_traced_binding(spans):
     # A binding that exists but is no longer called reads zero in a traced
     # run, which fails the benchmark's plan checks; mark_coverage is called
-    # once per recorded step, where the benchmark's calibration probe rides.
+    # once per recorded step, where the benchmark's calibration probe rides,
+    # and biodiversity_metric(hotspots, covered) once per run, through the
+    # wrapper that passes its arguments on.
     tracer = spans.Tracer(levyswarm)
     tracer.install()
     try:
@@ -64,6 +66,8 @@ def test_the_hybrid_step_calls_each_traced_binding(spans):
     steps = result.metrics.recorded_steps
     assert calls["world.mark_coverage"] == steps
     assert calls["optimizers.propose_step"] == steps - 1
+    assert calls["metrics.biodiversity_metric"] == 1
+    assert result.metrics.biodiversity_b == result.metrics.covered_count > 0
     for name in ("rng.levy_step", "optimizers.FitnessField.value", "metrics.Heatmap.record"):
         assert calls[name] > 0, name
     assert tracer.counts["optimizers.dark_agent_steps"] > 0

@@ -311,9 +311,10 @@ class TestPotentialFieldRepulsion:
 
 class TestEscapeNoHotspotZone:
     def hotspots(self, *specs):
-        """The fitness field over these hotspots, which indexes the uncovered ones."""
-        hotspots = [Hotspot(position=np.array(p, dtype=float), covered=c) for p, c in specs]
-        return FitnessField(hotspots, coverage_radius=3.0)
+        """The fitness field over these hotspots, with those flagged True covered."""
+        field = FitnessField([Hotspot(position=p) for p, _ in specs], coverage_radius=3.0)
+        field.cover([k for k, (_, c) in enumerate(specs) if c])
+        return field
 
     def test_none_when_everything_covered(self):
         hs = self.hotspots(([1.0, 1.0], True), ([2.0, 2.0], True))

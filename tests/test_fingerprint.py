@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -89,9 +90,12 @@ def scenario(case: str):
     if case == CROWD_CASE:
         return make_scenario("uniform", 20, 7, n_uavs=8, max_steps=STEPS)
     if case in WEIGHTED_CASES:
-        hotspots = generate_hotspots(ScenarioKind.UNIFORM_RANDOM, 40, 5, GridConfig())
-        for k, hotspot in enumerate(hotspots):
-            hotspot.weight = WEIGHTS[k % len(WEIGHTS)]
+        hotspots = [
+            replace(hotspot, weight=WEIGHTS[k % len(WEIGHTS)])
+            for k, hotspot in enumerate(
+                generate_hotspots(ScenarioKind.UNIFORM_RANDOM, 40, 5, GridConfig())
+            )
+        ]
         return make_scenario(
             "custom", 40, 5, custom_hotspots=hotspots, algorithm=case.split("/")[1],
             n_uavs=8, max_steps=STEPS,

@@ -78,6 +78,14 @@ def nudge(value: float, ulps: int) -> float:
     return value
 
 
+def built(cls, hotspots, covered, *args, **kwargs):
+    """cls (UncoveredHotspots or FitnessField) over hotspots, those flagged in
+    covered covered through cover(): a field starts with none covered."""
+    field = cls(hotspots, *args, **kwargs)
+    field.cover([k for k, flag in enumerate(covered) if flag])
+    return field
+
+
 # --- one norm: every length test is math.hypot's --------------------------------
 
 
@@ -330,10 +338,10 @@ def test_constrain_motion_matches_numpy(anchor, target, max_step):
     assert config.grid.contains(got)
 
 
-def reference_escape(position, hotspots, threshold_radius, max_step_size):
-    """escape_no_hotspot_zone as it was, over the hotspot list."""
+def reference_escape(position, hotspots, covered, threshold_radius, max_step_size):
+    """escape_no_hotspot_zone as it was, over the hotspot list and its covered flags."""
     position = np.asarray(position, dtype=float)
-    uncovered = [h.position for h in hotspots if not h.covered]
+    uncovered = [h.position for h, flag in zip(hotspots, covered) if not flag]
     if not uncovered:
         return None
     deltas = np.asarray(uncovered) - position
@@ -344,12 +352,9 @@ def reference_escape(position, hotspots, threshold_radius, max_step_size):
     return deltas[nearest] / dists[nearest] * max_step_size
 
 
+# (hotspot, covered) pairs.
 hotspot_list = st.lists(
-    st.builds(
-        Hotspot,
-        position=st.tuples(grid_coord, grid_coord),
-        covered=st.booleans(),
-    ),
+    st.tuples(st.builds(Hotspot, position=st.tuples(grid_coord, grid_coord)), st.booleans()),
     min_size=1,
     max_size=12,
 )
@@ -362,9 +367,10 @@ hotspot_list = st.lists(
     threshold=st.sampled_from([0.5, 5.0, 15.0]),
 )
 def test_escape_on_the_field_positions_matches_the_hotspot_list(position, hotspots, threshold):
-    field = FitnessField(hotspots, 3.0)
+    hotspots, covered = [h for h, _ in hotspots], [flag for _, flag in hotspots]
+    field = built(FitnessField, hotspots, covered, 3.0)
     got = escape_no_hotspot_zone(list(position), field, threshold, 5.0)
-    want = reference_escape(position, hotspots, threshold, 5.0)
+    want = reference_escape(position, hotspots, covered, threshold, 5.0)
     if want is None:
         assert got is None
     else:
@@ -457,14 +463,15 @@ def baseline_steps(draw):
     """One ABC or PSO step: a swarm, its field, a config and per-agent seeds."""
     n = draw(st.integers(1, 8))
     point = st.tuples(grid_coord, grid_coord)
-    hotspots = [
-        Hotspot(draw(point), draw(st.sampled_from([0.1, 0.3, 0.7, 1.0])), draw(st.booleans()))
+    spots = [
+        (Hotspot(draw(point), draw(st.sampled_from([0.1, 0.3, 0.7, 1.0]))), draw(st.booleans()))
         for _ in range(draw(st.integers(1, 12)))
     ]
     config = ScenarioConfig(grid=GridConfig(40, 40), n_uavs=n)
     config.constraints.max_step_size = draw(st.sampled_from([0.5, 1.0, 5.0, 13.0]))
-    fitness = FitnessField(
-        hotspots, draw(st.sampled_from([3.0, 12.0])), shaping=draw(st.booleans())
+    fitness = built(
+        FitnessField, [h for h, _ in spots], [flag for _, flag in spots],
+        draw(st.sampled_from([3.0, 12.0])), shaping=draw(st.booleans()),
     )
     agents = [
         (draw(point), draw(st.tuples(velocity_coord, velocity_coord)), draw(point))
@@ -699,26 +706,27 @@ def test_nearest_better_neighbor_ranks_by_math_hypot():
 def test_mark_coverage_with_held_arrays(agents, hotspots, scan):
     # The run loop's hits, one within() query per scanning agent on the
     # FitnessField it holds, mark what math.hypot's rule marks.
+    hotspots, covered = [h for h, _ in hotspots], [flag for _, flag in hotspots]
     swarm = SwarmState([UavState(position=p) for p in agents], np.zeros(2))
     scanning = scan[: len(agents)]
     expected = [
         k
         for k, hot in enumerate(hotspots)
-        if not hot.covered
+        if not covered[k]
         and any(
             math.hypot(hot.position[0] - x, hot.position[1] - y) <= 3.0
             for (x, y), active in zip(agents, scanning)
             if active
         )
     ]
-    field = FitnessField(hotspots, 3.0)
+    field = built(FitnessField, hotspots, covered, 3.0)
     hits = set()
     for (x, y), active in zip(agents, scanning):
         if active:
             hits.update(field.within(x, y, 3.0))
     assert mark_coverage(swarm, field, hits) == expected
-    assert all(hotspots[k].covered for k in expected)
-    assert swarm.covered_count == sum(h.covered for h in hotspots)
+    assert all(field.covered[k] for k in expected)
+    assert swarm.covered_count == sum(field.covered)
 
 
 @pytest.mark.parametrize("as_list", [True, False])

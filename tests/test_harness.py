@@ -72,7 +72,7 @@ def audit_run(result):
     assert all(b[1] >= a[1] for a, b in zip(curve, curve[1:]))
     assert curve[-1][1] == result.metrics.covered_count
     assert result.metrics.biodiversity_b == sum(
-        h.weight for h in result.hotspots if h.covered
+        h.weight for h, c in zip(config.hotspots, result.covered) if c
     )
     if result.metrics.covered_all:
         assert result.metrics.covered_count == result.metrics.n_hotspots
@@ -103,7 +103,7 @@ class TestRunScenario:
         a = run_scenario(config)
         b = run_scenario(config)
         assert a.metrics.coverage_curve == b.metrics.coverage_curve
-        assert all(not h.covered for h in config.hotspots)  # input never mutated
+        assert config == preset_scenario("uniform20", seed=3, max_steps=60)  # input never mutated
 
     def test_start_on_top_of_hotspot_covers_in_zero_steps(self):
         config = ScenarioConfig(

@@ -8,8 +8,10 @@ compared with a radius or ranked is math.hypot's, the simulator's one norm,
 where they took np.hypot's; the shaping term's sum keeps np.hypot.  Every
 fitness value and escape vector must match them bit for bit (sign of zero
 included), and coverage marking must flip the same hotspots and return the
-same indices.  A field that cover() has shrunk must answer every query as
-one built fresh on the same hotspots.
+same indices.  The references take the covered flags as a list beside the
+hotspots; a field starts with every hotspot uncovered, so a scene's covered
+ones are covered through cover().  A field that cover() has shrunk must
+answer every query as one built fresh on the hotspots it has left.
 The inputs put hotspots a few ulps either side of the radius, on shared x
 coordinates (ties in the bisected index) and in dense clusters, so that
 np.sum's pairwise order over the covered weights shows.
@@ -34,18 +36,18 @@ from levyswarm.world import (
     mark_coverage,
 )
 from test_constraints_reference import math_hypot
-from test_float_step import nudge
+from test_float_step import built, nudge
 
 # --- references: the numpy implementations ----------------------------------
 
 
-def uncovered_indices(hotspots) -> list[int]:
-    return [k for k, hot in enumerate(hotspots) if not hot.covered]
+def uncovered_indices(covered) -> list[int]:
+    return [k for k, flag in enumerate(covered) if not flag]
 
 
 class RefFitnessField:
-    def __init__(self, hotspots, coverage_radius, shaping=False, epsilon=0.01):
-        self.indices = uncovered_indices(hotspots)
+    def __init__(self, hotspots, covered, coverage_radius, shaping=False, epsilon=0.01):
+        self.indices = uncovered_indices(covered)
         self.positions = (
             np.array([hotspots[k].position for k in self.indices], dtype=float)
             if self.indices
@@ -67,11 +69,12 @@ class RefFitnessField:
         return total
 
 
-def ref_mark_coverage(swarm, hotspots, coverage_radius, scanning=None) -> list[int]:
+def ref_mark_coverage(swarm, hotspots, covered, coverage_radius, scanning=None) -> list[int]:
+    """Sets the flags of the newly covered hotspots in the list covered."""
     positions = swarm.positions()
     if scanning is not None:
         positions = positions[np.asarray(scanning, dtype=bool)]
-    indices = uncovered_indices(hotspots)
+    indices = uncovered_indices(covered)
     newly = []
     if len(positions) and indices:
         uncovered = np.array([hotspots[k].position for k in indices])
@@ -79,7 +82,7 @@ def ref_mark_coverage(swarm, hotspots, coverage_radius, scanning=None) -> list[i
         nearest = math_hypot(delta[..., 0], delta[..., 1]).min(axis=0)
         for k, d in zip(indices, nearest.tolist()):
             if d <= coverage_radius:
-                hotspots[k].covered = True
+                covered[k] = True
                 newly.append(k)
     swarm.covered_count = len(hotspots) - len(indices) + len(newly)
     return newly
@@ -113,7 +116,8 @@ RADII = [0.5, 3.0, 7.3, 15.0]
 
 @st.composite
 def spot(draw, x, y, r):
-    """One hotspot placed relative to the query point (x, y) and radius r."""
+    """One hotspot placed relative to the query point (x, y) and radius r, and
+    whether it starts covered."""
     kind = draw(st.sampled_from(["anywhere", "rim", "diagonal", "shared_x", "inside"]))
     if kind == "anywhere":
         hx, hy = draw(coord), draw(coord)
@@ -130,15 +134,16 @@ def spot(draw, x, y, r):
     else:
         hx = x + draw(st.floats(-0.7, 0.7)) * r
         hy = y + draw(st.floats(-0.7, 0.7)) * r
-    return Hotspot(position=(hx, hy), weight=draw(weight), covered=draw(st.booleans()))
+    return Hotspot(position=(hx, hy), weight=draw(weight)), draw(st.booleans())
 
 
 @st.composite
 def scene(draw, max_spots=60):
-    """A query point, a radius and 1 to max_spots hotspots arranged about them."""
+    """A query point, a radius, 1 to max_spots hotspots arranged about them
+    and their covered flags."""
     x, y, r = draw(coord), draw(coord), draw(st.sampled_from(RADII))
-    hotspots = draw(st.lists(spot(x, y, r), min_size=1, max_size=max_spots))
-    return (x, y), r, hotspots
+    spots = draw(st.lists(spot(x, y, r), min_size=1, max_size=max_spots))
+    return (x, y), r, [hot for hot, _ in spots], [flag for _, flag in spots]
 
 
 @st.composite
@@ -157,10 +162,6 @@ def cluster(draw, low, high):
     return (x, y), r, hotspots
 
 
-def copies(hotspots):
-    return [Hotspot(h.position.copy(), h.weight, h.covered) for h in hotspots]
-
-
 def swarm_at(points):
     return SwarmState([UavState(position=p) for p in points], np.zeros(2))
 
@@ -177,32 +178,33 @@ def scanned_hits(field, agents, r, scanning=None):
 # --- fitness ----------------------------------------------------------------------
 
 
-def assert_value_matches(point, r, hotspots, shaping=False):
-    got = FitnessField(hotspots, r, shaping=shaping).value(point)
-    want = RefFitnessField(hotspots, r, shaping=shaping).value(point)
+def assert_value_matches(point, r, hotspots, covered=None, shaping=False):
+    covered = [False] * len(hotspots) if covered is None else covered
+    got = built(FitnessField, hotspots, covered, r, shaping=shaping).value(point)
+    want = RefFitnessField(hotspots, covered, r, shaping=shaping).value(point)
     assert bits(got) == bits(want)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=scene(), shaping=st.booleans())
 def test_value_matches_numpy(case, shaping):
-    point, r, hotspots = case
-    assert_value_matches(point, r, hotspots, shaping)
+    point, r, hotspots, covered = case
+    assert_value_matches(point, r, hotspots, covered, shaping)
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=scene(max_spots=300), shaping=st.booleans(), other=st.tuples(coord, coord))
 def test_value_matches_numpy_on_up_to_300_hotspots(case, shaping, other):
-    point, r, hotspots = case
-    assert_value_matches(point, r, hotspots, shaping)
-    assert_value_matches(other, r, hotspots, shaping)
+    point, r, hotspots, covered = case
+    assert_value_matches(point, r, hotspots, covered, shaping)
+    assert_value_matches(other, r, hotspots, covered, shaping)
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=cluster(8, 40), shaping=st.booleans())
 def test_value_sums_eight_or_more_weights_in_numpys_order(case, shaping):
     point, r, hotspots = case
-    assert_value_matches(point, r, hotspots, shaping)
+    assert_value_matches(point, r, hotspots, shaping=shaping)
 
 
 @settings(max_examples=30, deadline=None)
@@ -214,9 +216,10 @@ def test_value_sums_more_than_128_weights_in_numpys_order(case):
 
 
 def test_value_of_an_empty_field_is_zero():
-    hotspots = [Hotspot(position=(1.0, 1.0), covered=True)]
+    hotspots = [Hotspot(position=(1.0, 1.0))]
     for shaping in (False, True):
-        assert bits(FitnessField(hotspots, 3.0, shaping=shaping).value((1.0, 1.0))) == bits(0.0)
+        field = built(FitnessField, hotspots, [True], 3.0, shaping=shaping)
+        assert bits(field.value((1.0, 1.0))) == bits(0.0)
         assert bits(FitnessField([], 3.0, shaping=shaping).value((1.0, 1.0))) == bits(0.0)
 
 
@@ -226,9 +229,9 @@ def test_value_of_an_empty_field_is_zero():
 @settings(max_examples=300, deadline=None)
 @given(case=scene())
 def test_within_is_math_hypot_in_list_order(case):
-    (x, y), r, hotspots = case
-    field = UncoveredHotspots(hotspots)
-    ref = RefFitnessField(hotspots, r)
+    (x, y), r, hotspots, covered = case
+    field = built(UncoveredHotspots, hotspots, covered)
+    ref = RefFitnessField(hotspots, covered, r)
     d = math_hypot(ref.positions[:, 0] - x, ref.positions[:, 1] - y)
     assert field.within(x, y, r) == [ref.indices[k] for k in np.flatnonzero(d <= r).tolist()]
 
@@ -268,7 +271,7 @@ def test_queries_take_math_hypots_verdict_where_np_hypot_differs(math_below):
         expected = [0] if math.hypot(dx, dy) <= r else []
         assert UncoveredHotspots(hotspots).within(0.0, 0.0, r) == expected
         assert_value_matches((0.0, 0.0), r, hotspots)
-        field = UncoveredHotspots(copies(hotspots))
+        field = UncoveredHotspots(hotspots)
         swarm = swarm_at([(0.0, 0.0)])
         assert mark_coverage(swarm, field, scanned_hits(field, [(0.0, 0.0)], r)) == expected
         assert_escape_matches((0.0, 0.0), r, hotspots)
@@ -286,16 +289,19 @@ def test_queries_take_math_hypots_verdict_where_np_hypot_differs(math_below):
 )
 def test_mark_coverage_matches_numpy(case, others, scan, held):
     # held: the run loop's FitnessField owns the coverage, else a plain index.
-    point, r, hotspots = case
+    point, r, hotspots, covered = case
     agents = [point, *others]
     scanning = np.array(scan[: len(agents)])
-    theirs = copies(hotspots)
+    theirs = list(covered)
     ours_swarm, their_swarm = swarm_at(agents), swarm_at(agents)
-    field = FitnessField(hotspots, r) if held else UncoveredHotspots(hotspots)
+    if held:
+        field = built(FitnessField, hotspots, covered, r)
+    else:
+        field = built(UncoveredHotspots, hotspots, covered)
     got = mark_coverage(ours_swarm, field, scanned_hits(field, agents, r, scanning))
-    want = ref_mark_coverage(their_swarm, theirs, r, scanning=scanning)
+    want = ref_mark_coverage(their_swarm, hotspots, theirs, r, scanning=scanning)
     assert got == want
-    assert [h.covered for h in hotspots] == [h.covered for h in theirs]
+    assert field.covered == theirs
     assert ours_swarm.covered_count == their_swarm.covered_count
 
 
@@ -310,38 +316,38 @@ def test_mark_coverage_with_hits_matches_the_positions_path(case, others, scan, 
     # As in a run: the field has already marked what earlier positions
     # covered, and the hits of this step's positions must then mark what
     # the numpy reference marks from the same positions.
-    point, r, hotspots = case
+    point, r, hotspots, covered = case
     agents = [point, *others]
     scanning = scan[: len(agents)]
-    theirs = copies(hotspots)
-    field = FitnessField(hotspots, r)
+    theirs = list(covered)
+    field = built(FitnessField, hotspots, covered, r)
     ours_swarm, their_swarm = swarm_at(agents), swarm_at(agents)
     if earlier:
         mark_coverage(swarm_at(earlier), field, scanned_hits(field, earlier, r))
-        ref_mark_coverage(swarm_at(earlier), theirs, r)
+        ref_mark_coverage(swarm_at(earlier), hotspots, theirs, r)
     got = mark_coverage(ours_swarm, field, scanned_hits(field, agents, r, scanning))
-    want = ref_mark_coverage(their_swarm, theirs, r, scanning=scanning)
+    want = ref_mark_coverage(their_swarm, hotspots, theirs, r, scanning=scanning)
     assert got == want
-    assert [h.covered for h in hotspots] == [h.covered for h in theirs]
+    assert field.covered == theirs
     assert ours_swarm.covered_count == their_swarm.covered_count
 
 
 def test_mark_coverage_with_hits_keeps_its_checks():
-    hotspots = [Hotspot(position=(1.0, 1.0)), Hotspot(position=(9.0, 9.0), covered=True)]
-    field = FitnessField(hotspots, 3.0)
+    hotspots = [Hotspot(position=(1.0, 1.0)), Hotspot(position=(9.0, 9.0))]
+    field = built(FitnessField, hotspots, [False, True], 3.0)
     swarm = swarm_at([(1.0, 1.0)])
     # An id past the list marks nothing; a covered one is not newly covered.
     with pytest.raises(IndexError):
         mark_coverage(swarm, field, {0, 2})
-    assert not hotspots[0].covered and [k for k, _, _ in field.points] == [0]
+    assert not field.covered[0] and [k for k, _, _ in field.points] == [0]
     assert mark_coverage(swarm, field, {1}) == []
     assert swarm.covered_count == 1
 
 
 def test_mark_coverage_with_nothing_uncovered():
-    hotspots = [Hotspot(position=(1.0, 1.0), covered=True)]
+    hotspots = [Hotspot(position=(1.0, 1.0))]
     swarm = swarm_at([(1.0, 1.0)])
-    field = FitnessField(hotspots, 3.0)
+    field = built(FitnessField, hotspots, [True], 3.0)
     assert mark_coverage(swarm, field, scanned_hits(field, [(1.0, 1.0)], 3.0)) == []
     assert swarm.covered_count == 1
 
@@ -361,25 +367,32 @@ def test_mark_coverage_with_nothing_uncovered():
 def test_cover_leaves_the_field_a_fresh_build_gives(case, covers, shaping, probes):
     # Each cover() call, made directly or through mark_coverage, drops ids from
     # the index; every query must then answer as a field built fresh on the
-    # same hotspots does, and the swarm's count must follow the flags.
-    point, r, hotspots = case
-    field = FitnessField(hotspots, r, shaping=shaping)
+    # hotspots left uncovered does, once the fresh field's ids (positions in
+    # that shorter list) are mapped back, and the swarm's count must follow
+    # the flags.
+    point, r, hotspots, covered = case
+    field = built(FitnessField, hotspots, covered, r, shaping=shaping)
     swarm = swarm_at([point])
     for ids, through_mark in covers:
         ids = [k % len(hotspots) for k in ids]
         if through_mark:
-            uncovered = [k for k in sorted(set(ids)) if not hotspots[k].covered]
+            uncovered = [k for k in sorted(set(ids)) if not field.covered[k]]
             assert mark_coverage(swarm, field, ids) == uncovered
         else:
             field.cover(ids)
             mark_coverage(swarm, field, ())
-        assert swarm.covered_count == sum(h.covered for h in hotspots)
-        fresh = FitnessField(hotspots, r, shaping=shaping)
-        assert field.points == fresh.points
+        assert swarm.covered_count == sum(field.covered)
+        left = uncovered_indices(field.covered)
+        fresh = FitnessField([hotspots[k] for k in left], r, shaping=shaping)
+
+        def mapped(points):
+            return [(left[j], hx, hy) for j, hx, hy in points]
+
+        assert field.points == mapped(fresh.points)
         for x, y in [point, *probes]:
             for radius in (r, 15.0):
-                assert field.window(x, radius) == fresh.window(x, radius)
-                assert field.within(x, y, radius) == fresh.within(x, y, radius)
+                assert field.window(x, radius) == mapped(fresh.window(x, radius))
+                assert field.within(x, y, radius) == [left[j] for j in fresh.within(x, y, radius)]
             assert bits(field.value((x, y))) == bits(fresh.value((x, y)))
             for threshold in (r, 15.0):
                 got = escape_no_hotspot_zone((x, y), field, threshold, 5.0)
@@ -389,10 +402,11 @@ def test_cover_leaves_the_field_a_fresh_build_gives(case, covers, shaping, probe
 # --- dead-ground escape -----------------------------------------------------------
 
 
-def assert_escape_matches(point, threshold, hotspots):
-    field = FitnessField(hotspots, 3.0)
+def assert_escape_matches(point, threshold, hotspots, covered=None):
+    covered = [False] * len(hotspots) if covered is None else covered
+    field = built(FitnessField, hotspots, covered, 3.0)
     got = escape_no_hotspot_zone(point, field, threshold, 5.0)
-    uncovered = RefFitnessField(hotspots, 3.0).positions
+    uncovered = RefFitnessField(hotspots, covered, 3.0).positions
     want = ref_escape_no_hotspot_zone(point, uncovered, threshold, 5.0)
     assert bits(got) == bits(want)
 
@@ -401,16 +415,16 @@ def assert_escape_matches(point, threshold, hotspots):
 @given(case=scene())
 def test_escape_matches_numpy(case):
     # The scene's radius is the threshold: hotspots sit ulps either side of it.
-    point, threshold, hotspots = case
-    assert_escape_matches(point, threshold, hotspots)
+    point, threshold, hotspots, covered = case
+    assert_escape_matches(point, threshold, hotspots, covered)
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=scene(max_spots=300), other=st.tuples(coord, coord))
 def test_escape_matches_numpy_on_up_to_300_hotspots(case, other):
-    point, threshold, hotspots = case
-    assert_escape_matches(point, threshold, hotspots)
-    assert_escape_matches(other, threshold, hotspots)
+    point, threshold, hotspots, covered = case
+    assert_escape_matches(point, threshold, hotspots, covered)
+    assert_escape_matches(other, threshold, hotspots, covered)
 
 
 @settings(max_examples=200, deadline=None)
@@ -422,12 +436,9 @@ def test_escape_matches_numpy_on_up_to_300_hotspots(case, other):
 )
 def test_escape_between_equidistant_nearest_hotspots(point, d, directions, covered):
     x, y = point
-    hotspots = [
-        Hotspot(position=(x + ux * d, y + uy * d), covered=c)
-        for (ux, uy), c in zip(directions, covered)
-    ]
+    hotspots = [Hotspot(position=(x + ux * d, y + uy * d)) for ux, uy in directions]
     hotspots.append(Hotspot(position=(x + 2.0 * d, y + 2.0 * d)))
-    assert_escape_matches(point, 15.0, hotspots)
+    assert_escape_matches(point, 15.0, hotspots, [*covered, False])
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -447,14 +458,15 @@ def test_escape_ranks_by_np_hypot_not_by_squares(order):
 
 
 def test_escape_takes_the_lowest_index_of_a_tie():
-    hotspots = [Hotspot(position=(20.0, 0.0), covered=True), Hotspot(position=(0.0, 20.0)),
+    hotspots = [Hotspot(position=(20.0, 0.0)), Hotspot(position=(0.0, 20.0)),
                 Hotspot(position=(20.0, 0.0))]
-    assert escape_no_hotspot_zone((0.0, 0.0), FitnessField(hotspots, 3.0), 15.0, 5.0) == (0.0, 5.0)
+    field = built(FitnessField, hotspots, [True, False, False], 3.0)
+    assert escape_no_hotspot_zone((0.0, 0.0), field, 15.0, 5.0) == (0.0, 5.0)
 
 
 def test_escape_with_an_empty_field_is_none():
-    hotspots = [Hotspot(position=(30.0, 30.0), covered=True)]
-    assert escape_no_hotspot_zone((0.0, 0.0), FitnessField(hotspots, 3.0), 15.0, 5.0) is None
+    field = built(FitnessField, [Hotspot(position=(30.0, 30.0))], [True], 3.0)
+    assert escape_no_hotspot_zone((0.0, 0.0), field, 15.0, 5.0) is None
     assert escape_no_hotspot_zone((0.0, 0.0), FitnessField([], 3.0), 15.0, 5.0) is None
 
 
@@ -470,11 +482,12 @@ def ref_nearest(field, x, y):
 
 @st.composite
 def nearest_scene(draw):
-    """A query point and 1 to 40 hotspots: mirrored about it, on shared x, or anywhere."""
+    """A query point, 1 to 40 hotspots (mirrored about it, on shared x, or
+    anywhere) and their covered flags."""
     x, y = draw(coord), draw(coord)
     sign = st.sampled_from([1.0, -1.0])
     offset = st.sampled_from([0.0, 0.5, 3.0, 7.25, 12.0])
-    hotspots = []
+    hotspots, covered = [], []
     for _ in range(draw(st.integers(1, 40))):
         kind = draw(st.sampled_from(["mirrored", "shared_x", "anywhere"]))
         if kind == "mirrored":
@@ -484,15 +497,16 @@ def nearest_scene(draw):
             hx, hy = draw(st.sampled_from([x, x + 3.0, x - 3.0, 5.0])), draw(coord)
         else:
             hx, hy = draw(coord), draw(coord)
-        hotspots.append(Hotspot(position=(hx, hy), covered=draw(st.booleans())))
-    return (x, y), hotspots
+        hotspots.append(Hotspot(position=(hx, hy)))
+        covered.append(draw(st.booleans()))
+    return (x, y), hotspots, covered
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=nearest_scene(), drop=st.lists(st.integers(0, 39), max_size=10))
 def test_nearest_walk_matches_the_scan(case, drop):
-    (x, y), hotspots = case
-    field = UncoveredHotspots(hotspots)
+    (x, y), hotspots, covered = case
+    field = built(UncoveredHotspots, hotspots, covered)
     assert field.nearest(x, y) == ref_nearest(field, x, y)
     # A field that cover() shrank walks its filtered index.
     field.cover([k for k in drop if k < len(hotspots)])

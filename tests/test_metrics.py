@@ -210,20 +210,20 @@ class TestHeatmapMerge:
 class TestBiodiversity:
     def test_sums_covered_weights_only(self):
         hotspots = [
-            Hotspot(position=np.array([1.0, 1.0]), weight=2.0, covered=True),
-            Hotspot(position=np.array([2.0, 2.0]), weight=0.5, covered=True),
-            Hotspot(position=np.array([3.0, 3.0]), weight=4.0, covered=False),
+            Hotspot(position=np.array([1.0, 1.0]), weight=2.0),
+            Hotspot(position=np.array([2.0, 2.0]), weight=0.5),
+            Hotspot(position=np.array([3.0, 3.0]), weight=4.0),
         ]
-        assert biodiversity_metric(hotspots) == 2.5
+        assert biodiversity_metric(hotspots, [True, True, False]) == 2.5
 
     def test_zero_when_nothing_covered(self):
-        assert biodiversity_metric([Hotspot(position=np.zeros(2))]) == 0.0
+        assert biodiversity_metric([Hotspot(position=np.zeros(2))], [False]) == 0.0
 
     def test_adds_left_to_right_on_every_python(self):
         # runs.csv writes the repr.  Left to right, ten weights of 0.1 add up
         # to 0.9999999999999999; builtin sum() gives 1.0 from Python 3.12 on.
-        hotspots = [Hotspot(position=np.zeros(2), weight=0.1, covered=True) for _ in range(10)]
-        assert repr(biodiversity_metric(hotspots)) == "0.9999999999999999"
+        hotspots = [Hotspot(position=np.zeros(2), weight=0.1) for _ in range(10)]
+        assert repr(biodiversity_metric(hotspots, [True] * 10)) == "0.9999999999999999"
 
 
 class TestRunsCsv:

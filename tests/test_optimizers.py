@@ -35,8 +35,8 @@ from levyswarm.world import (
 )
 
 
-def hs(x, y, covered=False, weight=1.0):
-    return Hotspot(position=np.array([x, y], dtype=float), covered=covered, weight=weight)
+def hs(x, y, weight=1.0):
+    return Hotspot(position=np.array([x, y], dtype=float), weight=weight)
 
 
 def make_config(hotspots, algorithm="hybrid", **overrides):
@@ -93,9 +93,10 @@ class TestFitnessField:
     HOTSPOTS = [
         hs(10.0, 10.0, weight=1.0),
         hs(12.0, 10.0, weight=2.5),
-        hs(30.0, 30.0, weight=1.0, covered=True),
+        hs(30.0, 30.0, weight=1.0),
         hs(11.0, 12.0, weight=0.5),
     ]
+    COVERED = [2]
 
     @given(
         px=st.floats(min_value=0.0, max_value=40.0),
@@ -104,18 +105,22 @@ class TestFitnessField:
     @settings(max_examples=150, deadline=None)
     def test_matches_direct_weighted_sum(self, px, py):
         field = FitnessField(self.HOTSPOTS, coverage_radius=3.0)
+        field.cover(self.COVERED)
         expected = sum(
             h.weight
-            for h in self.HOTSPOTS
-            if not h.covered and math.hypot(h.position[0] - px, h.position[1] - py) <= 3.0
+            for k, h in enumerate(self.HOTSPOTS)
+            if k not in self.COVERED and math.hypot(h.position[0] - px, h.position[1] - py) <= 3.0
         )
         assert field.value([px, py]) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_covered_hotspots_contribute_nothing(self):
-        assert FitnessField([hs(5.0, 5.0, covered=True)], 3.0).value([5.0, 5.0]) == 0.0
+        field = FitnessField([hs(5.0, 5.0)], 3.0)
+        field.cover([0])
+        assert field.value([5.0, 5.0]) == 0.0
 
     def test_all_covered_field_is_identically_zero(self):
-        field = FitnessField([hs(5.0, 5.0, covered=True)], 3.0, shaping=True, epsilon=0.01)
+        field = FitnessField([hs(5.0, 5.0)], 3.0, shaping=True, epsilon=0.01)
+        field.cover([0])
         assert field.value([5.0, 5.0]) == 0.0
 
     def test_radius_boundary_inclusive(self):
@@ -230,12 +235,13 @@ class TestAbcCandidate:
 
 class TestProposeAbc:
     def test_everything_covered_means_no_motion(self):
-        config = make_config([hs(10.0, 10.0, covered=True)], algorithm="abc", n_uavs=3)
+        config = make_config([hs(10.0, 10.0)], algorithm="abc", n_uavs=3)
         swarm = make_swarm(config)
         for i, uav in enumerate(swarm.uavs):
             uav.position = np.array([20.0 * (i + 1), 30.0])
         anchors = swarm.positions()
         field = FitnessField.from_config(config.hotspots, config)
+        field.cover([0])
         rngs = [RandomSource(seed=7, stream_id=i) for i in range(3)]
         proposal = propose_abc(swarm, field, config, rngs)
         assert np.array_equal(proposal.positions, anchors)
@@ -357,7 +363,7 @@ def test_median_matches_numpy(values):
 
 
 class HybridBase:
-    def setup_run(self, hotspots, start, n_uavs=1, **param_overrides):
+    def setup_run(self, hotspots, start, n_uavs=1, covered=(), **param_overrides):
         config = make_config(
             list(hotspots),
             algorithm="hybrid",
@@ -368,6 +374,7 @@ class HybridBase:
             setattr(config.params, key, value)
         swarm = make_swarm(config)
         field = FitnessField.from_config(config.hotspots, config)
+        field.cover(covered)
         return config, swarm, field
 
 
@@ -438,7 +445,7 @@ class TestHybridEscape(HybridBase):
 
     def test_covered_hotspots_do_not_suppress_escape(self):
         config, swarm, field = self.setup_run(
-            [hs(52.0, 50.0, covered=True), hs(90.0, 50.0)], [50.0, 50.0]
+            [hs(52.0, 50.0), hs(90.0, 50.0)], [50.0, 50.0], covered=[0]
         )
         proposal = propose_hybrid(swarm, field, config, [ScriptedSource(uniforms=[1.0])])
         assert proposal.report.zone_escapes == 1

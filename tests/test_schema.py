@@ -47,14 +47,13 @@ SECTIONS = [
     (("constraints",), ConstraintParams),
     (("hotspots", 0), Hotspot),
 ]
-# (path, name, kind) of every typed JSON key: the typed dataclass fields (a
-# hotspot's covered flag is run state, not a key) plus the typed keys that are
-# not fields.
+# (path, name, kind) of every typed JSON key: the typed dataclass fields plus
+# the typed keys that are not fields.
 KEYS = [
     (path, f.name, f.type)
     for path, cls in SECTIONS
     for f in fields(cls)
-    if f.type in TYPES and f.name != "covered"
+    if f.type in TYPES
 ] + [((), "n_hotspots", "int"), (("hotspots", 0), "x", "float"), (("hotspots", 0), "y", "float")]
 
 WRONG_KINDS = st.one_of(
@@ -143,7 +142,7 @@ class TestValidLayoutFuzz:
     def test_every_valid_layout_loads(self, scenario):
         config = scenario_from_dict(scenario)
         assert len(config.hotspots) == scenario["n_hotspots"]
-        assert config.start_position.tolist() == scenario["start"]
+        assert list(config.start_position) == scenario["start"]
         data = scenario_to_dict(config)
         assert scenario_to_dict(scenario_from_dict(json.loads(json.dumps(data)))) == data
 
@@ -157,7 +156,7 @@ class TestSmallGrid:
 
     def test_kind_file_with_its_own_start_loads(self):
         config = scenario_from_dict(self.SCENARIO)
-        assert config.grid == GridConfig(20, 20) and config.start_position.tolist() == [10, 0]
+        assert config.grid == GridConfig(20, 20) and list(config.start_position) == [10, 0]
         assert all(config.grid.contains(h.position) for h in config.hotspots)
 
     def test_preset_id_file_takes_a_seed(self, tmp_path):
@@ -167,7 +166,7 @@ class TestSmallGrid:
             scenario=str(path), preset=None, algorithm=None, seed=4, levy_weight=None, max_steps=None
         )
         config = _scenario_from_args(args)
-        assert config.seed == 4 and config.start_position.tolist() == [10, 0]
+        assert config.seed == 4 and list(config.start_position) == [10, 0]
         assert len(config.hotspots) == 20
         assert all(config.grid.contains(h.position) for h in config.hotspots)
 
@@ -292,7 +291,11 @@ class TestCoefficientCaps:
             assert getattr(_section(config, path), name) == bound
             with pytest.raises(ValidationError, match=f"{name} must lie in"):
                 scenario_from_dict(scenario(beyond))
-            setattr(_section(config, path), name, beyond)
+            if path[:1] == ("hotspots",):
+                # A hotspot is frozen: put a changed copy in its place.
+                config.hotspots[0] = dataclasses.replace(config.hotspots[0], **{name: beyond})
+            else:
+                setattr(_section(config, path), name, beyond)
             with pytest.raises(ValidationError, match=f"{name} must lie in"):
                 config.validate()
 

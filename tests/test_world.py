@@ -293,11 +293,13 @@ class TestScenarioGenerators:
         with pytest.raises(ValidationError, match="custom"):
             make_scenario(ScenarioKind.CUSTOM, 0, seed=0)
 
-    def test_custom_copies_positions(self):
+    def test_custom_hotspots_are_shared_and_immutable(self):
         original = [Hotspot(position=np.array([5.0, 5.0]))]
         config = make_scenario(ScenarioKind.CUSTOM, 1, seed=0, custom_hotspots=original)
-        config.hotspots[0].position[0] = 99.0
-        assert original[0].position[0] == 5.0
+        assert config.hotspots[0] is original[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.hotspots[0].position = (99.0, 5.0)
+        assert original[0].position == (5.0, 5.0)
 
     def test_nonpositive_count_rejected(self):
         with pytest.raises(ValidationError, match="n_hotspots"):
@@ -336,15 +338,15 @@ class TestPresets:
 
 class TestMarkCoverage:
     def make(self, uav_positions, hotspot_positions):
+        """A swarm and the coverage field over the hotspots, all uncovered."""
         uavs = [UavState(position=np.array(p, dtype=float)) for p in uav_positions]
         swarm = SwarmState(uavs=uavs, global_best_position=np.zeros(2))
         hotspots = [Hotspot(position=np.array(p, dtype=float)) for p in hotspot_positions]
-        return swarm, hotspots
+        return swarm, UncoveredHotspots(hotspots)
 
-    def mark(self, swarm, hotspots, radius, scanning=None, field=None):
+    def mark(self, swarm, field, radius, scanning=None):
         """mark_coverage with the hits of the scanning agents' within() queries,
-        as the run loop makes them; field defaults to a fresh index."""
-        field = UncoveredHotspots(hotspots) if field is None else field
+        as the run loop makes them."""
         hits = set()
         for k, uav in enumerate(swarm.uavs):
             if scanning is None or scanning[k]:
@@ -352,42 +354,40 @@ class TestMarkCoverage:
         return mark_coverage(swarm, field, hits)
 
     def test_marks_within_radius_boundary_inclusive(self):
-        swarm, hotspots = self.make([[0.0, 0.0]], [[3.0, 0.0], [3.0000001, 0.0]])
-        newly = self.mark(swarm, hotspots, 3.0)
+        swarm, field = self.make([[0.0, 0.0]], [[3.0, 0.0], [3.0000001, 0.0]])
+        newly = self.mark(swarm, field, 3.0)
         assert newly == [0]
-        assert hotspots[0].covered and not hotspots[1].covered
+        assert field.covered[0] and not field.covered[1]
         assert swarm.covered_count == 1
 
     def test_second_call_reports_nothing_new(self):
-        swarm, hotspots = self.make([[0.0, 0.0]], [[1.0, 0.0]])
-        field = UncoveredHotspots(hotspots)
-        assert self.mark(swarm, hotspots, 3.0, field=field) == [0]
-        assert self.mark(swarm, hotspots, 3.0, field=field) == []
+        swarm, field = self.make([[0.0, 0.0]], [[1.0, 0.0]])
+        assert self.mark(swarm, field, 3.0) == [0]
+        assert self.mark(swarm, field, 3.0) == []
         # Hits that name a covered hotspot mark nothing new either.
         assert mark_coverage(swarm, field, {0}) == []
         assert swarm.covered_count == 1
 
     def test_coverage_never_reverts(self):
-        swarm, hotspots = self.make([[0.0, 0.0]], [[1.0, 0.0]])
-        field = UncoveredHotspots(hotspots)
-        self.mark(swarm, hotspots, 3.0, field=field)
+        swarm, field = self.make([[0.0, 0.0]], [[1.0, 0.0]])
+        self.mark(swarm, field, 3.0)
         swarm.uavs[0].position = (90.0, 90.0)
-        self.mark(swarm, hotspots, 3.0, field=field)
-        assert hotspots[0].covered and swarm.covered_count == 1
+        self.mark(swarm, field, 3.0)
+        assert field.covered[0] and swarm.covered_count == 1
 
     def test_any_agent_suffices(self):
-        swarm, hotspots = self.make([[90.0, 90.0], [1.0, 0.0]], [[0.0, 0.0]])
-        assert self.mark(swarm, hotspots, 3.0) == [0]
+        swarm, field = self.make([[90.0, 90.0], [1.0, 0.0]], [[0.0, 0.0]])
+        assert self.mark(swarm, field, 3.0) == [0]
 
     def test_scanning_mask_disables_dark_agents(self):
-        swarm, hotspots = self.make([[1.0, 0.0], [90.0, 90.0]], [[0.0, 0.0], [91.0, 90.0]])
-        newly = self.mark(swarm, hotspots, 3.0, scanning=[False, True])
+        swarm, field = self.make([[1.0, 0.0], [90.0, 90.0]], [[0.0, 0.0], [91.0, 90.0]])
+        newly = self.mark(swarm, field, 3.0, scanning=[False, True])
         assert newly == [1]
-        assert not hotspots[0].covered and hotspots[1].covered
+        assert not field.covered[0] and field.covered[1]
 
     def test_all_dark_marks_nothing(self):
-        swarm, hotspots = self.make([[1.0, 0.0]], [[0.0, 0.0]])
-        assert self.mark(swarm, hotspots, 3.0, scanning=[False]) == []
+        swarm, field = self.make([[1.0, 0.0]], [[0.0, 0.0]])
+        assert self.mark(swarm, field, 3.0, scanning=[False]) == []
         assert swarm.covered_count == 0
 
     @given(
@@ -398,17 +398,16 @@ class TestMarkCoverage:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_per_hotspot_minimum(self, agents, targets, covered, radius):
-        swarm, hotspots = self.make(agents, targets)
-        for hot, flag in zip(hotspots, covered):
-            hot.covered = flag
+        swarm, field = self.make(agents, targets)
+        field.cover([k for k, flag in zip(range(len(targets)), covered) if flag])
         expected = [
             k
-            for k, hot in enumerate(hotspots)
-            if not hot.covered
+            for k, hot in enumerate(field.hotspots)
+            if not field.covered[k]
             and min(math.hypot(*(np.array(a) - hot.position)) for a in agents) <= radius
         ]
-        assert self.mark(swarm, hotspots, radius) == expected
-        assert swarm.covered_count == sum(h.covered for h in hotspots)
+        assert self.mark(swarm, field, radius) == expected
+        assert swarm.covered_count == sum(field.covered)
 
 
 class TestScenarioIO:
@@ -490,3 +489,31 @@ class TestScenarioIO:
         assert config.max_steps == 5000 and config.dt == 0.5
         assert config.hotspots[0].weight == 2.0
         assert dataclasses.asdict(config.params) == dataclasses.asdict(AlgorithmParams())
+
+
+class TestImmutableScenarioData:
+    """A hotspot is a point and a weight, and a config holds no array, so == works."""
+
+    def test_same_preset_configs_are_equal(self):
+        assert preset_scenario("uniform20", 0) == preset_scenario("uniform20", 0)
+        assert preset_scenario("uniform20", 0) != preset_scenario("uniform20", 1)
+
+    def test_dict_round_trip_equals_its_source(self):
+        config = preset_scenario("twocluster20", seed=9, n_uavs=4, algorithm="abc")
+        assert scenario_from_dict(scenario_to_dict(config)) == config
+
+    def test_hotspot_equality_and_hash_ignore_how_the_position_was_given(self):
+        a, b = Hotspot(np.array([1.0, 2.0])), Hotspot((1.0, 2.0))
+        assert a == b and hash(a) == hash(b)
+        assert a.position == (1.0, 2.0) and type(a.position[0]) is float
+
+    def test_hotspot_position_is_frozen(self):
+        hotspot = Hotspot((1.0, 2.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hotspot.position = (3.0, 4.0)
+
+    def test_scenario_data_holds_python_floats(self):
+        config = scenario_from_dict({"kind": "twocluster", "n_hotspots": 5, "start": [10, 0]})
+        assert config.start_position == (10.0, 0.0)
+        points = [config.start_position] + [h.position for h in config.hotspots]
+        assert all(type(p) is tuple and {type(v) for v in p} == {float} for p in points)
