@@ -8,7 +8,9 @@ never more than twice that in a full step.  Hard separation is the one action
 allowed to override the budget bookkeeping — pairwise minimum distance is a
 zero-tolerance invariant — but it carries a terminal fallback (revert the
 offending agents to their feasible step-start positions) that keeps both
-guarantees intact simultaneously.
+guarantees intact simultaneously.  Agents pinned in a row on a grid edge,
+where pairwise pushes would only halve their shortfall pass by pass, are
+spaced along the edge in one least-squares solve instead.
 """
 
 from __future__ import annotations
@@ -61,13 +63,16 @@ def clamp_step(x: float, y: float, limit: float) -> tuple[float, float]:
     The reduced vector's math.hypot length is <= limit exactly, not just to
     rounding: after the rescale, components are nudged toward zero until the
     recomputed norm passes.  Idempotent, and the identity on vectors already
-    inside the limit.
+    inside the limit.  A displacement with an infinite or nan component
+    raises ValidationError.
     """
     if not limit > 0.0:
         raise ValidationError(f"max_step_size must be positive, got {limit}")
     norm = math.hypot(x, y)
     if norm <= limit:
         return x, y
+    if not math.isfinite(norm):
+        raise ValidationError(f"displacement must be finite, got ({x}, {y})")
     scale = limit / norm
     x, y = x * scale, y * scale
     while math.hypot(x, y) > limit:
@@ -241,6 +246,97 @@ def escape_no_hotspot_zone(
     return (hx - x) / d * max_step_size, (hy - y) / d * max_step_size
 
 
+def _bounded_isotonic(values: list, lows: list, highs: list) -> list | None:
+    """The nondecreasing z nearest values in least squares with lows[k] <= z[k] <= highs[k].
+
+    Pool-adjacent-violators (Barlow et al. 1972; Best & Chakravarti 1990):
+    a block's value is its members' mean (math.fsum) clipped to the
+    intersection of their bounds, and a block whose value exceeds the next
+    one's pools with it.  None when a block's intersection is empty.
+    """
+    blocks = []  # (values, lo, hi, value) of each pooled block, in order
+    for v, lo, hi in zip(values, lows, highs):
+        pooled = [v]
+        while True:
+            if lo > hi:
+                return None
+            value = min(max(math.fsum(pooled) / len(pooled), lo), hi)
+            if not blocks or blocks[-1][3] <= value:
+                break
+            left, left_lo, left_hi, _ = blocks.pop()
+            pooled, lo, hi = left + pooled, max(left_lo, lo), min(left_hi, hi)
+        blocks.append((pooled, lo, hi, value))
+    return [value for pooled, _, _, value in blocks for _ in pooled]
+
+
+def _solve_wall_chain(
+    pos: list, pairs: list, anchors: list, reverted: list, grid: GridConfig, radius: float,
+    budget: float,
+) -> list | None:
+    """pos with one grid edge's agents spaced radius apart in one step, or None.
+
+    In a row of agents pinned on an edge, each resolver pass only halves the
+    shortfall.  The edge is the first of y = 0, y = height, x = 0 and
+    x = width on which some pair of ``pairs`` has both agents, and both their
+    anchors, exactly on the edge; the members are every agent so placed.
+    In order along the edge (ties by index), the member of rank k at
+    coordinate s_k may move within [max(0, a - budget), min(side, a + budget)]
+    about its anchor's coordinate a, or not at all once reverted.  Gaps of
+    target = radius * (1 + SEPARATION_MARGIN) or more are a nondecreasing
+    z_k = s_k - k * target, so _bounded_isotonic fits z in the shifted
+    intervals, and member k goes to z_k + k * target, clipped into its own
+    interval.  A chain that cannot fit in its order along the edge is tried
+    once more in the order of its anchors, in which the intervals rise.
+
+    The result counts only when the resolver's own measures pass: one
+    _violating_pairs walk lists no pair, and every member is within budget
+    of its anchor by math.hypot and inside the grid.  None when no edge
+    qualifies, neither order fits or a measure fails.
+    """
+    width, height = float(grid.width), float(grid.height)
+    for across, wall, side in (
+        (1, 0.0, width), (1, height, width), (0, 0.0, height), (0, width, height)
+    ):
+        on = [p[across] == wall and a[across] == wall for p, a in zip(pos, anchors)]
+        if any(on[i] and on[j] for i, j, *_ in pairs):
+            break
+    else:
+        return None
+    along = 1 - across
+    target = radius * (1.0 + SEPARATION_MARGIN)
+    on_edge = [k for k, flag in enumerate(on) if flag]
+    for key in (pos, anchors):
+        members = sorted(on_edge, key=lambda k: (key[k][along], k))
+        bounds = [
+            (pos[k][along],) * 2 if reverted[k]
+            else (max(0.0, anchors[k][along] - budget), min(side, anchors[k][along] + budget))
+            for k in members
+        ]
+        shifts = [rank * target for rank in range(len(members))]
+        fit = _bounded_isotonic(
+            [pos[k][along] - shift for k, shift in zip(members, shifts)],
+            [lo - shift for (lo, _), shift in zip(bounds, shifts)],
+            [hi - shift for (_, hi), shift in zip(bounds, shifts)],
+        )
+        if fit is not None:
+            break
+    else:
+        return None
+    candidate = list(pos)
+    for k, z, shift, (lo, hi) in zip(members, fit, shifts, bounds):
+        c = min(max(z + shift, lo), hi)
+        xy = (c, pos[k][1]) if along == 0 else (pos[k][0], c)
+        if xy != pos[k]:
+            candidate[k] = xy
+    if _violating_pairs(candidate, radius)[0]:
+        return None
+    for k in members:
+        (x, y), (ax, ay) = candidate[k], anchors[k]
+        if not (math.hypot(x - ax, y - ay) <= budget and 0.0 <= x <= width and 0.0 <= y <= height):
+            return None
+    return candidate
+
+
 def resolve_collisions(
     positions,
     grid: GridConfig,
@@ -261,8 +357,14 @@ def resolve_collisions(
     (their feasible step-start positions), cascading until feasible.  Without
     a revert fallback a stall raises ConstraintError.
 
+    In a bounded call (anchors and budget given), a pass that leaves a
+    violating pair on one grid edge is followed by _solve_wall_chain, which
+    spaces that edge's agents in one step; when its result verifies, the
+    call ends there.  Otherwise the passes go on as if it had not run.
+
     Returns (new positions as a list of (x, y) floats, touched mask as a
-    bool array, pushes applied).
+    bool array, pushes applied).  Each move of a pass is one push, and the
+    solve adds one push per agent it moves.
     """
     # (x, y) tuples of Python floats: a resolver pass makes thousands of
     # 2-vector operations, each far cheaper on floats than as a numpy call.
@@ -348,6 +450,14 @@ def resolve_collisions(
                     if d >= target:
                         break
         pairs, _ = _violating_pairs(pos, collision_radius)
+        if pairs and bounded:
+            solved = _solve_wall_chain(pos, pairs, anchor_xy, reverted, grid, collision_radius, budget)
+            if solved is not None:
+                for k, (old, new) in enumerate(zip(pos, solved)):
+                    if new != old:
+                        touched[k] = True
+                        pushes += 1
+                return solved, np.array(touched, dtype=bool), pushes
         # Agents not in moved kept their positions exactly.
         for k, (bx, by) in moved.items():
             x, y = pos[k]

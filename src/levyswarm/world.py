@@ -449,9 +449,15 @@ class UncoveredHotspots:
         """Mark the hotspots ids covered and drop them from the index.
 
         The sort is stable, so filtering both lists leaves the order that
-        sorting the remaining hotspots again would give.
+        sorting the remaining hotspots again would give.  Every id is
+        checked before anything is written: one outside
+        0 <= id < len(covered) raises IndexError and leaves the field as it
+        was.
         """
         gone = set(ids)
+        for k in gone:
+            if not 0 <= k < len(self.covered):
+                raise IndexError(f"hotspot id {k} out of range for {len(self.covered)} hotspots")
         for k in gone:
             self.covered[k] = True
         self.points = [point for point in self.points if point[0] not in gone]

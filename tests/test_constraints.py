@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,15 @@ class TestClampStep:
     def test_nonpositive_limit_rejected(self):
         with pytest.raises(ValidationError):
             clamp_step(1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(math.inf, 3.0), (3.0, -math.inf), (math.nan, 0.0), (0.0, math.nan), (-math.inf, math.nan)],
+    )
+    def test_non_finite_displacement_rejected(self, x, y):
+        # It used to come back as nan: clamp_step(inf, 3.0, 5.0) == (nan, 0.0).
+        with pytest.raises(ValidationError, match=re.escape(f"got ({x}, {y})")):
+            clamp_step(x, y, 5.0)
 
     @given(x=finite_coord, y=finite_coord, limit=st.floats(min_value=1e-6, max_value=50.0))
     @settings(max_examples=150, deadline=None)

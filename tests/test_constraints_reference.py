@@ -7,15 +7,20 @@ references with one change: every length is math.hypot's, the simulator's
 one norm, where they took np.hypot's (the two round apart on a few inputs in
 a thousand).  Every result must match them bit for bit (position and offset
 bytes including the sign of zero, the touched mask and the push count), or
-both must raise the same exception type.  The soft forces are given the pair
-geometry of ``_violating_pairs`` over the collision stage's reach.  The
-invariants the resolver and the soft forces promise are tested on the same
-inputs.
+both must raise the same exception type.  The references know nothing of
+the wall-chain solve (``constraints._solve_wall_chain``), so a resolver call
+that the solve ends is held to the resolver's invariants instead, and
+``test_wall_chain`` checks the solve's result against a reference of its
+own.  The soft forces are given the pair geometry of ``_violating_pairs``
+over the collision stage's reach.  The invariants the resolver and the soft
+forces promise are tested on the same inputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,7 +127,9 @@ def ref_resolve_collisions(
     revert_to=None,
     margin=1e-6,
     max_iter=200,
+    settle=True,
 ):
+    # settle=False returns the state after max_iter passes as it stands.
     pos = np.array(positions, dtype=float)
     n = len(pos)
     target = collision_radius * (1.0 + margin)
@@ -187,6 +194,8 @@ def ref_resolve_collisions(
             if revert_to is None:
                 raise ConstraintError("stall")
             revert(np.isin(np.arange(n), violating()))
+    if not settle:
+        return pos, touched, pushes
     if violating() and revert_to is not None:
         revert(np.ones(n, dtype=bool))
     if violating():
@@ -217,6 +226,41 @@ def outcome(fn, *args, **kwargs):
 def as_lists(value):
     """An (n, 2) array as a list of [x, y] floats; None stays None."""
     return None if value is None else value.tolist()
+
+
+@contextlib.contextmanager
+def watched_solve():
+    """Record each call of constraints._solve_wall_chain while the block runs.
+
+    Yields a list that gains (positions after the pass, reverted flags,
+    result) per call; a resolver call ended in the solve when its last
+    record's result is not None.
+    """
+    records = []
+    solve = constraints._solve_wall_chain
+
+    def watched(pos, pairs, anchors, reverted, *args):
+        out = solve(pos, pairs, anchors, reverted, *args)
+        records.append((list(pos), list(reverted), out))
+        return out
+
+    with mock.patch.object(constraints, "_solve_wall_chain", watched):
+        yield records
+
+
+def ended_in_solve(records) -> bool:
+    return bool(records) and records[-1][2] is not None
+
+
+def assert_solve_ended(records, got, anchors, budget):
+    """got, an outcome() of resolve_collisions, is the last solve's result,
+    and every agent the solve moved is within budget of its anchor by
+    math.hypot, exactly."""
+    before, _, solved = records[-1]
+    assert got[0] == float_bytes(solved)
+    for (x, y), (ax, ay), old in zip(solved, anchors, before):
+        if (x, y) != old:
+            assert math.hypot(x - ax, y - ay) <= budget
 
 
 def assert_resolved(positions, grid, radius, revert_to, **kwargs):
@@ -346,9 +390,12 @@ def test_resolve_collisions_matches_reference(positions, radius, budget, jitter,
     }[revert]
     kwargs = dict(anchors=anchors, budget=budget, revert_to=revert_to)
     lists = dict(anchors=as_lists(anchors), budget=budget, revert_to=as_lists(revert_to))
-    assert outcome(resolve_collisions, positions.tolist(), grid, radius, **lists) == outcome(
-        ref_resolve_collisions, positions, grid, radius, **kwargs
-    )
+    with watched_solve() as solves:
+        got = outcome(resolve_collisions, positions.tolist(), grid, radius, **lists)
+    if ended_in_solve(solves):
+        assert_solve_ended(solves, got, lists["anchors"], budget)
+    else:
+        assert got == outcome(ref_resolve_collisions, positions, grid, radius, **kwargs)
     assert_resolved(positions.tolist(), grid, radius, **lists)
 
 
@@ -382,15 +429,18 @@ def pinned_at_the_wall(draw):
 def test_resolve_collisions_on_lists_at_the_wall_matches_reference(case, radius):
     points, anchors, budget, revert_to = case
     grid = GridConfig(GRID, GRID)
-    got = outcome(
-        resolve_collisions, points, grid, radius,
-        anchors=anchors, budget=budget, revert_to=revert_to,
-    )
-    want = outcome(
-        ref_resolve_collisions, np.array(points), grid, radius, anchors=np.array(anchors),
-        budget=budget, revert_to=None if revert_to is None else np.array(revert_to),
-    )
-    assert got == want
+    with watched_solve() as solves:
+        got = outcome(
+            resolve_collisions, points, grid, radius,
+            anchors=anchors, budget=budget, revert_to=revert_to,
+        )
+    if ended_in_solve(solves):
+        assert_solve_ended(solves, got, anchors, budget)
+    else:
+        assert got == outcome(
+            ref_resolve_collisions, np.array(points), grid, radius, anchors=np.array(anchors),
+            budget=budget, revert_to=None if revert_to is None else np.array(revert_to),
+        )
     assert_resolved(points, grid, radius, revert_to, anchors=anchors, budget=budget)
 
 
@@ -424,10 +474,13 @@ def test_resolve_collisions_stall_without_fallback_matches_reference(budget):
     )
 
 
-def test_resolve_collisions_matches_reference_on_pso_traffic(monkeypatch):
+def test_resolve_collisions_matches_reference_on_pso_traffic():
     # Every resolver call of a PSO run on twocluster20, launch included.  PSO
-    # piles agents on the y = 0 wall, where a pinned chain halves its
-    # shortfall each pass; the calls must cover that tail of many pair walks.
+    # piles agents on the y = 0 wall, where passes alone would halve a
+    # pinned chain's shortfall for up to 200 passes.  The wall-chain solve
+    # must end some calls and keep every in-step call to 5 pair walks; each
+    # call it ends meets the resolver's invariants, and every other call
+    # matches the reference.
     calls, walks = [], []
 
     def counted_walk(*args):
@@ -436,22 +489,29 @@ def test_resolve_collisions_matches_reference_on_pso_traffic(monkeypatch):
 
     def recorded(positions, grid, radius, **kwargs):
         walks.append(0)
-        out, touched, pushes = resolve(positions, grid, radius, **kwargs)
-        # Inputs as the reference takes them; the run loop edits out afterwards.
-        arrays = {k: v if k == "budget" else np.array(v) for k, v in kwargs.items()}
-        args = (np.array(positions), grid, radius)
-        calls.append((args, arrays, float_bytes(out), touched, pushes))
+        with watched_solve() as solves:
+            out, touched, pushes = resolve(positions, grid, radius, **kwargs)
+        # Bytes and copies now: the run loop edits out and its lists afterwards.
+        got = (float_bytes(out), touched.dtype, touched.tobytes(), pushes)
+        kwargs = {k: v if k == "budget" else list(v) for k, v in kwargs.items()}
+        calls.append((list(positions), grid, radius, kwargs, got, solves))
         return out, touched, pushes
 
-    walk, resolve = constraints._violating_pairs, harness.resolve_collisions
-    monkeypatch.setattr(constraints, "_violating_pairs", counted_walk)
-    monkeypatch.setattr(harness, "resolve_collisions", recorded)
-    harness.run_scenario(preset_scenario("twocluster20", seed=0, algorithm="pso", max_steps=150))
+    walk, resolve = constraints._violating_pairs, constraints.resolve_collisions
+    with mock.patch.object(constraints, "_violating_pairs", counted_walk), mock.patch.object(
+        harness, "resolve_collisions", recorded
+    ):
+        harness.run_scenario(preset_scenario("twocluster20", seed=0, algorithm="pso", max_steps=150))
 
-    assert max(walks) >= 30
-    for args, kwargs, out, touched, pushes in calls:
-        want = outcome(ref_resolve_collisions, *args, **kwargs)
-        assert (out, touched.dtype, touched.tobytes(), pushes) == want
+    assert max(walks[1:]) <= 5
+    assert any(ended_in_solve(solves) for *_, solves in calls)
+    for positions, grid, radius, kwargs, got, solves in calls:
+        if ended_in_solve(solves):
+            assert_solve_ended(solves, got, kwargs["anchors"], kwargs["budget"])
+            assert_resolved(positions, grid, radius, **kwargs)
+        else:
+            arrays = {k: v if k == "budget" else np.array(v) for k, v in kwargs.items()}
+            assert got == outcome(ref_resolve_collisions, np.array(positions), grid, radius, **arrays)
 
 
 # --- the soft forces ------------------------------------------------------------

@@ -390,6 +390,18 @@ class TestMarkCoverage:
         assert self.mark(swarm, field, 3.0, scanning=[False]) == []
         assert swarm.covered_count == 0
 
+    @pytest.mark.parametrize("ids", [[0, 5], [2], [-1], [1, -2]])
+    def test_cover_refuses_an_id_outside_the_list_before_any_write(self, ids):
+        # A negative id must not flag a hotspot counted from the end, and an id
+        # past the list must not leave the ids before it flagged.
+        _, field = self.make([[0.0, 0.0]], [[1.0, 0.0], [5.0, 5.0]])
+        bad = next(k for k in ids if not 0 <= k < 2)
+        with pytest.raises(IndexError, match=f"hotspot id {bad} "):
+            field.cover(ids)
+        assert field.covered == [False, False]
+        assert [k for k, _, _ in field.points] == [0, 1]
+        assert field.within(1.0, 0.0, 10.0) == [0, 1]
+
     @given(
         agents=st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)), min_size=1, max_size=8),
         targets=st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)), min_size=1, max_size=12),
