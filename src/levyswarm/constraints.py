@@ -451,7 +451,9 @@ def resolve_collisions(
                         break
         pairs, _ = _violating_pairs(pos, collision_radius)
         if pairs and bounded:
-            solved = _solve_wall_chain(pos, pairs, anchor_xy, reverted, grid, collision_radius, budget)
+            solved = _solve_wall_chain(
+                pos, pairs, anchor_xy, reverted, grid, collision_radius, budget
+            )
             if solved is not None:
                 for k, (old, new) in enumerate(zip(pos, solved)):
                     if new != old:

@@ -501,7 +501,9 @@ def test_resolve_collisions_matches_reference_on_pso_traffic():
     with mock.patch.object(constraints, "_violating_pairs", counted_walk), mock.patch.object(
         harness, "resolve_collisions", recorded
     ):
-        harness.run_scenario(preset_scenario("twocluster20", seed=0, algorithm="pso", max_steps=150))
+        harness.run_scenario(
+            preset_scenario("twocluster20", seed=0, algorithm="pso", max_steps=150)
+        )
 
     assert max(walks[1:]) <= 5
     assert any(ended_in_solve(solves) for *_, solves in calls)
@@ -511,7 +513,8 @@ def test_resolve_collisions_matches_reference_on_pso_traffic():
             assert_resolved(positions, grid, radius, **kwargs)
         else:
             arrays = {k: v if k == "budget" else np.array(v) for k, v in kwargs.items()}
-            assert got == outcome(ref_resolve_collisions, np.array(positions), grid, radius, **arrays)
+            want = outcome(ref_resolve_collisions, np.array(positions), grid, radius, **arrays)
+            assert got == want
 
 
 # --- the soft forces ------------------------------------------------------------
