@@ -23,10 +23,7 @@ import numpy as np
 # are reserved for non-agent draws.
 SCENARIO_STREAM = 1 << 32
 
-# Smallest |v| accepted by the Mantegna kernel before a re-draw.
-_MIN_ABS_V = 1e-300
-_MAX_REDRAWS = 8
-# Finiteness guard for the degenerate post-re-draw substitution path.
+# Cap on a step component's magnitude; the sampler saturates here.
 _MAX_COMPONENT = 1e300
 
 
@@ -150,22 +147,18 @@ def _mantegna_sigma(beta: float) -> float:
     return (num / den) ** (1.0 / beta)
 
 
-def _normals(first, src: RandomSource):
-    """The four draws of a 2-D step, then src's standard-normal stream one
-    value at a time for re-drawn denominators.  Philox gives the same values
-    in the same order as four single draws."""
-    yield from first
-    while True:
-        yield float(src.standard_normal(1)[0])
-
-
-def _draw_v(draws) -> float:
-    """Denominator Gaussian; re-draws near-zero values to bound 1/|v|^(1/beta)."""
-    for _ in range(_MAX_REDRAWS + 1):
-        v = next(draws)
-        if abs(v) >= _MIN_ABS_V:
-            return v
-    return _MIN_ABS_V
+def _saturated(scale: float, u: float, v: float, inv_beta: float) -> float:
+    """One component scale * u / |v|^inv_beta, saturated instead of raised: a
+    denominator that underflows to 0 gives the 1e300 cap with u's sign, one
+    that overflows gives a signed zero, and a component beyond the cap is capped."""
+    try:
+        denominator = abs(v) ** inv_beta
+    except OverflowError:
+        denominator = math.inf
+    step = scale * u / denominator if denominator > 0.0 else math.inf
+    if not math.isfinite(step):
+        return math.copysign(_MAX_COMPONENT, u)
+    return min(max(step, -_MAX_COMPONENT), _MAX_COMPONENT)
 
 
 def levy_step(
@@ -180,41 +173,26 @@ def levy_step(
     ``levy_weight * sigma_u * u / |v|^(1/beta)``.  With ``normalized``
     false, sigma_u is dropped (the bare u / |v|^(1/beta) kernel) and only
     the weight scales the step.  Components saturate instead of raising:
-    they are capped at 1e300, which also covers the re-draw substitution
-    path and a denominator that underflows to 0 (tiny beta, |v| < 1), and a
-    denominator that overflows (tiny beta, |v| > 1) gives a signed zero.
+    they are capped at 1e300, which also covers a denominator that
+    underflows to 0 (|v| = 0, or tiny beta with |v| < 1), and a denominator
+    that overflows (tiny beta, |v| > 1) gives a signed zero.
 
-    The four Gaussians come from one ``standard_normal(4)`` draw.  When both
-    denominators need no re-draw and both components land within the cap,
-    the quotients are the step; otherwise the guarded code below takes over
-    the same four values and continues the stream with single draws.
+    Every call reads exactly the four Gaussians of one ``standard_normal(4)``
+    draw.  When both quotients compute and land within the cap, they are the
+    step; otherwise ``_saturated`` recomputes both from the same four values.
     """
     if not levy_weight > 0.0:
         raise ParameterError(f"levy_weight must be positive, got {levy_weight!r}")
     sigma = mantegna_sigma(beta)  # validates beta
     scale = levy_weight * (sigma if normalized else 1.0)
-    first = src.standard_normal(4).tolist()
-    u1, v1, u2, v2 = first
-    if abs(v1) >= _MIN_ABS_V and abs(v2) >= _MIN_ABS_V:
-        try:
-            x = scale * u1 / abs(v1) ** (1.0 / beta)
-            y = scale * u2 / abs(v2) ** (1.0 / beta)
-        except (OverflowError, ZeroDivisionError):
-            pass
-        else:
-            if -_MAX_COMPONENT <= x <= _MAX_COMPONENT and -_MAX_COMPONENT <= y <= _MAX_COMPONENT:
-                return LevyStep(x, y)
-    draws = _normals(first, src)
-    out = []
-    for _ in range(2):
-        u = next(draws)
-        v = _draw_v(draws)
-        try:
-            denominator = abs(v) ** (1.0 / beta)
-        except OverflowError:
-            denominator = math.inf
-        step = scale * u / denominator if denominator > 0.0 else math.inf
-        if not math.isfinite(step):
-            step = math.copysign(_MAX_COMPONENT, u)
-        out.append(min(max(step, -_MAX_COMPONENT), _MAX_COMPONENT))
-    return LevyStep(*out)
+    inv_beta = 1.0 / beta
+    u1, v1, u2, v2 = src.standard_normal(4).tolist()
+    try:
+        x = scale * u1 / abs(v1) ** inv_beta
+        y = scale * u2 / abs(v2) ** inv_beta
+    except (OverflowError, ZeroDivisionError):
+        pass
+    else:
+        if -_MAX_COMPONENT <= x <= _MAX_COMPONENT and -_MAX_COMPONENT <= y <= _MAX_COMPONENT:
+            return LevyStep(x, y)
+    return LevyStep(_saturated(scale, u1, v1, inv_beta), _saturated(scale, u2, v2, inv_beta))

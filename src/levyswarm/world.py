@@ -400,6 +400,8 @@ def make_scenario(
 
 def generate_hotspots(kind: ScenarioKind, n_hotspots: int, seed: int, grid: GridConfig):
     """The hotspots of a uniform or twocluster layout (see make_scenario); checks its arguments."""
+    if kind is ScenarioKind.CUSTOM:
+        raise ValidationError("a custom layout lists its hotspots; it cannot be generated")
     grid.validate()
     field_value(n_hotspots, "int", "n_hotspots")
     src = RandomSource(seed=field_value(seed, "int", "seed"), stream_id=SCENARIO_STREAM)
@@ -630,13 +632,14 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         ScenarioConfig, data, "scenario", hotspots=_hotspots, kind=_parse_kind, n_hotspots="int",
         start=_start, start_position=None, algorithm=parse_algorithm,
     )
-    if "hotspots" not in data and "kind" not in data:
-        raise ValidationError("scenario must give either 'hotspots' or ('kind', 'n_hotspots')")
+    listed = "hotspots" in data
+    if listed == ("kind" in data) or (listed and "n_hotspots" in data):
+        raise ValidationError("scenario must give 'hotspots' or ('kind', 'n_hotspots'), not both")
     if "start" in data:
         data["start_position"] = data.pop("start")
     kind, n_hotspots = data.pop("kind", None), data.pop("n_hotspots", 20)
     config = ScenarioConfig(**data)
-    if "hotspots" not in data:
+    if not listed:
         config.hotspots = generate_hotspots(kind, n_hotspots, config.seed, config.grid)
     return config.validate()
 

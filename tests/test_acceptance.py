@@ -68,7 +68,7 @@ def algorithm_comparison():
         preset="twocluster20",
         seeds=SEEDS,
         max_steps=MAX_STEPS,
-        workers=1,
+        workers=2,
         record_trajectories=True,
     )
 

@@ -181,6 +181,24 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "fields",
         [
+            {"kind": "custom"},
+            {"kind": "uniform", "n_hotspots": 3, "hotspots": [{"x": 1, "y": 1}]},
+            {"hotspots": [{"x": 1, "y": 1}], "n_hotspots": 7},
+        ],
+        ids=["custom_kind", "hotspots_and_kind", "hotspots_and_count"],
+    )
+    def test_layout_stated_two_ways_exits_one(self, tmp_path, capsys, fields):
+        # A file lists its hotspots or names a generated layout, never both;
+        # the custom kind has no generator.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"max_steps": 5, **fields}))
+        assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
+        assert main(["run", "--scenario", str(path)]) == EXIT_INVALID
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
             {"constraints": {"max_step_size": math.inf}},
             {"constraints": {"coverage_radius": math.inf}},
             {"constraints": {"potential_field_gain": math.inf}},

@@ -46,7 +46,6 @@ from levyswarm.rng import (
     _MAX_COMPONENT,
     ParameterError,
     RandomSource,
-    _draw_v,
     levy_step,
     mantegna_sigma,
 )
@@ -147,20 +146,12 @@ class TestNormAgainst:
 
 def reference_levy_step(src, levy_weight, beta, normalized=True):
     """levy_step as it was: one standard_normal(1) call per Gaussian."""
-
-    def draw_v():
-        for _ in range(9):
-            v = float(src.standard_normal(1)[0])
-            if abs(v) >= 1e-300:
-                return v
-        return 1e-300
-
     sigma = mantegna_sigma(beta)
     scale = levy_weight * (sigma if normalized else 1.0)
     out = np.empty(2)
     for axis in range(2):
         u = float(src.standard_normal(1)[0])
-        v = draw_v()
+        v = float(src.standard_normal(1)[0])
         try:
             denominator = abs(v) ** (1.0 / beta)
         except OverflowError:
@@ -207,11 +198,10 @@ class TestBatchedLevyStep:
                 assert ours.uniform(0.0, 1.0) == theirs.uniform(0.0, 1.0)
 
     # Scripted Gaussians that leave levy_step's fast path: (u1, v1, u2, v2,
-    # then the values a re-draw reads), a weight and a beta.
+    # then a value no step may read), a weight and a beta.
     SLOW_PATHS = {
-        # v1 passes and v2 re-draws twice, so the stream goes on past the
-        # four batched values.
-        "second_axis_redraws": ([0.7, -1.3, 0.4, 1e-310, -1e-301, 0.25, 9.0], 1.0, 1.5),
+        # v2 is subnormal and v1 is not: only the second axis saturates.
+        "second_axis_near_zero": ([0.7, -1.3, 0.4, 1e-310, 9.0], 1.0, 1.0),
         # |v| ** (1/beta) underflows to a subnormal: the quotient overflows to inf.
         "quotient_overflows": ([1.0, 1e-160, -1.0, 0.5, 9.0], 1.0, 0.5),
         # A finite quotient beyond the 1e300 cap.
@@ -229,11 +219,14 @@ class TestBatchedLevyStep:
         assert np.array(step).tobytes() == want.tobytes()
         assert ours.left == theirs.left == [9.0]
 
-    def test_redraws_continue_the_stream(self):
-        # A near-zero denominator takes the next values of the same stream.
-        draws = iter([1e-310, 1e-320, 0.5, 9.0])
-        assert _draw_v(draws) == 0.5
-        assert next(draws) == 9.0
+    def test_saturating_draws_continue_the_stream(self):
+        # At beta = 1e-3 almost every |v| ** (1/beta) overflows or underflows,
+        # so nearly every step saturates; each still reads four normals.
+        ours, theirs = RandomSource(3, 0), RandomSource(3, 0)
+        for _ in range(50):
+            step = levy_step(ours, 1.0, 1e-3)
+            assert np.array(step).tobytes() == reference_levy_step(theirs, 1.0, 1e-3).tobytes()
+        assert ours.uniform(0.0, 1.0) == theirs.uniform(0.0, 1.0)
 
     def test_sigma_is_cached_and_still_validated(self):
         assert mantegna_sigma(1.5) == mantegna_sigma(1.5)

@@ -18,7 +18,6 @@ from mpmath import mp
 
 from levyswarm.harness import run_scenario
 from levyswarm.rng import (
-    _MAX_REDRAWS,
     SCENARIO_STREAM,
     LevyStep,
     ParameterError,
@@ -313,21 +312,10 @@ class TestLevyStep:
         assert b.x == pytest.approx(a.x / sigma, rel=1e-15)
         assert b.y == pytest.approx(a.y / sigma, rel=1e-15)
 
-    def test_redraw_path_substitutes_floor(self):
-        # Eight rejected v-draws per axis, then the documented |v| = 1e-300
-        # substitution; components stay finite.
-        tiny = [1e-310] * (_MAX_REDRAWS + 1)
-        src = _ScriptedSource([1.0, *tiny, -1.0, *tiny])
-        step = levy_step(src, 1.0, 1.0)
-        assert math.isfinite(step.x) and math.isfinite(step.y)
-        want = mantegna_sigma(1.0) * 1.0 / 1e-300
-        assert step.x == want and step.y == -want
-
     def test_overflowing_quotient_clamps_finite(self):
-        # A large numerator against the substituted floor overflows the
+        # A large numerator against a small denominator overflows the
         # division; the sampler caps the component at +/-1e300.
-        tiny = [1e-310] * (_MAX_REDRAWS + 1)
-        src = _ScriptedSource([1e10, *tiny, -1e10, *tiny])
+        src = _ScriptedSource([1e10, 1e-299, -1e10, 1e-299])
         step = levy_step(src, 1.0, 1.0)
         assert step.x == 1e300 and step.y == -1e300
         assert math.isfinite(float(np.hypot(*step)))
@@ -339,11 +327,31 @@ class TestLevyStep:
         assert step.x == 0.0 and math.copysign(1.0, step.x) == -1.0
         assert step.y == -1e300
 
-    def test_redraw_accepts_first_valid(self):
-        src = _ScriptedSource([1.0, 1e-310, 2.0, 0.5, 0.5])
-        step = levy_step(src, 1.0, 1.0)
-        sigma = mantegna_sigma(1.0)
-        assert step.x == 1.0 * sigma * 1.0 / 2.0
+    @pytest.mark.parametrize(
+        "v, beta",
+        [
+            (0.0, 1.5), (5e-324, 1.5), (1e-310, 1.5), (1e-310, 1.0),
+            (0.0, 1e-3), (5e-324, 1e-3), (1e-310, 1e-3),
+        ],
+        ids=[
+            "zero", "min_subnormal", "subnormal", "subnormal_beta_1",
+            "zero_tiny_beta", "min_subnormal_tiny_beta", "subnormal_tiny_beta",
+        ],
+    )
+    def test_reads_exactly_four_normals(self, v, beta):
+        # A zero or subnormal denominator is used as drawn: the step reads
+        # (u1, v1, u2, v2) and no further, and each component is the
+        # saturating quotient with the sign of u.  At beta = 1 the quotient
+        # overflows to inf, at the tiny beta the denominator underflows to 0.
+        src = _ScriptedSource([0.75, v, -1.25, -v, 9.0])
+        step = levy_step(src, 2.0, beta)
+        assert src._values == [9.0]
+        scale = 2.0 * mantegna_sigma(beta)
+        for got, u in zip(step, (0.75, -1.25)):
+            denominator = abs(v) ** (1.0 / beta)
+            want = scale * u / denominator if denominator > 0.0 else math.copysign(math.inf, u)
+            assert got == max(-1e300, min(1e300, want))
+            assert math.copysign(1.0, got) == math.copysign(1.0, u)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_nonpositive_weight_rejected(self, bad):

@@ -24,6 +24,7 @@ from levyswarm.world import (
     UavState,
     UncoveredHotspots,
     ValidationError,
+    generate_hotspots,
     load_scenario,
     make_scenario,
     make_swarm,
@@ -292,6 +293,10 @@ class TestScenarioGenerators:
     def test_custom_requires_hotspots(self):
         with pytest.raises(ValidationError, match="custom"):
             make_scenario(ScenarioKind.CUSTOM, 0, seed=0)
+
+    def test_custom_kind_has_no_generator(self):
+        with pytest.raises(ValidationError, match="custom"):
+            generate_hotspots(ScenarioKind.CUSTOM, 3, 0, GridConfig())
 
     def test_custom_hotspots_are_shared_and_immutable(self):
         original = [Hotspot(position=np.array([5.0, 5.0]))]
