@@ -180,6 +180,20 @@ def test_heatmap_and_coverage_fingerprint(case, record):
     assert RECORDS[record](_run(case)) == _golden()[f"{record}:{case}"]
 
 
+# RunMetrics.zone_escape_events reaches no artifact, so no digest covers it.
+ZONE_ESCAPES = {
+    "uniform20/hybrid-abc-levy/0": 324,
+    "twocluster20/hybrid-abc-levy/0": 372,
+    CROWD_CASE: 452,
+    WEIGHTED_CASE: 353,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZONE_ESCAPES))
+def test_zone_escape_events(case):
+    assert _run(case).metrics.zone_escape_events == ZONE_ESCAPES[case]
+
+
 if __name__ == "__main__":
     old = _golden()
     new = {name: fingerprint(_run(name)) for name in sorted(CASES)}
