@@ -18,7 +18,9 @@ import numpy as np
 
 from . import constraints
 from .rng import RandomSource, levy_step
-from .world import Algorithm, ScenarioConfig, SwarmState, UncoveredHotspots, ValidationError
+from .world import (
+    Algorithm, ScenarioConfig, SwarmState, UncoveredHotspots, ValidationError, left_to_right_sum
+)
 
 
 class FitnessField(UncoveredHotspots):
@@ -64,64 +66,34 @@ class FitnessField(UncoveredHotspots):
         )
 
     def value(self, position, ids=None) -> float:
-        """The fitness at position, bit for bit as numpy computed it over arrays.
+        """The fitness at position.
 
         The covered weights are those of ``ids``, the within() query at
         position and coverage_radius, made here unless the caller already
-        holds it, and are added in np.sum's pairwise order; the shaping term,
-        a sum over every uncovered hotspot, stays one vectorised np.hypot: a
+        holds it, and are added left to right; the shaping term, a sum over
+        every uncovered hotspot, stays one vectorised np.hypot and np.sum: a
         value, not a comparison with a limit."""
         x, y = float(position[0]), float(position[1])
         if ids is None:
             ids = self.within(x, y, self.coverage_radius)
         weights = self.weights
         # Most positions cover nothing: 0.0, the empty sum.
-        total = _np_sum([weights[k] for k in ids]) if ids else 0.0
+        total = left_to_right_sum(weights[k] for k in ids) if ids else 0.0
         if self.shaping:
             d = np.hypot(self._xy[:, 0] - x, self._xy[:, 1] - y)
             total += self.epsilon * float(np.sum(self._weight_array / (1.0 + d)))
         return total
 
 
-def _np_sum(values: list[float]) -> float:
-    """np.sum of a float vector, on Python floats and in numpy's order.
-
-    numpy adds fewer than 8 values left to right, up to 128 in eight
-    interleaved partial sums joined as a tree, and more by halving; a plain
-    left-to-right sum of 8 or more values differs in the last bits.
-    (Builtin sum() is no substitute: it compensates on Python 3.12 and later.)
-    """
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _np_sum(values[:half]) + _np_sum(values[half:])
-    total = 0.0
-    if n < 8:
-        for v in values:
-            total += v
-        return total
-    lanes = values[:8]
-    whole = n - n % 8
-    for start in range(8, whole, 8):
-        for lane in range(8):
-            lanes[lane] += values[start + lane]
-    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
-        (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
-    )
-    for v in values[whole:]:
-        total += v
-    return total
-
-
 def nectar_probabilities(fitnesses) -> list[float]:
-    """Selection weights proportional to fitness; uniform when all are zero."""
+    """Selection weights f_i / sum(f), the sum added left to right; uniform
+    when all are zero."""
     fitnesses = [float(f) for f in fitnesses]
     if not fitnesses:
         raise ValidationError("nectar_probabilities needs at least one fitness value")
     if any(f < 0.0 for f in fitnesses):
         raise ValidationError("fitness values must be non-negative")
-    # np.sum starts from its identity: 0.0 + (-0.0) is 0.0.
-    total = 0.0 + _np_sum(fitnesses)
+    total = left_to_right_sum(fitnesses)
     if total <= 0.0:
         return [1.0 / len(fitnesses)] * len(fitnesses)
     return [f / total for f in fitnesses]

@@ -92,10 +92,7 @@ class RandomSource:
             raise ValueError("low or high is out of bounds for int64")
         if span == 1:
             return low
-        word = self._next32()
-        if span == 1 << 32:
-            return low + word
-        m = word * span
+        m = self._next32() * span
         if (m & _HALF_MASK) < span:
             threshold = ((1 << 32) - span) % span
             while (m & _HALF_MASK) < threshold:

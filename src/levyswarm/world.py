@@ -47,10 +47,12 @@ _KINDS = {
 # it meets grid offsets of at most 1024, a potential-field push of at most
 # gain * 1e27 per pair (d >= 1e-9) over at most 255 pairs, and fitness sums
 # of at most 10^4 weights, added over at most 256 agents.  Even the square of
-# a capped value stays far below the float maximum of about 1.8e308.
+# a capped value stays far below the float maximum of about 1.8e308.  The
+# collision_radius floor keeps the resolver's margin, radius * 1e-6, at about
+# 4 ulps of a coordinate near 1024; with smaller radii the launch can stall.
 _POSITIVE = {
     "dt", "weight", "levy_weight", "levy_beta", "sigma_sensitivity", "max_step_size",
-    "coverage_radius", "collision_radius", "potential_field_gain", "no_hotspot_threshold_radius",
+    "coverage_radius", "potential_field_gain", "no_hotspot_threshold_radius",
 }
 _COEFFICIENT = (-1e100, 1e100)
 _RANGES = {
@@ -61,6 +63,7 @@ _RANGES = {
         ],
         _COEFFICIENT,
     ),
+    "collision_radius": (1e-6, math.inf),
     "width": (1, 1024),
     "height": (1, 1024),
     "n_uavs": (1, 256),

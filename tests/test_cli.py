@@ -531,6 +531,17 @@ class TestValidateCommand:
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
         assert "must lie in [-1e+100, 1e+100]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", [math.nextafter(1e-6, 0.0), 1e-11, 1e-12, 1e-300])
+    def test_collision_radius_below_its_floor_is_rejected(self, tmp_path, capsys, radius):
+        # 1e-11, 1e-12 and 1e-300 once passed validate, and the run then failed
+        # at launch with "cannot separate agents to the collision radius".
+        path = tmp_path / "tiny.json"
+        scenario = {"kind": "uniform", "n_hotspots": 20, "seed": 0, "n_uavs": 5, "start": [50, 0]}
+        path.write_text(json.dumps({**scenario, "constraints": {"collision_radius": radius}}))
+        assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert "collision_radius must lie in [1e-06, inf]" in capsys.readouterr().err
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "extra.json"
         path.write_text(json.dumps({"hotspots": [{"x": 1, "y": 1}], "speed": 3}))

@@ -40,10 +40,10 @@ CROWD_CASE = "uniform/hybrid-abc-levy/7/n_uavs=8"
 # Eight agents over 40 uniform hotspots weighted 0.1 to 0.9 in turn, once
 # per algorithm.  Every other case has unit weights, whose sums are exact
 # integers in any order.  These pin the bytes of a fractional
-# biodiversity_b, and the nectar shares of eight agents, where np.sum adds in
-# a pairwise order of its own (on two of the hybrid's steps that order and a
-# left-to-right sum differ).  The PSO case runs the soft forces over 28 pairs
-# on nearly every step.
+# biodiversity_b and run nectar shares over eight fractional fitnesses.  They
+# do not pin the order of that sum: np.sum's order gives the same digests.
+# TestNectarShares in test_float_step.py pins it.  The PSO case runs the soft
+# forces over 28 pairs on nearly every step.
 WEIGHTED_CASE = "uniform40/hybrid-abc-levy/5/n_uavs=8,weights=0.1..0.9"
 WEIGHTED_CASES = [WEIGHTED_CASE] + [
     f"uniform40/{algorithm}/5/n_uavs=8,weights=0.1..0.9" for algorithm in ("abc", "pso")

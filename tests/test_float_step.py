@@ -3,13 +3,14 @@
 The proposers, the sampler and the harness bookkeeping compute on (x, y)
 floats.  Each reference below is the earlier numpy formulation, kept
 verbatim but for its norm (math.hypot's, the simulator's one), and each
-test requires the float code to give the same bits and
-the same random draws: the batched Gaussian draws of ``levy_step``, numpy's
-summation order for nectar shares, the ABC and PSO proposers, the motion
-clamp, the dead-ground escape and coverage marking.  Every length test takes
-math.hypot's verdict, which ``TestNormAgainst`` pins where np.hypot's
-differs.  The run loop's hand-offs to the proposers are pinned too: ABC's
-stored anchor values and the hybrid's scout draws.
+test requires the float code to give the same bits and the same random
+draws: the batched Gaussian draws of ``levy_step``, the ABC and PSO
+proposers, the motion clamp, the dead-ground escape and coverage marking.
+Every length test takes math.hypot's verdict, which ``TestNormAgainst``
+pins where np.hypot's differs.  The run loop's hand-offs to the proposers
+are pinned too: ABC's stored anchor values and the hybrid's scout draws.
+Nectar shares divide by the fitnesses added left to right, not in np.sum's
+order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from levyswarm.optimizers import (
     StepProposal,
     _constrain_motion,
     _nearest_better_neighbor,
-    _np_sum,
     abc_candidate,
     nectar_probabilities,
     propose_abc,
@@ -253,6 +253,12 @@ nectar = st.one_of(
 )
 
 
+def left_to_right_shares(values):
+    total = left_to_right(values)
+    f = np.array(values)
+    return (np.full(f.size, 1.0 / f.size) if total <= 0.0 else f / total).tobytes()
+
+
 class TestNectarShares:
     def test_eight_values_where_the_orders_differ(self):
         rng = np.random.default_rng(5)
@@ -261,25 +267,23 @@ class TestNectarShares:
             values = (rng.integers(1, 10, 8) / 10.0).tolist()
             if left_to_right(values) != float(np.sum(values)):
                 found += 1
-                assert _np_sum(values) == float(np.sum(values))
                 shares = nectar_probabilities(values)
-                assert np.array(shares).tobytes() == (np.array(values) / np.sum(values)).tobytes()
+                assert np.array(shares).tobytes() == left_to_right_shares(values)
         assert found > 0
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(nectar, min_size=8, max_size=8))
     def test_eight_agents(self, values):
-        assert _np_sum(values) == float(np.sum(np.array(values)))
+        assert np.array(nectar_probabilities(values)).tobytes() == left_to_right_shares(values)
+        # The fitness of eight covered hotspots on one point is the same sum.
+        hotspots = [Hotspot(position=(5.0, 5.0), weight=w) for w in values]
+        assert FitnessField(hotspots, 1.0).value((5.0, 5.0)) == left_to_right(values)
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(nectar, min_size=1, max_size=300))
     def test_any_swarm_size(self, values):
-        # Past 128 values numpy halves the vector; the cap on n_uavs is 256.
-        f = np.array(values)
-        assert _np_sum(values) == float(f.sum())
-        total = float(f.sum())
-        want = np.full(f.size, 1.0 / f.size) if total <= 0.0 else f / total
-        assert np.array(nectar_probabilities(values)).tobytes() == want.tobytes()
+        # The cap on n_uavs is 256.
+        assert np.array(nectar_probabilities(values)).tobytes() == left_to_right_shares(values)
 
     def test_zero_fitness_is_uniform_and_negatives_rejected(self):
         assert nectar_probabilities([0.0, -0.0, 0.0]) == [1.0 / 3.0] * 3

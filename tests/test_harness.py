@@ -26,11 +26,15 @@ from levyswarm.harness import (
 from levyswarm.metrics import Heatmap, RunMetrics
 from levyswarm.optimizers import FitnessField
 from levyswarm.world import (
+    _RANGES,
+    ConstraintParams,
+    GridConfig,
     Hotspot,
     ScenarioConfig,
     SwarmState,
     UncoveredHotspots,
     ValidationError,
+    make_scenario,
     preset_scenario,
 )
 
@@ -127,6 +131,21 @@ class TestRunScenario:
             for j in range(i + 1, 5):
                 assert math.hypot(*(first[i] - first[j])) >= 1.0
         assert result.metrics.collision_interventions >= 1
+
+    @pytest.mark.parametrize("algorithm", ["hybrid", "abc", "pso"])
+    def test_collision_radius_at_its_floor_launches(self, algorithm):
+        # At the floor the resolver's margin is still about 4 ulps of a
+        # coordinate on the largest grid, so every crowd separates at launch.
+        radius = _RANGES["collision_radius"][0]
+        starts = [(0, 0), (1024, 0), (0, 1024), (1024, 1024), (512, 0), (1024, 512), (512, 512)]
+        for n in range(2, 9):
+            for start in starts:
+                config = make_scenario(
+                    "uniform", 20, 0, GridConfig(1024, 1024), algorithm=algorithm, n_uavs=n,
+                    start_position=start, constraints=ConstraintParams(collision_radius=radius),
+                    max_steps=30,
+                )
+                assert run_scenario(config).metrics.min_pairwise_distance >= radius
 
     @pytest.mark.parametrize("algorithm", ["hybrid", "abc", "pso"])
     def test_short_run_invariants(self, algorithm):

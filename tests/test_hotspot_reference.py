@@ -3,18 +3,20 @@
 ``FitnessField.value``, ``mark_coverage`` and ``escape_no_hotspot_zone``
 answer "which uncovered hotspots lie within r of (x, y)?" on Python floats,
 through ``UncoveredHotspots.within``.  The functions below are the earlier
-numpy implementations, kept as references with one change: a length
+numpy implementations, kept as references with two changes: a length
 compared with a radius or ranked is math.hypot's, the simulator's one norm,
-where they took np.hypot's; the shaping term's sum keeps np.hypot.  Every
-fitness value and escape vector must match them bit for bit (sign of zero
-included), and coverage marking must flip the same hotspots and return the
-same indices.  The references take the covered flags as a list beside the
-hotspots; a field starts with every hotspot uncovered, so a scene's covered
-ones are covered through cover().  A field that cover() has shrunk must
-answer every query as one built fresh on the hotspots it has left.
-The inputs put hotspots a few ulps either side of the radius, on shared x
-coordinates (ties in the bisected index) and in dense clusters, so that
-np.sum's pairwise order over the covered weights shows.
+where they took np.hypot's (the shaping term's sum keeps np.hypot), and the
+covered weights are added in sequence, np.cumsum's order, where they took
+np.sum's.  Every fitness value and escape vector must match them bit for
+bit (sign of zero included), and coverage marking must flip the same
+hotspots and return the same indices.  The references take the covered
+flags as a list beside the hotspots; a field starts with every hotspot
+uncovered, so a scene's covered ones are covered through cover().  A field
+that cover() has shrunk must answer every query as one built fresh on the
+hotspots it has left.  The inputs put hotspots a few ulps either side of
+the radius, on shared x coordinates (ties in the bisected index) and in
+dense clusters, so that the order in which the covered weights are added
+shows.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ class RefFitnessField:
             return 0.0
         dx = self.positions[:, 0] - float(position[0])
         dy = self.positions[:, 1] - float(position[1])
-        total = float(self.weights[math_hypot(dx, dy) <= self.coverage_radius].sum())
+        covered = self.weights[math_hypot(dx, dy) <= self.coverage_radius]
+        total = float(np.cumsum(covered)[-1]) if covered.size else 0.0
         if self.shaping:
             total += self.epsilon * float(np.sum(self.weights / (1.0 + np.hypot(dx, dy))))
         return total
@@ -202,14 +205,14 @@ def test_value_matches_numpy_on_up_to_300_hotspots(case, shaping, other):
 
 @settings(max_examples=100, deadline=None)
 @given(case=cluster(8, 40), shaping=st.booleans())
-def test_value_sums_eight_or_more_weights_in_numpys_order(case, shaping):
+def test_value_sums_eight_or_more_weights_left_to_right(case, shaping):
     point, r, hotspots = case
     assert_value_matches(point, r, hotspots, shaping=shaping)
 
 
 @settings(max_examples=30, deadline=None)
 @given(case=cluster(129, 300))
-def test_value_sums_more_than_128_weights_in_numpys_order(case):
+def test_value_sums_more_than_128_weights_left_to_right(case):
     point, r, hotspots = case
     assert len(FitnessField(hotspots, r).within(*point, r)) == len(hotspots)
     assert_value_matches(point, r, hotspots)

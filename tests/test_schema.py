@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from levyswarm.cli import _parse_seeds, _scenario_from_args, _sweep_spec_from_args
 from levyswarm.world import (
+    _COEFFICIENT,
     _POSITIVE,
     _RANGES,
     AlgorithmParams,
@@ -249,8 +250,12 @@ class TestUnifiedRule:
         assert len(scenario_from_dict({"kind": "TwoCluster", "n_hotspots": 4}).hotspots) == 4
 
 
-# (path, name) of every float key with a range: the coefficient caps.
-CAPPED = [(path, name) for path, name, kind in KEYS if kind == "float" and name in _RANGES]
+# (path, name) of every float key capped as a coefficient.
+CAPPED = [
+    (path, name)
+    for path, name, kind in KEYS
+    if kind == "float" and _RANGES.get(name) == _COEFFICIENT
+]
 
 
 def _section(config: ScenarioConfig, path):
