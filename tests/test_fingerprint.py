@@ -78,12 +78,16 @@ KNOB_CASES = {
         constraints=ConstraintParams(safe_zone_radius=5.0, collision_radius=1.0)
     ),
 }
+# Ten thousand uniform hotspots, the most validate() accepts.  Within 300
+# steps the hybrid covers more than half of them, so cover() runs past the
+# point where the coverage index compacts its lists; ABC covers a few hundred.
+LARGE_CASES = [f"uniform10000/{algorithm}/3" for algorithm in ("hybrid-abc-levy", "abc")]
 CASES = [
     f"{preset}/{algorithm}/{seed}"
     for preset in ("uniform20", "twocluster20")
     for algorithm in ("hybrid-abc-levy", "abc", "pso")
     for seed in (0, 1)
-] + [CROWD_CASE] + WEIGHTED_CASES + TIGHT_CASES + list(KNOB_CASES)
+] + [CROWD_CASE] + WEIGHTED_CASES + TIGHT_CASES + list(KNOB_CASES) + LARGE_CASES
 
 
 def scenario(case: str):
@@ -100,6 +104,9 @@ def scenario(case: str):
             "custom", 40, 5, custom_hotspots=hotspots, algorithm=case.split("/")[1],
             n_uavs=8, max_steps=STEPS,
         )
+    if case in LARGE_CASES:
+        _, algorithm, seed = case.split("/")
+        return make_scenario("uniform", 10_000, int(seed), algorithm=algorithm, max_steps=STEPS)
     if case in TIGHT_CASES:
         kind, algorithm, seed, _ = case.split("/")
         return make_scenario(
