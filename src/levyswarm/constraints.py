@@ -232,16 +232,13 @@ def escape_no_hotspot_zone(
     uncovered hotspot is already close, or when every hotspot is covered
     (there is nowhere useful to send the agent).
 
-    The x-window of the threshold settles most calls (within()'s test,
-    stopping at the first hit).  A fired escape aims at field.nearest(): the
-    least math.hypot distance, the lowest id on a tie.
+    field.any_within() settles most calls on the x-window of the threshold.
+    A fired escape aims at field.nearest(): the least math.hypot distance,
+    the lowest id on a tie.
     """
-    x, y, r = float(position[0]), float(position[1]), threshold_radius
-    if not field.points:
+    x, y = float(position[0]), float(position[1])
+    if not field.n_uncovered or field.any_within(x, y, threshold_radius):
         return None
-    for _, hx, hy in field.window(x, r):
-        if math.hypot(hx - x, hy - y) <= r:
-            return None
     d, _, hx, hy = field.nearest(x, y)
     return (hx - x) / d * max_step_size, (hy - y) / d * max_step_size
 

@@ -37,7 +37,7 @@ class FitnessField(UncoveredHotspots):
     __slots__ = ("weights", "coverage_radius", "shaping", "epsilon", "_xy", "_weight_array")
 
     def __init__(self, hotspots, coverage_radius, shaping=False, epsilon=0.01):
-        super().__init__(hotspots)
+        super().__init__(hotspots, coverage_radius)
         self.weights = [float(hot.weight) for hot in hotspots]
         self.coverage_radius = float(coverage_radius)
         self.shaping = bool(shaping)

@@ -429,44 +429,134 @@ def two_cluster_far_indices(n_hotspots: int) -> list[int]:
     return list(range((n_hotspots + 1) // 2, n_hotspots))
 
 
+# The cell index's side exceeds its reach by this factor, so a hotspot whose
+# rounded length from a query point is at most the reach always lies in the
+# query's own cell or one of its eight neighbours.  Cells are capped at
+# _MAX_CELLS a side, and _MAX_KEY keeps every cell key an exact float.
+_SIDE_MARGIN = 1.0 + 2.0**-20
+_MAX_CELLS = 256
+_MAX_KEY = 2.0**50
+# x-sorted lists this short are filtered on every cover() that covers
+# something, so the escape's walks meet no covered entry.
+_SHORT_LIST = 64
+_NO_GRID = (-math.inf, 1.0, 1.0, {})
+
+
 class UncoveredHotspots:
-    """A run's coverage of its hotspots, indexed by x for radius queries.
+    """A run's coverage of its hotspots, indexed for radius queries.
 
     ``hotspots`` is the run's list, and a hotspot's id is its index there.
     ``covered[k]`` is true once hotspot k is covered; the field is the only
-    owner of these flags.  ``points`` holds (id, x, y) of each uncovered
-    hotspot, in list order; within() bisects an x-sorted copy, so a query
-    costs O(log m + window) rather than O(m).  Every hotspot starts
-    uncovered, and coverage changes only through cover(), which sets the
-    flags and drops the hotspots from both lists.
+    owner of these flags, and ``n_uncovered`` counts the hotspots left.
+    ``points`` gives (id, x, y) of each uncovered hotspot, in list order.
+    Every hotspot starts uncovered, and coverage changes only through
+    cover(), which sets flags and lowers the count.
+
+    Two indexes answer the queries.  An x-sorted list, which a query
+    bisects in O(log m + window), serves window(), any_within(), nearest()
+    and the within() queries the cells cannot answer.  Given a radius,
+    square cells of side just above it serve within() up to the cells'
+    reach (the radius, or a 256th of the layout's extent if larger): each
+    cell lists, in id order, the hotspots of its 3 x 3 neighbourhood, so a
+    query costs one dict lookup and one math.hypot per neighbour, and its
+    hits come out in list order.
+
+    Both indexes keep covered entries, which every query skips, until more
+    than half of what they listed at their last filtering is covered; then
+    cover() filters them, so covering costs amortised O(1) a hotspot.
+    x-sorted lists of at most _SHORT_LIST entries are filtered on every
+    cover() that covers something.
     """
 
-    __slots__ = ("hotspots", "covered", "points", "_xs", "_by_x")
+    __slots__ = (
+        "hotspots", "covered", "n_uncovered", "_points", "_xs", "_by_x", "_grid", "_listed"
+    )
 
-    def __init__(self, hotspots):
+    def __init__(self, hotspots, radius: float | None = None):
         self.hotspots = hotspots
         self.covered = [False] * len(hotspots)
-        self.points = [(k, *hot.position) for k, hot in enumerate(hotspots)]
-        self._by_x = sorted(self.points, key=lambda point: point[1])
+        self.n_uncovered = len(hotspots)
+        self._points = [(k, *hot.position) for k, hot in enumerate(hotspots)]
+        self._by_x = sorted(self._points, key=lambda point: point[1])
         self._xs = [x for _, x, _ in self._by_x]
+        self._grid = self._grid_for(radius)
+        self._listed = len(hotspots)
+
+    def _grid_for(self, radius):
+        """(reach, side, stride, cells) of the cell index; a reach of -inf,
+        which no query radius is below, without one.
+
+        A cell is (floor(y / side), floor(x / side)), which float // computes
+        exactly.  If math.hypot(hx - x, hy - y) <= r <= reach, then
+        |hx - x| <= r * (1 + 2**-52) <= side, since hypot is at least its
+        rounded leg, so the two cells differ by at most one in each axis.
+        Only cells with a hotspot among their neighbours get an entry.  Its
+        key, cy * stride + cx, is an exact float that no other cell of the
+        layout's bounds, widened by one cell, shares.  A query beyond them is
+        more than the reach from every hotspot, so whatever cell its key
+        names, the hotspots there fail its math.hypot test.
+        """
+        if radius is None or not self._points:
+            return _NO_GRID
+        xs = self._xs
+        y_min = min(y for _, _, y in self._points)
+        y_max = max(y for _, _, y in self._points)
+        reach = max(float(radius), max(xs[-1] - xs[0], y_max - y_min) / _MAX_CELLS)
+        side = reach * _SIDE_MARGIN
+        if not 0.0 < side < math.inf:
+            return _NO_GRID
+        x_lo, x_hi = xs[0] // side - 1.0, xs[-1] // side + 1.0
+        y_lo, y_hi = y_min // side - 1.0, y_max // side + 1.0
+        stride = x_hi - x_lo + 1.0
+        if not (abs(y_lo) + abs(y_hi)) * stride + abs(x_lo) + abs(x_hi) < _MAX_KEY:
+            return _NO_GRID
+        offsets = [row + column for row in (-stride, 0.0, stride) for column in (-1.0, 0.0, 1.0)]
+        cells = {}
+        for point in self._points:
+            _, hx, hy = point
+            key = (hy // side) * stride + hx // side
+            for offset in offsets:
+                cell = cells.get(key + offset)
+                if cell is None:
+                    cells[key + offset] = [point]
+                else:
+                    cell.append(point)
+        return reach, side, stride, cells
+
+    @property
+    def points(self) -> list[tuple[int, float, float]]:
+        """(id, x, y) of each uncovered hotspot, in list order."""
+        if self.n_uncovered == len(self._points):
+            return self._points
+        covered = self.covered
+        return [point for point in self._points if not covered[point[0]]]
 
     def cover(self, ids) -> None:
-        """Mark the hotspots ids covered and drop them from the index.
+        """Mark the hotspots ids covered, filtering the indexes when due.
 
-        The sort is stable, so filtering both lists leaves the order that
-        sorting the remaining hotspots again would give.  Every id is
-        checked before anything is written: one outside
+        Every id is checked before anything is written: one outside
         0 <= id < len(covered) raises IndexError and leaves the field as it
-        was.
+        was.  Filtering keeps each list's order, so the stable x-sorted list
+        keeps the order that sorting the remaining hotspots again would give.
         """
         gone = set(ids)
+        covered = self.covered
         for k in gone:
-            if not 0 <= k < len(self.covered):
-                raise IndexError(f"hotspot id {k} out of range for {len(self.covered)} hotspots")
+            if not 0 <= k < len(covered):
+                raise IndexError(f"hotspot id {k} out of range for {len(covered)} hotspots")
         for k in gone:
-            self.covered[k] = True
-        self.points = [point for point in self.points if point[0] not in gone]
-        self._by_x = [point for point in self._by_x if point[0] not in gone]
+            if not covered[k]:
+                covered[k] = True
+                self.n_uncovered -= 1
+        if 2 * self.n_uncovered < self._listed:
+            self._listed = self.n_uncovered
+            _, _, _, cells = self._grid
+            for cell in cells.values():
+                cell[:] = [point for point in cell if not covered[point[0]]]
+        elif not self.n_uncovered < len(self._points) <= _SHORT_LIST:
+            return
+        self._points = [point for point in self._points if not covered[point[0]]]
+        self._by_x = [point for point in self._by_x if not covered[point[0]]]
         self._xs = [x for _, x, _ in self._by_x]
 
     def window(self, x: float, r: float) -> list[tuple[int, float, float]]:
@@ -484,13 +574,45 @@ class UncoveredHotspots:
             lo -= 1
         while hi < len(xs) and abs(xs[hi] - x) <= r:
             hi += 1
-        return self._by_x[lo:hi]
+        near = self._by_x[lo:hi]
+        if self.n_uncovered == len(xs):
+            return near
+        covered = self.covered
+        return [point for point in near if not covered[point[0]]]
+
+    def any_within(self, x: float, y: float, r: float) -> bool:
+        """Whether within(x, y, r) would name some hotspot: its test on
+        window()'s entries, stopping at the first hit.  The dead-ground
+        escape asks this on every free agent, so the bounds are inline."""
+        xs = self._xs
+        lo = bisect_left(xs, x - r)
+        hi = bisect_right(xs, x + r, lo)
+        while lo and abs(xs[lo - 1] - x) <= r:
+            lo -= 1
+        while hi < len(xs) and abs(xs[hi] - x) <= r:
+            hi += 1
+        covered = self.covered
+        for k, hx, hy in self._by_x[lo:hi]:
+            if math.hypot(hx - x, hy - y) <= r and not covered[k]:
+                return True
+        return False
 
     def within(self, x: float, y: float, r: float) -> list[int]:
         """Ids of the uncovered hotspots within r of (x, y), in list order.
 
         A hotspot is within r when math.hypot(hx - x, hy - y) <= r.
         """
+        reach, side, stride, cells = self._grid
+        if r <= reach:
+            near = cells.get((y // side) * stride + x // side)
+            if not near:
+                return []
+            covered = self.covered
+            hits = []
+            for k, hx, hy in near:
+                if math.hypot(hx - x, hy - y) <= r and not covered[k]:
+                    hits.append(k)
+            return hits
         window = self.window(x, r)
         if not window:
             return []
@@ -505,13 +627,14 @@ class UncoveredHotspots:
         """(d, id, hx, hy) of the uncovered hotspot nearest (x, y), or None if none is left.
 
         d is math.hypot(hx - x, hy - y), the least of all, and id the lowest
-        among equal d: min() over every hotspot's (d, id, hx, hy).  The walk
-        goes outward from x through the x-sorted index, the side whose next
-        |hx - x| is smaller first, and stops once that exceeds the best d:
-        math.hypot(dx, dy) >= |dx| under faithful rounding, and |hx - x|
-        only grows outward, so no hotspot beyond can be nearer or tie.
+        among equal d: min() over every uncovered hotspot's (d, id, hx, hy).
+        The walk goes outward from x through the x-sorted list, the side
+        whose next |hx - x| is smaller first, skips covered entries and
+        stops once that exceeds the best d: math.hypot(dx, dy) >= |dx| under
+        faithful rounding, and |hx - x| only grows outward, so no hotspot
+        beyond can be nearer or tie.
         """
-        xs, by_x = self._xs, self._by_x
+        xs, by_x, covered = self._xs, self._by_x, self.covered
         hi = bisect_left(xs, x)
         lo = hi - 1
         best = None
@@ -525,7 +648,7 @@ class UncoveredHotspots:
             if best is not None and abs(hx - x) > best[0]:
                 break
             candidate = (math.hypot(hx - x, hy - y), k, hx, hy)
-            if best is None or candidate < best:
+            if (best is None or candidate < best) and not covered[k]:
                 best = candidate
         return best
 
@@ -542,7 +665,7 @@ def mark_coverage(swarm: SwarmState, field: UncoveredHotspots, hits) -> list[int
     newly = sorted({k for k in hits if not field.covered[k]})
     if newly:
         field.cover(newly)
-    swarm.covered_count = len(field.hotspots) - len(field.points)
+    swarm.covered_count = len(field.hotspots) - field.n_uncovered
     return newly
 
 

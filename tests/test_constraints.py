@@ -423,6 +423,19 @@ class TestResolveCollisions:
         for p in out:
             assert GridConfig().contains(p)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ConstraintError,
+        reason="ROADMAP defect 'a swarm of 9 or more UAVs crashes at launch': the unbounded "
+        "resolver cannot relax a chain of stacked agents pinned on a grid edge",
+    )
+    def test_stacks_on_the_bottom_edge_separate(self):
+        # The invariant test above once drew this: two agents stacked at (2, 0)
+        # and four at the corner.  The unbounded call runs out of passes.
+        coords = [(2.0, 0.0), (2.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
+        out, _, _ = resolve_collisions(coords, GridConfig(), 1.0)
+        assert min_pairwise(out) >= 1.0
+
     @given(
         coords=st.lists(
             st.tuples(

@@ -1,8 +1,8 @@
-"""Hotspot queries on the x-sorted float index against their numpy references.
+"""Hotspot queries on the coverage index against their numpy references.
 
 ``FitnessField.value``, ``mark_coverage`` and ``escape_no_hotspot_zone``
 answer "which uncovered hotspots lie within r of (x, y)?" on Python floats,
-through ``UncoveredHotspots.within``.  The functions below are the earlier
+through the queries of ``UncoveredHotspots``.  The functions below are the earlier
 numpy implementations, kept as references with two changes: a length
 compared with a radius or ranked is math.hypot's, the simulator's one norm,
 where they took np.hypot's (the shaping term's sum keeps np.hypot), and the
