@@ -136,7 +136,8 @@ def test_queries_far_from_the_layout_find_nothing(case, far):
 
 
 def test_a_tiny_radius_caps_the_cells_at_256_a_side():
-    # 1e-6 on a 1024 grid would make a billion cells; the side is 4 instead.
+    # Cells of side 1e-6 would number about 10**9 a side on a 1024 grid; the
+    # cap of 256 a side makes the side 4 (and a hair).
     rng = np.random.default_rng(0)
     positions = [(0.0, 0.0), (1024.0, 1024.0)] + rng.uniform(0.0, 1024.0, (2000, 2)).tolist()
     field = UncoveredHotspots(hotspots_at(positions), 1e-6)
