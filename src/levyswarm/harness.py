@@ -153,6 +153,7 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     # Step 0 scores and records the launch positions, every agent scanning.
     final, min_pairwise = start, _violating_pairs(start, 0.0)[1]
     scanning, guided = [True] * config.n_uavs, [False] * config.n_uavs
+    within = fitness.within
     step = 0
     while True:
         # One coverage query per scanning agent serves its fitness and the
@@ -164,11 +165,14 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
                 # Mid-flight: the sensor is dark, so no reward is realized and
                 # nothing is observed; the last landed fitness stays in force.
                 continue
-            ids = fitness.within(*position, radius)
-            hits.update(ids)
+            ids = within(*position, radius)
+            if ids:
+                hits.update(ids)
             value = fitness.value(position, ids)
             uav.fitness = value
-            swarm.observe(position, value)
+            if value > swarm.global_best_fitness:
+                swarm.global_best_fitness = value
+                swarm.global_best_position = (float(position[0]), float(position[1]))
             if value > uav.best_fitness:
                 uav.best_fitness = value
                 uav.personal_best = position

@@ -34,7 +34,8 @@ class FitnessField(UncoveredHotspots):
     UncoveredHotspots index of the run's hotspots, so cover() updates it.
     """
 
-    __slots__ = ("weights", "coverage_radius", "shaping", "epsilon", "_xy", "_weight_array")
+    __slots__ = ("weights", "coverage_radius", "shaping", "epsilon", "_xy", "_weight_array",
+                 "_all_xy", "_all_weights", "_uncovered")
 
     def __init__(self, hotspots, coverage_radius, shaping=False, epsilon=0.01):
         super().__init__(hotspots, coverage_radius)
@@ -45,16 +46,22 @@ class FitnessField(UncoveredHotspots):
         if self.shaping:
             self._shaping_operands()
 
-    def cover(self, ids) -> None:
-        super().cover(ids)
-        if self.shaping:
-            self._shaping_operands()
-
     def _shaping_operands(self):
         # The shaping term sums over every uncovered hotspot, which numpy
-        # does faster than a Python loop.  Nothing else reads these arrays.
-        self._xy = np.array([(x, y) for _, x, y in self.points], dtype=float).reshape(-1, 2)
-        self._weight_array = np.array([self.weights[k] for k, _, _ in self.points], dtype=float)
+        # does faster than a Python loop.  Its operands, which nothing else
+        # reads, are the rows the uncovered mask keeps, in id order.
+        self._all_xy = np.array([h.position for h in self.hotspots], dtype=float).reshape(-1, 2)
+        self._all_weights = np.array(self.weights, dtype=float)
+        self._uncovered = np.ones(len(self.weights), dtype=bool)
+        self._xy, self._weight_array = self._all_xy, self._all_weights
+
+    def cover(self, ids) -> None:
+        ids = list(ids)  # an iterator would be spent by the base class
+        super().cover(ids)
+        if self.shaping and ids:
+            self._uncovered[np.array(ids, dtype=np.intp)] = False
+            self._xy = self._all_xy[self._uncovered]
+            self._weight_array = self._all_weights[self._uncovered]
 
     @classmethod
     def from_config(cls, hotspots, config: ScenarioConfig) -> "FitnessField":
@@ -86,17 +93,21 @@ class FitnessField(UncoveredHotspots):
 
 
 def nectar_probabilities(fitnesses) -> list[float]:
-    """Selection weights f_i / sum(f), the sum added left to right; uniform
-    when all are zero."""
-    fitnesses = [float(f) for f in fitnesses]
-    if not fitnesses:
+    """Selection weights f_i / sum(f), the sum added left to right from 0.0;
+    uniform when all are zero."""
+    values = []
+    total = 0.0
+    for f in fitnesses:
+        f = float(f)
+        if f < 0.0:
+            raise ValidationError("fitness values must be non-negative")
+        values.append(f)
+        total += f
+    if not values:
         raise ValidationError("nectar_probabilities needs at least one fitness value")
-    if any(f < 0.0 for f in fitnesses):
-        raise ValidationError("fitness values must be non-negative")
-    total = left_to_right_sum(fitnesses)
     if total <= 0.0:
-        return [1.0 / len(fitnesses)] * len(fitnesses)
-    return [f / total for f in fitnesses]
+        return [1.0 / len(values)] * len(values)
+    return [f / total for f in values]
 
 
 def adaptive_levy_probability(fitness: float, global_best: float, sensitivity: float) -> float:
@@ -154,7 +165,7 @@ class StepProposal:
         if self.guided is None:
             self.guided = np.zeros(len(self.positions), dtype=bool)
         if self.scanning is None:
-            self.scanning = np.ones(len(self.positions), dtype=bool)
+            self.scanning = np.array([True] * len(self.positions))
         if self.report is None:
             self.report = constraints.ConstraintReport()
 
@@ -280,140 +291,127 @@ def propose_hybrid(
     config: ScenarioConfig,
     rngs: list[RandomSource],
 ) -> StepProposal:
-    """One motion step of the Levy-flight hybrid.
+    """One motion step of the Levy-flight hybrid, in one pass over the agents.
 
-    The step opens with the scout reset: an agent with no relocation pending
-    whose stagnation count has reached stagnation_limit commits to a
-    uniformly drawn waypoint, and its count restarts.
+    Per agent, in order: the scout reset, when no relocation is pending and
+    the stagnation count has reached stagnation_limit, commits to a uniformly
+    drawn waypoint and restarts the count.  A free agent then makes a
+    dead-ground escape (a full-speed move toward the nearest uncovered
+    hotspot when none is within the threshold radius), or else a fresh Levy
+    flight plus an explore/exploit nudge: agents strictly above the median
+    fitness step away from their nearest better neighbour, the rest drift
+    toward the global best.  A Levy draw is a flight length, not a teleport:
+    a flight whose boundary-clamped destination lies farther than
+    max_step_size becomes a committed waypoint, and an agent with a waypoint
+    (a long flight or a scout reset) spends the step on a relocation leg.
+    Every other agent draws an onlooker Bernoulli (probability = its nectar
+    share of current fitness, or the sigmoid gate when adaptive_lambda is
+    set), and a selected agent tries a fresh one-step Levy move, kept only
+    under strict greedy acceptance.  All realized positions stay within the
+    per-step motion budget about the agent's step-start position.
 
-    A Levy draw is a flight length, not a teleport: agents travel at most
-    max_step_size per step, so a draw whose boundary-clamped destination lies
-    farther than one step becomes a committed waypoint the agent traverses
-    over consecutive steps.  Per agent, in order: a pending relocation (long
-    Levy flight or scout reset) consumes the whole step; otherwise dead-ground
-    escape (full-speed move toward the nearest uncovered hotspot when none is
-    within the threshold radius); otherwise a fresh Levy flight plus an
-    explore/exploit nudge — agents strictly above the median fitness step away
-    from their nearest better neighbour, the rest drift toward the global
-    best.  An onlooker pass then draws a Bernoulli per free agent (probability
-    = its nectar share of current fitness, or the sigmoid gate when
-    adaptive_lambda is set) and gives selected agents a fresh one-step Levy
-    move kept only under strict greedy acceptance.  All realized positions
-    stay within the per-step motion budget about the agent's step-start
-    position.
+    Agent i draws only from rngs[i] and reads only the step-start anchors,
+    values and global best and the field, which nothing covers during a
+    proposal.  So one pass per agent gives every stream the same draws, in
+    the same order, as one pass per phase over all agents.
 
     Positions are (x, y) pairs of Python floats: each agent makes a few dozen
     2-vector operations, far cheaper on floats than as numpy calls, with the
     same rounding.
     """
-    params = config.params
-    cons = config.constraints
-    max_step = cons.max_step_size
+    params, cons, grid = config.params, config.constraints, config.grid
+    max_step, threshold = cons.max_step_size, cons.no_hotspot_threshold_radius
+    weight, beta, normalized = params.levy_weight, params.levy_beta, params.mantegna_normalized
+    explore, exploit = params.explore_coeff, params.exploit_sign * params.exploit_coeff
+    adaptive, sensitivity = params.adaptive_lambda, params.sigma_sensitivity
+    limit = params.stagnation_limit
+    escape_from, levy = constraints.escape_no_hotspot_zone, levy_step
     uavs = swarm.uavs
     n = len(uavs)
-    width, height = float(config.grid.width), float(config.grid.height)
-    for uav, src in zip(uavs, rngs):
-        if uav.transit_target is None and uav.stagnation >= params.stagnation_limit:
-            uav.transit_target = (src.uniform(0.0, 1.0) * width, src.uniform(0.0, 1.0) * height)
-            uav.stagnation = 0
+    width, height = float(grid.width), float(grid.height)
     anchors = [uav.position for uav in uavs]
     tentative = list(anchors)
     gx, gy = swarm.global_best_position
+    best = swarm.global_best_fitness
     # Balancing and nectar shares key on each agent's last realized fitness
     # (the reward credited for its previous move), not a re-evaluation at the
     # anchor: once a hotspot is marked, standing next to it scores nothing.
     values = [uav.fitness for uav in uavs]
     median_value = _median(values)
+    shares = nectar_probabilities(values)
     report = constraints.ConstraintReport()
     transit_legs = 0
     guided = [False] * n
     scanning = [True] * n
 
-    in_transit = [uav.transit_target is not None for uav in uavs]
     for i, uav in enumerate(uavs):
-        if in_transit[i]:
-            continue
-        ax, ay = anchors[i]
-        escape = constraints.escape_no_hotspot_zone(
-            anchors[i], fitness, cons.no_hotspot_threshold_radius, max_step
-        )
-        if escape is not None:
-            report.zone_escapes += 1
+        src = rngs[i]
+        anchor = anchors[i]
+        ax, ay = anchor
+        target = uav.transit_target
+        if target is None and uav.stagnation >= limit:
+            target = uav.transit_target = (
+                src.uniform(0.0, 1.0) * width, src.uniform(0.0, 1.0) * height
+            )
+            uav.stagnation = 0
+        if target is None:
+            escape = escape_from(anchor, fitness, threshold, max_step)
+            if escape is not None:
+                report.zone_escapes += 1
+                guided[i] = True
+                tentative[i] = _constrain_motion(
+                    (ax + escape[0], ay + escape[1]), anchor, config, report
+                )
+            else:
+                fx, fy = levy(src, weight, beta, normalized=normalized)
+                x, y = ax + fx, ay + fy
+                if values[i] > median_value:
+                    j = _nearest_better_neighbor(anchors, values, i)
+                    if j is not None:
+                        jx, jy = anchors[j]
+                        x, y = x + exploit * (ax - jx), y + exploit * (ay - jy)
+                else:
+                    x, y = x + explore * (gx - ax), y + explore * (gy - ay)
+                waypoint = constraints.clamp_boundary(x, y, grid)
+                if waypoint != (x, y):
+                    report.boundary_hits += 1
+                if math.hypot(waypoint[0] - ax, waypoint[1] - ay) > max_step:
+                    # The flight outruns one step: commit to the waypoint.
+                    target = uav.transit_target = waypoint
+                else:
+                    tentative[i] = waypoint
+
+        if target is not None:
+            # A relocation leg: the committed waypoint is approached at full
+            # speed with the sensor off, landing exactly (and scanning) once
+            # it is within one step.
+            transit_legs += 1
             guided[i] = True
-            tentative[i] = _constrain_motion(
-                (ax + escape[0], ay + escape[1]), anchors[i], config, report
-            )
+            tx, ty = target
+            dx, dy = tx - ax, ty - ay
+            if math.hypot(dx, dy) <= max_step:
+                tentative[i] = (tx, ty)
+                uav.transit_target = None
+            else:
+                scanning[i] = False
+                report.clamped_steps += 1
+                sx, sy = constraints.clamp_step(dx, dy, max_step)
+                tentative[i] = constraints.settle_within(ax + sx, ay + sy, ax, ay, max_step)
             continue
-        fx, fy = levy_step(
-            rngs[i], params.levy_weight, params.levy_beta, normalized=params.mantegna_normalized
-        )
-        x, y = ax + fx, ay + fy
-        if values[i] > median_value:
-            j = _nearest_better_neighbor(anchors, values, i)
-            if j is not None:
-                c = params.exploit_sign * params.exploit_coeff
-                x, y = x + c * (ax - anchors[j][0]), y + c * (ay - anchors[j][1])
-        else:
-            x, y = x + params.explore_coeff * (gx - ax), y + params.explore_coeff * (gy - ay)
-        waypoint = constraints.clamp_boundary(x, y, config.grid)
-        if waypoint != (x, y):
-            report.boundary_hits += 1
-        if math.hypot(waypoint[0] - ax, waypoint[1] - ay) > max_step:
-            # The flight outruns one step: commit to the waypoint and start
-            # traversing below.
-            uav.transit_target = waypoint
-            in_transit[i] = True
-        else:
-            tentative[i] = waypoint
 
-    # Relocation legs: committed waypoints (long Levy flights and scout
-    # resets) are approached at full speed with the sensor off, landing
-    # exactly — and scanning — once the target is within one step.
-    for i, uav in enumerate(uavs):
-        if uav.transit_target is None:
+        # Onlooker reinforcement: a Bernoulli gates an extra Levy move, kept
+        # only when it improves the fitness of the agent's tentative position
+        # under the current uncovered set.
+        gate = adaptive_levy_probability(values[i], best, sensitivity) if adaptive else shares[i]
+        if src.uniform(0.0, 1.0) >= gate:
             continue
-        transit_legs += 1
-        guided[i] = True
-        (tx, ty), (ax, ay) = uav.transit_target, anchors[i]
-        dx, dy = tx - ax, ty - ay
-        if math.hypot(dx, dy) <= max_step:
-            tentative[i] = (tx, ty)
-            uav.transit_target = None
-        else:
-            scanning[i] = False
-            report.clamped_steps += 1
-            sx, sy = constraints.clamp_step(dx, dy, max_step)
-            tentative[i] = constraints.settle_within(ax + sx, ay + sy, ax, ay, max_step)
-
-    # Onlooker reinforcement: a Bernoulli per agent gates an extra Levy move,
-    # kept only when it improves the fitness of that agent's tentative
-    # position under the current uncovered set.
-    shares = nectar_probabilities(values)
-    for i in range(n):
-        if in_transit[i]:
-            continue
-        if params.adaptive_lambda:
-            gate = adaptive_levy_probability(
-                values[i], swarm.global_best_fitness, params.sigma_sensitivity
-            )
-        else:
-            gate = shares[i]
-        if rngs[i].uniform(0.0, 1.0) >= gate:
-            continue
-        _reinforce(tentative, i, anchors, fitness, config, rngs[i], report)
+        fx, fy = levy(src, weight, beta, normalized=normalized)
+        x, y = current = tentative[i]
+        candidate = _constrain_motion((x + fx, y + fy), anchor, config, report)
+        if fitness.value(candidate) > fitness.value(current):
+            tentative[i] = candidate
 
     return StepProposal(tentative, transit_legs, report, np.array(guided), np.array(scanning))
-
-
-def _reinforce(tentative, i, anchors, fitness, config, src, report):
-    params = config.params
-    fx, fy = levy_step(
-        src, params.levy_weight, params.levy_beta, normalized=params.mantegna_normalized
-    )
-    x, y = tentative[i]
-    candidate = _constrain_motion((x + fx, y + fy), anchors[i], config, report)
-    if fitness.value(candidate) > fitness.value(tentative[i]):
-        tentative[i] = candidate
 
 
 def propose_step(

@@ -10,6 +10,7 @@ run; which hotspots a run covers lives only in its UncoveredHotspots.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import os
@@ -117,11 +118,16 @@ def left_to_right_sum(values) -> float:
     return total
 
 
+@functools.cache
+def _typed_fields(cls) -> tuple[tuple[str, str], ...]:
+    """(name, kind) of each field of the dataclass cls typed by a kind of _KINDS."""
+    return tuple((f.name, f.type) for f in fields(cls) if f.type in _KINDS)
+
+
 def _check_fields(obj, where: str):
     """field_value on every float, int, bool and str field of the dataclass obj."""
-    for f in fields(obj):
-        if f.type in _KINDS:
-            field_value(getattr(obj, f.name), f.type, f.name, where)
+    for name, kind in _typed_fields(type(obj)):
+        field_value(getattr(obj, name), kind, name, where)
 
 
 class Algorithm(str, enum.Enum):
@@ -299,12 +305,6 @@ class SwarmState:
     def __post_init__(self):
         self.global_best_position = _xy(self.global_best_position)
 
-    def observe(self, position, fitness: float):
-        """Fold one fitness evaluation into the running global best."""
-        if fitness > self.global_best_fitness:
-            self.global_best_fitness = fitness
-            self.global_best_position = _xy(position)
-
     def positions(self) -> np.ndarray:
         """The agents' positions as an (n, 2) array, for callers that want one."""
         return np.array([u.position for u in self.uavs])
@@ -335,9 +335,24 @@ class ScenarioConfig:
         _check_fields(self, "scenario ")
         if not self.hotspots:
             raise ValidationError("scenario needs at least one hotspot")
+        # _check_fields and grid.contains on each hotspot, with Hotspot's
+        # typed fields looked up once and the prefix written only into an
+        # error.  A Hotspot's position is already a pair of floats.
+        typed = _typed_fields(Hotspot)
+        width, height = self.grid.width, self.grid.height
         for i, h in enumerate(self.hotspots):
-            _check_fields(h, f"hotspot {i} ")
-            if not self.grid.contains(h.position):
+            if type(h) is Hotspot:
+                try:
+                    for name, kind in typed:
+                        field_value(getattr(h, name), kind, name)
+                except ValidationError as error:
+                    raise ValidationError(f"hotspot {i} {error}") from None
+                x, y = h.position
+                inside = 0.0 <= x <= width and 0.0 <= y <= height
+            else:
+                _check_fields(h, f"hotspot {i} ")
+                inside = self.grid.contains(h.position)
+            if not inside:
                 raise ValidationError(
                     f"hotspot {i} at ({h.position[0]}, {h.position[1]}) lies outside the "
                     f"{self.grid.width}x{self.grid.height} grid"

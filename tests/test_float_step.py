@@ -726,6 +726,41 @@ def test_mark_coverage_with_held_arrays(agents, hotspots, scan):
     assert swarm.covered_count == sum(field.covered)
 
 
+def ref_shaping_operands(field):
+    """The shaping arrays as they were built from the uncovered list on every cover()."""
+    xy = np.array([(x, y) for _, x, y in field.points], dtype=float).reshape(-1, 2)
+    weights = np.array([field.weights[k] for k, _, _ in field.points], dtype=float)
+    return xy, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spots=st.lists(
+        st.tuples(grid_coord, grid_coord, st.sampled_from([0.1, 0.3, 1.0, 2.5])),
+        min_size=1, max_size=30,
+    ),
+    data=st.data(),
+)
+def test_shaping_arrays_from_the_mask_match_the_list_built_ones(spots, data):
+    # The field masks rows of arrays built once; after every cover() in a
+    # random sequence (repeats, already covered ids, empty calls, a generator)
+    # they hold the bytes a rebuild from the uncovered list gives, and so
+    # does the shaped value.
+    hotspots = [Hotspot((x, y), w) for x, y, w in spots]
+    field = FitnessField(hotspots, 3.0, shaping=True, epsilon=0.01)
+    ids = st.lists(st.integers(0, len(hotspots) - 1), max_size=6)
+    for covering in data.draw(st.lists(ids, min_size=1, max_size=8)):
+        field.cover(iter(covering) if len(covering) % 2 else covering)
+        xy, weights = ref_shaping_operands(field)
+        for got, want in ((field._xy, xy), (field._weight_array, weights)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        x, y = data.draw(st.tuples(grid_coord, grid_coord))
+        d = np.hypot(xy[:, 0] - x, xy[:, 1] - y)
+        plain = FitnessField(hotspots, 3.0).value((x, y), field.within(x, y, 3.0))
+        assert field.value((x, y)) == plain + 0.01 * float(np.sum(weights / (1.0 + d)))
+
+
 @pytest.mark.parametrize("as_list", [True, False])
 def test_heatmap_with_an_out_of_domain_point_counts_nothing(as_list):
     heatmap = Heatmap(width=10, height=10)

@@ -391,6 +391,54 @@ class TestLevyStep:
         assert np.allclose(np.array(b), c * np.array(a), rtol=1e-12, atol=0.0)
 
 
+class TestLevyStepValidation:
+    """levy_step validates its weight and beta once per distinct pair, from a
+    cache that keeps only what returned: every invalid argument raises the
+    same exception on every call, whatever was sampled before it."""
+
+    BAD = [
+        ((0.0, 1.5), ParameterError), ((0, 1.5), ParameterError),
+        ((-1.0, 1.5), ParameterError), ((math.nan, 1.5), ParameterError),
+        ((3.0, 0.0), ParameterError), ((3.0, 2.5), ParameterError),
+        ((3.0, math.nan), ParameterError), ((3.0, "1.5"), ParameterError),
+        ((3.0, [1.5]), ParameterError), (("3", 1.5), TypeError), (([3.0], 1.5), TypeError),
+    ]
+
+    @pytest.mark.parametrize("args, error", BAD, ids=[repr(args) for args, _ in BAD])
+    def test_invalid_arguments_raise_on_every_call(self, args, error):
+        src = _ScriptedSource([0.5, 1.0] * 8)
+        for _ in range(2):
+            with pytest.raises(error):
+                levy_step(src, *args)
+        # It still raises after valid calls, whose keys include ones that
+        # hash alike: 1.0, 1 and True do.
+        levy_step(src, 3.0, 1.5)
+        levy_step(src, True, 1.0)
+        levy_step(src, 1, True)
+        with pytest.raises(error):
+            levy_step(src, *args)
+        # No draw is read by a call that raises.
+        assert len(src._values) == 16 - 3 * 4
+
+    def test_unhashable_valid_arguments_still_sample(self):
+        # The cache cannot key an array weight; it is validated uncached.
+        draws = [0.5, -2.0, -1.25, 0.25]
+        want = levy_step(_ScriptedSource(list(draws)), 3.0, 1.5)
+        got = levy_step(_ScriptedSource(list(draws)), np.array([3.0]), 1.5)
+        assert [float(v[0]) for v in got] == list(want)
+
+    @pytest.mark.parametrize("first", [3.0, np.float64(3.0)])
+    def test_weight_type_sets_component_type(self, first):
+        # Equal keys of different types are cached apart: an np.float64 weight
+        # gives np.float64 components and a float weight floats, in either order.
+        levy_step(_ScriptedSource([0.5, -2.0, -1.25, 0.25]), first, 1.5)
+        for weight, kind in [(np.float64(3.0), np.float64), (3.0, float), (3, float)]:
+            step = levy_step(_ScriptedSource([0.5, -2.0, -1.25, 0.25]), weight, 1.5)
+            assert type(step.x) is kind and type(step.y) is kind
+        step = levy_step(_ScriptedSource([0.5, -2.0, -1.25, 0.25]), 3.0, np.float64(1.5))
+        assert type(step.x) is np.float64
+
+
 @pytest.fixture(scope="module")
 def components():
     src = RandomSource(seed=2024, stream_id=0)

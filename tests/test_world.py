@@ -172,6 +172,34 @@ class TestScenarioConfigValidation:
                 hotspots=[Hotspot(position=np.array([1.0, 1.0]), weight=0.0)]
             ).validate()
 
+    @pytest.mark.parametrize(
+        "weight, text",
+        [
+            (0.0, "weight must be positive, got 0.0"),
+            (-1.0, "weight must be positive, got -1.0"),
+            (math.nan, "weight must be a finite number, got nan"),
+            ("2", "weight must be a finite number, got '2'"),
+            (True, "weight must be a finite number, got True"),
+            ([1.0], "weight must be a finite number, got [1.0]"),
+            (1e101, "weight must lie in [-1e+100, 1e+100], got 1e+101"),
+        ],
+    )
+    def test_hotspot_weight_errors_name_the_first_bad_hotspot(self, weight, text):
+        # The message is field_value's, prefixed with the first bad
+        # hotspot's index, however many valid hotspots come before it.
+        hotspots = [Hotspot((1.0, 1.0), w) for w in (1.0, 1.0, 2.0, 1)]
+        hotspots += [Hotspot((1.0, 1.0), weight), Hotspot((1.0, 1.0), 0.0)]
+        with pytest.raises(ValidationError) as error:
+            ScenarioConfig(hotspots=hotspots).validate()
+        assert str(error.value) == f"hotspot 4 {text}"
+
+    def test_hotspot_errors_come_in_list_order(self):
+        # A hotspot outside the grid before one with a bad weight is named first.
+        hotspots = [Hotspot((1.0, 1.0)), Hotspot((101.0, 1.0)), Hotspot((1.0, 1.0), -2.0)]
+        with pytest.raises(ValidationError) as error:
+            ScenarioConfig(hotspots=hotspots).validate()
+        assert str(error.value) == "hotspot 1 at (101.0, 1.0) lies outside the 100x100 grid"
+
     def test_start_outside_grid_rejected(self):
         with pytest.raises(ValidationError, match="start_position"):
             small_scenario(start_position=np.array([-1.0, 0.0]))
