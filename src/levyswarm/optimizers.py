@@ -95,19 +95,17 @@ class FitnessField(UncoveredHotspots):
 def nectar_probabilities(fitnesses) -> list[float]:
     """Selection weights f_i / sum(f), the sum added left to right from 0.0;
     uniform when all are zero."""
-    values = []
+    fitnesses = [float(f) for f in fitnesses]
+    if not fitnesses:
+        raise ValidationError("nectar_probabilities needs at least one fitness value")
     total = 0.0
     for f in fitnesses:
-        f = float(f)
         if f < 0.0:
             raise ValidationError("fitness values must be non-negative")
-        values.append(f)
         total += f
-    if not values:
-        raise ValidationError("nectar_probabilities needs at least one fitness value")
     if total <= 0.0:
-        return [1.0 / len(values)] * len(values)
-    return [f / total for f in values]
+        return [1.0 / len(fitnesses)] * len(fitnesses)
+    return [f / total for f in fitnesses]
 
 
 def adaptive_levy_probability(fitness: float, global_best: float, sensitivity: float) -> float:
@@ -165,7 +163,7 @@ class StepProposal:
         if self.guided is None:
             self.guided = np.zeros(len(self.positions), dtype=bool)
         if self.scanning is None:
-            self.scanning = np.array([True] * len(self.positions))
+            self.scanning = np.ones(len(self.positions), dtype=bool)
         if self.report is None:
             self.report = constraints.ConstraintReport()
 

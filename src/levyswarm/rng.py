@@ -158,20 +158,6 @@ def _saturated(scale: float, u: float, v: float, inv_beta: float) -> float:
     return min(max(step, -_MAX_COMPONENT), _MAX_COMPONENT)
 
 
-def _levy_scale(levy_weight: float, beta: float, normalized: bool) -> tuple[float, float]:
-    """levy_step's (scale, 1 / beta), once its weight and beta are checked."""
-    if not levy_weight > 0.0:
-        raise ParameterError(f"levy_weight must be positive, got {levy_weight!r}")
-    sigma = mantegna_sigma(beta)  # validates beta
-    return levy_weight * (sigma if normalized else 1.0), 1.0 / beta
-
-
-# A run samples at one weight and beta.  The cache keeps only what returned,
-# so an invalid argument raises on every call; typed keys keep an np.float64
-# weight's float type.
-_cached_levy_scale = functools.lru_cache(maxsize=8, typed=True)(_levy_scale)
-
-
 def levy_step(
     src: RandomSource,
     levy_weight: float,
@@ -192,12 +178,11 @@ def levy_step(
     draw.  When both quotients compute and land within the cap, they are the
     step; otherwise ``_saturated`` recomputes both from the same four values.
     """
-    try:
-        scale, inv_beta = _cached_levy_scale(levy_weight, beta, normalized)
-    except TypeError:
-        # An unhashable argument, which the cache cannot key: validate it
-        # uncached, to the error (or result) it gives.
-        scale, inv_beta = _levy_scale(levy_weight, beta, normalized)
+    if not levy_weight > 0.0:
+        raise ParameterError(f"levy_weight must be positive, got {levy_weight!r}")
+    sigma = mantegna_sigma(beta)  # validates beta
+    scale = levy_weight * (sigma if normalized else 1.0)
+    inv_beta = 1.0 / beta
     u1, v1, u2, v2 = src.standard_normal(4).tolist()
     try:
         x = scale * u1 / abs(v1) ** inv_beta

@@ -335,24 +335,18 @@ class ScenarioConfig:
         _check_fields(self, "scenario ")
         if not self.hotspots:
             raise ValidationError("scenario needs at least one hotspot")
-        # _check_fields and grid.contains on each hotspot, with Hotspot's
-        # typed fields looked up once and the prefix written only into an
-        # error.  A Hotspot's position is already a pair of floats.
-        typed = _typed_fields(Hotspot)
+        # _check_fields and grid.contains on each hotspot, with the "hotspot
+        # {i} " prefix written only into an error.  A Hotspot's position is
+        # already a pair of floats.
         width, height = self.grid.width, self.grid.height
         for i, h in enumerate(self.hotspots):
-            if type(h) is Hotspot:
-                try:
-                    for name, kind in typed:
-                        field_value(getattr(h, name), kind, name)
-                except ValidationError as error:
-                    raise ValidationError(f"hotspot {i} {error}") from None
-                x, y = h.position
-                inside = 0.0 <= x <= width and 0.0 <= y <= height
-            else:
-                _check_fields(h, f"hotspot {i} ")
-                inside = self.grid.contains(h.position)
-            if not inside:
+            try:
+                for name, kind in _typed_fields(type(h)):
+                    field_value(getattr(h, name), kind, name)
+            except ValidationError as error:
+                raise ValidationError(f"hotspot {i} {error}") from None
+            x, y = h.position
+            if not (0.0 <= x <= width and 0.0 <= y <= height):
                 raise ValidationError(
                     f"hotspot {i} at ({h.position[0]}, {h.position[1]}) lies outside the "
                     f"{self.grid.width}x{self.grid.height} grid"

@@ -168,6 +168,11 @@ class TestSelectionHelpers:
         with pytest.raises(ValidationError):
             nectar_probabilities([1.0, -0.5])
 
+    def test_nectar_converts_every_value_before_checking_signs(self):
+        # A value float() rejects raises its own error even after a negative one.
+        with pytest.raises(ValueError, match="could not convert"):
+            nectar_probabilities([-1.0, "x"])
+
     @given(
         values=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=8)
     )

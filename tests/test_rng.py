@@ -392,9 +392,9 @@ class TestLevyStep:
 
 
 class TestLevyStepValidation:
-    """levy_step validates its weight and beta once per distinct pair, from a
-    cache that keeps only what returned: every invalid argument raises the
-    same exception on every call, whatever was sampled before it."""
+    """levy_step validates its weight and beta on every call: every invalid
+    argument raises the same exception each time, whatever was sampled
+    before it."""
 
     BAD = [
         ((0.0, 1.5), ParameterError), ((0, 1.5), ParameterError),
@@ -410,7 +410,7 @@ class TestLevyStepValidation:
         for _ in range(2):
             with pytest.raises(error):
                 levy_step(src, *args)
-        # It still raises after valid calls, whose keys include ones that
+        # It still raises after valid calls with arguments that compare and
         # hash alike: 1.0, 1 and True do.
         levy_step(src, 3.0, 1.5)
         levy_step(src, True, 1.0)
@@ -421,7 +421,7 @@ class TestLevyStepValidation:
         assert len(src._values) == 16 - 3 * 4
 
     def test_unhashable_valid_arguments_still_sample(self):
-        # The cache cannot key an array weight; it is validated uncached.
+        # An unhashable one-element array weight samples like its float.
         draws = [0.5, -2.0, -1.25, 0.25]
         want = levy_step(_ScriptedSource(list(draws)), 3.0, 1.5)
         got = levy_step(_ScriptedSource(list(draws)), np.array([3.0]), 1.5)
@@ -429,8 +429,9 @@ class TestLevyStepValidation:
 
     @pytest.mark.parametrize("first", [3.0, np.float64(3.0)])
     def test_weight_type_sets_component_type(self, first):
-        # Equal keys of different types are cached apart: an np.float64 weight
-        # gives np.float64 components and a float weight floats, in either order.
+        # Equal weights of different types give their own component types: an
+        # np.float64 weight gives np.float64 components and a float weight
+        # floats, in either order.
         levy_step(_ScriptedSource([0.5, -2.0, -1.25, 0.25]), first, 1.5)
         for weight, kind in [(np.float64(3.0), np.float64), (3.0, float), (3, float)]:
             step = levy_step(_ScriptedSource([0.5, -2.0, -1.25, 0.25]), weight, 1.5)
