@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 invalid configuration, 2 file/IO error,
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -109,8 +108,7 @@ def _cmd_run(args) -> int:
 def _sweep_spec_from_args(args) -> harness.SweepSpec:
     """The spec file, or the flags as the same dict; SweepSpec fills in what neither gives."""
     if args.spec:
-        with open(args.spec) as f:
-            data = json.load(f)
+        data = world.read_json(args.spec)
     else:
         data = _given(
             preset=args.preset,
@@ -255,8 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        # JSONDecodeError subclasses ValueError, so file problems go first.
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValidationError, ConstraintError, ValueError, OverflowError) as exc:

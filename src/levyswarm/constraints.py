@@ -232,14 +232,16 @@ def escape_no_hotspot_zone(
     uncovered hotspot is already close, or when every hotspot is covered
     (there is nowhere useful to send the agent).
 
-    field.any_within() settles most calls on the x-window of the threshold.
-    A fired escape aims at field.nearest(): the least math.hypot distance,
-    the lowest id on a tie.
+    One call, field.nearest() with the threshold, answers both questions:
+    its outward walk over the x-sorted index gives None on meeting a
+    hotspot within the threshold, and otherwise the least math.hypot
+    distance, the lowest id on a tie.
     """
     x, y = float(position[0]), float(position[1])
-    if not field.n_uncovered or field.any_within(x, y, threshold_radius):
+    nearest = field.nearest(x, y, threshold_radius)
+    if nearest is None:
         return None
-    d, _, hx, hy = field.nearest(x, y)
+    d, _, hx, hy = nearest
     return (hx - x) / d * max_step_size, (hy - y) / d * max_step_size
 
 

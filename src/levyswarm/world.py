@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -47,20 +47,22 @@ _KINDS = {
 # count.  The coefficient cap keeps every product a coefficient enters finite:
 # it meets grid offsets of at most 1024, a potential-field push of at most
 # gain * 1e27 per pair (d >= 1e-9) over at most 255 pairs, and fitness sums
-# of at most 10^4 weights, added over at most 256 agents.  Even the square of
-# a capped value stays far below the float maximum of about 1.8e308.  The
+# of at most 10^4 weights, added over at most 256 agents.  It caps two lengths
+# too: up to 255 safe-zone pushes of safe_zone_radius / 2 are summed, and
+# math.hypot measures the steps max_step_size scales.  Even the square of a
+# capped value stays far below the float maximum of about 1.8e308.  The
 # collision_radius floor keeps the resolver's margin, radius * 1e-6, at about
 # 4 ulps of a coordinate near 1024; with smaller radii the launch can stall.
 _POSITIVE = {
     "dt", "weight", "levy_weight", "levy_beta", "sigma_sensitivity", "max_step_size",
-    "coverage_radius", "potential_field_gain", "no_hotspot_threshold_radius",
+    "safe_zone_radius", "coverage_radius", "potential_field_gain", "no_hotspot_threshold_radius",
 }
 _COEFFICIENT = (-1e100, 1e100)
 _RANGES = {
     **dict.fromkeys(
         [
-            "inertia", "cognitive", "social", "potential_field_gain", "explore_coeff",
-            "exploit_coeff", "shaping_epsilon", "weight", "levy_weight",
+            "inertia", "cognitive", "social", "potential_field_gain", "explore_coeff", "exploit_coeff",
+            "shaping_epsilon", "weight", "levy_weight", "max_step_size", "safe_zone_radius",
         ],
         _COEFFICIENT,
     ),
@@ -446,7 +448,7 @@ _SIDE_MARGIN = 1.0 + 2.0**-20
 _MAX_CELLS = 256
 _MAX_KEY = 2.0**50
 # x-sorted lists this short are filtered on every cover() that covers
-# something, so the escape's walks meet no covered entry.
+# something, so nearest()'s walks meet no covered entry.
 _SHORT_LIST = 64
 _NO_GRID = (-math.inf, 1.0, 1.0, {})
 
@@ -461,20 +463,18 @@ class UncoveredHotspots:
     Every hotspot starts uncovered, and coverage changes only through
     cover(), which sets flags and lowers the count.
 
-    Two indexes answer the queries.  An x-sorted list, which a query
-    bisects in O(log m + window), serves window(), any_within(), nearest()
-    and the within() queries the cells cannot answer.  Given a radius,
-    square cells of side just above it serve within() up to the cells'
-    reach (the radius, or a 256th of the layout's extent if larger): each
-    cell lists, in id order, the hotspots of its 3 x 3 neighbourhood, so a
-    query costs one dict lookup and one math.hypot per neighbour, and its
-    hits come out in list order.
+    Two indexes answer the queries.  Given a radius, square cells of side
+    just above it serve within() up to the cells' reach (the radius, or a
+    256th of the layout's extent if larger): each cell lists, in id order,
+    the hotspots of its 3 x 3 neighbourhood, so a query costs one dict
+    lookup and one math.hypot per neighbour, and its hits come out in list
+    order.  An x-sorted list serves nearest(), which walks outward from the
+    query's x.  A within() query beyond the reach, or without cells, scans
+    points.
 
     Both indexes keep covered entries, which every query skips, until more
     than half of what they listed at their last filtering is covered; then
     cover() filters them, so covering costs amortised O(1) a hotspot.
-    x-sorted lists of at most _SHORT_LIST entries are filtered on every
-    cover() that covers something.
     """
 
     __slots__ = (
@@ -568,44 +568,6 @@ class UncoveredHotspots:
         self._by_x = [point for point in self._by_x if not covered[point[0]]]
         self._xs = [x for _, x, _ in self._by_x]
 
-    def window(self, x: float, r: float) -> list[tuple[int, float, float]]:
-        """(id, hx, hy) of every uncovered hotspot with |hx - x| <= r, in x order.
-
-        x - r and x + r round, so the bisected bounds may fall an ulp short
-        of a hotspot whose own difference hx - x rounds into [-r, r]; the
-        window is widened over such neighbours.  hx - x rounds monotonically
-        in hx, so they sit next to the bounds.
-        """
-        xs = self._xs
-        lo = bisect_left(xs, x - r)
-        hi = bisect_right(xs, x + r, lo)
-        while lo and abs(xs[lo - 1] - x) <= r:
-            lo -= 1
-        while hi < len(xs) and abs(xs[hi] - x) <= r:
-            hi += 1
-        near = self._by_x[lo:hi]
-        if self.n_uncovered == len(xs):
-            return near
-        covered = self.covered
-        return [point for point in near if not covered[point[0]]]
-
-    def any_within(self, x: float, y: float, r: float) -> bool:
-        """Whether within(x, y, r) would name some hotspot: its test on
-        window()'s entries, stopping at the first hit.  The dead-ground
-        escape asks this on every free agent, so the bounds are inline."""
-        xs = self._xs
-        lo = bisect_left(xs, x - r)
-        hi = bisect_right(xs, x + r, lo)
-        while lo and abs(xs[lo - 1] - x) <= r:
-            lo -= 1
-        while hi < len(xs) and abs(xs[hi] - x) <= r:
-            hi += 1
-        covered = self.covered
-        for k, hx, hy in self._by_x[lo:hi]:
-            if math.hypot(hx - x, hy - y) <= r and not covered[k]:
-                return True
-        return False
-
     def within(self, x: float, y: float, r: float) -> list[int]:
         """Ids of the uncovered hotspots within r of (x, y), in list order.
 
@@ -622,26 +584,19 @@ class UncoveredHotspots:
                 if math.hypot(hx - x, hy - y) <= r and not covered[k]:
                     hits.append(k)
             return hits
-        window = self.window(x, r)
-        if not window:
-            return []
-        hits = []
-        for k, hx, hy in window:
-            if math.hypot(hx - x, hy - y) <= r:
-                hits.append(k)
-        hits.sort()
-        return hits
+        return [k for k, hx, hy in self.points if math.hypot(hx - x, hy - y) <= r]
 
-    def nearest(self, x: float, y: float) -> tuple[float, int, float, float] | None:
-        """(d, id, hx, hy) of the uncovered hotspot nearest (x, y), or None if none is left.
+    def nearest(self, x: float, y: float, r: float) -> tuple[float, int, float, float] | None:
+        """(d, id, hx, hy) of the uncovered hotspot nearest (x, y), or None.
 
-        d is math.hypot(hx - x, hy - y), the least of all, and id the lowest
-        among equal d: min() over every uncovered hotspot's (d, id, hx, hy).
-        The walk goes outward from x through the x-sorted list, the side
-        whose next |hx - x| is smaller first, skips covered entries and
-        stops once that exceeds the best d: math.hypot(dx, dy) >= |dx| under
-        faithful rounding, and |hx - x| only grows outward, so no hotspot
-        beyond can be nearer or tie.
+        None when none is left, or once the walk meets one with
+        math.hypot(hx - x, hy - y) <= r (-math.inf asks for the plain
+        nearest).  Otherwise d is that length, the least, and id the lowest
+        among equal d.  The walk goes outward from x through the x-sorted
+        list, the side whose next |hx - x| is smaller first, skips covered
+        entries and stops once that exceeds the best d: math.hypot(dx, dy) >=
+        |dx| under faithful rounding, and |hx - x| only grows outward, so no
+        hotspot beyond is nearer, ties, or lies within r unless the best does.
         """
         xs, by_x, covered = self._xs, self._by_x, self.covered
         hi = bisect_left(xs, x)
@@ -656,8 +611,12 @@ class UncoveredHotspots:
                 lo -= 1
             if best is not None and abs(hx - x) > best[0]:
                 break
+            if covered[k]:
+                continue
             candidate = (math.hypot(hx - x, hy - y), k, hx, hy)
-            if (best is None or candidate < best) and not covered[k]:
+            if candidate[0] <= r:
+                return None
+            if best is None or candidate < best:
                 best = candidate
         return best
 
@@ -798,10 +757,18 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     }
 
 
+def read_json(path):
+    """The JSON document in the UTF-8 file at path; OSError, as for a file that
+    cannot be read, if it cannot be decoded (malformed, not UTF-8, too deep)."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as exc:
+            raise OSError(f"{path}: not a JSON document: {exc}") from None
+
+
 def load_scenario(path) -> ScenarioConfig:
-    with open(path) as f:
-        data = json.load(f)
-    config = scenario_from_dict(data)
+    config = scenario_from_dict(read_json(path))
     if config.scenario_id == "custom":
         config.scenario_id = os.path.splitext(os.path.basename(str(path)))[0]
     return config

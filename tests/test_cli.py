@@ -297,6 +297,10 @@ class TestRunCommand:
             (("params",), "levy_weight", "hybrid"),
             (("params",), "shaping_epsilon", "abc"),
             (("hotspots", 0), "weight", "abc"),
+            (("constraints",), "safe_zone_radius", "hybrid"),
+            (("constraints",), "safe_zone_radius", "abc"),
+            (("constraints",), "safe_zone_radius", "pso"),
+            (("constraints",), "max_step_size", "hybrid"),
         ],
     )
     def test_coefficient_at_its_cap_runs(self, tmp_path, path, name, algorithm):
@@ -319,10 +323,47 @@ class TestRunCommand:
         assert main(["run", "--scenario", str(tmp_path / "nope.json")]) == EXIT_IO
         assert "io error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["safe_zone_radius", "max_step_size"])
+    def test_length_at_the_float_maximum_exits_one_before_any_step(self, tmp_path, capsys, name):
+        # Summed safe-zone pushes, or the hypot of a step, would overflow mid-run.
+        file = tmp_path / f"{name}.json"
+        file.write_text(
+            json.dumps(
+                {
+                    "hotspots": [{"x": 10.0 * k, "y": 5.0 + 9.0 * k} for k in range(10)],
+                    "max_steps": 150, "constraints": {name: sys.float_info.max},
+                }
+            )
+        )
+        assert main(["validate", "--scenario", str(file)]) == EXIT_INVALID
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(file), "--out", str(out)]) == EXIT_INVALID
+        assert f"{name} must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_json_exits_two(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["run", "--scenario", str(path)]) == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"{not json",
+            b'{"hotspots": [{"x": 1, "y": 1}], "scenario_id": "\xff"}',
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["malformed", "not-utf8", "too-deep"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["run", "--scenario"], ["validate", "--scenario"], ["sweep", "--spec"]]
+    )
+    def test_file_that_is_not_json_exits_two(self, tmp_path, capsys, content, command):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        assert main([*command, str(path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("io error:") and "not a JSON document" in err
 
 
 class TestSweepCommand:

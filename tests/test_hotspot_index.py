@@ -5,9 +5,10 @@ above its radius, and covers lazily: cover() sets flags and lowers a count,
 every query skips covered entries, and the lists are filtered only once
 enough of their entries are covered.  Here the indexed ``within()`` must
 equal a math.hypot scan of the uncovered hotspots in list order, for any
-query radius, and ``window``, ``nearest``, ``points`` and the dead-ground
-escape must answer as a field built fresh on the hotspots left, after every
-step of a cover() sequence that runs past the filtering points.
+query radius, ``nearest`` must equal a brute-force scan, and ``nearest``,
+``points`` and the dead-ground escape must answer as a field built fresh on
+the hotspots left, after every step of a cover() sequence that runs past the
+filtering points.
 
 The draws aim at the index's edges: hotspots and query points on cell
 boundaries (multiples of the side) and an ulp either side of them,
@@ -38,6 +39,20 @@ def scan(positions, covered, x, y, r) -> list[int]:
         for k, (hx, hy) in enumerate(positions)
         if not covered[k] and math.hypot(hx - x, hy - y) <= r
     ]
+
+
+def scan_nearest(positions, covered, x, y, r):
+    """nearest(x, y, r) by brute force: None when no uncovered hotspot is left
+    or one lies within r, else the least (d, id, hx, hy) of the uncovered."""
+    best = min(
+        (
+            (math.hypot(hx - x, hy - y), k, hx, hy)
+            for k, (hx, hy) in enumerate(positions)
+            if not covered[k]
+        ),
+        default=None,
+    )
+    return None if best is None or best[0] <= r else best
 
 
 def side_of(radius, size) -> float:
@@ -185,13 +200,12 @@ def test_cover_sequence_answers_as_a_fresh_build(case, order, chunks, shaping):
         for x, y in queries:
             for r in query_radii(radius, size):
                 assert field.within(x, y, r) == scan(positions, field.covered, x, y, r)
-                assert field.window(x, r) == mapped(fresh.window(x, r))
-                assert field.any_within(x, y, r) == bool(fresh.within(x, y, r))
-            want = fresh.nearest(x, y)
+                assert field.nearest(x, y, r) == scan_nearest(positions, field.covered, x, y, r)
+            want = fresh.nearest(x, y, -math.inf)
             if want is not None:
                 d, j, hx, hy = want
                 want = (d, left[j], hx, hy)
-            assert field.nearest(x, y) == want
+            assert field.nearest(x, y, -math.inf) == want
             assert bits(field.value((x, y))) == bits(fresh.value((x, y)))
             for threshold in (radius, 15.0):
                 got = escape_no_hotspot_zone((x, y), field, threshold, 5.0)
@@ -205,20 +219,15 @@ def test_covering_a_large_layout_filters_the_lists_by_halves():
     rng = np.random.default_rng(3)
     positions = rng.uniform(0.0, 100.0, (1000, 2)).tolist()
     field = FitnessField(hotspots_at(positions), 3.0)
-    by_x = sorted(((k, x, y) for k, (x, y) in enumerate(positions)), key=lambda point: point[1])
     probes = rng.uniform(0.0, 100.0, (50, 2)).tolist()
     listed = []
     for start in range(0, 1000, 50):
         field.cover(range(start, start + 50))
         listed.append(len(field._points))
-        uncovered = [point for point in by_x if not field.covered[point[0]]]
         for x, y in probes:
             assert field.within(x, y, 3.0) == scan(positions, field.covered, x, y, 3.0)
-            assert field.window(x, 15.0) == [p for p in uncovered if abs(p[1] - x) <= 15.0]
-            assert field.any_within(x, y, 15.0) == bool(scan(positions, field.covered, x, y, 15.0))
-            assert field.nearest(x, y) == min(
-                ((math.hypot(hx - x, hy - y), k, hx, hy) for k, hx, hy in uncovered), default=None
-            )
+            for r in (-math.inf, 3.0, 15.0):
+                assert field.nearest(x, y, r) == scan_nearest(positions, field.covered, x, y, r)
     # Half covered is not more than half: the 550th covered hotspot filters
     # the lists, then the 800th (of 450 listed) and the 950th (of 200).
     assert listed[:10] == [1000] * 10

@@ -13,15 +13,18 @@ hotspots and return the same indices.  The references take the covered
 flags as a list beside the hotspots; a field starts with every hotspot
 uncovered, so a scene's covered ones are covered through cover().  A field
 that cover() has shrunk must answer every query as one built fresh on the
-hotspots it has left.  The inputs put hotspots a few ulps either side of
-the radius, on shared x coordinates (ties in the bisected index) and in
-dense clusters, so that the order in which the covered weights are added
-shows.
+hotspots it has left.  The escape must also give the bytes of the two
+queries it replaced, any_within() at the threshold and then nearest(),
+kept verbatim in TwoQueryIndex.  The inputs put hotspots a few ulps either
+side of the radius, on shared x coordinates (ties in the bisected index)
+and in dense clusters, so that the order in which the covered weights are
+added shows.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -394,7 +397,7 @@ def test_cover_leaves_the_field_a_fresh_build_gives(case, covers, shaping, probe
         assert field.points == mapped(fresh.points)
         for x, y in [point, *probes]:
             for radius in (r, 15.0):
-                assert field.window(x, radius) == mapped(fresh.window(x, radius))
+                assert field.nearest(x, y, radius) == ref_nearest(field, x, y, radius)
                 assert field.within(x, y, radius) == [left[j] for j in fresh.within(x, y, radius)]
             assert bits(field.value((x, y))) == bits(fresh.value((x, y)))
             for threshold in (r, 15.0):
@@ -476,11 +479,13 @@ def test_escape_with_an_empty_field_is_none():
 # --- the nearest uncovered hotspot --------------------------------------------------
 
 
-def ref_nearest(field, x, y):
-    """The brute-force scan: min() over every uncovered hotspot's (d, id, hx, hy)."""
-    return min(
+def ref_nearest(field, x, y, r):
+    """The brute-force scan: min() over every uncovered hotspot's (d, id, hx, hy),
+    or None if there is none or its d is at most r."""
+    best = min(
         ((math.hypot(hx - x, hy - y), k, hx, hy) for k, hx, hy in field.points), default=None
     )
+    return None if best is None or best[0] <= r else best
 
 
 @st.composite
@@ -510,26 +515,180 @@ def nearest_scene(draw):
 def test_nearest_walk_matches_the_scan(case, drop):
     (x, y), hotspots, covered = case
     field = built(UncoveredHotspots, hotspots, covered)
-    assert field.nearest(x, y) == ref_nearest(field, x, y)
+    radii = [-math.inf, 0.0, 3.0, 7.25, 12.0]
+    for r in radii:
+        assert field.nearest(x, y, r) == ref_nearest(field, x, y, r)
     # A field that cover() shrank walks its filtered index.
     field.cover([k for k in drop if k < len(hotspots)])
-    assert field.nearest(x, y) == ref_nearest(field, x, y)
+    for r in radii:
+        assert field.nearest(x, y, r) == ref_nearest(field, x, y, r)
 
 
 @pytest.mark.parametrize("hx", [-4.0, 0.0, 2.0, 9.0])
 def test_nearest_of_a_single_hotspot_on_either_side(hx):
     field = UncoveredHotspots([Hotspot(position=(hx, 1.0))])
-    assert field.nearest(2.0, 5.0) == (math.hypot(hx - 2.0, -4.0), 0, hx, 1.0)
+    assert field.nearest(2.0, 5.0, -math.inf) == (math.hypot(hx - 2.0, -4.0), 0, hx, 1.0)
     field.cover([0])
-    assert field.nearest(2.0, 5.0) is None
+    assert field.nearest(2.0, 5.0, -math.inf) is None
 
 
 def test_nearest_takes_the_lowest_id_among_mirrored_ties():
     # Four reflections of one offset, and a duplicate x on each side.
     points = [(13.0, 6.0), (7.0, 14.0), (7.0, 6.0), (13.0, 14.0), (13.0, 10.0), (7.0, 10.0)]
     field = UncoveredHotspots([Hotspot(position=p) for p in points])
-    assert field.nearest(10.0, 10.0) == (3.0, 4, 13.0, 10.0)
+    assert field.nearest(10.0, 10.0, -math.inf) == (3.0, 4, 13.0, 10.0)
     field.cover([4])
-    assert field.nearest(10.0, 10.0) == (3.0, 5, 7.0, 10.0)
+    assert field.nearest(10.0, 10.0, -math.inf) == (3.0, 5, 7.0, 10.0)
     field.cover([5])
-    assert field.nearest(10.0, 10.0) == (5.0, 0, 13.0, 6.0)
+    assert field.nearest(10.0, 10.0, -math.inf) == (5.0, 0, 13.0, 6.0)
+
+
+# --- the escape against the two queries it replaced --------------------------------
+
+
+class TwoQueryIndex:
+    """The x-sorted index's routines before nearest() took a radius, copied
+    verbatim, over a field's current lists and flags.  The escape asked
+    any_within() at its threshold and, when that found nothing, nearest();
+    window() bounded within()'s scan beyond the cells."""
+
+    def __init__(self, field):
+        self._xs, self._by_x = field._xs, field._by_x
+        self.covered, self.n_uncovered = field.covered, field.n_uncovered
+
+    def window(self, x: float, r: float) -> list[tuple[int, float, float]]:
+        """(id, hx, hy) of every uncovered hotspot with |hx - x| <= r, in x order.
+
+        x - r and x + r round, so the bisected bounds may fall an ulp short
+        of a hotspot whose own difference hx - x rounds into [-r, r]; the
+        window is widened over such neighbours.  hx - x rounds monotonically
+        in hx, so they sit next to the bounds.
+        """
+        xs = self._xs
+        lo = bisect_left(xs, x - r)
+        hi = bisect_right(xs, x + r, lo)
+        while lo and abs(xs[lo - 1] - x) <= r:
+            lo -= 1
+        while hi < len(xs) and abs(xs[hi] - x) <= r:
+            hi += 1
+        near = self._by_x[lo:hi]
+        if self.n_uncovered == len(xs):
+            return near
+        covered = self.covered
+        return [point for point in near if not covered[point[0]]]
+
+    def any_within(self, x: float, y: float, r: float) -> bool:
+        """Whether within(x, y, r) would name some hotspot: its test on
+        window()'s entries, stopping at the first hit.  The dead-ground
+        escape asks this on every free agent, so the bounds are inline."""
+        xs = self._xs
+        lo = bisect_left(xs, x - r)
+        hi = bisect_right(xs, x + r, lo)
+        while lo and abs(xs[lo - 1] - x) <= r:
+            lo -= 1
+        while hi < len(xs) and abs(xs[hi] - x) <= r:
+            hi += 1
+        covered = self.covered
+        for k, hx, hy in self._by_x[lo:hi]:
+            if math.hypot(hx - x, hy - y) <= r and not covered[k]:
+                return True
+        return False
+
+    def nearest(self, x: float, y: float) -> tuple[float, int, float, float] | None:
+        """(d, id, hx, hy) of the uncovered hotspot nearest (x, y), or None if none is left.
+
+        d is math.hypot(hx - x, hy - y), the least of all, and id the lowest
+        among equal d: min() over every uncovered hotspot's (d, id, hx, hy).
+        The walk goes outward from x through the x-sorted list, the side
+        whose next |hx - x| is smaller first, skips covered entries and
+        stops once that exceeds the best d: math.hypot(dx, dy) >= |dx| under
+        faithful rounding, and |hx - x| only grows outward, so no hotspot
+        beyond can be nearer or tie.
+        """
+        xs, by_x, covered = self._xs, self._by_x, self.covered
+        hi = bisect_left(xs, x)
+        lo = hi - 1
+        best = None
+        while lo >= 0 or hi < len(xs):
+            if hi < len(xs) and (lo < 0 or xs[hi] - x <= x - xs[lo]):
+                k, hx, hy = by_x[hi]
+                hi += 1
+            else:
+                k, hx, hy = by_x[lo]
+                lo -= 1
+            if best is not None and abs(hx - x) > best[0]:
+                break
+            candidate = (math.hypot(hx - x, hy - y), k, hx, hy)
+            if (best is None or candidate < best) and not covered[k]:
+                best = candidate
+        return best
+
+
+def two_query_escape(position, field, threshold_radius, max_step_size):
+    """The escape as a composition of the two queries, copied verbatim."""
+    field = TwoQueryIndex(field)
+    x, y = float(position[0]), float(position[1])
+    if not field.n_uncovered or field.any_within(x, y, threshold_radius):
+        return None
+    d, _, hx, hy = field.nearest(x, y)
+    return (hx - x) / d * max_step_size, (hy - y) / d * max_step_size
+
+
+@st.composite
+def escape_scene(draw):
+    """A query point, 1 to 200 hotspots about it (anywhere, or at mirrored
+    quarter-unit offsets, whose lengths tie), covered flags (all, about
+    half or a few of them) and thresholds: 15, and the exact length of a
+    drawn hotspot and of the nearest uncovered one, each with the floats
+    either side of it."""
+    quarter = st.integers(0, 160).map(lambda q: q / 4.0)
+    sign = st.sampled_from([1.0, -1.0])
+    x, y = draw(st.one_of(coord, quarter)), draw(st.one_of(coord, quarter))
+    hotspots = []
+    for _ in range(draw(st.one_of(st.sampled_from([1, 64, 65, 130, 200]), st.integers(1, 200)))):
+        if draw(st.booleans()):
+            hx, hy = draw(coord), draw(coord)
+        else:
+            a, b = draw(quarter), draw(quarter)
+            if draw(st.booleans()):
+                a, b = b, a
+            hx, hy = x + draw(sign) * a, y + draw(sign) * b
+        hotspots.append(Hotspot(position=(hx, hy)))
+    # Past 64 hotspots, a field with at most half of them covered keeps the
+    # covered entries in its x-sorted list, so the walk must skip them.
+    n = len(hotspots)
+    few = st.sampled_from([False, False, False, True])
+    covered = draw(
+        st.one_of(
+            st.just([True] * n),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+            st.lists(few, min_size=n, max_size=n),
+        )
+    )
+    lengths = [math.hypot(hx - x, hy - y) for hx, hy in (hot.position for hot in hotspots)]
+    chosen = [lengths[draw(st.integers(0, n - 1))]]
+    chosen += [d for d, flag in sorted(zip(lengths, covered)) if not flag][:1]
+    thresholds = [15.0]
+    for d in chosen:
+        thresholds += [d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)]
+    return (x, y), hotspots, covered, thresholds
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=escape_scene(), held=st.booleans())
+def test_escape_gives_the_bytes_of_the_two_query_composition(case, held):
+    (x, y), hotspots, covered, thresholds = case
+    if held:
+        field = built(FitnessField, hotspots, covered, 3.0)
+    else:
+        field = built(UncoveredHotspots, hotspots, covered)
+    index = TwoQueryIndex(field)
+    for threshold in thresholds:
+        got = escape_no_hotspot_zone((x, y), field, threshold, 5.0)
+        want = two_query_escape((x, y), field, threshold, 5.0)
+        assert bits(got) == bits(want)
+        # any_within() was within()'s test on window()'s entries.
+        window = index.window(x, threshold)
+        assert index.any_within(x, y, threshold) == any(
+            math.hypot(hx - x, hy - y) <= threshold for _, hx, hy in window
+        )

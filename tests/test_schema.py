@@ -183,6 +183,7 @@ BOUND_FIELDS = {
     "sigma_sensitivity": {"AlgorithmParams"},
     "stagnation_limit": {"AlgorithmParams"},
     "max_step_size": {"ConstraintParams"},
+    "safe_zone_radius": {"ConstraintParams"},
     "coverage_radius": {"ConstraintParams"},
     "collision_radius": {"ConstraintParams"},
     "potential_field_gain": {"ConstraintParams"},
@@ -267,14 +268,16 @@ def _section(config: ScenarioConfig, path):
 
 
 class TestCoefficientCaps:
-    """A coefficient of any magnitude up to its cap runs (tests/test_cli.py runs
-    each one there); a larger one is rejected up front."""
+    """A coefficient or length of any magnitude up to its cap runs
+    (tests/test_cli.py runs each one there); a larger one is rejected up
+    front."""
 
     def test_the_unbounded_coefficients_are_capped(self):
         assert sorted(name for _, name in CAPPED) == sorted(
             [
                 "inertia", "cognitive", "social", "potential_field_gain", "explore_coeff",
-                "exploit_coeff", "shaping_epsilon", "weight", "levy_weight",
+                "exploit_coeff", "shaping_epsilon", "weight", "levy_weight", "max_step_size",
+                "safe_zone_radius",
             ]
         )
 
