@@ -18,6 +18,7 @@ memory, and propose_step's proposer reads what its algorithm needs.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from array import array
@@ -121,6 +122,19 @@ def _collision_stage(
     return final, intervened, _violating_pairs(final, 0.0)[1]
 
 
+@functools.lru_cache(maxsize=128)
+def _launch(start: tuple[str, str], n_uavs: int, grid: GridConfig, collision_radius: str):
+    """(positions, agents moved, smallest pair distance) of n_uavs agents spread from start.
+
+    Pure, so a process spreads each geometry once; a spread that raises is
+    not cached.  start and collision_radius come as float.hex strings:
+    -0.0 == 0.0 with equal hashes, but the two launch to different bytes.
+    """
+    x, y = map(float.fromhex, start)
+    spread, touched, _ = resolve_collisions([(x, y)] * n_uavs, grid, float.fromhex(collision_radius))
+    return tuple(spread), int(touched.sum()), _violating_pairs(spread, 0.0)[1]
+
+
 def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
     config.validate()
     cons = config.constraints
@@ -128,13 +142,15 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     rngs = [RandomSource(seed=config.seed, stream_id=i) for i in range(config.n_uavs)]
     swarm = make_swarm(config)
 
-    # UAVs launch from a single point; spread them to the collision radius
-    # before anything is recorded.
+    # UAVs launch from a single point, spread to the collision radius before
+    # anything is recorded: once per process for each launch geometry.
     uavs = swarm.uavs
-    start, touched, _ = resolve_collisions(
-        [uav.position for uav in uavs], config.grid, cons.collision_radius
+    x, y = config.start_position
+    start, touched, min_pairwise = _launch(
+        (float(x).hex(), float(y).hex()), config.n_uavs, config.grid,
+        float(cons.collision_radius).hex(),
     )
-    report = ConstraintReport(collision_interventions=int(touched.sum()))
+    report = ConstraintReport(collision_interventions=touched)
 
     # Fitness is always scored against the uncovered set the move was decided
     # under (evaluate, then mark): the agent that brings a hotspot into
@@ -151,7 +167,7 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
     interventions = []
 
     # Step 0 scores and records the launch positions, every agent scanning.
-    final, min_pairwise = start, _violating_pairs(start, 0.0)[1]
+    final = start
     scanning, guided = [True] * config.n_uavs, [False] * config.n_uavs
     within = fitness.within
     step = 0

@@ -191,5 +191,8 @@ def levy_step(
         pass
     else:
         if -_MAX_COMPONENT <= x <= _MAX_COMPONENT and -_MAX_COMPONENT <= y <= _MAX_COMPONENT:
-            return LevyStep(x, y)
-    return LevyStep(_saturated(scale, u1, v1, inv_beta), _saturated(scale, u2, v2, inv_beta))
+            # tuple.__new__ skips the named tuple's Python-level __new__ and its call.
+            return tuple.__new__(LevyStep, (x, y))
+    return tuple.__new__(
+        LevyStep, (_saturated(scale, u1, v1, inv_beta), _saturated(scale, u2, v2, inv_beta))
+    )

@@ -355,6 +355,13 @@ class ScenarioConfig:
                 )
         if not self.grid.contains(self.start_position):
             raise ValidationError("start_position lies outside the grid")
+        diagonal = math.hypot(width, height)
+        if self.n_uavs >= 2 and self.constraints.collision_radius > diagonal:
+            # No two points of the grid lie that far apart.
+            raise ValidationError(
+                f"collision_radius {self.constraints.collision_radius} exceeds the "
+                f"{width}x{height} grid's diagonal {diagonal}: {self.n_uavs} UAVs cannot separate"
+            )
         if self.params.shaping:
             total_w = left_to_right_sum(h.weight for h in self.hotspots)
             min_w = min(h.weight for h in self.hotspots)

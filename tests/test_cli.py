@@ -341,6 +341,30 @@ class TestRunCommand:
         assert f"{name} must lie in" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_uavs", [1, 2, 5])
+    def test_collision_radius_beyond_the_grid_diagonal(self, tmp_path, capsys, n_uavs):
+        # No two points of the 100 x 100 grid lie 1e6 apart; one UAV has no pair.
+        file = tmp_path / "wide.json"
+        file.write_text(
+            json.dumps(
+                {
+                    "hotspots": [{"x": 10.0 * k, "y": 5.0 + 9.0 * k} for k in range(10)],
+                    "n_uavs": n_uavs, "max_steps": 20,
+                    "constraints": {"collision_radius": 1e6, "safe_zone_radius": 1e100},
+                }
+            )
+        )
+        out = tmp_path / "out"
+        if n_uavs == 1:
+            assert main(["validate", "--scenario", str(file)]) == EXIT_OK
+            assert main(["run", "--scenario", str(file), "--out", str(out)]) == EXIT_OK
+            return
+        assert main(["validate", "--scenario", str(file)]) == EXIT_INVALID
+        assert main(["run", "--scenario", str(file), "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.count("grid's diagonal 141.4213562373095") == 2
+        assert not out.exists()
+
     def test_malformed_json_exits_two(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

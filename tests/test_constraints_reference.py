@@ -498,6 +498,8 @@ def test_resolve_collisions_matches_reference_on_pso_traffic():
         return out, touched, pushes
 
     walk, resolve = constraints._violating_pairs, constraints.resolve_collisions
+    # The launch calls the resolver only when its geometry is not cached.
+    harness._launch.cache_clear()
     with mock.patch.object(constraints, "_violating_pairs", counted_walk), mock.patch.object(
         harness, "resolve_collisions", recorded
     ):

@@ -258,6 +258,8 @@ def test_bounded_pav_matches_the_reference_on_pooled_and_clipped_blocks():
 
 def walks_per_call(config):
     """The pair walks of each resolver call of one run, launch first."""
+    # The launch calls the resolver only when its geometry is not cached.
+    harness._launch.cache_clear()
     walks = []
     walk, resolve = constraints._violating_pairs, harness.resolve_collisions
 
