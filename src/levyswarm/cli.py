@@ -106,17 +106,17 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_spec_from_args(args) -> harness.SweepSpec:
-    """The spec file, or the flags as the same dict; SweepSpec fills in what neither gives."""
+    """The spec file's keys, overridden by the flags given, as a scenario file's
+    are by run's flags; SweepSpec fills in what neither gives."""
+    data = _given(
+        preset=args.preset,
+        algorithm=args.algorithm,
+        levy_weights=_parse_values(args.values) if args.values else None,
+        seeds=args.seeds or None,
+        max_steps=args.max_steps,
+    )
     if args.spec:
-        data = world.read_json(args.spec)
-    else:
-        data = _given(
-            preset=args.preset,
-            algorithm=args.algorithm,
-            levy_weights=_parse_values(args.values) if args.values else None,
-            seeds=args.seeds or None,
-            max_steps=args.max_steps,
-        )
+        data = world.field_value(world.read_json(args.spec), "dict", "sweep spec") | data
     return world.load_section(
         harness.SweepSpec, data, "sweep spec", record_trajectories=None,
         algorithm=world.parse_algorithm, seeds=_parse_seeds,
@@ -158,7 +158,7 @@ def _cmd_compare(args) -> int:
         preset=args.preset,
         seeds=_parse_seeds(args.seeds) if args.seeds else None,
         max_steps=args.max_steps,
-        levy_weight=args.levy_weight,
+        params=None if args.levy_weight is None else {"levy_weight": args.levy_weight},
     )
     result = harness.compare_algorithms(algorithms, workers=args.workers, **flags)
     for name, group in result.groups.items():

@@ -221,7 +221,7 @@ def run_scenario(config: ScenarioConfig, record_trajectories: bool = False) -> R
             report.collision_interventions += sum(intervened)
             interventions.append((step - 1, intervened))
         scanning = proposal.scanning.tolist()
-        guided = proposal.guided.tolist()
+        guided = proposal.guided
 
     steps_to_cover = step if swarm.covered_count == len(hotspots) else None
     heatmap.record(np.frombuffer(visits).reshape(-1, 2))
@@ -435,7 +435,6 @@ def compare_algorithms(
     preset: str = "twocluster20",
     seeds=range(20),
     max_steps: int = 5000,
-    levy_weight: float | None = None,
     params: dict | None = None,
     constraints: dict | None = None,
     workers: int = 1,
@@ -443,13 +442,14 @@ def compare_algorithms(
 ) -> CompareResult:
     """Run each algorithm over the same seeded scenarios and tally successes.
 
-    For two-cluster presets each row also reports how many far-cluster
-    hotspots that run covered.
+    params sets every run's AlgorithmParams, the flight scale levy_weight
+    included.  For two-cluster presets each row also reports how many
+    far-cluster hotspots that run covered.
     """
     algorithms = _distinct("compare algorithms", map(parse_algorithm, algorithms), minimum=2)
     seeds = _distinct("compare seeds", seeds)
     results = _run_grid(
-        preset, algorithms, [levy_weight], seeds, max_steps,
+        preset, algorithms, [None], seeds, max_steps,
         params or {}, constraints or {}, record_trajectories, workers,
     )
     twocluster = preset.startswith("twocluster")

@@ -27,23 +27,22 @@ class FitnessField(UncoveredHotspots):
     """Coverage fitness over the currently uncovered hotspots.
 
     value(x) = sum of weights of uncovered hotspots within coverage_radius of
-    x, plus (optionally) a small proximity shaping term
+    x, plus, when epsilon is above 0, a small proximity shaping term
     epsilon * sum_k w_k / (1 + d_k) over the uncovered hotspots, which gives
     hill-climbing acceptance rules a gradient to follow between coverage
     plateaus.  Covered hotspots contribute nothing.  The field is the
     UncoveredHotspots index of the run's hotspots, so cover() updates it.
     """
 
-    __slots__ = ("weights", "coverage_radius", "shaping", "epsilon", "_xy", "_weight_array",
+    __slots__ = ("weights", "coverage_radius", "epsilon", "_xy", "_weight_array",
                  "_all_xy", "_all_weights", "_uncovered")
 
-    def __init__(self, hotspots, coverage_radius, shaping=False, epsilon=0.01):
+    def __init__(self, hotspots, coverage_radius, epsilon=0.0):
         super().__init__(hotspots, coverage_radius)
         self.weights = [float(hot.weight) for hot in hotspots]
         self.coverage_radius = float(coverage_radius)
-        self.shaping = bool(shaping)
         self.epsilon = float(epsilon)
-        if self.shaping:
+        if self.epsilon > 0.0:
             self._shaping_operands()
 
     def _shaping_operands(self):
@@ -58,19 +57,14 @@ class FitnessField(UncoveredHotspots):
     def cover(self, ids) -> None:
         ids = list(ids)  # an iterator would be spent by the base class
         super().cover(ids)
-        if self.shaping and ids:
+        if self.epsilon > 0.0 and ids:
             self._uncovered[np.array(ids, dtype=np.intp)] = False
             self._xy = self._all_xy[self._uncovered]
             self._weight_array = self._all_weights[self._uncovered]
 
     @classmethod
     def from_config(cls, hotspots, config: ScenarioConfig) -> "FitnessField":
-        return cls(
-            hotspots,
-            config.constraints.coverage_radius,
-            shaping=config.params.shaping,
-            epsilon=config.params.shaping_epsilon,
-        )
+        return cls(hotspots, config.constraints.coverage_radius, config.params.shaping_epsilon)
 
     def value(self, position, ids=None) -> float:
         """The fitness at position.
@@ -86,7 +80,7 @@ class FitnessField(UncoveredHotspots):
         weights = self.weights
         # Most positions cover nothing: 0.0, the empty sum.
         total = left_to_right_sum(weights[k] for k in ids) if ids else 0.0
-        if self.shaping:
+        if self.epsilon > 0.0:
             d = np.hypot(self._xy[:, 0] - x, self._xy[:, 1] - y)
             total += self.epsilon * float(np.sum(self._weight_array / (1.0 + d)))
         return total
@@ -153,15 +147,16 @@ class StepProposal:
     report: constraints.ConstraintReport = None
     # Agents whose step was goal-directed (a committed relocation leg or a
     # dead-ground escape); the stagnation counter does not tick for them.
-    guided: np.ndarray = None
+    guided: list[bool] = None
     # Agents whose sensor is active this step.  Agents mid-traversal of a
     # committed relocation fly dark and scan only on arrival, so one long
-    # flight contributes one sensing sample at its endpoint.
+    # flight contributes one sensing sample at its endpoint.  A bool array,
+    # not a list: the benchmark's tracer counts dark agents as ~scanning.
     scanning: np.ndarray = None
 
     def __post_init__(self):
         if self.guided is None:
-            self.guided = np.zeros(len(self.positions), dtype=bool)
+            self.guided = [False] * len(self.positions)
         if self.scanning is None:
             self.scanning = np.ones(len(self.positions), dtype=bool)
         if self.report is None:
@@ -320,7 +315,7 @@ def propose_hybrid(
     params, cons, grid = config.params, config.constraints, config.grid
     max_step, threshold = cons.max_step_size, cons.no_hotspot_threshold_radius
     weight, beta, normalized = params.levy_weight, params.levy_beta, params.mantegna_normalized
-    explore, exploit = params.explore_coeff, params.exploit_sign * params.exploit_coeff
+    explore, exploit = params.explore_coeff, params.exploit_coeff
     adaptive, sensitivity = params.adaptive_lambda, params.sigma_sensitivity
     limit = params.stagnation_limit
     escape_from, levy = constraints.escape_no_hotspot_zone, levy_step
@@ -409,7 +404,7 @@ def propose_hybrid(
         if fitness.value(candidate) > fitness.value(current):
             tentative[i] = candidate
 
-    return StepProposal(tentative, transit_legs, report, np.array(guided), np.array(scanning))
+    return StepProposal(tentative, transit_legs, report, guided, np.array(scanning))
 
 
 def propose_step(

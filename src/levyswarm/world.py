@@ -50,7 +50,8 @@ _KINDS = {
 # of at most 10^4 weights, added over at most 256 agents.  It caps two lengths
 # too: up to 255 safe-zone pushes of safe_zone_radius / 2 are summed, and
 # math.hypot measures the steps max_step_size scales.  Even the square of a
-# capped value stays far below the float maximum of about 1.8e308.  The
+# capped value stays far below the float maximum of about 1.8e308.
+# shaping_epsilon shares the upper cap above a floor of 0, which is off.  The
 # collision_radius floor keeps the resolver's margin, radius * 1e-6, at about
 # 4 ulps of a coordinate near 1024; with smaller radii the launch can stall.
 _POSITIVE = {
@@ -62,10 +63,11 @@ _RANGES = {
     **dict.fromkeys(
         [
             "inertia", "cognitive", "social", "potential_field_gain", "explore_coeff", "exploit_coeff",
-            "shaping_epsilon", "weight", "levy_weight", "max_step_size", "safe_zone_radius",
+            "weight", "levy_weight", "max_step_size", "safe_zone_radius",
         ],
         _COEFFICIENT,
     ),
+    "shaping_epsilon": (0.0, _COEFFICIENT[1]),
     "collision_radius": (1e-6, math.inf),
     "width": (1, 1024),
     "height": (1, 1024),
@@ -167,7 +169,6 @@ def parse_algorithm(name) -> Algorithm:
 class ScenarioKind(str, enum.Enum):
     UNIFORM_RANDOM = "uniform"
     TWO_CLUSTER = "twocluster"
-    CUSTOM = "custom"
 
 
 _KIND_NAMES = {k.value: k for k in ScenarioKind}
@@ -221,19 +222,18 @@ class AlgorithmParams:
     # single-step hop, which washes out the weight sweep.
     levy_beta: float = 1.0
     explore_coeff: float = 0.02
+    # Positive: the update as written, a push away from the nearest better
+    # neighbour; negative: the attractive variant.
     exploit_coeff: float = 0.02
     adaptive_lambda: bool = False
     sigma_sensitivity: float = 1.0
     pso: PsoParams = field(default_factory=PsoParams)
     stagnation_limit: int = 50
-    # Optional proximity shaping of the objective (off by default: the plain
-    # coverage sum is the benchmark objective for every algorithm).
-    shaping: bool = False
-    shaping_epsilon: float = 0.01
+    # Weight of the optional proximity shaping of the objective; 0.0, the
+    # default, is off: the plain coverage sum is the benchmark objective for
+    # every algorithm.
+    shaping_epsilon: float = 0.0
     mantegna_normalized: bool = True
-    # +1 nudges a high-fitness UAV away from its better neighbor (the update
-    # as written); -1 flips it to the attractive variant.
-    exploit_sign: int = 1
 
     def validate(self):
         _check_fields(self, "params ")
@@ -246,10 +246,6 @@ class AlgorithmParams:
             raise ValidationError(
                 f"levy_beta={self.levy_beta} is too small: the Mantegna scale overflows"
             ) from None
-        if self.shaping and not self.shaping_epsilon > 0.0:
-            raise ValidationError("shaping_epsilon must be positive when shaping is on")
-        if self.exploit_sign not in (1, -1):
-            raise ValidationError("exploit_sign must be +1 or -1")
 
 
 @dataclass
@@ -362,7 +358,7 @@ class ScenarioConfig:
                 f"collision_radius {self.constraints.collision_radius} exceeds the "
                 f"{width}x{height} grid's diagonal {diagonal}: {self.n_uavs} UAVs cannot separate"
             )
-        if self.params.shaping:
+        if self.params.shaping_epsilon > 0.0:
             total_w = left_to_right_sum(h.weight for h in self.hotspots)
             min_w = min(h.weight for h in self.hotspots)
             if not self.params.shaping_epsilon * total_w < min_w:
@@ -395,34 +391,24 @@ def make_scenario(
     n_hotspots: int,
     seed: int,
     grid: GridConfig = GridConfig(),
-    custom_hotspots: list[Hotspot] | None = None,
     **config_overrides,
 ) -> ScenarioConfig:
-    """Build a scenario of the given kind.
+    """Build a scenario with a generated layout of the given kind.
 
     uniform:    n i.i.d. uniform hotspots over the grid interior.
     twocluster: ceil(n/2) uniform in the near band y <= NEAR_BAND_FRACTION*height,
                 floor(n/2) in a disc of radius FAR_RADIUS_FRACTION*min(w,h)
                 centered at FAR_CENTER_FRACTION of the grid.  Near hotspots come
                 first in the list, far-cluster hotspots last.
-    custom:     pass-through of custom_hotspots.
+
+    A listed layout needs no generator: ScenarioConfig(hotspots=...).validate().
     """
-    kind = _parse_kind(kind)
-    if kind is ScenarioKind.CUSTOM:
-        if not custom_hotspots:
-            raise ValidationError("custom scenario requires a non-empty hotspot list")
-        hotspots = list(custom_hotspots)
-    else:
-        hotspots = generate_hotspots(kind, n_hotspots, seed, grid)
-    config = ScenarioConfig(grid=grid, hotspots=hotspots, seed=seed, **config_overrides)
-    config.validate()
-    return config
+    hotspots = generate_hotspots(_parse_kind(kind), n_hotspots, seed, grid)
+    return ScenarioConfig(grid=grid, hotspots=hotspots, seed=seed, **config_overrides).validate()
 
 
 def generate_hotspots(kind: ScenarioKind, n_hotspots: int, seed: int, grid: GridConfig):
     """The hotspots of a uniform or twocluster layout (see make_scenario); checks its arguments."""
-    if kind is ScenarioKind.CUSTOM:
-        raise ValidationError("a custom layout lists its hotspots; it cannot be generated")
     grid.validate()
     field_value(n_hotspots, "int", "n_hotspots")
     src = RandomSource(seed=field_value(seed, "int", "seed"), stream_id=SCENARIO_STREAM)

@@ -167,6 +167,11 @@ class TestRunCommand:
             [{"x": 1, "y": 1}],
             {"scenario_id": [1, 2]},
             {"kind": "foo"},
+            # No exploit_sign or shaping key: the sign of exploit_coeff and
+            # a shaping_epsilon above 0 (never below) say the same.
+            {"params": {"exploit_sign": -1}},
+            {"params": {"shaping": True}},
+            {"params": {"shaping_epsilon": -0.01}},
         ],
     )
     def test_wrong_shape_scenario_exits_one(self, tmp_path, capsys, fields):
@@ -189,7 +194,7 @@ class TestRunCommand:
     )
     def test_layout_stated_two_ways_exits_one(self, tmp_path, capsys, fields):
         # A file lists its hotspots or names a generated layout, never both;
-        # the custom kind has no generator.
+        # "custom" is no kind.
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"max_steps": 5, **fields}))
         assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
@@ -223,7 +228,7 @@ class TestRunCommand:
             {"params": {"stagnation_limit": "5"}},
             {"params": {"stagnation_limit": True}},
             {"params": {"stagnation_limit": 2.5}},
-            {"params": {"shaping": "false"}},
+            {"params": {"adaptive_lambda": 1}},
             {"params": {"adaptive_lambda": "no"}},
             {"params": {"mantegna_normalized": "false"}},
             {"params": {"mantegna_normalized": 0}},
@@ -253,7 +258,7 @@ class TestRunCommand:
                     "n_uavs": 3.0,
                     "max_steps": 5.0,
                     "seed": 2.0,
-                    "params": {"stagnation_limit": 50.0, "exploit_sign": -1.0},
+                    "params": {"stagnation_limit": 50.0},
                 }
             )
         )
@@ -304,7 +309,12 @@ class TestRunCommand:
         ],
     )
     def test_coefficient_at_its_cap_runs(self, tmp_path, path, name, algorithm):
-        for bound in _RANGES[name]:
+        bounds = _RANGES[name]
+        if name == "shaping_epsilon":
+            # validate() holds epsilon * sum(w) below min(w), so the largest
+            # accepted epsilon for these ten unit weights lies just below 0.1.
+            bounds = (0.0, math.nextafter(0.1, 0.0))
+        for bound in bounds:
             if name in _POSITIVE and bound < 0.0:
                 continue
             scenario = {
@@ -410,6 +420,32 @@ class TestSweepCommand:
         assert (out_dir / "heatmap_3.0.pgm").exists()
         heat = heatmap_from_csv(out_dir / "heatmap_3.0.csv")
         assert heat.counts.sum() > 0
+
+    def test_flags_override_the_spec_file(self, tmp_path, capsys):
+        # As run's flags override a scenario file, sweep's override the spec's
+        # keys; the spec's preset, given by no flag, stays.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(
+                {"preset": "twocluster20", "levy_weights": [3.0], "seeds": 2, "max_steps": 20}
+            )
+        )
+        out_dir = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep", "--spec", str(spec_path), "--seeds", "5", "--max-steps", "7",
+                "--values", "1,2", "--out", str(out_dir),
+            ]
+        )
+        assert code == EXIT_OK
+        rows = read_runs_csv(out_dir / "runs.csv")
+        assert {r["scenario_id"] for r in rows} == {"twocluster20"}
+        assert sorted((r["levy_weight"], r["seed"]) for r in rows) == [
+            (w, s) for w in (1.0, 2.0) for s in range(5)
+        ]
+        # Five seeds of five agents, each recorded at steps 0..7.
+        for tag in ("1.0", "2.0"):
+            assert heatmap_from_csv(out_dir / f"heatmap_{tag}.csv").counts.sum() == 5 * 5 * 8
 
     def test_sweep_spec_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

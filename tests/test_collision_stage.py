@@ -210,10 +210,10 @@ class TestGatedStageMatchesReference:
     n_uavs=st.integers(min_value=1, max_value=8),
     knobs=st.fixed_dictionaries(
         {
-            "shaping": st.booleans(),
+            "shaping_epsilon": st.sampled_from([0.0, 0.01]),
             "adaptive_lambda": st.booleans(),
             "mantegna_normalized": st.booleans(),
-            "exploit_sign": st.sampled_from([1, -1]),
+            "exploit_coeff": st.sampled_from([0.02, -0.02]),
             "levy_beta": st.sampled_from([1.0, 1.5]),
             "stagnation_limit": st.sampled_from([3, 50]),
         }

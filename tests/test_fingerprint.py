@@ -28,6 +28,7 @@ from levyswarm.world import (
     AlgorithmParams,
     ConstraintParams,
     GridConfig,
+    ScenarioConfig,
     ScenarioKind,
     generate_hotspots,
     make_scenario,
@@ -56,20 +57,21 @@ TIGHT_STEPS = 40
 TIGHT_CASES = [f"twocluster/pso/{seed}/tight" for seed in (3, 4)]
 # Knob branches the preset defaults never take, each on one preset run.
 # levy_beta is 1.5 in the unnormalized case because the Mantegna scale is 1
-# at the default beta of 1.  exploit_sign acts only between agents of unequal
-# fitness above the median, which unit-weight coverage alone almost never
-# gives, so it rides on shaping.  The wide cases set safe_zone_radius above
-# twice the collision radius (the presets have the two equal), so the
-# safe-zone radius sets the reach of the collision stage.
+# at the default beta of 1.  The sign of exploit_coeff (exploit_sign in its
+# case label) acts only between agents of unequal fitness above the median,
+# which unit-weight coverage alone almost never gives, so it rides on shaping.
+# The wide cases set safe_zone_radius above twice the collision radius (the
+# presets have the two equal), so the safe-zone radius sets the reach of the
+# collision stage.
 KNOB_CASES = {
-    "uniform20/hybrid-abc-levy/0/shaping": dict(params=AlgorithmParams(shaping=True)),
-    "uniform20/abc/0/shaping": dict(params=AlgorithmParams(shaping=True)),
+    "uniform20/hybrid-abc-levy/0/shaping": dict(params=AlgorithmParams(shaping_epsilon=0.01)),
+    "uniform20/abc/0/shaping": dict(params=AlgorithmParams(shaping_epsilon=0.01)),
     "uniform20/hybrid-abc-levy/0/adaptive_lambda": dict(params=AlgorithmParams(adaptive_lambda=True)),
     "uniform20/hybrid-abc-levy/0/mantegna_unnormalized": dict(
         params=AlgorithmParams(levy_beta=1.5, mantegna_normalized=False)
     ),
     "uniform20/hybrid-abc-levy/0/shaping,exploit_sign=-1": dict(
-        params=AlgorithmParams(shaping=True, exploit_sign=-1)
+        params=AlgorithmParams(shaping_epsilon=0.01, exploit_coeff=-0.02)
     ),
     "uniform20/hybrid-abc-levy/0/wide_safe_zone": dict(
         n_uavs=8, constraints=ConstraintParams(safe_zone_radius=5.0, collision_radius=1.0)
@@ -100,10 +102,9 @@ def scenario(case: str):
                 generate_hotspots(ScenarioKind.UNIFORM_RANDOM, 40, 5, GridConfig())
             )
         ]
-        return make_scenario(
-            "custom", 40, 5, custom_hotspots=hotspots, algorithm=case.split("/")[1],
-            n_uavs=8, max_steps=STEPS,
-        )
+        return ScenarioConfig(
+            hotspots=hotspots, seed=5, algorithm=case.split("/")[1], n_uavs=8, max_steps=STEPS
+        ).validate()
     if case in LARGE_CASES:
         _, algorithm, seed = case.split("/")
         return make_scenario("uniform", 10_000, int(seed), algorithm=algorithm, max_steps=STEPS)

@@ -468,7 +468,7 @@ def baseline_steps(draw):
     config.constraints.max_step_size = draw(st.sampled_from([0.5, 1.0, 5.0, 13.0]))
     fitness = built(
         FitnessField, [h for h, _ in spots], [flag for _, flag in spots],
-        draw(st.sampled_from([3.0, 12.0])), shaping=draw(st.booleans()),
+        draw(st.sampled_from([3.0, 12.0])), draw(st.sampled_from([0.0, 0.01])),
     )
     agents = [
         (draw(point), draw(st.tuples(velocity_coord, velocity_coord)), draw(point))
@@ -497,7 +497,7 @@ def test_baseline_proposers_match_numpy(step, pso):
     assert all(type(v) is float for point in got.positions for v in point)
     assert np.array(got.positions, dtype=float).tobytes() == want.positions.tobytes()
     assert got.report == want.report
-    assert got.guided.tolist() == want.guided.tolist()
+    assert got.guided == want.guided
     assert got.scanning.tolist() == want.scanning.tolist()
     for a, b in zip(ours.uavs, theirs.uavs):
         velocities = [np.array(uav.velocity, dtype=float).tobytes() for uav in (a, b)]
@@ -747,7 +747,7 @@ def test_shaping_arrays_from_the_mask_match_the_list_built_ones(spots, data):
     # they hold the bytes a rebuild from the uncovered list gives, and so
     # does the shaped value.
     hotspots = [Hotspot((x, y), w) for x, y, w in spots]
-    field = FitnessField(hotspots, 3.0, shaping=True, epsilon=0.01)
+    field = FitnessField(hotspots, 3.0, epsilon=0.01)
     ids = st.lists(st.integers(0, len(hotspots) - 1), max_size=6)
     for covering in data.draw(st.lists(ids, min_size=1, max_size=8)):
         field.cover(iter(covering) if len(covering) % 2 else covering)

@@ -279,8 +279,7 @@ class TestBuildConfig:
             preset="twocluster20",
             seeds=[4],
             max_steps=77,
-            levy_weight=2.5,
-            params={"stagnation_limit": 9},
+            params={"levy_weight": 2.5, "stagnation_limit": 9},
             constraints={"coverage_radius": 4.0},
         )
         config = cmp.results[1].config

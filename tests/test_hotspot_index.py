@@ -171,15 +171,15 @@ def test_a_tiny_radius_caps_the_cells_at_256_a_side():
     case=layout(),
     order=st.randoms(use_true_random=False),
     chunks=st.lists(st.integers(1, 40), min_size=1, max_size=12),
-    shaping=st.booleans(),
+    epsilon=st.sampled_from([0.0, 0.01]),
 )
-def test_cover_sequence_answers_as_a_fresh_build(case, order, chunks, shaping):
+def test_cover_sequence_answers_as_a_fresh_build(case, order, chunks, epsilon):
     # Every hotspot is covered in the end, in random chunks, so the sequence
     # runs past every filtering point: the short-list one, each halving, and
     # the empty field.
     size, radius, positions, queries = case
     hotspots = hotspots_at(positions)
-    field = FitnessField(hotspots, radius, shaping=shaping)
+    field = FitnessField(hotspots, radius, epsilon)
     ids = list(range(len(positions)))
     order.shuffle(ids)
     steps = []
@@ -191,7 +191,7 @@ def test_cover_sequence_answers_as_a_fresh_build(case, order, chunks, shaping):
         field.cover(step + step[:1])  # a repeated id covers once
         left = [k for k, flag in enumerate(field.covered) if not flag]
         assert field.n_uncovered == len(left)
-        fresh = FitnessField([hotspots[k] for k in left], radius, shaping=shaping)
+        fresh = FitnessField([hotspots[k] for k in left], radius, epsilon)
 
         def mapped(points):
             return [(left[j], hx, hy) for j, hx, hy in points]

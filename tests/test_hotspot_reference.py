@@ -51,7 +51,7 @@ def uncovered_indices(covered) -> list[int]:
 
 
 class RefFitnessField:
-    def __init__(self, hotspots, covered, coverage_radius, shaping=False, epsilon=0.01):
+    def __init__(self, hotspots, covered, coverage_radius, epsilon=0.0):
         self.indices = uncovered_indices(covered)
         self.positions = (
             np.array([hotspots[k].position for k in self.indices], dtype=float)
@@ -60,7 +60,6 @@ class RefFitnessField:
         )
         self.weights = np.array([hotspots[k].weight for k in self.indices], dtype=float)
         self.coverage_radius = float(coverage_radius)
-        self.shaping = bool(shaping)
         self.epsilon = float(epsilon)
 
     def value(self, position) -> float:
@@ -70,7 +69,7 @@ class RefFitnessField:
         dy = self.positions[:, 1] - float(position[1])
         covered = self.weights[math_hypot(dx, dy) <= self.coverage_radius]
         total = float(np.cumsum(covered)[-1]) if covered.size else 0.0
-        if self.shaping:
+        if self.epsilon > 0.0:
             total += self.epsilon * float(np.sum(self.weights / (1.0 + np.hypot(dx, dy))))
         return total
 
@@ -118,6 +117,8 @@ coord = st.floats(min_value=0.0, max_value=40.0)
 ulps = st.integers(-3, 3)
 weight = st.one_of(st.floats(min_value=0.01, max_value=2.0), st.just(1.0))
 RADII = [0.5, 3.0, 7.3, 15.0]
+# The shaping weight: 0 is off.
+EPSILONS = st.sampled_from([0.0, 0.01])
 
 
 @st.composite
@@ -184,33 +185,33 @@ def scanned_hits(field, agents, r, scanning=None):
 # --- fitness ----------------------------------------------------------------------
 
 
-def assert_value_matches(point, r, hotspots, covered=None, shaping=False):
+def assert_value_matches(point, r, hotspots, covered=None, epsilon=0.0):
     covered = [False] * len(hotspots) if covered is None else covered
-    got = built(FitnessField, hotspots, covered, r, shaping=shaping).value(point)
-    want = RefFitnessField(hotspots, covered, r, shaping=shaping).value(point)
+    got = built(FitnessField, hotspots, covered, r, epsilon).value(point)
+    want = RefFitnessField(hotspots, covered, r, epsilon).value(point)
     assert bits(got) == bits(want)
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=scene(), shaping=st.booleans())
-def test_value_matches_numpy(case, shaping):
+@given(case=scene(), epsilon=EPSILONS)
+def test_value_matches_numpy(case, epsilon):
     point, r, hotspots, covered = case
-    assert_value_matches(point, r, hotspots, covered, shaping)
+    assert_value_matches(point, r, hotspots, covered, epsilon)
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=scene(max_spots=300), shaping=st.booleans(), other=st.tuples(coord, coord))
-def test_value_matches_numpy_on_up_to_300_hotspots(case, shaping, other):
+@given(case=scene(max_spots=300), epsilon=EPSILONS, other=st.tuples(coord, coord))
+def test_value_matches_numpy_on_up_to_300_hotspots(case, epsilon, other):
     point, r, hotspots, covered = case
-    assert_value_matches(point, r, hotspots, covered, shaping)
-    assert_value_matches(other, r, hotspots, covered, shaping)
+    assert_value_matches(point, r, hotspots, covered, epsilon)
+    assert_value_matches(other, r, hotspots, covered, epsilon)
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=cluster(8, 40), shaping=st.booleans())
-def test_value_sums_eight_or_more_weights_left_to_right(case, shaping):
+@given(case=cluster(8, 40), epsilon=EPSILONS)
+def test_value_sums_eight_or_more_weights_left_to_right(case, epsilon):
     point, r, hotspots = case
-    assert_value_matches(point, r, hotspots, shaping=shaping)
+    assert_value_matches(point, r, hotspots, epsilon=epsilon)
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,10 +224,10 @@ def test_value_sums_more_than_128_weights_left_to_right(case):
 
 def test_value_of_an_empty_field_is_zero():
     hotspots = [Hotspot(position=(1.0, 1.0))]
-    for shaping in (False, True):
-        field = built(FitnessField, hotspots, [True], 3.0, shaping=shaping)
+    for epsilon in (0.0, 0.01):
+        field = built(FitnessField, hotspots, [True], 3.0, epsilon)
         assert bits(field.value((1.0, 1.0))) == bits(0.0)
-        assert bits(FitnessField([], 3.0, shaping=shaping).value((1.0, 1.0))) == bits(0.0)
+        assert bits(FitnessField([], 3.0, epsilon).value((1.0, 1.0))) == bits(0.0)
 
 
 # --- the query itself -------------------------------------------------------------
@@ -367,17 +368,17 @@ def test_mark_coverage_with_nothing_uncovered():
     covers=st.lists(
         st.tuples(st.lists(st.integers(0, 59), max_size=6), st.booleans()), max_size=5
     ),
-    shaping=st.booleans(),
+    epsilon=EPSILONS,
     probes=st.lists(st.tuples(coord, coord), max_size=3),
 )
-def test_cover_leaves_the_field_a_fresh_build_gives(case, covers, shaping, probes):
+def test_cover_leaves_the_field_a_fresh_build_gives(case, covers, epsilon, probes):
     # Each cover() call, made directly or through mark_coverage, drops ids from
     # the index; every query must then answer as a field built fresh on the
     # hotspots left uncovered does, once the fresh field's ids (positions in
     # that shorter list) are mapped back, and the swarm's count must follow
     # the flags.
     point, r, hotspots, covered = case
-    field = built(FitnessField, hotspots, covered, r, shaping=shaping)
+    field = built(FitnessField, hotspots, covered, r, epsilon)
     swarm = swarm_at([point])
     for ids, through_mark in covers:
         ids = [k % len(hotspots) for k in ids]
@@ -389,7 +390,7 @@ def test_cover_leaves_the_field_a_fresh_build_gives(case, covers, shaping, probe
             mark_coverage(swarm, field, ())
         assert swarm.covered_count == sum(field.covered)
         left = uncovered_indices(field.covered)
-        fresh = FitnessField([hotspots[k] for k in left], r, shaping=shaping)
+        fresh = FitnessField([hotspots[k] for k in left], r, epsilon)
 
         def mapped(points):
             return [(left[j], hx, hy) for j, hx, hy in points]

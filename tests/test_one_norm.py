@@ -31,7 +31,7 @@ def test_runs_make_no_scalar_np_hypot_call(monkeypatch, algorithm, preset, shapi
     # Eight agents, so the collision stage runs too.
     config = preset_scenario(
         preset, 1, algorithm=algorithm, n_uavs=8, max_steps=150,
-        params=AlgorithmParams(shaping=shaping),
+        params=AlgorithmParams(shaping_epsilon=0.01 if shaping else 0.0),
     )
     run_scenario(config)
     assert calls["scalar"] == 0

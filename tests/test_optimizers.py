@@ -119,7 +119,7 @@ class TestFitnessField:
         assert field.value([5.0, 5.0]) == 0.0
 
     def test_all_covered_field_is_identically_zero(self):
-        field = FitnessField([hs(5.0, 5.0)], 3.0, shaping=True, epsilon=0.01)
+        field = FitnessField([hs(5.0, 5.0)], 3.0, epsilon=0.01)
         field.cover([0])
         assert field.value([5.0, 5.0]) == 0.0
 
@@ -128,10 +128,10 @@ class TestFitnessField:
         assert field.value([0.0, 0.0]) == 1.0
 
     def test_shaping_adds_proximity_term(self):
-        field = FitnessField([hs(0.0, 0.0)], 3.0, shaping=True, epsilon=0.01)
+        field = FitnessField([hs(0.0, 0.0)], 3.0, epsilon=0.01)
         d = 10.0
         assert field.value([d, 0.0]) == pytest.approx(0.01 * 1.0 / (1.0 + d), rel=1e-12)
-        plain = FitnessField([hs(0.0, 0.0)], 3.0, shaping=False)
+        plain = FitnessField([hs(0.0, 0.0)], 3.0)
         assert plain.value([d, 0.0]) == 0.0
 
     def test_from_config_wires_radius_and_shaping(self):
@@ -139,13 +139,15 @@ class TestFitnessField:
         config.constraints.coverage_radius = 7.0
         field = FitnessField.from_config(config.hotspots, config)
         assert field.coverage_radius == 7.0
-        assert field.shaping is False
+        assert field.epsilon == 0.0
+        config.params.shaping_epsilon = 0.001
+        assert FitnessField.from_config(config.hotspots, config).epsilon == 0.001
 
     def test_shaping_off_builds_no_shaping_arrays(self, monkeypatch):
-        # Only value() with shaping on reads them; at 10 000 hotspots the
-        # rebuild on every cover() once took most of a run.
+        # Only value() with epsilon above 0 reads them; at 10 000 hotspots
+        # the rebuild on every cover() once took most of a run.
         def refuse(self):
-            raise AssertionError("shaping arrays built with shaping off")
+            raise AssertionError("shaping arrays built with epsilon 0")
 
         monkeypatch.setattr(FitnessField, "_shaping_operands", refuse)
         field = FitnessField(self.HOTSPOTS, coverage_radius=3.0)
@@ -458,11 +460,11 @@ class TestHybridEscape(HybridBase):
 
 
 class TestHybridBalancing(HybridBase):
-    def four_agent_setup(self, exploit_sign=1):
+    def four_agent_setup(self, exploit_coeff=0.02):
         anchors = np.array([[10.0, 10.0], [20.0, 10.0], [50.0, 50.0], [80.0, 80.0]])
         hotspots = [hs(10.0, 12.0), hs(20.0, 12.0), hs(50.0, 52.0), hs(80.0, 82.0)]
         config, swarm, field = self.setup_run(
-            hotspots, [50.0, 0.0], n_uavs=4, exploit_sign=exploit_sign
+            hotspots, [50.0, 0.0], n_uavs=4, exploit_coeff=exploit_coeff
         )
         for uav, position, value in zip(swarm.uavs, anchors, [3.0, 4.0, 0.0, 0.0]):
             uav.position = position.copy()
@@ -490,7 +492,7 @@ class TestHybridBalancing(HybridBase):
             assert np.array_equal(proposal.positions[i], np.clip(expected, 0.0, 100.0))
 
     def test_exploit_sign_flips_the_nudge(self):
-        config, swarm, field, anchors, rngs = self.four_agent_setup(exploit_sign=-1)
+        config, swarm, field, anchors, rngs = self.four_agent_setup(exploit_coeff=-0.02)
         proposal = propose_hybrid(swarm, field, config, rngs)
         expected0 = (anchors[0] + np.zeros(2)) + (-1 * 0.02) * (anchors[0] - anchors[1])
         assert np.array_equal(proposal.positions[0], np.clip(expected0, 0.0, 100.0))
@@ -546,7 +548,7 @@ class TestHybridInvariants:
         for final, anchor in zip(proposal.positions, anchors):
             assert math.hypot(*(final - anchor)) <= config.constraints.max_step_size
             assert config.grid.contains(final)
-        assert proposal.scanning.shape == (5,) and proposal.guided.shape == (5,)
+        assert proposal.scanning.shape == (5,) and len(proposal.guided) == 5
 
 
 class TestDispatch:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyswarm.cli import _parse_seeds, _scenario_from_args, _sweep_spec_from_args
+from levyswarm.cli import _parse_seeds, _scenario_from_args, _sweep_spec_from_args, build_parser
 from levyswarm.world import (
     _COEFFICIENT,
     _POSITIVE,
@@ -75,7 +75,9 @@ def values(name: str, kind: str):
     if kind == "float":
         # A capped float also draws its caps and the floats on either side.
         caps = [b for b in _RANGES.get(name, ()) if math.isfinite(b)]
-        edges = [v for b in caps for v in (math.nextafter(b, 0.0), b, math.nextafter(b, 2 * b))]
+        edges = [
+            v for b in caps for v in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))
+        ]
         finite = st.floats(allow_nan=False, allow_infinity=False)
         return st.one_of(finite, st.sampled_from(edges or [0.0]), st.integers(-5, 5), wrong)
     if kind == "bool":
@@ -172,6 +174,47 @@ class TestSmallGrid:
         assert all(config.grid.contains(h.position) for h in config.hotspots)
 
 
+# The values a scenario file sets, pinned so that a new knob is added here on
+# purpose: each section's fields, in order, and the file keys that are no
+# field.  start stands for start_position, x and y for a hotspot's position,
+# and kind and n_hotspots name a generated layout in place of hotspots.
+SETTABLE = {
+    GridConfig: ("width", "height"),
+    Hotspot: ("position", "weight"),
+    PsoParams: ("inertia", "cognitive", "social"),
+    AlgorithmParams: (
+        "levy_weight", "levy_beta", "explore_coeff", "exploit_coeff", "adaptive_lambda",
+        "sigma_sensitivity", "pso", "stagnation_limit", "shaping_epsilon", "mantegna_normalized",
+    ),
+    ConstraintParams: (
+        "max_step_size", "safe_zone_radius", "coverage_radius", "collision_radius",
+        "potential_field_gain", "no_hotspot_threshold_radius",
+    ),
+    ScenarioConfig: (
+        "grid", "hotspots", "n_uavs", "start_position", "algorithm", "params", "constraints",
+        "seed", "max_steps", "dt", "scenario_id",
+    ),
+}
+FILE_ONLY = {ScenarioConfig: ("kind", "n_hotspots", "start"), Hotspot: ("x", "y")}
+
+
+class TestSettableValues:
+    def test_every_section_field_is_pinned(self):
+        assert {cls: tuple(f.name for f in fields(cls)) for cls in SETTABLE} == SETTABLE
+
+    def test_algorithm_params_set_twelve_values(self):
+        # pso is a section of three.
+        assert len(SETTABLE[AlgorithmParams]) - 1 + len(SETTABLE[PsoParams]) == 12
+
+    def test_file_only_keys_are_no_fields_and_load(self):
+        for cls, keys in FILE_ONLY.items():
+            assert not set(keys) & set(SETTABLE[cls])
+        generated = scenario_from_dict({"kind": "uniform", "n_hotspots": 3, "start": [1, 2]})
+        assert len(generated.hotspots) == 3 and generated.start_position == (1.0, 2.0)
+        listed = scenario_from_dict({"hotspots": [{"x": 4, "y": 5}]})
+        assert listed.hotspots[0].position == (4.0, 5.0)
+
+
 # Every dataclass field that shares a name with a row of the bounds table.
 # The table is keyed by bare name, so a new field of that name anywhere in
 # the package has to be added here on purpose.
@@ -251,11 +294,12 @@ class TestUnifiedRule:
         assert len(scenario_from_dict({"kind": "TwoCluster", "n_hotspots": 4}).hotspots) == 4
 
 
-# (path, name) of every float key capped as a coefficient.
+# (path, name) of every float key capped above as a coefficient; below, the
+# cap is the coefficient cap's negative, or 0 for shaping_epsilon.
 CAPPED = [
     (path, name)
     for path, name, kind in KEYS
-    if kind == "float" and _RANGES.get(name) == _COEFFICIENT
+    if kind == "float" and _RANGES.get(name, (0, 0))[1] == _COEFFICIENT[1]
 ]
 
 
@@ -273,13 +317,14 @@ class TestCoefficientCaps:
     front."""
 
     def test_the_unbounded_coefficients_are_capped(self):
-        assert sorted(name for _, name in CAPPED) == sorted(
+        assert sorted(name for _, name in CAPPED if _RANGES[name] == _COEFFICIENT) == sorted(
             [
                 "inertia", "cognitive", "social", "potential_field_gain", "explore_coeff",
-                "exploit_coeff", "shaping_epsilon", "weight", "levy_weight", "max_step_size",
-                "safe_zone_radius",
+                "exploit_coeff", "weight", "levy_weight", "max_step_size", "safe_zone_radius",
             ]
         )
+        # A weight, 0 for off.
+        assert _RANGES["shaping_epsilon"] == (0.0, 1e100)
 
     @pytest.mark.parametrize("path, name", CAPPED)
     def test_cap_is_accepted_and_the_next_float_rejected(self, path, name):
@@ -291,10 +336,18 @@ class TestCoefficientCaps:
             section[name] = value
             return data
 
-        for bound in _RANGES[name]:
+        low, high = _RANGES[name]
+        edges = [(low, math.nextafter(low, -math.inf)), (high, math.nextafter(high, math.inf))]
+        for bound, beyond in edges:
             if name in _POSITIVE and bound < 0.0:
                 continue
-            beyond = math.nextafter(bound, math.copysign(math.inf, bound))
+            if name == "shaping_epsilon" and bound > 1.0:
+                # validate() holds epsilon * sum(w) below min(w): it refuses
+                # an epsilon above 1 in every scenario.
+                for value, message in ((bound, "shaping term"), (beyond, f"{name} must lie in")):
+                    with pytest.raises(ValidationError, match=message):
+                        scenario_from_dict(scenario(value))
+                continue
             config = scenario_from_dict(scenario(bound))
             assert getattr(_section(config, path), name) == bound
             with pytest.raises(ValidationError, match=f"{name} must lie in"):
@@ -346,10 +399,10 @@ class TestSizeCaps:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"seeds": cap + 1}))
         with pytest.raises(ValidationError, match="seeds"):
-            _sweep_spec_from_args(argparse.Namespace(spec=str(spec)))
+            _sweep_spec_from_args(build_parser().parse_args(["sweep", "--spec", str(spec)]))
 
     def test_spec_file_rejects_record_trajectories(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"record_trajectories": True}))
         with pytest.raises(ValidationError, match="unknown sweep spec keys"):
-            _sweep_spec_from_args(argparse.Namespace(spec=str(spec)))
+            _sweep_spec_from_args(build_parser().parse_args(["sweep", "--spec", str(spec)]))

@@ -24,7 +24,6 @@ from levyswarm.world import (
     UavState,
     UncoveredHotspots,
     ValidationError,
-    generate_hotspots,
     load_scenario,
     make_scenario,
     make_swarm,
@@ -111,19 +110,10 @@ class TestAlgorithmParamsValidation:
         with pytest.raises(ValidationError):
             AlgorithmParams(stagnation_limit=0).validate()
 
-    def test_shaping_requires_positive_epsilon(self):
-        AlgorithmParams(shaping=False, shaping_epsilon=0.0).validate()  # off: unused
-        with pytest.raises(ValidationError):
-            AlgorithmParams(shaping=True, shaping_epsilon=0.0).validate()
-
     def test_tail_index_whose_mantegna_scale_overflows_rejected(self):
         AlgorithmParams(levy_beta=1e-3).validate()
         with pytest.raises(ValidationError, match="overflows"):
             AlgorithmParams(levy_beta=1e-4).validate()
-
-    def test_exploit_sign_must_be_unit(self):
-        with pytest.raises(ValidationError):
-            AlgorithmParams(exploit_sign=0).validate()
 
 
 class TestConstraintParamsValidation:
@@ -228,11 +218,11 @@ class TestScenarioConfigValidation:
         # 20 unit weights: epsilon*sum = 0.2 < 1 passes, 0.05*20 = 1.0 does not.
         hotspots = [Hotspot(position=np.array([float(i), 1.0])) for i in range(20)]
         ScenarioConfig(
-            hotspots=hotspots, params=AlgorithmParams(shaping=True, shaping_epsilon=0.01)
+            hotspots=hotspots, params=AlgorithmParams(shaping_epsilon=0.01)
         ).validate()
         with pytest.raises(ValidationError, match="shaping"):
             ScenarioConfig(
-                hotspots=hotspots, params=AlgorithmParams(shaping=True, shaping_epsilon=0.05)
+                hotspots=hotspots, params=AlgorithmParams(shaping_epsilon=0.05)
             ).validate()
 
     def test_shaping_bound_adds_weights_left_to_right(self):
@@ -241,7 +231,7 @@ class TestScenarioConfigValidation:
         # later, the sum is 1.0 and the same file would be rejected.
         hotspots = [Hotspot(position=np.array([float(i), 1.0]), weight=0.1) for i in range(10)]
         ScenarioConfig(
-            hotspots=hotspots, params=AlgorithmParams(shaping=True, shaping_epsilon=0.1)
+            hotspots=hotspots, params=AlgorithmParams(shaping_epsilon=0.1)
         ).validate()
 
 
@@ -318,17 +308,9 @@ class TestScenarioGenerators:
         assert two_cluster_far_indices(20) == list(range(10, 20))
         assert two_cluster_far_indices(1) == []
 
-    def test_custom_requires_hotspots(self):
-        with pytest.raises(ValidationError, match="custom"):
-            make_scenario(ScenarioKind.CUSTOM, 0, seed=0)
-
-    def test_custom_kind_has_no_generator(self):
-        with pytest.raises(ValidationError, match="custom"):
-            generate_hotspots(ScenarioKind.CUSTOM, 3, 0, GridConfig())
-
     def test_custom_hotspots_are_shared_and_immutable(self):
         original = [Hotspot(position=np.array([5.0, 5.0]))]
-        config = make_scenario(ScenarioKind.CUSTOM, 1, seed=0, custom_hotspots=original)
+        config = ScenarioConfig(hotspots=list(original)).validate()
         assert config.hotspots[0] is original[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.hotspots[0].position = (99.0, 5.0)
