@@ -31,7 +31,6 @@ from .metrics import (
 )
 from .optimizers import (
     FitnessField,
-    adaptive_levy_probability,
     nectar_probabilities,
 )
 from .rng import LevyStep, ParameterError, RandomSource, levy_step, mantegna_sigma

@@ -102,16 +102,6 @@ def nectar_probabilities(fitnesses) -> list[float]:
     return [f / total for f in fitnesses]
 
 
-def adaptive_levy_probability(fitness: float, global_best: float, sensitivity: float) -> float:
-    """Sigmoid gate in [0, 1]: agents near the global best move more eagerly.
-
-    Where exp overflows, the gate is the sigmoid's limit, 0.0."""
-    try:
-        return 1.0 / (1.0 + math.exp(-sensitivity * (fitness - global_best)))
-    except OverflowError:
-        return 0.0
-
-
 def roulette_pick(src: RandomSource, probabilities) -> int:
     """Sample an index from non-negative probabilities using one uniform draw:
     the first whose running sum exceeds the draw, else the last."""
@@ -298,9 +288,8 @@ def propose_hybrid(
     max_step_size becomes a committed waypoint, and an agent with a waypoint
     (a long flight or a scout reset) spends the step on a relocation leg.
     Every other agent draws an onlooker Bernoulli (probability = its nectar
-    share of current fitness, or the sigmoid gate when adaptive_lambda is
-    set), and a selected agent tries a fresh one-step Levy move, kept only
-    under strict greedy acceptance.  All realized positions stay within the
+    share of current fitness), and a selected agent tries a fresh one-step
+    Levy move, kept only under strict greedy acceptance.  All realized positions stay within the
     per-step motion budget about the agent's step-start position.
 
     Agent i draws only from rngs[i] and reads only the step-start anchors,
@@ -314,9 +303,8 @@ def propose_hybrid(
     """
     params, cons, grid = config.params, config.constraints, config.grid
     max_step, threshold = cons.max_step_size, cons.no_hotspot_threshold_radius
-    weight, beta, normalized = params.levy_weight, params.levy_beta, params.mantegna_normalized
+    weight, beta = params.levy_weight, params.levy_beta
     explore, exploit = params.explore_coeff, params.exploit_coeff
-    adaptive, sensitivity = params.adaptive_lambda, params.sigma_sensitivity
     limit = params.stagnation_limit
     escape_from, levy = constraints.escape_no_hotspot_zone, levy_step
     uavs = swarm.uavs
@@ -325,7 +313,6 @@ def propose_hybrid(
     anchors = [uav.position for uav in uavs]
     tentative = list(anchors)
     gx, gy = swarm.global_best_position
-    best = swarm.global_best_fitness
     # Balancing and nectar shares key on each agent's last realized fitness
     # (the reward credited for its previous move), not a re-evaluation at the
     # anchor: once a hotspot is marked, standing next to it scores nothing.
@@ -356,7 +343,7 @@ def propose_hybrid(
                     (ax + escape[0], ay + escape[1]), anchor, config, report
                 )
             else:
-                fx, fy = levy(src, weight, beta, normalized=normalized)
+                fx, fy = levy(src, weight, beta)
                 x, y = ax + fx, ay + fy
                 if values[i] > median_value:
                     j = _nearest_better_neighbor(anchors, values, i)
@@ -395,10 +382,9 @@ def propose_hybrid(
         # Onlooker reinforcement: a Bernoulli gates an extra Levy move, kept
         # only when it improves the fitness of the agent's tentative position
         # under the current uncovered set.
-        gate = adaptive_levy_probability(values[i], best, sensitivity) if adaptive else shares[i]
-        if src.uniform(0.0, 1.0) >= gate:
+        if src.uniform(0.0, 1.0) >= shares[i]:
             continue
-        fx, fy = levy(src, weight, beta, normalized=normalized)
+        fx, fy = levy(src, weight, beta)
         x, y = current = tentative[i]
         candidate = _constrain_motion((x + fx, y + fy), anchor, config, report)
         if fitness.value(candidate) > fitness.value(current):

@@ -158,21 +158,15 @@ def _saturated(scale: float, u: float, v: float, inv_beta: float) -> float:
     return min(max(step, -_MAX_COMPONENT), _MAX_COMPONENT)
 
 
-def levy_step(
-    src: RandomSource,
-    levy_weight: float,
-    beta: float,
-    normalized: bool = True,
-) -> LevyStep:
+def levy_step(src: RandomSource, levy_weight: float, beta: float) -> LevyStep:
     """Sample one 2-D Levy-flight displacement.
 
     Each axis draws an independent Gaussian pair (u, v) and takes
-    ``levy_weight * sigma_u * u / |v|^(1/beta)``.  With ``normalized``
-    false, sigma_u is dropped (the bare u / |v|^(1/beta) kernel) and only
-    the weight scales the step.  Components saturate instead of raising:
-    they are capped at 1e300, which also covers a denominator that
-    underflows to 0 (|v| = 0, or tiny beta with |v| < 1), and a denominator
-    that overflows (tiny beta, |v| > 1) gives a signed zero.
+    ``levy_weight * sigma_u * u / |v|^(1/beta)``, with Mantegna's sigma_u.
+    Components saturate instead of raising: they are capped at 1e300, which
+    also covers a denominator that underflows to 0 (|v| = 0, or tiny beta
+    with |v| < 1), and a denominator that overflows (tiny beta, |v| > 1)
+    gives a signed zero.
 
     Every call reads exactly the four Gaussians of one ``standard_normal(4)``
     draw.  When both quotients compute and land within the cap, they are the
@@ -181,7 +175,7 @@ def levy_step(
     if not levy_weight > 0.0:
         raise ParameterError(f"levy_weight must be positive, got {levy_weight!r}")
     sigma = mantegna_sigma(beta)  # validates beta
-    scale = levy_weight * (sigma if normalized else 1.0)
+    scale = levy_weight * sigma
     inv_beta = 1.0 / beta
     u1, v1, u2, v2 = src.standard_normal(4).tolist()
     try:

@@ -34,7 +34,6 @@ class ValidationError(ValueError):
 _KINDS = {
     "float": (float, "a finite number"),
     "int": (int, "an integer"),
-    "bool": (bool, "true or false"),
     "str": (str, "a string"),
     "list": (list, "a list"),
     "dict": (dict, "an object"),
@@ -49,13 +48,14 @@ _KINDS = {
 # gain * 1e27 per pair (d >= 1e-9) over at most 255 pairs, and fitness sums
 # of at most 10^4 weights, added over at most 256 agents.  It caps two lengths
 # too: up to 255 safe-zone pushes of safe_zone_radius / 2 are summed, and
-# math.hypot measures the steps max_step_size scales.  Even the square of a
+# math.hypot measures the steps max_step_size scales.  It caps dt, whose
+# product with at most 1e5 steps is a run's time.  Even the square of a
 # capped value stays far below the float maximum of about 1.8e308.
 # shaping_epsilon shares the upper cap above a floor of 0, which is off.  The
 # collision_radius floor keeps the resolver's margin, radius * 1e-6, at about
 # 4 ulps of a coordinate near 1024; with smaller radii the launch can stall.
 _POSITIVE = {
-    "dt", "weight", "levy_weight", "levy_beta", "sigma_sensitivity", "max_step_size",
+    "dt", "weight", "levy_weight", "levy_beta", "max_step_size",
     "safe_zone_radius", "coverage_radius", "potential_field_gain", "no_hotspot_threshold_radius",
 }
 _COEFFICIENT = (-1e100, 1e100)
@@ -63,7 +63,7 @@ _RANGES = {
     **dict.fromkeys(
         [
             "inertia", "cognitive", "social", "potential_field_gain", "explore_coeff", "exploit_coeff",
-            "weight", "levy_weight", "max_step_size", "safe_zone_radius",
+            "weight", "levy_weight", "max_step_size", "safe_zone_radius", "dt",
         ],
         _COEFFICIENT,
     ),
@@ -85,9 +85,9 @@ def field_value(value, kind: str, name: str, where: str = "", load: bool = False
     """value as a field of the given kind within its bound, else a ValidationError.
 
     kind is a key of _KINDS.  A float is a finite int or float.  An int is an
-    int, or, when loading JSON, an integral float such as 50.0.  A bool must
-    be true or false: the string "false" is truthy.  Loaded numbers come
-    back as exactly float or int.  where prefixes name in the message.
+    int, or, when loading JSON, an integral float such as 50.0.  Loaded
+    numbers come back as exactly float or int.  where prefixes name in the
+    message.
     """
     type_, want = _KINDS[kind]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -129,7 +129,7 @@ def _typed_fields(cls) -> tuple[tuple[str, str], ...]:
 
 
 def _check_fields(obj, where: str):
-    """field_value on every float, int, bool and str field of the dataclass obj."""
+    """field_value on every float, int and str field of the dataclass obj."""
     for name, kind in _typed_fields(type(obj)):
         field_value(getattr(obj, name), kind, name, where)
 
@@ -145,8 +145,6 @@ _ALGORITHM_ALIASES = {
     "pso": Algorithm.PSO,
     "hybrid": Algorithm.HYBRID_ABC_LEVY,
     "hybrid-abc-levy": Algorithm.HYBRID_ABC_LEVY,
-    "hybrid_abc_levy": Algorithm.HYBRID_ABC_LEVY,
-    "hybridabclevy": Algorithm.HYBRID_ABC_LEVY,
 }
 
 
@@ -162,7 +160,7 @@ def parse_algorithm(name) -> Algorithm:
     if isinstance(name, Algorithm):
         return name
     return _parse_enum(
-        name, str(name).strip(), _ALGORITHM_ALIASES, "algorithm", "abc, pso, hybrid-abc-levy"
+        name, str(name).strip(), _ALGORITHM_ALIASES, "algorithm", list(_ALGORITHM_ALIASES)
     )
 
 
@@ -225,15 +223,12 @@ class AlgorithmParams:
     # Positive: the update as written, a push away from the nearest better
     # neighbour; negative: the attractive variant.
     exploit_coeff: float = 0.02
-    adaptive_lambda: bool = False
-    sigma_sensitivity: float = 1.0
     pso: PsoParams = field(default_factory=PsoParams)
     stagnation_limit: int = 50
     # Weight of the optional proximity shaping of the objective; 0.0, the
     # default, is off: the plain coverage sum is the benchmark objective for
     # every algorithm.
     shaping_epsilon: float = 0.0
-    mantegna_normalized: bool = True
 
     def validate(self):
         _check_fields(self, "params ")

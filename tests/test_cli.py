@@ -228,10 +228,10 @@ class TestRunCommand:
             {"params": {"stagnation_limit": "5"}},
             {"params": {"stagnation_limit": True}},
             {"params": {"stagnation_limit": 2.5}},
-            {"params": {"adaptive_lambda": 1}},
-            {"params": {"adaptive_lambda": "no"}},
-            {"params": {"mantegna_normalized": "false"}},
-            {"params": {"mantegna_normalized": 0}},
+            {"params": {"levy_weight": True}},
+            {"params": {"pso": {"inertia": False}}},
+            {"constraints": {"coverage_radius": True}},
+            {"dt": False},
             {"n_uavs": 2.7},
             {"n_uavs": "5"},
             {"max_steps": True},
@@ -276,19 +276,38 @@ class TestRunCommand:
         if code == EXIT_INVALID:
             assert "error:" in capsys.readouterr().err
 
-    def test_large_sigma_sensitivity_runs(self, tmp_path):
-        # The adaptive gate's exp overflows at this sensitivity; validate()
-        # accepts it, so the run must complete.
-        path = tmp_path / "sharp-gate.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "kind": "uniform", "n_hotspots": 20, "seed": 0, "max_steps": 300,
-                    "params": {"adaptive_lambda": True, "sigma_sensitivity": 1000},
-                }
-            )
-        )
-        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    @pytest.mark.parametrize(
+        "fields",
+        [{"adaptive_lambda": True}, {"sigma_sensitivity": 1.0}, {"mantegna_normalized": True}],
+        ids=["adaptive_lambda", "sigma_sensitivity", "mantegna_normalized"],
+    )
+    def test_removed_knob_exits_one(self, tmp_path, capsys, fields):
+        # The nectar share gates every onlooker, and Mantegna's sigma_u
+        # always scales a Levy step: these keys set nothing.
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"hotspots": [{"x": 1, "y": 1}], "params": fields}))
+        assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert capsys.readouterr().err.count(f"unknown params keys: {list(fields)}") == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_dt_beyond_its_cap_exits_one_and_at_its_cap_runs(self, tmp_path, capsys):
+        # dt times up to 1e5 steps is time_to_cover_s: at 1e308 it overflowed
+        # to inf, at the 1e100 cap it stays finite.
+        def scenario(dt):
+            file = tmp_path / f"dt-{dt}.json"
+            file.write_text(json.dumps({"kind": "uniform", "n_hotspots": 3, "seed": 1, "dt": dt}))
+            return str(file)
+
+        out = tmp_path / "out"
+        assert main(["validate", "--scenario", scenario(1e308)]) == EXIT_INVALID
+        assert main(["run", "--scenario", scenario(1e308), "--out", str(out)]) == EXIT_INVALID
+        assert capsys.readouterr().err.count("dt must lie in") == 2
+        assert not out.exists()
+        assert main(["run", "--scenario", scenario(1e100), "--out", str(out)]) == EXIT_OK
+        (row,) = read_runs_csv(out / "runs.csv")
+        assert row["time_to_cover_s"] is not None and math.isfinite(row["time_to_cover_s"])
+        assert row["time_to_cover_s"] == row["steps_to_cover"] * 1e100
 
     @pytest.mark.parametrize(
         "path, name, algorithm",
@@ -306,6 +325,7 @@ class TestRunCommand:
             (("constraints",), "safe_zone_radius", "abc"),
             (("constraints",), "safe_zone_radius", "pso"),
             (("constraints",), "max_step_size", "hybrid"),
+            ((), "dt", "hybrid"),
         ],
     )
     def test_coefficient_at_its_cap_runs(self, tmp_path, path, name, algorithm):

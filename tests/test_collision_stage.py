@@ -211,8 +211,6 @@ class TestGatedStageMatchesReference:
     knobs=st.fixed_dictionaries(
         {
             "shaping_epsilon": st.sampled_from([0.0, 0.01]),
-            "adaptive_lambda": st.booleans(),
-            "mantegna_normalized": st.booleans(),
             "exploit_coeff": st.sampled_from([0.02, -0.02]),
             "levy_beta": st.sampled_from([1.0, 1.5]),
             "stagnation_limit": st.sampled_from([3, 50]),

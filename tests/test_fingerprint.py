@@ -56,9 +56,8 @@ WEIGHTS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 TIGHT_STEPS = 40
 TIGHT_CASES = [f"twocluster/pso/{seed}/tight" for seed in (3, 4)]
 # Knob branches the preset defaults never take, each on one preset run.
-# levy_beta is 1.5 in the unnormalized case because the Mantegna scale is 1
-# at the default beta of 1; the levy_beta=1.5 case is the one whose flights
-# carry a Mantegna scale other than 1.  The sign of exploit_coeff (exploit_sign in its
+# The Mantegna scale is 1 at the default levy_beta of 1; the levy_beta=1.5
+# case is the one whose flights carry another.  The sign of exploit_coeff (exploit_sign in its
 # case label) acts only between agents of unequal fitness above the median,
 # which unit-weight coverage alone almost never gives, so it rides on shaping.
 # The wide cases set safe_zone_radius above twice the collision radius (the
@@ -67,10 +66,6 @@ TIGHT_CASES = [f"twocluster/pso/{seed}/tight" for seed in (3, 4)]
 KNOB_CASES = {
     "uniform20/hybrid-abc-levy/0/shaping": dict(params=AlgorithmParams(shaping_epsilon=0.01)),
     "uniform20/abc/0/shaping": dict(params=AlgorithmParams(shaping_epsilon=0.01)),
-    "uniform20/hybrid-abc-levy/0/adaptive_lambda": dict(params=AlgorithmParams(adaptive_lambda=True)),
-    "uniform20/hybrid-abc-levy/0/mantegna_unnormalized": dict(
-        params=AlgorithmParams(levy_beta=1.5, mantegna_normalized=False)
-    ),
     "uniform20/hybrid-abc-levy/0/levy_beta=1.5": dict(params=AlgorithmParams(levy_beta=1.5)),
     "uniform20/hybrid-abc-levy/0/shaping,exploit_sign=-1": dict(
         params=AlgorithmParams(shaping_epsilon=0.01, exploit_coeff=-0.02)

@@ -144,10 +144,9 @@ class TestNormAgainst:
 # --- levy_step: one batched draw against four scalar draws ----------------------
 
 
-def reference_levy_step(src, levy_weight, beta, normalized=True):
+def reference_levy_step(src, levy_weight, beta):
     """levy_step as it was: one standard_normal(1) call per Gaussian."""
-    sigma = mantegna_sigma(beta)
-    scale = levy_weight * (sigma if normalized else 1.0)
+    scale = levy_weight * mantegna_sigma(beta)
     out = np.empty(2)
     for axis in range(2):
         u = float(src.standard_normal(1)[0])
@@ -181,18 +180,15 @@ class TestBatchedLevyStep:
         stream=st.sampled_from([0, 1, 4, 7, 255]),
         weight=st.floats(min_value=1e-2, max_value=10.0),
         beta=st.sampled_from([0.3, 1.0, 1.5, 2.0]),
-        normalized=st.booleans(),
         uniforms=st.lists(st.integers(0, 3), min_size=1, max_size=30),
     )
-    def test_same_stream_as_scalar_draws(
-        self, seed, stream, weight, beta, normalized, uniforms
-    ):
+    def test_same_stream_as_scalar_draws(self, seed, stream, weight, beta, uniforms):
         # Each round draws a step, then a few uniforms, as the hybrid's
         # onlooker gate does: both streams must stay in step throughout.
         ours, theirs = RandomSource(seed, stream), RandomSource(seed, stream)
         for count in uniforms:
-            step = levy_step(ours, weight, beta, normalized)
-            want = reference_levy_step(theirs, weight, beta, normalized)
+            step = levy_step(ours, weight, beta)
+            want = reference_levy_step(theirs, weight, beta)
             assert np.array(step).tobytes() == want.tobytes()
             for _ in range(count):
                 assert ours.uniform(0.0, 1.0) == theirs.uniform(0.0, 1.0)

@@ -27,7 +27,6 @@ from levyswarm.optimizers import (
     _constrain_motion,
     _median,
     _nearest_better_neighbor,
-    adaptive_levy_probability,
     nectar_probabilities,
     propose_hybrid,
 )
@@ -74,9 +73,7 @@ def ref_propose_hybrid(swarm, fitness, config, rngs):
                 (ax + escape[0], ay + escape[1]), anchors[i], config, report
             )
             continue
-        fx, fy = levy_step(
-            rngs[i], params.levy_weight, params.levy_beta, normalized=params.mantegna_normalized
-        )
+        fx, fy = levy_step(rngs[i], params.levy_weight, params.levy_beta)
         x, y = ax + fx, ay + fy
         if values[i] > median_value:
             j = _nearest_better_neighbor(anchors, values, i)
@@ -122,13 +119,7 @@ def ref_propose_hybrid(swarm, fitness, config, rngs):
     for i in range(n):
         if in_transit[i]:
             continue
-        if params.adaptive_lambda:
-            gate = adaptive_levy_probability(
-                values[i], swarm.global_best_fitness, params.sigma_sensitivity
-            )
-        else:
-            gate = shares[i]
-        if rngs[i].uniform(0.0, 1.0) >= gate:
+        if rngs[i].uniform(0.0, 1.0) >= shares[i]:
             continue
         _reinforce(tentative, i, anchors, fitness, config, rngs[i], report)
 
@@ -137,9 +128,7 @@ def ref_propose_hybrid(swarm, fitness, config, rngs):
 
 def _reinforce(tentative, i, anchors, fitness, config, src, report):
     params = config.params
-    fx, fy = levy_step(
-        src, params.levy_weight, params.levy_beta, normalized=params.mantegna_normalized
-    )
+    fx, fy = levy_step(src, params.levy_weight, params.levy_beta)
     x, y = tentative[i]
     candidate = _constrain_motion((x + fx, y + fy), anchors[i], config, report)
     if fitness.value(candidate) > fitness.value(tentative[i]):
@@ -164,9 +153,6 @@ def hybrid_steps(draw):
     params, cons = config.params, config.constraints
     params.levy_weight = draw(st.sampled_from([0.3, 3.0, 60.0]))
     params.levy_beta = draw(st.sampled_from([1.0, 1.5, 2.0]))
-    params.mantegna_normalized = draw(st.booleans())
-    params.adaptive_lambda = draw(st.booleans())
-    params.sigma_sensitivity = draw(st.sampled_from([0.5, 1.0, 40.0]))
     params.exploit_coeff = draw(st.sampled_from([0.02, 0.7, -0.02, -0.7]))
     params.explore_coeff = draw(st.sampled_from([0.02, 0.7]))
     params.stagnation_limit = LIMIT

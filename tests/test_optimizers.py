@@ -15,7 +15,6 @@ from levyswarm.optimizers import (
     _median,
     _nearest_better_neighbor,
     abc_candidate,
-    adaptive_levy_probability,
     nectar_probabilities,
     propose_abc,
     propose_hybrid,
@@ -184,28 +183,6 @@ class TestSelectionHelpers:
         assert len(probs) == len(values)
         assert all(p >= 0.0 for p in probs)
         assert math.fsum(probs) == pytest.approx(1.0, rel=1e-9)
-
-    def test_adaptive_gate_half_at_equality(self):
-        assert adaptive_levy_probability(2.0, 2.0, 1.0) == 0.5
-
-    def test_adaptive_gate_monotone_and_sensitivity(self):
-        lo = adaptive_levy_probability(1.0, 2.0, 1.0)
-        hi = adaptive_levy_probability(3.0, 2.0, 1.0)
-        assert lo < 0.5 < hi
-        assert adaptive_levy_probability(3.0, 2.0, 5.0) > hi
-        assert adaptive_levy_probability(1.0, 2.0, 1.0) == pytest.approx(
-            1.0 / (1.0 + math.exp(1.0)), rel=1e-12
-        )
-
-    @pytest.mark.parametrize("sensitivity", [710.0, 1000.0, 1e308])
-    def test_adaptive_gate_is_zero_where_exp_overflows(self, sensitivity):
-        # exp(-z) overflows past z of about -709.78: the sigmoid's limit, 0.0.
-        assert adaptive_levy_probability(1.0, 2.0, sensitivity) == 0.0
-        assert adaptive_levy_probability(2.0, 2.0, sensitivity) == 0.5
-        assert adaptive_levy_probability(3.0, 2.0, sensitivity) == 1.0
-        # Just short of the overflow the value is computed as before.
-        z = -709.0
-        assert adaptive_levy_probability(z, 0.0, 1.0) == 1.0 / (1.0 + math.exp(-z))
 
     @pytest.mark.parametrize(
         ("u", "want"),
@@ -512,21 +489,6 @@ class TestHybridOnlooker(HybridBase):
         rng = ScriptedSource(normals=zero_flight() + flight(1.0, 0.0), uniforms=[0.0])
         proposal = propose_hybrid(swarm, field, config, [rng])
         assert np.array_equal(proposal.positions[0], [10.0, 50.0])
-
-    def test_adaptive_gate_uses_sigmoid(self):
-        # fitness == global best -> gate 0.5; u = 0.6 skips, u = 0.4 fires.
-        config, swarm, field = self.setup_run(
-            [hs(16.0, 50.0)], [10.0, 50.0], adaptive_lambda=True
-        )
-        swarm.global_best_fitness = 0.0
-        skip = ScriptedSource(normals=zero_flight(), uniforms=[0.6])
-        propose_hybrid(swarm, field, config, [skip])
-        assert not skip.normals and not skip.uniforms
-
-        swarm.uavs[0].transit_target = None
-        fire = ScriptedSource(normals=zero_flight() + zero_flight(), uniforms=[0.4])
-        propose_hybrid(swarm, field, config, [fire])
-        assert not fire.normals and not fire.uniforms
 
     def test_agents_in_transit_sit_out_the_onlooker_pass(self):
         config, swarm, field = self.setup_run([hs(12.0, 50.0)], [10.0, 50.0])

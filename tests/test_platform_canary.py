@@ -10,7 +10,6 @@ platform difference fails under the primitive's own name:
 - Python's ``float ** float`` (the C library's ``pow``), in the Mantegna
   kernel, its sigma and the potential field;
 - ``math.sin`` and ``math.gamma``, in the Mantegna sigma;
-- ``math.exp``, in the hybrid's adaptive gate;
 - numpy's array ``sin``, ``cos`` and ``sqrt``, in the twocluster generator;
 - ``np.hypot``, in the optional shaping term.
 """
@@ -38,7 +37,6 @@ PRIMITIVES = {
     + [math.sin(a) for a in ANGLES],
     "math.gamma": lambda: [math.gamma(1.0 + b) for b in BETAS]
     + [math.gamma((1.0 + b) / 2.0) for b in BETAS],
-    "math.exp": lambda: [math.exp(-0.37 * k + 1.3) for k in range(16)],
     "np.sin": lambda: np.sin(np.array(ANGLES)).tolist(),
     "np.cos": lambda: np.cos(np.array(ANGLES)).tolist(),
     "np.sqrt": lambda: np.sqrt(np.array(UNITS)).tolist(),
@@ -77,12 +75,6 @@ PINNED = {
         0x1.544fa6d47b391p+0 0x1.8b70881685bbep+0 0x1.0000000000000p+1 0x1.6281ee8add666p+0
         0x1.39b4e8b50f62dp+0 0x1.0000000000000p+0 0x1.ddb78a79df3e5p-1 0x1.d013fc47eeeecp-1
         0x1.c84500768e233p-1 0x1.c5bf891b4ef6bp-1
-    """.split(),
-    "math.exp": """
-        0x1.d5ab83615f8b4p+1 0x1.446acbf6a3e8dp+1 0x1.c02c12aec73f0p+0 0x1.359161b2a3991p+0
-        0x1.aba88982ab391p-1 0x1.2765f72e0901cp-1 0x1.981560212a428p-2 0x1.19e0958ba8c06p-2
-        0x1.856795e9d8bb1p-3 0x1.0cf9a341164f9p-3 0x1.7394ab289bfc1p-4 0x1.00a9dfd11c091p-4
-        0x1.62929b2efc7c6p-5 0x1.e9d4bf708193fp-6 0x1.5257d6b29d97ep-6 0x1.d369111221752p-7
     """.split(),
     "np.sin": """
         0x1.996dea2ff643cp-5 0x1.b6a970c1a81fap-2 0x1.7bae65cc7f767p-1 0x1.e23a6e8c08ea7p-1

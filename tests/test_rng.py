@@ -304,14 +304,6 @@ class TestLevyStep:
         assert step.y == want2
         assert float(np.hypot(*step)) == float(np.hypot(want1, want2))
 
-    def test_unnormalized_drops_sigma(self):
-        draws = [0.7, 1.1, -0.4, -0.9]
-        a = levy_step(_ScriptedSource(list(draws)), 2.0, 1.5, normalized=True)
-        b = levy_step(_ScriptedSource(list(draws)), 2.0, 1.5, normalized=False)
-        sigma = mantegna_sigma(1.5)
-        assert b.x == pytest.approx(a.x / sigma, rel=1e-15)
-        assert b.y == pytest.approx(a.y / sigma, rel=1e-15)
-
     def test_overflowing_quotient_clamps_finite(self):
         # A large numerator against a small denominator overflows the
         # division; the sampler caps the component at +/-1e300.

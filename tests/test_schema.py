@@ -1,6 +1,6 @@
 """The typed field table: one rule per field, shared by the JSON loaders and validate().
 
-The fuzz draws values for every float, int, bool and str field of the scenario
+The fuzz draws values for every float, int and str field of the scenario
 dataclasses, so a new field is fuzzed by construction.  It only loads and
 validates: no draw is ever run or allocated beyond a size cap.
 """
@@ -12,7 +12,9 @@ import dataclasses
 import importlib
 import json
 import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +39,7 @@ from levyswarm.world import (
 )
 
 HOTSPOT = {"x": 1.0, "y": 1.0}
-TYPES = {"float": float, "int": int, "bool": bool, "str": str}
+TYPES = {"float": float, "int": int, "str": str}
 
 # Each section of a scenario file: its path in the JSON and its dataclass.
 SECTIONS = [
@@ -80,8 +82,6 @@ def values(name: str, kind: str):
         ]
         finite = st.floats(allow_nan=False, allow_infinity=False)
         return st.one_of(finite, st.sampled_from(edges or [0.0]), st.integers(-5, 5), wrong)
-    if kind == "bool":
-        return st.one_of(st.booleans(), st.sampled_from([0, 1, "false", "true", None]))
     return st.one_of(st.text(max_size=8), st.integers(), wrong)
 
 
@@ -183,8 +183,8 @@ SETTABLE = {
     Hotspot: ("position", "weight"),
     PsoParams: ("inertia", "cognitive", "social"),
     AlgorithmParams: (
-        "levy_weight", "levy_beta", "explore_coeff", "exploit_coeff", "adaptive_lambda",
-        "sigma_sensitivity", "pso", "stagnation_limit", "shaping_epsilon", "mantegna_normalized",
+        "levy_weight", "levy_beta", "explore_coeff", "exploit_coeff", "pso", "stagnation_limit",
+        "shaping_epsilon",
     ),
     ConstraintParams: (
         "max_step_size", "safe_zone_radius", "coverage_radius", "collision_radius",
@@ -202,9 +202,9 @@ class TestSettableValues:
     def test_every_section_field_is_pinned(self):
         assert {cls: tuple(f.name for f in fields(cls)) for cls in SETTABLE} == SETTABLE
 
-    def test_algorithm_params_set_twelve_values(self):
+    def test_algorithm_params_set_nine_values(self):
         # pso is a section of three.
-        assert len(SETTABLE[AlgorithmParams]) - 1 + len(SETTABLE[PsoParams]) == 12
+        assert len(SETTABLE[AlgorithmParams]) - 1 + len(SETTABLE[PsoParams]) == 9
 
     def test_file_only_keys_are_no_fields_and_load(self):
         for cls, keys in FILE_ONLY.items():
@@ -215,6 +215,28 @@ class TestSettableValues:
         assert listed.hotspots[0].position == (4.0, 5.0)
 
 
+def _readme_defaults() -> dict[str, str]:
+    """README's Defaults table: each parameter's default, as written."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("\n## Defaults\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w.]+)` \| ([^|]+?) \|", section, flags=re.M)
+    return dict(rows)
+
+
+class TestReadmeDefaults:
+    def test_every_setting_has_a_row_with_its_default(self):
+        want = {
+            f"{prefix}.{f.name}": str(f.default)
+            for prefix, cls in (("params", AlgorithmParams), ("constraints", ConstraintParams))
+            for f in fields(cls)
+            if f.name != "pso"
+        }
+        want["params.pso"] = " / ".join(str(f.default) for f in fields(PsoParams))
+        scenario = {f.name: f for f in fields(ScenarioConfig)}
+        want |= {name: str(scenario[name].default) for name in ("max_steps", "dt")}
+        assert _readme_defaults() == want
+
+
 # Every dataclass field that shares a name with a row of the bounds table.
 # The table is keyed by bare name, so a new field of that name anywhere in
 # the package has to be added here on purpose.
@@ -223,7 +245,6 @@ BOUND_FIELDS = {
     "weight": {"Hotspot"},
     "levy_weight": {"AlgorithmParams", "SweepCell", "RunMetrics"},
     "levy_beta": {"AlgorithmParams"},
-    "sigma_sensitivity": {"AlgorithmParams"},
     "stagnation_limit": {"AlgorithmParams"},
     "max_step_size": {"ConstraintParams"},
     "safe_zone_radius": {"ConstraintParams"},
@@ -294,13 +315,17 @@ class TestUnifiedRule:
         assert len(scenario_from_dict({"kind": "TwoCluster", "n_hotspots": 4}).hotspots) == 4
 
 
-# (path, name) of every float key capped above as a coefficient; below, the
-# cap is the coefficient cap's negative, or 0 for shaping_epsilon.
-CAPPED = [
-    (path, name)
-    for path, name, kind in KEYS
-    if kind == "float" and _RANGES.get(name, (0, 0))[1] == _COEFFICIENT[1]
-]
+# (path, name) of every float key capped above as a coefficient, the
+# sections' keys before the top level's dt; below, the cap is the coefficient
+# cap's negative, or 0 for shaping_epsilon.
+CAPPED = sorted(
+    [
+        (path, name)
+        for path, name, kind in KEYS
+        if kind == "float" and _RANGES.get(name, (0, 0))[1] == _COEFFICIENT[1]
+    ],
+    key=lambda key: key[0] == (),
+)
 
 
 def _section(config: ScenarioConfig, path):
@@ -320,7 +345,7 @@ class TestCoefficientCaps:
         assert sorted(name for _, name in CAPPED if _RANGES[name] == _COEFFICIENT) == sorted(
             [
                 "inertia", "cognitive", "social", "potential_field_gain", "explore_coeff",
-                "exploit_coeff", "weight", "levy_weight", "max_step_size", "safe_zone_radius",
+                "exploit_coeff", "weight", "levy_weight", "max_step_size", "safe_zone_radius", "dt",
             ]
         )
         # A weight, 0 for off.

@@ -74,7 +74,6 @@ class TestParseAlgorithm:
             ("pso", Algorithm.PSO),
             ("hybrid", Algorithm.HYBRID_ABC_LEVY),
             ("hybrid-abc-levy", Algorithm.HYBRID_ABC_LEVY),
-            ("hybrid_abc_levy", Algorithm.HYBRID_ABC_LEVY),
             ("HYBRID", Algorithm.HYBRID_ABC_LEVY),
             ("  Pso ", Algorithm.PSO),
         ],
@@ -88,6 +87,14 @@ class TestParseAlgorithm:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValidationError, match="unknown algorithm"):
             parse_algorithm("simulated-annealing")
+
+    @pytest.mark.parametrize("name", ["hybrid_abc_levy", "hybridabclevy"])
+    def test_unknown_name_lists_every_accepted_name(self, name):
+        with pytest.raises(ValidationError) as error:
+            parse_algorithm(name)
+        assert str(error.value) == (
+            f"unknown algorithm {name!r}; expected one of ['abc', 'pso', 'hybrid', 'hybrid-abc-levy']"
+        )
 
 
 class TestAlgorithmParamsValidation:
