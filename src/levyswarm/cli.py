@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--preset", default="uniform20", choices=sorted(world.PRESET_KINDS), help="named layout"
     )
-    run.add_argument("--algorithm", help="abc | pso | hybrid-abc-levy")
+    run.add_argument("--algorithm", help="abc | pso | hybrid | hybrid-abc-levy")
     run.add_argument("--levy-weight", type=float, default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--max-steps", type=int, default=None)
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="levy_weight x seed grid")
     sweep.add_argument("--spec", help="JSON sweep spec")
     sweep.add_argument("--preset", choices=sorted(world.PRESET_KINDS))
-    sweep.add_argument("--algorithm", help="abc | pso | hybrid-abc-levy")
+    sweep.add_argument("--algorithm", help="abc | pso | hybrid | hybrid-abc-levy")
     sweep.add_argument("--values", help="comma-separated levy_weight values")
     sweep.add_argument("--seeds", help="count (e.g. 20) or comma-separated seed list")
     sweep.add_argument("--max-steps", type=int, default=None)

@@ -289,8 +289,9 @@ def propose_hybrid(
     (a long flight or a scout reset) spends the step on a relocation leg.
     Every other agent draws an onlooker Bernoulli (probability = its nectar
     share of current fitness), and a selected agent tries a fresh one-step
-    Levy move, kept only under strict greedy acceptance.  All realized positions stay within the
-    per-step motion budget about the agent's step-start position.
+    Levy move, kept only under strict greedy acceptance.  All realized
+    positions stay within the per-step motion budget about the agent's
+    step-start position.
 
     Agent i draws only from rngs[i] and reads only the step-start anchors,
     values and global best and the field, which nothing covers during a

@@ -325,7 +325,6 @@ class TestRunCommand:
             (("constraints",), "safe_zone_radius", "abc"),
             (("constraints",), "safe_zone_radius", "pso"),
             (("constraints",), "max_step_size", "hybrid"),
-            ((), "dt", "hybrid"),
         ],
     )
     def test_coefficient_at_its_cap_runs(self, tmp_path, path, name, algorithm):
