@@ -57,9 +57,10 @@ TIGHT_STEPS = 40
 TIGHT_CASES = [f"twocluster/pso/{seed}/tight" for seed in (3, 4)]
 # Knob branches the preset defaults never take, each on one preset run.
 # The Mantegna scale is 1 at the default levy_beta of 1; the levy_beta=1.5
-# case is the one whose flights carry another.  The sign of exploit_coeff (exploit_sign in its
-# case label) acts only between agents of unequal fitness above the median,
-# which unit-weight coverage alone almost never gives, so it rides on shaping.
+# case is the one whose flights carry another.  The sign of exploit_coeff
+# (exploit_sign in its case label) acts only between agents of unequal
+# fitness above the median, which unit-weight coverage alone almost never
+# gives, so it rides on shaping.
 # The wide cases set safe_zone_radius above twice the collision radius (the
 # presets have the two equal), so the safe-zone radius sets the reach of the
 # collision stage.
